@@ -9,7 +9,7 @@ encoding used to drive the gimbal.
 __version__ = "0.1.0"
 
 from .arenas import Path, build_arena, pursue
-from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, step, step_series
+from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide, step
 from .geometry import (
     EllipseRoi,
     FrameSpec,
@@ -17,7 +17,6 @@ from .geometry import (
     PolarPoint,
     Sector,
     classify_sector,
-    is_inside,
     relative_position,
     to_centered,
     to_polar,
@@ -64,15 +63,14 @@ __all__ = [
     "MAX_RATE_RAD_S",
     "ControllerConfig",
     "GimbalCommand",
+    "decide",
     "step",
-    "step_series",
     "EllipseRoi",
     "FrameSpec",
     "ImagePoint",
     "PolarPoint",
     "Sector",
     "classify_sector",
-    "is_inside",
     "relative_position",
     "to_centered",
     "to_polar",

@@ -4,6 +4,8 @@ The two canonical arenas live in versioned fixture files under
 ``roitrack/data``: arena 1 is a rectangular circuit with corner cut-ins,
 arena 2 an open zig-zag track.  Their waypoint coordinates were calibrated
 once against the baseline trial configuration and are never tuned per test.
+The fixtures' flat ``key = value`` format is also the CLI's config format, so
+its one parser, ``parse_kv_text``, lives here.
 """
 
 from __future__ import annotations
@@ -47,37 +49,50 @@ class Path:
         return math.fsum(math.dist(a, b) for a, b in self.segments())
 
 
-def parse_arena_text(text: str) -> Path:
-    """Parse the arena fixture format: flat key-value lines, '#' comments.
+def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
+    """Parse flat 'key = value' lines; '#' starts a comment.
 
-    Recognized keys: ``closed`` (true/false) and repeated ``waypoint_NN_m``
-    entries holding "x y" in meters, ordered by key.
+    A key may appear only once, so no line can silently override another.
     """
-    closed = False
-    waypoints: list[tuple[int, tuple[float, float]]] = []
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"arena line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{source}: line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
+        if key in values:
+            raise ValueError(f"{source}: line {lineno}: duplicate key {key!r}")
+        values[key] = value.strip()
+    return values
+
+
+def parse_arena_text(text: str) -> Path:
+    """Parse the arena fixture format, the flat key-value text of ``parse_kv_text``.
+
+    Recognized keys: ``closed`` (true/false) and ``waypoint_NN_m`` entries
+    holding "x y" in meters, ordered by their index NN, which must be unique.
+    """
+    closed = False
+    waypoints: dict[int, tuple[float, float]] = {}
+    for key, value in parse_kv_text(text, source="arena").items():
         if key == "closed":
             if value not in ("true", "false"):
-                raise ValueError(f"arena line {lineno}: closed must be true/false, got {value!r}")
+                raise ValueError(f"arena: closed must be true/false, got {value!r}")
             closed = value == "true"
         elif key.startswith("waypoint_") and key.endswith("_m"):
             index = int(key[len("waypoint_") : -len("_m")])
+            if index in waypoints:
+                raise ValueError(f"arena: waypoint index {index} repeated by {key!r}")
             parts = value.split()
             if len(parts) != 2:
-                raise ValueError(f"arena line {lineno}: waypoint needs 'x y', got {value!r}")
-            waypoints.append((index, (float(parts[0]), float(parts[1]))))
+                raise ValueError(f"arena: {key} needs 'x y', got {value!r}")
+            waypoints[index] = (float(parts[0]), float(parts[1]))
         else:
-            raise ValueError(f"arena line {lineno}: unknown key {key!r}")
-    waypoints.sort(key=lambda item: item[0])
-    return Path(waypoints=tuple(pt for _, pt in waypoints), closed=closed)
+            raise ValueError(f"arena: unknown key {key!r}")
+    return Path(waypoints=tuple(waypoints[i] for i in sorted(waypoints)), closed=closed)
 
 
 def arena_fixture_bytes(arena_id: int) -> bytes:

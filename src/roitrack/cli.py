@@ -16,21 +16,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .arenas import arena_fixture_bytes
-from .controller import ControllerConfig, step
-from .geometry import EllipseRoi, FrameSpec, classify_sector, relative_position, to_centered, to_polar
+from .arenas import arena_fixture_bytes, parse_kv_text
+from .controller import ControllerConfig, decide
+from .geometry import EllipseRoi, FrameSpec, to_centered
 from .metrics import summarize
 from .protocol import CommandLink, MockTransport
-from .telemetry import (
-    CSV_COLUMNS,
-    fmt_float,
-    format_kv_text,
-    parse_kv_text,
-    read_trial_csv,
-    sample_row,
-    serialize_report,
-    write_trial_csv,
-)
+from .telemetry import fmt_float, format_kv_text, read_trial_csv, serialize_report, write_trial_csv
 from .trials import (
     BASELINE_DURATION_S,
     BASELINE_JITTER_M,
@@ -85,7 +76,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config_file(path: str) -> dict:
     text = Path(path).read_text()
-    raw = parse_kv_text(text, source=path)
+    try:
+        raw = parse_kv_text(text, source=path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     values = {}
     for key, value in raw.items():
         if key in _INFO_KEYS or key.startswith("artifact_"):
@@ -176,7 +170,7 @@ def cmd_simulate(args) -> int:
     csv_paths = []
     for i, record in enumerate(records, start=1):
         path = out / f"trial_{i:03d}.csv"
-        write_trial_csv(record, path)
+        write_trial_csv(record.samples, path)
         csv_paths.append(path)
 
     # The batch summary is computed from the written artifacts so that
@@ -249,6 +243,24 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
     return rows
 
 
+def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: CommandLink):
+    """Decide each logged position, send the command, and yield its sample."""
+    for t, raw_x, raw_y in rows:
+        img = to_centered(row=raw_y, col=raw_x, frame=frame)
+        p, sector, cmd = decide(img, controller)
+        link.send(cmd, now=t)
+        yield TrialSample(
+            t=t,
+            x=img.x,
+            y=img.y,
+            p=p,
+            sector=sector,
+            yaw_cmd=cmd.yaw_rate,
+            pitch_cmd=cmd.pitch_rate,
+            visible=True,
+        )
+
+
 def cmd_replay(args) -> int:
     config = _load_config_file(args.config) if args.config else {}
     frame, controller, _ = _controller_settings(args, config)
@@ -258,24 +270,7 @@ def cmd_replay(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     transport = MockTransport()
     link = CommandLink(transport=transport)
-    telemetry_lines = [",".join(CSV_COLUMNS)]
-    for t, raw_x, raw_y in rows:
-        p = to_centered(row=raw_y, col=raw_x, frame=frame)
-        cmd = step(p, controller)
-        link.send(cmd, now=t)
-        sample = TrialSample(
-            t=t,
-            x=p.x,
-            y=p.y,
-            p=relative_position(p, controller.roi),
-            sector=classify_sector(to_polar(p).theta),
-            yaw_cmd=cmd.yaw_rate,
-            pitch_cmd=cmd.pitch_rate,
-            visible=True,
-        )
-        telemetry_lines.append(",".join(sample_row(sample)))
-    telemetry_path = out / "replay_telemetry.csv"
-    telemetry_path.write_text("\n".join(telemetry_lines) + "\n")
+    write_trial_csv(_replay_samples(rows, frame, controller, link), out / "replay_telemetry.csv")
     frames_path = out / "replay_frames.csv"
     frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
     frames_path.write_text("\n".join(frame_lines) + "\n")

@@ -12,7 +12,6 @@ positive pitch rate for a top-sector target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .geometry import (
     EllipseRoi,
@@ -62,25 +61,31 @@ class ControllerConfig:
             )
 
 
+def decide(p: ImagePoint, cfg: ControllerConfig) -> tuple[float, Sector, GimbalCommand]:
+    """Score one observed image position: (P, sector, command).
+
+    P is the relative position against the ROI.  The sector is computed even
+    inside the ellipse, where the command is (0, 0), because telemetry
+    records it for every sample.
+    """
+    rel = relative_position(p, cfg.roi)
+    sector = classify_sector(to_polar(p).theta)
+    if rel <= 1.0:
+        return rel, sector, GimbalCommand()
+    m = cfg.rate_magnitude
+    if sector is Sector.RIGHT:
+        return rel, sector, GimbalCommand(yaw_rate=m)
+    if sector is Sector.LEFT:
+        return rel, sector, GimbalCommand(yaw_rate=-m)
+    if sector is Sector.TOP:
+        return rel, sector, GimbalCommand(pitch_rate=m)
+    return rel, sector, GimbalCommand(pitch_rate=-m)
+
+
 def step(p: ImagePoint, cfg: ControllerConfig) -> GimbalCommand:
     """One control decision for one observed image position.
 
     Output is one of exactly five values: (0, 0), (+-m, 0), (0, +-m) with
     m = ``cfg.rate_magnitude``.
     """
-    if relative_position(p, cfg.roi) <= 1.0:
-        return GimbalCommand()
-    m = cfg.rate_magnitude
-    sector = classify_sector(to_polar(p).theta)
-    if sector is Sector.RIGHT:
-        return GimbalCommand(yaw_rate=m)
-    if sector is Sector.LEFT:
-        return GimbalCommand(yaw_rate=-m)
-    if sector is Sector.TOP:
-        return GimbalCommand(pitch_rate=m)
-    return GimbalCommand(pitch_rate=-m)
-
-
-def step_series(points: Iterable[ImagePoint], cfg: ControllerConfig) -> list[GimbalCommand]:
-    """Elementwise ``step`` over a point sequence (batch/replay convenience)."""
-    return [step(p, cfg) for p in points]
+    return decide(p, cfg)[2]

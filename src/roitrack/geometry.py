@@ -132,8 +132,3 @@ def classify_sector(theta: float) -> Sector:
     if -3.0 * _QUARTER_PI <= t < -_QUARTER_PI:
         return Sector.BOTTOM
     return Sector.LEFT
-
-
-def is_inside(p: ImagePoint, roi: EllipseRoi) -> bool:
-    """True when the point is inside the ellipse or on its boundary."""
-    return relative_position(p, roi) <= 1.0

@@ -114,13 +114,19 @@ def peak_sensitivity(
     return h / b
 
 
+def _active_counts(record: TrialRecord) -> tuple[int, int, int]:
+    """Samples with nonzero yaw, nonzero pitch, and both at once."""
+    yaw_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0)
+    pitch_n = sum(1 for s in record.samples if s.pitch_cmd != 0.0)
+    overlap_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0 and s.pitch_cmd != 0.0)
+    return yaw_n, pitch_n, overlap_n
+
+
 def control_expenditure(record: TrialRecord) -> tuple[float, float, float]:
     """Seconds of nonzero yaw, nonzero pitch, and both-at-once in one record."""
     if not record.samples:
         raise ValueError("record has no samples")
-    yaw_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0)
-    pitch_n = sum(1 for s in record.samples if s.pitch_cmd != 0.0)
-    overlap_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0 and s.pitch_cmd != 0.0)
+    yaw_n, pitch_n, overlap_n = _active_counts(record)
     return yaw_n * record.dt, pitch_n * record.dt, overlap_n * record.dt
 
 
@@ -158,13 +164,9 @@ def summarize(records: list[TrialRecord], opts: MetricsOptions = DEFAULT_OPTIONS
     # group expenditure counts by dt so the totals are exact under permutation
     by_dt: dict[float, list[int]] = {}
     for record in records:
-        yaw_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0)
-        pitch_n = sum(1 for s in record.samples if s.pitch_cmd != 0.0)
-        overlap_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0 and s.pitch_cmd != 0.0)
         acc = by_dt.setdefault(record.dt, [0, 0, 0])
-        acc[0] += yaw_n
-        acc[1] += pitch_n
-        acc[2] += overlap_n
+        for k, count in enumerate(_active_counts(record)):
+            acc[k] += count
     yaw_s = math.fsum(dt * counts[0] for dt, counts in sorted(by_dt.items()))
     pitch_s = math.fsum(dt * counts[1] for dt, counts in sorted(by_dt.items()))
     overlap_s = math.fsum(dt * counts[2] for dt, counts in sorted(by_dt.items()))

@@ -1,4 +1,4 @@
-"""Bit-stable file formats: telemetry CSV, key-value config text, reports.
+"""Bit-stable file formats: telemetry CSV, key-value manifests, reports.
 
 Floats are serialized with 9 significant digits, decimal point, no locale
 formatting, so fixtures diff cleanly and identical runs produce identical
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
+from typing import Iterable
 
 from .geometry import Sector
 from .metrics import SensitivityReport
@@ -45,12 +46,15 @@ def sample_row(sample: TrialSample) -> list[str]:
     ]
 
 
-def write_trial_csv(record: TrialRecord, path: Path) -> None:
+def write_trial_csv(samples: Iterable[TrialSample], path: Path) -> None:
+    """Write a header and one row per sample, consuming ``samples`` as it goes.
+
+    Every field is a formatted number or a fixed word, none of which needs
+    CSV quoting, so rows are joined directly.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for sample in record.samples:
-            writer.writerow(sample_row(sample))
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(",".join(sample_row(sample)) + "\n" for sample in samples)
 
 
 def read_trial_csv(path: Path, dt: float) -> TrialRecord:
@@ -107,20 +111,6 @@ def serialize_report(report: SensitivityReport) -> str:
     lines.append(f"pitch_active_s = {fmt_float(report.pitch_active_s)}")
     lines.append(f"overlap_s = {fmt_float(report.overlap_s)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse flat 'key = value' lines; '#' starts a comment."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}: line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
 
 
 def format_kv_text(values: dict[str, str]) -> str:

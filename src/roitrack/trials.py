@@ -15,14 +15,7 @@ from dataclasses import dataclass, replace
 
 from .arenas import DEFAULT_LOOKAHEAD_M, Path, build_arena, pursue
 from .controller import ControllerConfig
-from .geometry import (
-    EllipseRoi,
-    FrameSpec,
-    Sector,
-    classify_sector,
-    relative_position,
-    to_polar,
-)
+from .geometry import EllipseRoi, FrameSpec, Sector
 from .world import CameraModel, UavPose, UsvState, WorldState, aim_at, closed_loop_step
 
 DEFAULT_DT_S = 1.0 / 30.0  # frame-driven control loop at 30 fps
@@ -146,19 +139,20 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
     gimbal = aim_at(cfg.uav, (usv.x, usv.y, 0.0))
     world = WorldState(usv=usv, uav=cfg.uav, gimbal=gimbal, time=0.0)
 
-    roi = cfg.controller.roi
     steps = round(cfg.duration / cfg.dt)
     samples = []
     for i in range(steps):
         rudder = pursue(world.usv, path, cfg.lookahead)
-        world, cmd, img, visible = closed_loop_step(world, rudder, cfg.controller, cfg.camera, cfg.dt)
+        world, cmd, img, visible, p, sector = closed_loop_step(
+            world, rudder, cfg.controller, cfg.camera, cfg.dt
+        )
         samples.append(
             TrialSample(
                 t=(i + 1) * cfg.dt,
                 x=img.x,
                 y=img.y,
-                p=relative_position(img, roi),
-                sector=classify_sector(to_polar(img).theta),
+                p=p,
+                sector=sector,
                 yaw_cmd=cmd.yaw_rate,
                 pitch_cmd=cmd.pitch_rate,
                 visible=visible,

@@ -23,8 +23,8 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
-from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, step
-from .geometry import FrameSpec, ImagePoint, wrap_angle
+from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
+from .geometry import FrameSpec, ImagePoint, Sector
 
 log = logging.getLogger(__name__)
 
@@ -69,11 +69,6 @@ class GimbalState:
         if not TILT_MIN <= self.tilt <= TILT_MAX:
             raise ValueError(f"tilt must be in [{TILT_MIN}, {TILT_MAX}], got {self.tilt}")
 
-    @property
-    def pan_wrapped(self) -> float:
-        """Pan normalized to (-pi, pi]; the raw field accumulates freely."""
-        return wrap_angle(self.pan)
-
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -87,11 +82,6 @@ class CameraModel:
     @property
     def focal_px(self) -> float:
         return (self.frame.width / 2) / math.tan(self.horizontal_fov / 2)
-
-    @property
-    def vertical_fov(self) -> float:
-        """Derived from the aspect ratio (square pixels)."""
-        return 2.0 * math.atan((self.frame.height / 2) / self.focal_px)
 
 
 @dataclass(frozen=True)
@@ -184,15 +174,19 @@ def closed_loop_step(
     cfg: ControllerConfig,
     cam: CameraModel,
     dt: float,
-) -> tuple[WorldState, GimbalCommand, ImagePoint, bool]:
+) -> tuple[WorldState, GimbalCommand, ImagePoint, bool, float, Sector]:
     """One full loop iteration: advance boat, project, decide, move gimbal.
 
-    When the target is invisible the command is (0, 0); the previous command
-    is deliberately not latched, so a lost target fails safe with a frozen
-    gimbal.
+    Returns the new state, the command sent, the image point, its visibility
+    flag, and the controller's P and sector for that point.  When the target
+    is invisible the command is (0, 0); the previous command is deliberately
+    not latched, so a lost target fails safe with a frozen gimbal.
     """
     usv = usv_step(w.usv, rudder_rate, dt)
     img, visible = project((usv.x, usv.y, 0.0), w.uav, w.gimbal, cam)
-    cmd = step(img, cfg) if visible else GimbalCommand()
+    p, sector, cmd = decide(img, cfg)
+    if not visible:
+        cmd = GimbalCommand()
     gimbal = gimbal_step(w.gimbal, cmd, dt)
-    return WorldState(usv=usv, uav=w.uav, gimbal=gimbal, time=w.time + dt), cmd, img, visible
+    world = WorldState(usv=usv, uav=w.uav, gimbal=gimbal, time=w.time + dt)
+    return world, cmd, img, visible, p, sector

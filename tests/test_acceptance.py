@@ -134,7 +134,7 @@ def test_criterion_4_closed_loop_recentering():
             w = WorldState(usv=usv, uav=uav, gimbal=gimbal0, time=0.0)
             ps, travel, actuated = [], 0.0, 0
             for _ in range(max_steps):
-                w2, cmd, img, visible = closed_loop_step(w, 0.0, CFG, CAM, dt_step)
+                w2, cmd, img, visible, *_ = closed_loop_step(w, 0.0, CFG, CAM, dt_step)
                 assert visible
                 ps.append(relative_position(img, CFG.roi))
                 travel += abs(w2.gimbal.pan - w.gimbal.pan) + abs(w2.gimbal.tilt - w.gimbal.tilt)

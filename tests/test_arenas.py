@@ -59,6 +59,8 @@ class TestParse:
             "unknown_key = 1\n",
             "waypoint_01_m = 0\nwaypoint_02_m = 1 1\n",
             "just a line\n",
+            "closed = true\nclosed = false\nwaypoint_01_m = 0 0\nwaypoint_02_m = 1 1\n",
+            "waypoint_01_m = 0 0\nwaypoint_1_m = 1 1\nwaypoint_02_m = 2 2\n",
         ],
     )
     def test_malformed_rejected(self, text):

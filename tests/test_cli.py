@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, main
 from roitrack.controller import ControllerConfig, step
-from roitrack.geometry import EllipseRoi, FrameSpec, to_centered
+from roitrack.geometry import (
+    EllipseRoi,
+    FrameSpec,
+    classify_sector,
+    relative_position,
+    to_centered,
+    to_polar,
+)
 from roitrack.metrics import summarize
-from roitrack.telemetry import read_trial_csv, serialize_report
+from roitrack.telemetry import fmt_float, read_trial_csv, serialize_report
 from roitrack.trials import DEFAULT_DT_S
 
 
@@ -68,6 +77,12 @@ class TestSimulate:
         assert run_cli("simulate", "--arena", 1, "--config", config,
                        "--out-dir", tmp_path / "x") == EXIT_USAGE
 
+    def test_duplicate_config_key_is_usage_error(self, tmp_path):
+        config = tmp_path / "twice.cfg"
+        config.write_text("seed = 1\nseed = 1\n")
+        assert run_cli("simulate", "--arena", 1, "--config", config,
+                       "--out-dir", tmp_path / "x") == EXIT_USAGE
+
     @pytest.mark.parametrize("flag,value", [
         ("--rate-rad-s", 0.5),
         ("--roi-frac-x", 0.6),
@@ -105,16 +120,21 @@ class TestSimulate:
         assert "tool_version = " in manifest
 
 
+def write_log(path, rows):
+    lines = ["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# 3 s of raw pixel rows sweeping the ellipse and all four sectors
+SWEEP_ROWS = [(i / 30, 960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
+
+
 class TestReplay:
     FRAME = FrameSpec(1920, 720)
 
-    def write_log(self, path, rows):
-        lines = ["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]
-        path.write_text("\n".join(lines) + "\n")
-
     def test_all_center_rows_give_zero_commands(self, tmp_path):
         log = tmp_path / "log.csv"
-        self.write_log(log, [(i / 30, 960.0, 360.0) for i in range(30)])
+        write_log(log, [(i / 30, 960.0, 360.0) for i in range(30)])
         out = tmp_path / "replay"
         assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
         telemetry = (out / "replay_telemetry.csv").read_text().splitlines()
@@ -127,7 +147,7 @@ class TestReplay:
         # synthetic track marching out the right side of the frame
         rows = [(i / 30, 960.0 + 40.0 * i, 360.0) for i in range(30)]
         log = tmp_path / "log.csv"
-        self.write_log(log, rows)
+        write_log(log, rows)
         out = tmp_path / "replay"
         assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
 
@@ -145,6 +165,25 @@ class TestReplay:
         t_text, frame_text = frames[0].split(",", 1)
         assert float(t_text) == pytest.approx(expected_first[0])
         assert frame_text == "Yaw 0.3"
+
+    def test_telemetry_rows_match_controller(self, tmp_path):
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        out = tmp_path / "replay"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+
+        record = read_trial_csv(out / "replay_telemetry.csv", dt=DEFAULT_DT_S)
+        cfg = ControllerConfig(roi=EllipseRoi.from_fractions(self.FRAME), frame=self.FRAME)
+        assert len(record.samples) == len(SWEEP_ROWS)
+        for sample, (t, x, y) in zip(record.samples, SWEEP_ROWS):
+            p = to_centered(row=y, col=x, frame=self.FRAME)
+            cmd = step(p, cfg)
+            assert sample.t == float(fmt_float(t))
+            assert (sample.x, sample.y) == (float(fmt_float(p.x)), float(fmt_float(p.y)))
+            assert sample.p == float(fmt_float(relative_position(p, cfg.roi)))
+            assert sample.sector is classify_sector(to_polar(p).theta)
+            assert (sample.yaw_cmd, sample.pitch_cmd) == (cmd.yaw_rate, cmd.pitch_rate)
+            assert sample.visible
 
     def test_empty_file_gives_empty_outputs(self, tmp_path):
         log = tmp_path / "empty.csv"
@@ -170,6 +209,35 @@ class TestReplay:
 
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.csv", "--out-dir", tmp_path / "r") == EXIT_IO
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """sha256 of the artifacts of two fixed runs, recorded with CPython 3.11 on
+    x86-64 Linux.  Any change to how a sample is computed, formatted or
+    written changes them; the CLI promises byte-stable artifacts."""
+
+    def test_simulate_arena_2_seed_7(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--arena", 2, "--trials", 2, "--seed", 7, "--out-dir", out) == EXIT_OK
+        assert {name: sha256_of(out / name) for name in ("summary.txt", "trial_001.csv", "trial_002.csv")} == {
+            "summary.txt": "87c48f983aa556d948b8a2fe0417b3b9cf01979bf17a736c62cf7b1a6370feb0",
+            "trial_001.csv": "5d44d68891e1f4350fba6fc1368f7ba1b2f6f92ae2a86aefb6db01265ffaf0c4",
+            "trial_002.csv": "f1cbfa4ca84b7d5797508d9f926fadec032b1ed7a8111c60bb8d33ef5adee7c2",
+        }
+
+    def test_replay_fixed_log(self, tmp_path):
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        out = tmp_path / "replay"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        assert {name: sha256_of(out / name) for name in ("replay_telemetry.csv", "replay_frames.csv")} == {
+            "replay_telemetry.csv": "6c3be6af2cb8a2d4f1958228b455dc53e91571042ca52a28d515f38b530d2966",
+            "replay_frames.csv": "64f041251a218fe9bc4f7ecd99237d9692115abb6be3f75db3f9bd945f50cd1c",
+        }
 
 
 class TestReport:

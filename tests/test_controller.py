@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, step, step_series
+from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector, relative_position, to_polar
 
 FRAME = FrameSpec(1920, 720)
@@ -70,6 +70,12 @@ class TestStep:
         p = point_at(theta, p_target)
         assert step(p, CFG).is_zero() == (relative_position(p, CFG.roi) <= 1.0)
 
+    @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi),
+           p_target=st.floats(min_value=0.0, max_value=9.0))
+    def test_decide_reports_p_and_sector_inside_too(self, theta, p_target):
+        p = point_at(theta, p_target)
+        assert decide(p, CFG)[:2] == (relative_position(p, CFG.roi), classify_sector(to_polar(p).theta))
+
     @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi))
     def test_quarter_turn_permutes_commands(self, theta):
         # on a circular ROI a quarter turn preserves P, so the command must
@@ -105,19 +111,6 @@ class TestStep:
                 Sector.BOTTOM: GimbalCommand(pitch_rate=-0.3),
             }[sector]
             assert cmd == expected
-
-
-class TestStepSeries:
-    def test_empty(self):
-        assert step_series([], CFG) == []
-
-    def test_centers_stay_quiet(self):
-        center = ImagePoint(0.0, 0.0)
-        assert step_series([center, center], CFG) == [GimbalCommand(), GimbalCommand()]
-
-    def test_matches_elementwise_loop(self):
-        points = [point_at(-math.pi + (k + 0.5) * math.pi / 6, 0.3 * k) for k in range(12)]
-        assert step_series(points, CFG) == [step(p, CFG) for p in points]
 
 
 class TestValidation:

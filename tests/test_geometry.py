@@ -11,7 +11,6 @@ from roitrack.geometry import (
     ImagePoint,
     Sector,
     classify_sector,
-    is_inside,
     relative_position,
     to_centered,
     to_polar,
@@ -148,21 +147,23 @@ class TestClassifySector:
 
 
 class TestIsInside:
+    """Inside means P <= 1, boundary included: the controller's quiet zone."""
+
     def test_center_inside(self):
-        assert is_inside(ImagePoint(0, 0), EllipseRoi(10, 10))
+        assert relative_position(ImagePoint(0, 0), EllipseRoi(10, 10)) <= 1.0
 
     def test_diagonal_vertex_outside(self):
         # P = 2 at (a, b)
-        assert not is_inside(ImagePoint(288, 108), EllipseRoi(288, 108))
+        assert relative_position(ImagePoint(288, 108), EllipseRoi(288, 108)) > 1.0
 
     def test_boundary_counts_as_inside(self):
-        assert is_inside(ImagePoint(288, 0), EllipseRoi(288, 108))
+        assert relative_position(ImagePoint(288, 0), EllipseRoi(288, 108)) <= 1.0
 
     @given(x=finite_coord, y=finite_coord, a=semi_axis, b=semi_axis)
     def test_matches_independent_oracle(self, x, y, a, b):
         oracle = (x / a) ** 2 + (y / b) ** 2
         if abs(oracle - 1.0) > 1e-9:  # undecidable knife edge aside
-            assert is_inside(ImagePoint(x, y), EllipseRoi(a, b)) == (oracle <= 1.0)
+            assert (relative_position(ImagePoint(x, y), EllipseRoi(a, b)) <= 1.0) == (oracle <= 1.0)
 
 
 class TestValidation:

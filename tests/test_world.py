@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import back_project
 from roitrack.controller import ControllerConfig, GimbalCommand, step
-from roitrack.geometry import EllipseRoi, FrameSpec, relative_position
+from roitrack.geometry import EllipseRoi, FrameSpec, classify_sector, relative_position, to_polar, wrap_angle
 from roitrack.world import (
     TILT_MAX,
     TILT_MIN,
@@ -106,8 +106,10 @@ class TestGimbalStep:
         assert abs(out.tilt - g.tilt) <= g.max_rate * DT + 1e-15
 
     def test_pan_wraps_on_read(self):
+        # the raw pan accumulates freely; a reader wraps it into (-pi, pi]
         g = GimbalState(pan=2 * math.pi + 0.25, tilt=-0.5)
-        assert g.pan_wrapped == pytest.approx(0.25)
+        assert g.pan == 2 * math.pi + 0.25
+        assert wrap_angle(g.pan) == pytest.approx(0.25)
 
     def test_tilt_range_enforced(self):
         with pytest.raises(ValueError):
@@ -199,7 +201,7 @@ class TestClosedLoop:
         w = WorldState(usv=usv, uav=UAV, gimbal=aim_at(UAV, (0.0, 2.4, 0.0)), time=0.0)
         g0 = w.gimbal
         for _ in range(1000):
-            w, cmd, img, visible = closed_loop_step(w, 0.0, CFG, CAM, DT)
+            w, cmd, img, visible, *_ = closed_loop_step(w, 0.0, CFG, CAM, DT)
             assert cmd.is_zero()
         assert w.gimbal == g0
 
@@ -211,7 +213,7 @@ class TestClosedLoop:
         engaged_at = None
         first_exit = None
         for i in range(400):
-            w, cmd, img, visible = closed_loop_step(w, 0.0, CFG, CAM, DT)
+            w, cmd, img, visible, *_ = closed_loop_step(w, 0.0, CFG, CAM, DT)
             assert visible
             expected = step(img, CFG)
             assert cmd == expected
@@ -227,10 +229,13 @@ class TestClosedLoop:
         # aim the camera so the boat is way off-frame
         usv = UsvState(50.0, -50.0, 0.0, 0.0)
         w = WorldState(usv=usv, uav=UAV, gimbal=aim_at(UAV, (0.0, 2.4, 0.0)), time=0.0)
-        w2, cmd, img, visible = closed_loop_step(w, 0.0, CFG, CAM, DT)
+        w2, cmd, img, visible, p, sector = closed_loop_step(w, 0.0, CFG, CAM, DT)
         assert not visible
         assert cmd.is_zero()
         assert w2.gimbal == w.gimbal
+        # P and the sector still describe the projected point, for telemetry
+        assert p == relative_position(img, CFG.roi)
+        assert sector is classify_sector(to_polar(img).theta)
 
     def test_time_advances_by_dt(self):
         usv = UsvState(0.0, 2.4, 0.0, 0.0)
@@ -244,7 +249,7 @@ class TestClosedLoop:
             w = WorldState(usv=usv, uav=UAV, gimbal=aim_at(UAV, (0.0, 2.4, 0.0)), time=0.0)
             states = []
             for _ in range(200):
-                w, cmd, img, visible = closed_loop_step(w, 0.4, CFG, CAM, DT)
+                w, cmd, img, visible, *_ = closed_loop_step(w, 0.4, CFG, CAM, DT)
                 states.append((w, cmd, img, visible))
             return states
 
@@ -256,7 +261,7 @@ class TestClosedLoop:
         travel = 0.0
         active = 0
         for _ in range(600):
-            w2, cmd, img, visible = closed_loop_step(w, 0.3, CFG, CAM, DT)
+            w2, cmd, img, visible, *_ = closed_loop_step(w, 0.3, CFG, CAM, DT)
             travel += abs(w2.gimbal.pan - w.gimbal.pan) + abs(w2.gimbal.tilt - w.gimbal.tilt)
             if not cmd.is_zero():
                 active += 1
