@@ -16,11 +16,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .arenas import arena_fixture_bytes, parse_kv_text
-from .controller import ControllerConfig, decide
-from .geometry import EllipseRoi, FrameSpec, to_centered
+from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
+from .controller import MAX_RATE_RAD_S, ControllerConfig, decide
+from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec, to_centered
 from .metrics import summarize
-from .protocol import CommandLink, MockTransport
+from .protocol import CommandLink, MockTransport, TransportSaturated
 from .telemetry import fmt_float, format_kv_text, read_trial_csv, serialize_report, write_trial_csv
 from .trials import (
     BASELINE_DURATION_S,
@@ -41,25 +41,27 @@ EXIT_IO = 3
 
 OUT_DIR_ENV = "ROITRACK_OUT_DIR"
 
-# Keys accepted in --config files (also written to run manifests).
-CONFIG_KEYS = {
-    "arena": int,
-    "trials": int,
-    "seed": int,
-    "duration_s": float,
-    "dt_s": float,
-    "usv_speed_mps": float,
-    "jitter_m": float,
-    "lookahead_m": float,
-    "roi_frac_x": float,
-    "roi_frac_y": float,
-    "rate_rad_s": float,
-    "fov_deg": float,
-    "frame_width_px": int,
-    "frame_height_px": int,
-    "uav_x_m": float,
-    "uav_y_m": float,
-    "altitude_m": float,
+# Every setting, in manifest order: key -> (type, default).  Flags (whose
+# dest is the key), --config files and run manifests all go through this
+# table.  A None default means the arena's baseline (speed, duration).
+SETTINGS = {
+    "arena": (int, None),
+    "trials": (int, 1),
+    "seed": (int, 1),
+    "duration_s": (float, None),
+    "dt_s": (float, DEFAULT_DT_S),
+    "usv_speed_mps": (float, None),
+    "jitter_m": (float, BASELINE_JITTER_M),
+    "lookahead_m": (float, DEFAULT_LOOKAHEAD_M),
+    "roi_frac_x": (float, DEFAULT_ROI_FRAC),
+    "roi_frac_y": (float, DEFAULT_ROI_FRAC),
+    "rate_rad_s": (float, MAX_RATE_RAD_S),
+    "fov_deg": (float, math.degrees(CameraModel.horizontal_fov)),
+    "frame_width_px": (int, FrameSpec.width),
+    "frame_height_px": (int, FrameSpec.height),
+    "uav_x_m": (float, DEFAULT_UAV.x),
+    "uav_y_m": (float, DEFAULT_UAV.y),
+    "altitude_m": (float, DEFAULT_UAV.altitude),
 }
 # Manifest bookkeeping keys that a rerun may safely ignore.
 _INFO_KEYS = {"tool_version", "seeds", "arena_fixture_sha256"}
@@ -74,52 +76,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config_file(path: str) -> dict:
-    text = Path(path).read_text()
+def _read_text(path) -> str:
     try:
-        raw = parse_kv_text(text, source=path)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    values = {}
-    for key, value in raw.items():
-        if key in _INFO_KEYS or key.startswith("artifact_"):
-            continue
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}: unknown config key {key!r}")
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _settings(args) -> dict:
+    """Resolve every setting: its table default < the --config file < its flag."""
+    values = {key: default for key, (_, default) in SETTINGS.items()}
+    if args.config:
         try:
-            values[key] = CONFIG_KEYS[key](value)
-        except ValueError:
-            raise UsageError(f"{path}: bad value for {key}: {value!r}") from None
+            raw = parse_kv_text(_read_text(args.config), source=args.config)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        for key, text in raw.items():
+            if key in _INFO_KEYS or key.startswith("artifact_"):
+                continue
+            if key not in SETTINGS:
+                raise UsageError(f"{args.config}: unknown config key {key!r}")
+            try:
+                values[key] = SETTINGS[key][0](text)
+            except ValueError:
+                raise UsageError(f"{args.config}: bad value for {key}: {text!r}") from None
+    for key in SETTINGS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+        if isinstance(values[key], float) and not math.isfinite(values[key]):
+            raise UsageError(f"{key} must be finite, got {values[key]}")
     return values
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _controller_settings(args, config: dict) -> tuple[FrameSpec, ControllerConfig, CameraModel]:
+def _controller(settings: dict) -> tuple[FrameSpec, ControllerConfig]:
     try:
-        frame = FrameSpec(
-            width=_resolve(None, config, "frame_width_px", 1920),
-            height=_resolve(None, config, "frame_height_px", 720),
-        )
-        roi = EllipseRoi.from_fractions(
-            frame,
-            frac_x=_resolve(args.roi_frac_x, config, "roi_frac_x", 0.30),
-            frac_y=_resolve(args.roi_frac_y, config, "roi_frac_y", 0.30),
-        )
-        controller = ControllerConfig(
-            roi=roi, frame=frame, rate_magnitude=_resolve(args.rate_rad_s, config, "rate_rad_s", 0.3)
-        )
-        fov_deg = _resolve(args.fov_deg, config, "fov_deg", 90.0)
-        camera = CameraModel(frame=frame, horizontal_fov=math.radians(fov_deg))
+        frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
+        roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
+        return frame, ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return frame, controller, camera
 
 
 def _out_dir(args) -> Path:
@@ -133,33 +129,30 @@ def _sha256(path: Path) -> str:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    arena = _resolve(args.arena, config, "arena", None)
+    settings = _settings(args)
+    arena, trials, seed = settings["arena"], settings["trials"], settings["seed"]
     if arena is None:
         raise UsageError("an arena id is required (--arena or config)")
-    trials = _resolve(args.trials, config, "trials", 1)
-    seed = _resolve(args.seed, config, "seed", 1)
     if trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
-    frame, controller, camera = _controller_settings(args, config)
+    for key, baseline in (("duration_s", BASELINE_DURATION_S), ("usv_speed_mps", BASELINE_USV_SPEED_MPS)):
+        if settings[key] is None:
+            settings[key] = baseline.get(arena)
+    frame, controller = _controller(settings)
     try:
         cfg = TrialConfig(
             arena_id=arena,
-            usv_speed=_resolve(None, config, "usv_speed_mps", BASELINE_USV_SPEED_MPS.get(arena)),
-            duration=_resolve(args.duration_s, config, "duration_s", BASELINE_DURATION_S.get(arena)),
+            usv_speed=settings["usv_speed_mps"],
+            duration=settings["duration_s"],
             seed=seed,
-            jitter_amplitude=_resolve(None, config, "jitter_m", BASELINE_JITTER_M),
+            jitter_amplitude=settings["jitter_m"],
             controller=controller,
-            camera=camera,
-            uav=UavPose(
-                x=_resolve(None, config, "uav_x_m", DEFAULT_UAV.x),
-                y=_resolve(None, config, "uav_y_m", DEFAULT_UAV.y),
-                altitude=_resolve(None, config, "altitude_m", DEFAULT_UAV.altitude),
-            ),
-            dt=_resolve(args.dt_s, config, "dt_s", DEFAULT_DT_S),
-            lookahead=_resolve(None, config, "lookahead_m", 0.5),
+            camera=CameraModel(frame=frame, horizontal_fov=math.radians(settings["fov_deg"])),
+            uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
+            dt=settings["dt_s"],
+            lookahead=settings["lookahead_m"],
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: duration / dt overflows
         raise UsageError(str(exc)) from None
 
     seeds = [seed + i for i in range(trials)]
@@ -180,28 +173,12 @@ def cmd_simulate(args) -> int:
     summary_path = out / "summary.txt"
     summary_path.write_text(serialize_report(report))
 
-    manifest = {
-        "tool_version": __version__,
-        "arena": str(arena),
-        "trials": str(trials),
-        "seed": str(seed),
-        "seeds": " ".join(str(s) for s in seeds),
-        "duration_s": repr(cfg.duration),
-        "dt_s": repr(cfg.dt),
-        "usv_speed_mps": repr(cfg.usv_speed),
-        "jitter_m": repr(cfg.jitter_amplitude),
-        "lookahead_m": repr(cfg.lookahead),
-        "roi_frac_x": repr(controller.roi.a / frame.width),
-        "roi_frac_y": repr(controller.roi.b / frame.height),
-        "rate_rad_s": repr(controller.rate_magnitude),
-        "fov_deg": repr(math.degrees(camera.horizontal_fov)),
-        "frame_width_px": str(frame.width),
-        "frame_height_px": str(frame.height),
-        "uav_x_m": repr(cfg.uav.x),
-        "uav_y_m": repr(cfg.uav.y),
-        "altitude_m": repr(cfg.uav.altitude),
-        "arena_fixture_sha256": hashlib.sha256(arena_fixture_bytes(arena)).hexdigest(),
-    }
+    manifest = {"tool_version": __version__}
+    for key, value in settings.items():
+        manifest[key] = repr(value)
+        if key == "seed":
+            manifest["seeds"] = " ".join(map(str, seeds))
+    manifest["arena_fixture_sha256"] = hashlib.sha256(arena_fixture_bytes(arena)).hexdigest()
     for i, path in enumerate(csv_paths, start=1):
         manifest[f"artifact_{i:03d}"] = path.name
         manifest[f"artifact_{i:03d}_sha256"] = _sha256(path)
@@ -217,7 +194,7 @@ def cmd_simulate(args) -> int:
 
 def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
     """Parse a replay log: header 't,x,y', raw top-left pixel coordinates."""
-    text = path.read_text()
+    text = _read_text(path)
     if not text.strip():
         return []
     rows: list[tuple[float, float, float]] = []
@@ -236,6 +213,8 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
             t, x, y = (float(cell) for cell in cells)
         except ValueError:
             raise UsageError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+            raise UsageError(f"{path}: line {lineno}: non-finite value in {line!r}")
         if last_t is not None and t <= last_t:
             raise UsageError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
         last_t = t
@@ -262,15 +241,19 @@ def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: 
 
 
 def cmd_replay(args) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    frame, controller, _ = _controller_settings(args, config)
+    frame, controller = _controller(_settings(args))
     rows = _read_coordinate_log(Path(args.log))
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     transport = MockTransport()
     link = CommandLink(transport=transport)
-    write_trial_csv(_replay_samples(rows, frame, controller, link), out / "replay_telemetry.csv")
+    telemetry_path = out / "replay_telemetry.csv"
+    try:
+        write_trial_csv(_replay_samples(rows, frame, controller, link), telemetry_path)
+    except TransportSaturated as exc:
+        telemetry_path.unlink()
+        raise UsageError(f"{args.log}: rows too dense for the serial link: {exc}") from None
     frames_path = out / "replay_frames.csv"
     frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
     frames_path.write_text("\n".join(frame_lines) + "\n")
@@ -298,20 +281,21 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="roitrack", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_setting(p, key, **kwargs):
+        p.add_argument("--" + key.replace("_", "-"), type=SETTINGS[key][0], **kwargs)
+
     def add_common(p):
-        p.add_argument("--roi-frac-x", type=float, default=None, help="ROI horizontal semi-axis as a frame-width fraction")
-        p.add_argument("--roi-frac-y", type=float, default=None, help="ROI vertical semi-axis as a frame-height fraction")
-        p.add_argument("--rate-rad-s", type=float, default=None, help="command magnitude in rad/s (max 0.3)")
-        p.add_argument("--fov-deg", type=float, default=None, help="horizontal field of view in degrees")
+        add_setting(p, "roi_frac_x", help="ROI horizontal semi-axis as a frame-width fraction")
+        add_setting(p, "roi_frac_y", help="ROI vertical semi-axis as a frame-height fraction")
+        add_setting(p, "rate_rad_s", help=f"command magnitude in rad/s (max {MAX_RATE_RAD_S})")
         p.add_argument("--out-dir", default=None, help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
         p.add_argument("--config", default=None, help="key-value config file; flags override it")
 
     sim = sub.add_parser("simulate", help="run a batch of simulated trials")
-    sim.add_argument("--arena", type=int, default=None, choices=(1, 2))
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--duration-s", type=float, default=None)
-    sim.add_argument("--dt-s", type=float, default=None)
+    add_setting(sim, "arena", choices=(1, 2))
+    for key in ("trials", "seed", "duration_s", "dt_s"):
+        add_setting(sim, key)
+    add_setting(sim, "fov_deg", help="horizontal field of view in degrees")
     add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 

@@ -14,6 +14,7 @@ from enum import Enum
 
 TWO_PI = 2.0 * math.pi
 _QUARTER_PI = 0.25 * math.pi
+DEFAULT_ROI_FRAC = 0.30  # ROI semi-axes as a fraction of the frame size
 
 
 class Sector(Enum):
@@ -68,7 +69,9 @@ class EllipseRoi:
             raise ValueError(f"ellipse semi-axes must be positive, got a={self.a}, b={self.b}")
 
     @classmethod
-    def from_fractions(cls, frame: FrameSpec, frac_x: float = 0.30, frac_y: float = 0.30) -> "EllipseRoi":
+    def from_fractions(
+        cls, frame: FrameSpec, frac_x: float = DEFAULT_ROI_FRAC, frac_y: float = DEFAULT_ROI_FRAC
+    ) -> "EllipseRoi":
         """Build an ROI as a fraction of the frame dimensions.
 
         Fractions are limited to [0.05, 0.49] so the ellipse keeps a margin to

@@ -62,6 +62,8 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
 
     The CSV carries sample times but not the loop period, so ``dt`` must be
     supplied by the caller (it is needed for sample-count based quantities).
+    Consecutive times must be ``dt`` apart, up to the rounding of their
+    9-digit text; any other gap means a wrong ``dt`` or missing rows.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -72,13 +74,17 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
         if header != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected header {header!r}")
         samples = []
+        last_t = None
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} columns")
             try:
+                t = float(row[0])
+                if last_t is not None and not abs(t - last_t - dt) <= 1e-8 * max(1.0, abs(t), abs(last_t)):
+                    raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
                 samples.append(
                     TrialSample(
-                        t=float(row[0]),
+                        t=t,
                         x=float(row[1]),
                         y=float(row[2]),
                         p=float(row[3]),
@@ -90,6 +96,7 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            last_t = t
     return TrialRecord(samples=tuple(samples), dt=dt, config=None)
 
 

@@ -48,6 +48,8 @@ class TrialConfig:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if round(self.duration / self.dt) < 1:
+            raise ValueError(f"duration {self.duration} is shorter than one dt step of {self.dt}")
         if self.jitter_amplitude < 0:
             raise ValueError(f"jitter_amplitude must be >= 0, got {self.jitter_amplitude}")
         if self.usv_speed < 0:
@@ -59,9 +61,7 @@ class TrialConfig:
         if arena_id not in BASELINE_USV_SPEED_MPS:
             raise ValueError(f"arena_id must be 1 or 2, got {arena_id}")
         frame = FrameSpec()
-        controller = ControllerConfig(
-            roi=EllipseRoi.from_fractions(frame), frame=frame, rate_magnitude=0.3
-        )
+        controller = ControllerConfig(roi=EllipseRoi.from_fractions(frame), frame=frame)
         values = dict(
             arena_id=arena_id,
             usv_speed=BASELINE_USV_SPEED_MPS[arena_id],

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, main
+from roitrack.arenas import parse_kv_text
+from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, main
 from roitrack.controller import ControllerConfig, step
 from roitrack.geometry import (
     EllipseRoi,
@@ -119,6 +124,74 @@ class TestSimulate:
         assert "seeds = 7 8 9" in manifest
         assert "tool_version = " in manifest
 
+    def test_manifest_records_fov_as_given(self, tmp_path):
+        out = tmp_path / "fov"
+        assert run_cli("simulate", "--arena", 1, "--duration-s", 1.0, "--fov-deg", 96,
+                       "--out-dir", out) == EXIT_OK
+        assert "fov_deg = 96.0\n" in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("flag,value", [("--duration-s", "nan"), ("--dt-s", "inf"), ("--dt-s", 100)])
+    def test_non_finite_or_stepless_timing_is_usage_error(self, tmp_path, flag, value):
+        assert run_cli("simulate", "--arena", 1, flag, value, "--out-dir", tmp_path / "x") == EXIT_USAGE
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path):
+        config = tmp_path / "nan.cfg"
+        config.write_text("lookahead_m = nan\n")
+        assert run_cli("simulate", "--arena", 1, "--config", config,
+                       "--out-dir", tmp_path / "x") == EXIT_USAGE
+
+    def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "binary.cfg"
+        config.write_bytes(b"seed = \xff\n")
+        assert run_cli("simulate", "--arena", 1, "--config", config,
+                       "--out-dir", tmp_path / "x") == EXIT_USAGE
+        assert "binary.cfg" in capsys.readouterr().err
+
+
+# A valid, non-default value for every setting; the flag below overrides one.
+NON_DEFAULT_SETTINGS = {
+    "arena": 2,
+    "trials": 2,
+    "seed": 5,
+    "duration_s": 1.5,
+    "dt_s": 0.05,
+    "usv_speed_mps": 0.7,
+    "jitter_m": 0.02,
+    "lookahead_m": 0.6,
+    "roi_frac_x": 0.35,
+    "roi_frac_y": 0.25,
+    "rate_rad_s": 0.2,
+    "fov_deg": 80.0,
+    "frame_width_px": 1280,
+    "frame_height_px": 640,
+    "uav_x_m": 0.5,
+    "uav_y_m": -0.5,
+    "altitude_m": 2.5,
+}
+
+
+class TestSettingsTable:
+    def test_every_setting_is_recorded_and_reruns_byte_identical(self, tmp_path):
+        assert set(NON_DEFAULT_SETTINGS) == set(SETTINGS)
+        assert all(value != SETTINGS[key][1] for key, value in NON_DEFAULT_SETTINGS.items())
+        config = tmp_path / "all.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in NON_DEFAULT_SETTINGS.items()))
+        first = tmp_path / "first"
+        assert run_cli("simulate", "--config", config, "--seed", 11, "--out-dir", first) == EXIT_OK
+
+        manifest = parse_kv_text((first / "manifest.txt").read_text())
+        for key, value in NON_DEFAULT_SETTINGS.items():
+            assert manifest[key] == repr(11 if key == "seed" else value), key
+        assert manifest["seeds"] == "11 12"
+
+        rerun = tmp_path / "rerun"
+        assert run_cli("simulate", "--config", first / "manifest.txt", "--out-dir", rerun) == EXIT_OK
+        names = sorted(p.name for p in first.iterdir())
+        assert names == ["manifest.txt", "summary.txt", "trial_001.csv", "trial_002.csv"]
+        assert names == sorted(p.name for p in rerun.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
+
 
 def write_log(path, rows):
     lines = ["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]
@@ -210,6 +283,67 @@ class TestReplay:
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.csv", "--out-dir", tmp_path / "r") == EXIT_IO
 
+    @pytest.mark.parametrize("row", ["0.0333,nan,360", "0.0333,inf,360", "0.0333,960,-inf", "nan,960,360"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, row):
+        log = tmp_path / "bad.csv"
+        log.write_text(f"t,x,y\n0.0,960,360\n{row}\n")
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_log_saturating_the_link_is_usage_error(self, tmp_path, capsys):
+        # alternating hard left / hard right, 1 ms apart: every row changes the
+        # command, and one frame takes about 8 ms on the 9600 bps line
+        log = tmp_path / "dense.csv"
+        write_log(log, [(i / 1000, 20 if i % 2 == 0 else 1900, 360) for i in range(20)])
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
+        assert "t=0.001000" in capsys.readouterr().err
+        assert not (out / "replay_telemetry.csv").exists()
+        assert not (out / "replay_frames.csv").exists()
+
+    def test_fov_flag_is_not_accepted(self, tmp_path):
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        assert run_cli("replay", log, "--fov-deg", 30, "--out-dir", tmp_path / "r") == EXIT_USAGE
+
+    def test_manifest_is_a_valid_config(self, sim_dir, tmp_path):
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--config", sim_dir / "manifest.txt", "--out-dir", out) == EXIT_OK
+        default = tmp_path / "d"
+        assert run_cli("replay", log, "--out-dir", default) == EXIT_OK
+        for name in ("replay_telemetry.csv", "replay_frames.csv"):
+            assert (out / name).read_bytes() == (default / name).read_bytes()
+
+
+def _log_rows():
+    coordinate = st.one_of(st.floats(), st.floats(-100.0, 2000.0))
+    gaps = st.one_of(st.floats(0.0, 0.05), st.floats())
+    return st.lists(st.tuples(gaps, coordinate, coordinate), max_size=20)
+
+
+def _log_text(rows):
+    t, lines = 0.0, ["t,x,y"]
+    for gap, x, y in rows:
+        t += gap
+        lines.append(f"{t!r},{x!r},{y!r}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode), _log_rows().map(_log_text)))
+def test_any_replay_log_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        log, out = Path(tmp) / "log.csv", Path(tmp) / "out"
+        log.write_bytes(data)
+        code = main(["replay", str(log), "--out-dir", str(out)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
+        if code != EXIT_OK:
+            assert not (out / "replay_telemetry.csv").exists()
+
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -273,6 +407,21 @@ class TestReport:
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run_cli("report", tmp_path / "absent.csv") == EXIT_IO
+
+    def test_dt_mismatch_names_file_and_line(self, sim_dir, capsys):
+        path = sim_dir / "trial_001.csv"
+        assert run_cli("report", path, "--dt-s", 0.5) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "trial_001.csv" in err and "line 3" in err
+
+    def test_gap_in_sample_times_is_usage_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "gap.csv"
+        lines = ["t,x,y,P,sector,yaw_cmd,pitch_cmd,visible"]
+        for i in (1, 2, 3, 5, 6):
+            lines.append(f"{i / 30:.9g},0,0,0,right,0,0,true")
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", csv_path) == EXIT_USAGE
+        assert "line 5" in capsys.readouterr().err
 
     def test_header_only_csv_is_usage_error(self, tmp_path):
         empty = tmp_path / "header_only.csv"
