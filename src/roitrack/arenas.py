@@ -11,7 +11,7 @@ its one parser, ``parse_kv_text``, lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .geometry import wrap_angle
@@ -24,29 +24,41 @@ DEFAULT_MAX_RUDDER_RAD_S = 2.5
 
 @dataclass(frozen=True)
 class Path:
-    """Waypoint polyline in meters; closed paths wrap the last leg to the first."""
+    """Waypoint polyline in meters; closed paths wrap the last leg to the first.
+
+    The per-leg data pursuit reads on every step is derived once here: each
+    leg's start point, its vector ``b - a`` and squared length ``denom``, the
+    leg lengths, the exact prefix sums of those lengths and their total.
+    """
 
     waypoints: tuple[tuple[float, float], ...]
     closed: bool
+    _legs: tuple[tuple[float, float, float, float, float], ...] = field(init=False, repr=False, compare=False)
+    _lengths: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _offsets: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least 2 waypoints")
-        pairs = list(zip(self.waypoints, self.waypoints[1:]))
-        if self.closed:
-            pairs.append((self.waypoints[-1], self.waypoints[0]))
-        for a, b in pairs:
+        segs = self.segments()
+        legs = []
+        for a, b in segs:
             if a == b:
                 raise ValueError(f"consecutive waypoints must be distinct, got repeated {a}")
+            abx, aby = b[0] - a[0], b[1] - a[1]
+            legs.append((a[0], a[1], abx, aby, abx * abx + aby * aby))
+        lengths = [math.dist(a, b) for a, b in segs]
+        object.__setattr__(self, "_legs", tuple(legs))
+        object.__setattr__(self, "_lengths", tuple(lengths))
+        object.__setattr__(self, "_offsets", tuple(math.fsum(lengths[:i]) for i in range(len(lengths))))
+        object.__setattr__(self, "_total", math.fsum(lengths))
 
     def segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
         segs = list(zip(self.waypoints, self.waypoints[1:]))
         if self.closed:
             segs.append((self.waypoints[-1], self.waypoints[0]))
         return segs
-
-    def length(self) -> float:
-        return math.fsum(math.dist(a, b) for a, b in self.segments())
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -107,33 +119,19 @@ def build_arena(arena_id: int) -> Path:
     return parse_arena_text(arena_fixture_bytes(arena_id).decode("utf-8"))
 
 
-def _project_on_segment(
-    p: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
-) -> tuple[float, float]:
-    """(distance squared, parameter t in [0, 1]) of p's projection onto segment ab."""
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    denom = abx * abx + aby * aby
-    t = max(0.0, min(1.0, (apx * abx + apy * aby) / denom))
-    cx, cy = a[0] + t * abx, a[1] + t * aby
-    dx, dy = p[0] - cx, p[1] - cy
-    return dx * dx + dy * dy, t
-
-
 def _point_at_arc_length(path: Path, s: float) -> tuple[float, float]:
-    segs = path.segments()
-    total = math.fsum(math.dist(a, b) for a, b in segs)
+    total = path._total
     if path.closed:
         s = s % total
     else:
         s = max(0.0, min(total, s))
-    for a, b in segs:
-        seg_len = math.dist(a, b)
+    for (ax, ay, abx, aby, _), seg_len in zip(path._legs, path._lengths):
         if s <= seg_len:
             t = s / seg_len
-            return a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+            return ax + t * abx, ay + t * aby
         s -= seg_len
-    return segs[-1][1]
+    # Rounding left s just past the last leg: its stored end point, exactly.
+    return path.waypoints[0] if path.closed else path.waypoints[-1]
 
 
 def pursue(
@@ -151,19 +149,21 @@ def pursue(
     """
     if lookahead <= 0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
-    segs = path.segments()
-    best = (math.inf, 0, 0.0)  # (distance squared, segment index, t)
-    for i, (a, b) in enumerate(segs):
-        d2, t = _project_on_segment((s.x, s.y), a, b)
-        if d2 < best[0]:
-            best = (d2, i, t)
-    seg_lengths = [math.dist(a, b) for a, b in segs]
-    s_near = math.fsum(seg_lengths[: best[1]]) + best[2] * seg_lengths[best[1]]
-    total = math.fsum(seg_lengths)
-    if not path.closed and total - s_near < 1e-9:
+    px, py = s.x, s.y
+    best_d2, best_i, best_t = math.inf, 0, 0.0
+    for i, (ax, ay, abx, aby, denom) in enumerate(path._legs):
+        # Project (px, py) onto the leg, t clamped to [0, 1].
+        t = ((px - ax) * abx + (py - ay) * aby) / denom
+        t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
+        dx, dy = px - (ax + t * abx), py - (ay + t * aby)
+        d2 = dx * dx + dy * dy
+        if d2 < best_d2:
+            best_d2, best_i, best_t = d2, i, t
+    s_near = path._offsets[best_i] + best_t * path._lengths[best_i]
+    if not path.closed and path._total - s_near < 1e-9:
         return 0.0
     gx, gy = _point_at_arc_length(path, s_near + lookahead)
-    dx, dy = gx - s.x, gy - s.y
+    dx, dy = gx - px, gy - py
     if math.hypot(dx, dy) < 1e-12:
         return 0.0
     alpha = wrap_angle(math.atan2(dy, dx) - s.heading)

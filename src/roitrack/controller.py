@@ -11,6 +11,7 @@ positive pitch rate for a top-sector target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import (
@@ -66,11 +67,13 @@ def decide(p: ImagePoint, cfg: ControllerConfig) -> tuple[float, Sector, GimbalC
 
     P is the relative position against the ROI.  The sector is computed even
     inside the ellipse, where the command is (0, 0), because telemetry
-    records it for every sample.
+    records it for every sample.  A non-finite position also gets (0, 0):
+    like a lost target, it must not move the gimbal.
     """
     rel = relative_position(p, cfg.roi)
     sector = classify_sector(to_polar(p).theta)
-    if rel <= 1.0:
+    # A non-finite point never has rel <= 1, so only points outside pay for the check.
+    if rel <= 1.0 or not (math.isfinite(p.x) and math.isfinite(p.y)):
         return rel, sector, GimbalCommand()
     m = cfg.rate_magnitude
     if sector is Sector.RIGHT:

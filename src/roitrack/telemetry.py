@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 from typing import Iterable
 
+from .controller import MAX_RATE_RAD_S
 from .geometry import Sector
 from .metrics import SensitivityReport
 from .trials import TrialRecord, TrialSample
@@ -63,40 +65,55 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
     The CSV carries sample times but not the loop period, so ``dt`` must be
     supplied by the caller (it is needed for sample-count based quantities).
     Consecutive times must be ``dt`` apart, up to the rounding of their
-    9-digit text; any other gap means a wrong ``dt`` or missing rows.
+    9-digit text; any other gap means a wrong ``dt`` or missing rows.  A row
+    no run can write is rejected: a non-finite ``t``, ``x``, ``y`` or ``P``,
+    or a command beyond the actuator cap.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="") as fh:
+            return _read_rows(csv.reader(fh), path, dt)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected a header row") from None
+    if header != CSV_COLUMNS:
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    samples = []
+    last_t = None
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if header != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        samples = []
-        last_t = None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} columns")
-            try:
-                t = float(row[0])
-                if last_t is not None and not abs(t - last_t - dt) <= 1e-8 * max(1.0, abs(t), abs(last_t)):
-                    raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
-                samples.append(
-                    TrialSample(
-                        t=t,
-                        x=float(row[1]),
-                        y=float(row[2]),
-                        p=float(row[3]),
-                        sector=Sector(row[4]),
-                        yaw_cmd=float(row[5]),
-                        pitch_cmd=float(row[6]),
-                        visible=_parse_bool(row[7]),
-                    )
+            t, x, y, p = float(row[0]), float(row[1]), float(row[2]), float(row[3])
+            if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y) and math.isfinite(p)):
+                raise ValueError(f"non-finite value in t, x, y or P: {','.join(row[:4])}")
+            if last_t is not None and not abs(t - last_t - dt) <= 1e-8 * max(1.0, abs(t), abs(last_t)):
+                raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
+            yaw_cmd, pitch_cmd = float(row[5]), float(row[6])
+            if not (abs(yaw_cmd) <= MAX_RATE_RAD_S and abs(pitch_cmd) <= MAX_RATE_RAD_S):
+                raise ValueError(
+                    f"command ({row[5]}, {row[6]}) is outside [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}] rad/s"
                 )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            last_t = t
+            samples.append(
+                TrialSample(
+                    t=t,
+                    x=x,
+                    y=y,
+                    p=p,
+                    sector=Sector(row[4]),
+                    yaw_cmd=yaw_cmd,
+                    pitch_cmd=pitch_cmd,
+                    visible=_parse_bool(row[7]),
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        last_t = t
     return TrialRecord(samples=tuple(samples), dt=dt, config=None)
 
 

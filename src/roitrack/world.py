@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import FrameSpec, ImagePoint, Sector
@@ -119,7 +119,7 @@ def gimbal_step(g: GimbalState, cmd: GimbalCommand, dt: float) -> GimbalState:
         pitch = max(-g.max_rate, min(g.max_rate, pitch))
     tilt = g.tilt + pitch * dt
     tilt = max(TILT_MIN, min(TILT_MAX, tilt))
-    return replace(g, pan=g.pan + yaw * dt, tilt=tilt)
+    return GimbalState(pan=g.pan + yaw * dt, tilt=tilt, max_rate=g.max_rate)
 
 
 def project(

@@ -6,14 +6,17 @@ import random
 import pytest
 
 from roitrack.arenas import (
+    DEFAULT_LOOKAHEAD_M,
     DEFAULT_MAX_RUDDER_RAD_S,
     Path,
+    _point_at_arc_length,
     arena_fixture_bytes,
     build_arena,
     parse_arena_text,
     pursue,
 )
-from roitrack.trials import jitter_path
+from roitrack.geometry import wrap_angle
+from roitrack.trials import BASELINE_JITTER_M, jitter_path
 from roitrack.world import UsvState, usv_step
 
 
@@ -147,6 +150,111 @@ def _distance_to_polyline(p, path: Path) -> float:
         t = max(0.0, min(1.0, ((p[0] - a[0]) * abx + (p[1] - a[1]) * aby) / denom))
         best = min(best, math.dist(p, (a[0] + t * abx, a[1] + t * aby)))
     return best
+
+
+def _reference_point_at_arc_length(path: Path, s: float) -> tuple[float, float]:
+    """Arc-length lookup as written before ``Path`` cached its legs."""
+    segs = path.segments()
+    total = math.fsum(math.dist(a, b) for a, b in segs)
+    if path.closed:
+        s = s % total
+    else:
+        s = max(0.0, min(total, s))
+    for a, b in segs:
+        seg_len = math.dist(a, b)
+        if s <= seg_len:
+            t = s / seg_len
+            return a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
+        s -= seg_len
+    return segs[-1][1]
+
+
+def _reference_pursue(s, path: Path, lookahead=DEFAULT_LOOKAHEAD_M, max_rudder=DEFAULT_MAX_RUDDER_RAD_S):
+    """Pure pursuit as written before ``Path`` cached its legs: everything is
+    rebuilt from the waypoints on every call."""
+    segs = path.segments()
+    best = (math.inf, 0, 0.0)
+    for i, (a, b) in enumerate(segs):
+        abx, aby = b[0] - a[0], b[1] - a[1]
+        apx, apy = s.x - a[0], s.y - a[1]
+        denom = abx * abx + aby * aby
+        t = max(0.0, min(1.0, (apx * abx + apy * aby) / denom))
+        cx, cy = a[0] + t * abx, a[1] + t * aby
+        dx, dy = s.x - cx, s.y - cy
+        d2 = dx * dx + dy * dy
+        if d2 < best[0]:
+            best = (d2, i, t)
+    seg_lengths = [math.dist(a, b) for a, b in segs]
+    s_near = math.fsum(seg_lengths[: best[1]]) + best[2] * seg_lengths[best[1]]
+    total = math.fsum(seg_lengths)
+    if not path.closed and total - s_near < 1e-9:
+        return 0.0
+    gx, gy = _reference_point_at_arc_length(path, s_near + lookahead)
+    dx, dy = gx - s.x, gy - s.y
+    if math.hypot(dx, dy) < 1e-12:
+        return 0.0
+    alpha = wrap_angle(math.atan2(dy, dx) - s.heading)
+    rudder = 2.0 * s.speed * math.sin(alpha) / lookahead
+    return max(-max_rudder, min(max_rudder, rudder))
+
+
+def _trial_paths(arena_id: int) -> list[Path]:
+    """The canonical arena and the jittered copies trials with seeds 1-30 run on."""
+    path = build_arena(arena_id)
+    return [path] + [jitter_path(path, BASELINE_JITTER_M, random.Random(seed)) for seed in range(1, 31)]
+
+
+def _total(path: Path) -> float:
+    return math.fsum(math.dist(a, b) for a, b in path.segments())
+
+
+HEADINGS = (0.0, 1.0, -2.5)
+
+
+class TestPursueMatchesReference:
+    """The cached-leg pursuit is bit-identical (``==``) to the rebuild-per-call
+    reference, which keeps the CLI's telemetry bytes unchanged."""
+
+    @pytest.mark.parametrize("arena_id", [1, 2])
+    def test_grid_around_arena(self, arena_id):
+        path = build_arena(arena_id)
+        xs = [x for x, _ in path.waypoints]
+        ys = [y for _, y in path.waypoints]
+        x0, y0 = min(xs) - 1.0, min(ys) - 1.0
+        nx, ny = int((max(xs) - min(xs) + 2.0) / 0.13) + 1, int((max(ys) - min(ys) + 2.0) / 0.13) + 1
+        for i in range(nx):
+            for j in range(ny):
+                s = UsvState(x0 + 0.13 * i, y0 + 0.13 * j, HEADINGS[(i + j) % 3], 0.7)
+                assert pursue(s, path) == _reference_pursue(s, path), (s.x, s.y)
+
+    def test_points_past_the_end_of_open_arena_2(self):
+        for path in _trial_paths(2):
+            (ax, ay), (bx, by) = path.waypoints[-2], path.waypoints[-1]
+            ux, uy = (bx - ax) / math.dist((ax, ay), (bx, by)), (by - ay) / math.dist((ax, ay), (bx, by))
+            for k in range(-20, 40):
+                along = 0.05 * k
+                for side in (-0.3, -1e-9, 0.0, 1e-9, 0.3):
+                    s = UsvState(bx + along * ux - side * uy, by + along * uy + side * ux, 1.0, 0.8)
+                    assert pursue(s, path) == _reference_pursue(s, path), (along, side)
+
+    def test_lookaheads_running_past_the_end(self):
+        for path in _trial_paths(2):
+            total = _total(path)
+            ends = [total - 1.0, math.nextafter(total, 0.0), total, math.nextafter(total, math.inf), total + 0.5, 1e9]
+            for arc in ends:
+                assert _point_at_arc_length(path, arc) == _reference_point_at_arc_length(path, arc), arc
+            bx, by = path.waypoints[-1]
+            for lookahead in (0.5, 1.0, 2.0, 0.25 * total, total, 3.0 * total):
+                for back in (0.01, 0.2, 0.6, 1.5):
+                    s = UsvState(bx - back, by + 0.05, 0.3, 0.8)
+                    assert pursue(s, path, lookahead) == _reference_pursue(s, path, lookahead), (lookahead, back)
+
+    def test_closed_path_at_whole_laps(self):
+        for path in _trial_paths(1):
+            total = _total(path)
+            for k in range(-3, 6):
+                for arc in (k * total, math.nextafter(k * total, -math.inf), math.nextafter(k * total, math.inf)):
+                    assert _point_at_arc_length(path, arc) == _reference_point_at_arc_length(path, arc), arc
 
 
 class TestJitter:

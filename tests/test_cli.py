@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 import tempfile
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from roitrack.geometry import (
 )
 from roitrack.metrics import summarize
 from roitrack.telemetry import fmt_float, read_trial_csv, serialize_report
-from roitrack.trials import DEFAULT_DT_S
+from roitrack.trials import DEFAULT_DT_S, TrialConfig, run_batch
 
 
 def run_cli(*args):
@@ -363,6 +364,28 @@ class TestPinnedBytes:
             "trial_002.csv": "f1cbfa4ca84b7d5797508d9f926fadec032b1ed7a8111c60bb8d33ef5adee7c2",
         }
 
+    def test_simulate_arena_2_reaching_the_open_end(self, tmp_path):
+        # Seeds 9-11 drive the boat to the end of the open track, where
+        # pursuit's arc-length lookup runs past the last leg.
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--arena", 2, "--trials", 3, "--seed", 9, "--out-dir", out) == EXIT_OK
+        names = ("summary.txt", "trial_001.csv", "trial_002.csv", "trial_003.csv")
+        assert {name: sha256_of(out / name) for name in names} == {
+            "summary.txt": "d22d16778325cf538e6bd0dfe362dcd60aecc5389cce29ae03d3c18bc2c3d0c4",
+            "trial_001.csv": "b8195eda4e4d7cf76deb9e69f9273b6ad4cfb1a587f9c214bcc1050033e18b9e",
+            "trial_002.csv": "96a4e6b68bcb237caa0a923e9bd4033c35a81f05381a7248902ef20ae226d76b",
+            "trial_003.csv": "dfcf28dedbd5a9847e5e63fbc414bc4f25876073498fbe4e9642010dbbc9d3cc",
+        }
+
+    def test_trial_samples_reaching_the_open_end_are_bit_exact(self):
+        # The CSVs round to 9 digits, which hides a last-ulp change near the
+        # end of the track; this digest covers every bit of the same samples.
+        digest = hashlib.sha256()
+        for record in run_batch(TrialConfig.baseline(2), 3, [9, 10, 11]):
+            for s in record.samples:
+                digest.update(struct.pack("<6d", s.t, s.x, s.y, s.p, s.yaw_cmd, s.pitch_cmd))
+        assert digest.hexdigest() == "119ce807c7d98d67dc989f52874aeeb863dd66429243aff5ef8bb6c6c474882d"
+
     def test_replay_fixed_log(self, tmp_path):
         log = tmp_path / "log.csv"
         write_log(log, SWEEP_ROWS)
@@ -422,6 +445,33 @@ class TestReport:
         csv_path.write_text("\n".join(lines) + "\n")
         assert run_cli("report", csv_path) == EXIT_USAGE
         assert "line 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "nan,0,0,0,right,0,0,true",
+            "inf,0,0,0,right,0,0,true",
+            "0.0333333333,inf,0,0,right,0,0,true",
+            "0.0333333333,0,-inf,0,right,0,0,true",
+            "0.0333333333,0,0,inf,right,0,0,true",
+            "0.0333333333,0,0,nan,right,0,0,true",
+            "0.0333333333,0,0,4,right,5,0,true",
+            "0.0333333333,0,0,4,bottom,0,-0.31,true",
+            "0.0333333333,0,0,4,right,nan,0,true",
+        ],
+    )
+    def test_impossible_row_is_usage_error(self, tmp_path, capsys, row):
+        csv_path = tmp_path / "impossible.csv"
+        csv_path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n{row}\n")
+        assert run_cli("report", csv_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "impossible.csv" in err and "line 2" in err
+
+    def test_undecodable_csv_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "binary.csv"
+        bad.write_bytes(b"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,0,right,0,0,true\n\xff\n")
+        assert run_cli("report", bad) == EXIT_USAGE
+        assert "binary.csv" in capsys.readouterr().err
 
     def test_header_only_csv_is_usage_error(self, tmp_path):
         empty = tmp_path / "header_only.csv"

@@ -51,6 +51,26 @@ class TestStep:
         first = step(p, CFG)
         assert all(step(p, CFG) == first for _ in range(10))
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (math.nan, 0.0),
+            (0.0, math.nan),
+            (math.inf, math.inf),
+            (-math.inf, 0.0),
+            (0.0, math.inf),
+            (math.nan, math.inf),
+        ],
+    )
+    def test_non_finite_point_is_quiet(self, x, y):
+        # fail safe, as for a lost target: no gimbal motion
+        assert step(ImagePoint(x, y), CFG) == GimbalCommand()
+
+    def test_finite_point_beyond_float_range_of_p_still_commands(self):
+        # P overflows to inf, but the input is finite: the sector decides as usual
+        assert relative_position(ImagePoint(1e200, 0.0), ROI) == math.inf
+        assert step(ImagePoint(1e200, 0.0), CFG) == GimbalCommand(yaw_rate=0.3)
+
     @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi),
            p_target=st.floats(min_value=0.0, max_value=9.0))
     def test_five_valued_output(self, theta, p_target):

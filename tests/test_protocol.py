@@ -230,3 +230,32 @@ class TestCommandLink:
             link.send(cmd, now=i / 30)
         bits = link.transport.bytes_sent() * BITS_PER_BYTE_ON_WIRE
         assert bits / duration < LINE_RATE_BPS
+
+
+FIVE_COMMANDS = (
+    GimbalCommand(),
+    GimbalCommand(yaw_rate=0.3),
+    GimbalCommand(yaw_rate=-0.3),
+    GimbalCommand(pitch_rate=0.3),
+    GimbalCommand(pitch_rate=-0.3),
+)
+
+
+def wire_time(cmd: GimbalCommand) -> float:
+    """Seconds the line is busy with this command's frame; 0 for an idle command."""
+    return sum((len(f.text) + 1) * BITS_PER_BYTE_ON_WIRE / LINE_RATE_BPS for f in encode(cmd))
+
+
+@given(
+    sends=st.lists(
+        st.tuples(st.sampled_from(FIVE_COMMANDS), st.floats(min_value=0.0, max_value=0.05)),
+        max_size=60,
+    ),
+    keepalive=st.sampled_from([None, 1.0, 0.01, 0.0]),
+)
+def test_link_fed_no_faster_than_the_wire_never_saturates(sends, keepalive):
+    link = CommandLink(transport=MockTransport(), keepalive_interval=keepalive)
+    now = 0.0
+    for cmd, slack in sends:
+        link.send(cmd, now=now)  # raises TransportSaturated if the line is still busy
+        now = now + (wire_time(cmd) + slack)
