@@ -149,7 +149,19 @@ def pursue(
     """
     if lookahead <= 0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
-    px, py = s.x, s.y
+    return _pursue_xy(s.x, s.y, s.heading, s.speed, path, lookahead, max_rudder)
+
+
+def _pursue_xy(
+    px: float,
+    py: float,
+    heading: float,
+    speed: float,
+    path: Path,
+    lookahead: float,
+    max_rudder: float,
+) -> float:
+    """``pursue`` on the boat's plain floats; ``lookahead`` must be positive."""
     best_d2, best_i, best_t = math.inf, 0, 0.0
     for i, (ax, ay, abx, aby, denom) in enumerate(path._legs):
         # Project (px, py) onto the leg, t clamped to [0, 1].
@@ -166,6 +178,6 @@ def pursue(
     dx, dy = gx - px, gy - py
     if math.hypot(dx, dy) < 1e-12:
         return 0.0
-    alpha = wrap_angle(math.atan2(dy, dx) - s.heading)
-    rudder = 2.0 * s.speed * math.sin(alpha) / lookahead
+    alpha = wrap_angle(math.atan2(dy, dx) - heading)
+    rudder = 2.0 * speed * math.sin(alpha) / lookahead
     return max(-max_rudder, min(max_rudder, rudder))

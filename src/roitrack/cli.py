@@ -273,6 +273,8 @@ def cmd_report(args) -> int:
         report = summarize(records)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except OverflowError as exc:
+        raise UsageError(f"excursion sensitivities too large to sum: {exc}") from None
     print(serialize_report(report), end="")
     return EXIT_OK
 

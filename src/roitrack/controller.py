@@ -14,15 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import (
-    EllipseRoi,
-    FrameSpec,
-    ImagePoint,
-    Sector,
-    classify_sector,
-    relative_position,
-    to_polar,
-)
+from .geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector
 
 MAX_RATE_RAD_S = 0.3  # gimbal actuator cap, rad/s
 
@@ -70,19 +62,31 @@ def decide(p: ImagePoint, cfg: ControllerConfig) -> tuple[float, Sector, GimbalC
     records it for every sample.  A non-finite position also gets (0, 0):
     like a lost target, it must not move the gimbal.
     """
-    rel = relative_position(p, cfg.roi)
-    sector = classify_sector(to_polar(p).theta)
+    rel, sector, yaw, pitch = _decide_xy(p.x, p.y, cfg)
+    return rel, sector, GimbalCommand(yaw_rate=yaw, pitch_rate=pitch)
+
+
+def _decide_xy(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, float, float]:
+    """``decide`` on a position's plain floats: (P, sector, yaw rate, pitch rate).
+
+    P is computed as ``relative_position`` computes it, so the two match to the
+    bit, and the sector is the one ``classify_sector`` gives ``to_polar``'s theta.
+    """
+    roi = cfg.roi
+    rel = (x * x) / (roi.a * roi.a) + (y * y) / (roi.b * roi.b)
+    # classify_sector wraps theta itself, so the -pi that to_polar folds to pi needs no fix here.
+    sector = classify_sector(math.atan2(y, x))
     # A non-finite point never has rel <= 1, so only points outside pay for the check.
-    if rel <= 1.0 or not (math.isfinite(p.x) and math.isfinite(p.y)):
-        return rel, sector, GimbalCommand()
+    if rel <= 1.0 or not (math.isfinite(x) and math.isfinite(y)):
+        return rel, sector, 0.0, 0.0
     m = cfg.rate_magnitude
     if sector is Sector.RIGHT:
-        return rel, sector, GimbalCommand(yaw_rate=m)
+        return rel, sector, m, 0.0
     if sector is Sector.LEFT:
-        return rel, sector, GimbalCommand(yaw_rate=-m)
+        return rel, sector, -m, 0.0
     if sector is Sector.TOP:
-        return rel, sector, GimbalCommand(pitch_rate=m)
-    return rel, sector, GimbalCommand(pitch_rate=-m)
+        return rel, sector, 0.0, m
+    return rel, sector, 0.0, -m
 
 
 def step(p: ImagePoint, cfg: ControllerConfig) -> GimbalCommand:

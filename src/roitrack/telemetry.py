@@ -66,14 +66,17 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
     supplied by the caller (it is needed for sample-count based quantities).
     Consecutive times must be ``dt`` apart, up to the rounding of their
     9-digit text; any other gap means a wrong ``dt`` or missing rows.  A row
-    no run can write is rejected: a non-finite ``t``, ``x``, ``y`` or ``P``,
-    or a command beyond the actuator cap.
+    no run can write is rejected: a non-finite ``t``, ``x``, ``y`` or ``P``, a
+    negative ``P``, a command beyond the actuator cap or on both axes at once.
     """
-    try:
-        with open(path, newline="") as fh:
-            return _read_rows(csv.reader(fh), path, dt)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return _read_rows(reader, path, dt)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
@@ -92,6 +95,8 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
             t, x, y, p = float(row[0]), float(row[1]), float(row[2]), float(row[3])
             if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y) and math.isfinite(p)):
                 raise ValueError(f"non-finite value in t, x, y or P: {','.join(row[:4])}")
+            if p < 0.0:
+                raise ValueError(f"P = {row[3]} is negative")
             if last_t is not None and not abs(t - last_t - dt) <= 1e-8 * max(1.0, abs(t), abs(last_t)):
                 raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
             yaw_cmd, pitch_cmd = float(row[5]), float(row[6])
@@ -99,6 +104,8 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
                 raise ValueError(
                     f"command ({row[5]}, {row[6]}) is outside [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}] rad/s"
                 )
+            if yaw_cmd != 0.0 and pitch_cmd != 0.0:
+                raise ValueError(f"command ({row[5]}, {row[6]}) drives both axes")
             samples.append(
                 TrialSample(
                     t=t,

@@ -13,10 +13,10 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .arenas import DEFAULT_LOOKAHEAD_M, Path, build_arena, pursue
-from .controller import ControllerConfig
+from .arenas import DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _pursue_xy, build_arena
+from .controller import ControllerConfig, _decide_xy
 from .geometry import EllipseRoi, FrameSpec, Sector
-from .world import CameraModel, UavPose, UsvState, WorldState, aim_at, closed_loop_step
+from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
 
 DEFAULT_DT_S = 1.0 / 30.0  # frame-driven control loop at 30 fps
 DEFAULT_UAV = UavPose(x=0.0, y=0.0, altitude=1.83)  # hover at 6 ft
@@ -54,6 +54,8 @@ class TrialConfig:
             raise ValueError(f"jitter_amplitude must be >= 0, got {self.jitter_amplitude}")
         if self.usv_speed < 0:
             raise ValueError(f"usv_speed must be >= 0, got {self.usv_speed}")
+        if not self.lookahead > 0:
+            raise ValueError(f"lookahead must be positive, got {self.lookahead}")
 
     @classmethod
     def baseline(cls, arena_id: int, seed: int = 1, **overrides) -> "TrialConfig":
@@ -125,37 +127,69 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
 
     Lost tracking (an invisible sample) is recorded, never raised.  Sample
     times are computed from the step index so they sit exactly on the dt grid.
+
+    Each step is ``pursue`` then ``world.closed_loop_step``, run on plain
+    floats: the same operations in the same order, so the samples match that
+    reference to the bit, without building its state objects every step.
     """
     rng = random.Random(cfg.seed)
     path = jitter_path(build_arena(cfg.arena_id), cfg.jitter_amplitude, rng)
     start = path.waypoints[0]
     after = path.waypoints[1]
-    usv = UsvState(
-        x=start[0],
-        y=start[1],
-        heading=math.atan2(after[1] - start[1], after[0] - start[0]),
-        speed=cfg.usv_speed,
-    )
-    gimbal = aim_at(cfg.uav, (usv.x, usv.y, 0.0))
-    world = WorldState(usv=usv, uav=cfg.uav, gimbal=gimbal, time=0.0)
+    x, y = start
+    heading = math.atan2(after[1] - start[1], after[0] - start[0])
+    uav = cfg.uav
+    gimbal = aim_at(uav, (x, y, 0.0))
+    pan, tilt = gimbal.pan, gimbal.tilt
 
-    steps = round(cfg.duration / cfg.dt)
+    speed, dt, lookahead, controller = cfg.usv_speed, cfg.dt, cfg.lookahead, cfg.controller
+    uav_x, uav_y, dz = uav.x, uav.y, 0.0 - uav.altitude
+    f = cfg.camera.focal_px
+    half_w, half_h = cfg.camera.frame.width / 2, cfg.camera.frame.height / 2
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+
+    steps = round(cfg.duration / dt)
     samples = []
+    append = samples.append
     for i in range(steps):
-        rudder = pursue(world.usv, path, cfg.lookahead)
-        world, cmd, img, visible, p, sector = closed_loop_step(
-            world, rudder, cfg.controller, cfg.camera, cfg.dt
-        )
-        samples.append(
+        rudder = _pursue_xy(x, y, heading, speed, path, lookahead, DEFAULT_MAX_RUDDER_RAD_S)
+        # usv_step
+        heading = heading + rudder * dt
+        x = x + speed * cos(heading) * dt
+        y = y + speed * sin(heading) * dt
+        # project
+        dx = x - uav_x
+        dy = y - uav_y
+        sp, cp = sin(pan), cos(pan)
+        st, ct = sin(tilt), cos(tilt)
+        x_c = dx * cp - dy * sp
+        ahead = dx * sp + dy * cp
+        y_c = -st * ahead + ct * dz
+        z_c = ct * ahead + st * dz
+        if z_c <= 0.0:
+            u = v = 0.0
+            visible = False
+        else:
+            u = f * x_c / z_c
+            v = f * y_c / z_c
+            if isfinite(u) and isfinite(v):
+                visible = abs(u) <= half_w and abs(v) <= half_h
+            else:
+                u = v = 0.0
+                visible = False
+        # decide, with a lost target failing safe
+        p, sector, yaw, pitch = _decide_xy(u, v, controller)
+        if not visible:
+            yaw = pitch = 0.0
+        # gimbal_step; its rate clamp cannot fire, since decide commands at most
+        # rate_magnitude, which ControllerConfig caps at the gimbal's MAX_RATE_RAD_S
+        pan = pan + yaw * dt
+        tilt = tilt + pitch * dt
+        tilt = tilt if tilt < TILT_MAX else TILT_MAX
+        tilt = tilt if tilt > TILT_MIN else TILT_MIN
+        append(
             TrialSample(
-                t=(i + 1) * cfg.dt,
-                x=img.x,
-                y=img.y,
-                p=p,
-                sector=sector,
-                yaw_cmd=cmd.yaw_rate,
-                pitch_cmd=cmd.pitch_rate,
-                visible=visible,
+                t=(i + 1) * dt, x=u, y=v, p=p, sector=sector, yaw_cmd=yaw, pitch_cmd=pitch, visible=visible
             )
         )
     return TrialRecord(samples=tuple(samples), dt=cfg.dt, config=cfg)

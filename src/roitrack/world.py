@@ -181,6 +181,9 @@ def closed_loop_step(
     flag, and the controller's P and sector for that point.  When the target
     is invisible the command is (0, 0); the previous command is deliberately
     not latched, so a lost target fails safe with a frozen gimbal.
+
+    ``trials.run_trial`` runs this step on plain floats; the tests hold its
+    samples to this function's, bit for bit.
     """
     usv = usv_step(w.usv, rudder_rate, dt)
     img, visible = project((usv.x, usv.y, 0.0), w.uav, w.gimbal, cam)

@@ -21,8 +21,8 @@ from roitrack.geometry import (
     to_polar,
 )
 from roitrack.metrics import summarize
-from roitrack.telemetry import fmt_float, read_trial_csv, serialize_report
-from roitrack.trials import DEFAULT_DT_S, TrialConfig, run_batch
+from roitrack.telemetry import CSV_COLUMNS, fmt_float, read_trial_csv, sample_row, serialize_report
+from roitrack.trials import DEFAULT_DT_S, TrialConfig, run_batch, run_trial
 
 
 def run_cli(*args):
@@ -140,6 +140,14 @@ class TestSimulate:
         config.write_text("lookahead_m = nan\n")
         assert run_cli("simulate", "--arena", 1, "--config", config,
                        "--out-dir", tmp_path / "x") == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["0", "-0.5"])
+    def test_non_positive_lookahead_is_usage_error(self, tmp_path, capsys, value):
+        config = tmp_path / "lookahead.cfg"
+        config.write_text(f"lookahead_m = {value}\n")
+        assert run_cli("simulate", "--arena", 1, "--config", config,
+                       "--out-dir", tmp_path / "x") == EXIT_USAGE
+        assert "lookahead must be positive" in capsys.readouterr().err
 
     def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "binary.cfg"
@@ -346,6 +354,33 @@ def test_any_replay_log_exits_with_a_documented_code(data):
             assert not (out / "replay_telemetry.csv").exists()
 
 
+VALID_ROWS = [
+    sample_row(s) for s in run_trial(TrialConfig.baseline(1, seed=1, usv_speed=5.0, duration=0.5)).samples
+]
+FIELDS = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["nan", "-inf", "1e308", "5e306", "-5", "-0", "0.31", "0.3", "", '"', "\x00", "top", "TRUE"]),
+    st.integers(131_000, 140_000).map(lambda n: "9" * n),
+)
+
+
+@st.composite
+def _mutated_telemetry(draw):
+    """The header and rows of a short run, with one field replaced."""
+    rows = [list(CSV_COLUMNS)] + [list(row) for row in VALID_ROWS]
+    rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(CSV_COLUMNS) - 1))] = draw(FIELDS)
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode), _mutated_telemetry()))
+def test_any_telemetry_file_exits_with_a_documented_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "trial.csv"
+        csv_path.write_bytes(data)
+        assert main(["report", str(csv_path)]) in (EXIT_OK, EXIT_USAGE, EXIT_IO)
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -458,6 +493,8 @@ class TestReport:
             "0.0333333333,0,0,4,right,5,0,true",
             "0.0333333333,0,0,4,bottom,0,-0.31,true",
             "0.0333333333,0,0,4,right,nan,0,true",
+            "0.0333333333,0,0,-5,right,0,0,true",
+            "0.0333333333,0,0,4,right,0.3,-0.3,true",
         ],
     )
     def test_impossible_row_is_usage_error(self, tmp_path, capsys, row):
@@ -472,6 +509,22 @@ class TestReport:
         bad.write_bytes(b"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,0,right,0,0,true\n\xff\n")
         assert run_cli("report", bad) == EXIT_USAGE
         assert "binary.csv" in capsys.readouterr().err
+
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,{'0' * 200_000},0,0,right,0,0,true\n")
+        assert run_cli("report", big) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "big.csv" in err and "line 2" in err
+
+    def test_sensitivities_too_large_to_sum_is_usage_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "peaks.csv"
+        lines = ["t,x,y,P,sector,yaw_cmd,pitch_cmd,visible"]
+        for i, p in enumerate(["5e306", "0", "5e306", "0"], start=1):
+            lines.append(f"{i / 30:.9g},0,0,{p},right,0,0,true")
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert run_cli("report", csv_path) == EXIT_USAGE
+        assert "too large to sum" in capsys.readouterr().err
 
     def test_header_only_csv_is_usage_error(self, tmp_path):
         empty = tmp_path / "header_only.csv"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -90,11 +91,15 @@ class TestStep:
         p = point_at(theta, p_target)
         assert step(p, CFG).is_zero() == (relative_position(p, CFG.roi) <= 1.0)
 
-    @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi),
-           p_target=st.floats(min_value=0.0, max_value=9.0))
-    def test_decide_reports_p_and_sector_inside_too(self, theta, p_target):
-        p = point_at(theta, p_target)
-        assert decide(p, CFG)[:2] == (relative_position(p, CFG.roi), classify_sector(to_polar(p).theta))
+    @given(p=st.one_of(
+        st.builds(point_at, st.floats(min_value=-math.pi + 1e-9, max_value=math.pi), st.floats(0.0, 9.0)),
+        st.builds(ImagePoint, st.floats(), st.floats()),
+    ))
+    def test_decide_reports_p_and_sector_inside_too(self, p):
+        # bit for bit, for any point: -0.0, infinities and NaN included
+        rel, sector, _ = decide(p, CFG)
+        assert struct.pack("<d", rel) == struct.pack("<d", relative_position(p, CFG.roi))
+        assert sector is classify_sector(to_polar(p).theta)
 
     @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi))
     def test_quarter_turn_permutes_commands(self, theta):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import math
+import random
+import struct
 from dataclasses import replace
 
 import pytest
 
-from roitrack.controller import step
-from roitrack.geometry import ImagePoint, classify_sector, relative_position, to_polar
-from roitrack.trials import DEFAULT_DT_S, TrialConfig, run_batch, run_trial
+from roitrack.arenas import build_arena, pursue
+from roitrack.controller import ControllerConfig, step
+from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, classify_sector, relative_position, to_polar
+from roitrack.trials import DEFAULT_DT_S, TrialConfig, TrialSample, jitter_path, run_batch, run_trial
+from roitrack.world import CameraModel, UavPose, UsvState, WorldState, aim_at, closed_loop_step
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +72,76 @@ class TestRunTrial:
         assert all((s.yaw_cmd, s.pitch_cmd) == (0.0, 0.0) for s in invisible)
 
 
+def reference_samples(cfg: TrialConfig) -> list[TrialSample]:
+    """``run_trial``'s loop built from the public step functions: ``pursue``,
+    then ``closed_loop_step``, with a state object per step."""
+    path = jitter_path(build_arena(cfg.arena_id), cfg.jitter_amplitude, random.Random(cfg.seed))
+    start, after = path.waypoints[0], path.waypoints[1]
+    heading = math.atan2(after[1] - start[1], after[0] - start[0])
+    usv = UsvState(x=start[0], y=start[1], heading=heading, speed=cfg.usv_speed)
+    world = WorldState(usv=usv, uav=cfg.uav, gimbal=aim_at(cfg.uav, (usv.x, usv.y, 0.0)), time=0.0)
+    samples = []
+    for i in range(round(cfg.duration / cfg.dt)):
+        rudder = pursue(world.usv, path, cfg.lookahead)
+        world, cmd, img, visible, p, sector = closed_loop_step(world, rudder, cfg.controller, cfg.camera, cfg.dt)
+        samples.append(TrialSample(t=(i + 1) * cfg.dt, x=img.x, y=img.y, p=p, sector=sector,
+                                   yaw_cmd=cmd.yaw_rate, pitch_cmd=cmd.pitch_rate, visible=visible))
+    return samples
+
+
+def bits(sample: TrialSample) -> tuple:
+    """Every bit of a sample: a -0.0/0.0 swap or a last-ulp drift changes it."""
+    floats = (sample.t, sample.x, sample.y, sample.p, sample.yaw_cmd, sample.pitch_cmd)
+    return struct.pack("<6d", *floats), sample.sector, sample.visible
+
+
+def config(arena_id: int, seed: int = 1, fov_deg: float = 90.0, roi=(0.3, 0.3), rate: float = 0.3,
+           uav=(0.0, 0.0, 1.83), **overrides) -> TrialConfig:
+    frame = FrameSpec()
+    controller = ControllerConfig(roi=EllipseRoi.from_fractions(frame, *roi), frame=frame, rate_magnitude=rate)
+    return TrialConfig.baseline(
+        arena_id,
+        seed=seed,
+        controller=controller,
+        camera=CameraModel(frame=frame, horizontal_fov=math.radians(fov_deg)),
+        uav=UavPose(*uav),
+        **overrides,
+    )
+
+
+REFERENCE_CONFIGS = (
+    [pytest.param(TrialConfig.baseline(a, seed=s), id=f"arena{a}-seed{s}") for a in (1, 2) for s in range(1, 31)]
+    + [
+        pytest.param(
+            config(a, s, fov_deg=75.0, roi=(0.2, 0.4), rate=0.2, uav=(0.3, -0.2, 3.0), dt=1.0 / 15.0, lookahead=0.8),
+            id=f"non-default-arena{a}-seed{s}",
+        )
+        for a in (1, 2)
+        for s in (1, 2)
+    ]
+    + [
+        pytest.param(TrialConfig.baseline(1, seed=1, usv_speed=5.0, duration=8.0), id="lost-target"),
+        # The boat passes under the camera, and the tilt saturates straight down.
+        pytest.param(config(1, fov_deg=150.0, uav=(0.35, 1.7, 1.0)), id="tilt-floor-arena1"),
+        pytest.param(config(2, fov_deg=150.0, uav=(0.35, 1.7, 1.0)), id="tilt-floor-arena2"),
+        # A one-second step of pitch overshoots the horizon once.
+        pytest.param(config(2, fov_deg=150.0, roi=(0.3, 0.05), uav=(-1.0, 2.0, 0.3), dt=1.0), id="tilt-ceiling"),
+        # The camera hovers inside the arena, so the boat goes behind it.
+        pytest.param(config(1, uav=(0.0, 2.0, 0.1)), id="behind-camera"),
+    ]
+)
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_run_trial_matches_the_step_functions_bit_for_bit(self, cfg):
+        expected = reference_samples(cfg)
+        actual = run_trial(cfg).samples
+        assert len(actual) == len(expected)
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert bits(a) == bits(e), f"sample {i}"
+
+
 class TestRunBatch:
     def test_single_trial_matches_run_trial(self):
         cfg = TrialConfig.baseline(1, seed=5)
@@ -105,6 +180,9 @@ class TestConfigValidation:
         ("dt", 0.0),
         ("jitter_amplitude", -0.1),
         ("usv_speed", -1.0),
+        ("lookahead", 0.0),
+        ("lookahead", -0.5),
+        ("lookahead", math.nan),
     ])
     def test_bad_numeric_fields(self, field, value):
         with pytest.raises(ValueError):
