@@ -23,7 +23,6 @@ from .geometry import (
 )
 from .metrics import (
     Excursion,
-    MetricsOptions,
     SensitivityReport,
     control_expenditure,
     cross_arena_normalized,
@@ -75,7 +74,6 @@ __all__ = [
     "to_centered",
     "to_polar",
     "Excursion",
-    "MetricsOptions",
     "SensitivityReport",
     "control_expenditure",
     "cross_arena_normalized",

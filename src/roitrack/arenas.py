@@ -28,7 +28,8 @@ class Path:
 
     The per-leg data pursuit reads on every step is derived once here: each
     leg's start point, its vector ``b - a`` and squared length ``denom``, the
-    leg lengths, the exact prefix sums of those lengths and their total.
+    leg lengths, the exact prefix sums of those lengths and their total.  Every
+    one of them must be finite.
     """
 
     waypoints: tuple[tuple[float, float], ...]
@@ -47,7 +48,12 @@ class Path:
             if a == b:
                 raise ValueError(f"consecutive waypoints must be distinct, got repeated {a}")
             abx, aby = b[0] - a[0], b[1] - a[1]
-            legs.append((a[0], a[1], abx, aby, abx * abx + aby * aby))
+            denom = abx * abx + aby * aby
+            # A non-finite coordinate or leg vector makes this square non-finite
+            # too; a finite one bounds each leg, and so the total, far below overflow.
+            if not math.isfinite(denom):
+                raise ValueError(f"leg from {a} to {b} is not finite: squared length {denom}")
+            legs.append((a[0], a[1], abx, aby, denom))
         lengths = [math.dist(a, b) for a, b in segs]
         object.__setattr__(self, "_legs", tuple(legs))
         object.__setattr__(self, "_lengths", tuple(lengths))
@@ -134,33 +140,21 @@ def _point_at_arc_length(path: Path, s: float) -> tuple[float, float]:
     return path.waypoints[0] if path.closed else path.waypoints[-1]
 
 
-def pursue(
-    s,
-    path: Path,
-    lookahead: float = DEFAULT_LOOKAHEAD_M,
-    max_rudder: float = DEFAULT_MAX_RUDDER_RAD_S,
-) -> float:
+def pursue(s, path: Path, lookahead: float = DEFAULT_LOOKAHEAD_M) -> float:
     """Pure-pursuit rudder rate chasing a lookahead point on the path.
 
     Stateless and deterministic: progress along the path is recovered from
     the boat position (nearest point on the polyline, earliest segment wins
     ties), then the goal is the point ``lookahead`` meters further along.
-    On an open path whose end has been reached the rudder is 0.
+    On an open path whose end has been reached the rudder is 0.  The rate is
+    clamped to ``DEFAULT_MAX_RUDDER_RAD_S``.
     """
     if lookahead <= 0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
-    return _pursue_xy(s.x, s.y, s.heading, s.speed, path, lookahead, max_rudder)
+    return _pursue_xy(s.x, s.y, s.heading, s.speed, path, lookahead)
 
 
-def _pursue_xy(
-    px: float,
-    py: float,
-    heading: float,
-    speed: float,
-    path: Path,
-    lookahead: float,
-    max_rudder: float,
-) -> float:
+def _pursue_xy(px: float, py: float, heading: float, speed: float, path: Path, lookahead: float) -> float:
     """``pursue`` on the boat's plain floats; ``lookahead`` must be positive."""
     best_d2, best_i, best_t = math.inf, 0, 0.0
     for i, (ax, ay, abx, aby, denom) in enumerate(path._legs):
@@ -180,4 +174,4 @@ def _pursue_xy(
         return 0.0
     alpha = wrap_angle(math.atan2(dy, dx) - heading)
     rudder = 2.0 * speed * math.sin(alpha) / lookahead
-    return max(-max_rudder, min(max_rudder, rudder))
+    return max(-DEFAULT_MAX_RUDDER_RAD_S, min(DEFAULT_MAX_RUDDER_RAD_S, rudder))

@@ -19,7 +19,7 @@ from . import __version__
 from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
 from .controller import MAX_RATE_RAD_S, ControllerConfig, decide
 from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec, to_centered
-from .metrics import summarize
+from .metrics import SensitivityReport, summarize
 from .protocol import CommandLink, MockTransport, TransportSaturated
 from .telemetry import fmt_float, format_kv_text, read_trial_csv, serialize_report, write_trial_csv
 from .trials import (
@@ -156,7 +156,10 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
 
     seeds = [seed + i for i in range(trials)]
-    records = run_batch(cfg, trials, seeds)
+    try:
+        records = run_batch(cfg, trials, seeds)
+    except ValueError as exc:  # a jittered path that is not finite
+        raise UsageError(str(exc)) from None
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,10 +169,9 @@ def cmd_simulate(args) -> int:
         write_trial_csv(record.samples, path)
         csv_paths.append(path)
 
-    # The batch summary is computed from the written artifacts so that
-    # `report` over the same CSVs reproduces it byte for byte.
-    readback = [read_trial_csv(path, dt=cfg.dt) for path in csv_paths]
-    report = summarize(readback)
+    # The batch summary is computed from the written artifacts, as `report`
+    # computes it, so that `report` over the same CSVs reproduces it byte for byte.
+    report = _summarize_csvs(csv_paths, cfg.dt)
     summary_path = out / "summary.txt"
     summary_path.write_text(serialize_report(report))
 
@@ -261,21 +263,20 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    records = []
-    for name in args.csvs:
-        path = Path(name)
-        try:
-            records.append(read_trial_csv(path, dt=args.dt_s))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+def _summarize_csvs(paths, dt: float) -> SensitivityReport:
+    """Read telemetry CSVs recorded at loop period ``dt`` and summarize them."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise UsageError(f"--dt-s must be finite and positive, got {dt}")
     try:
-        report = summarize(records)
+        return summarize([read_trial_csv(Path(path), dt=dt) for path in paths])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     except OverflowError as exc:
         raise UsageError(f"excursion sensitivities too large to sum: {exc}") from None
-    print(serialize_report(report), end="")
+
+
+def cmd_report(args) -> int:
+    print(serialize_report(_summarize_csvs(args.csvs, args.dt_s)), end="")
     return EXIT_OK
 
 

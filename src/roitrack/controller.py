@@ -18,6 +18,9 @@ from .geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector
 
 MAX_RATE_RAD_S = 0.3  # gimbal actuator cap, rad/s
 
+# The signs of (yaw, pitch) in the command for a target outside the ellipse.
+_SECTOR_SIGNS = {Sector.RIGHT: (1, 0), Sector.LEFT: (-1, 0), Sector.TOP: (0, 1), Sector.BOTTOM: (0, -1)}
+
 
 @dataclass(frozen=True)
 class GimbalCommand:
@@ -79,14 +82,8 @@ def _decide_xy(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector
     # A non-finite point never has rel <= 1, so only points outside pay for the check.
     if rel <= 1.0 or not (math.isfinite(x) and math.isfinite(y)):
         return rel, sector, 0.0, 0.0
-    m = cfg.rate_magnitude
-    if sector is Sector.RIGHT:
-        return rel, sector, m, 0.0
-    if sector is Sector.LEFT:
-        return rel, sector, -m, 0.0
-    if sector is Sector.TOP:
-        return rel, sector, 0.0, m
-    return rel, sector, 0.0, -m
+    yaw_sign, pitch_sign = _SECTOR_SIGNS[sector]
+    return rel, sector, yaw_sign * cfg.rate_magnitude, pitch_sign * cfg.rate_magnitude
 
 
 def step(p: ImagePoint, cfg: ControllerConfig) -> GimbalCommand:

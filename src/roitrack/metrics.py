@@ -1,9 +1,10 @@
 """Evaluation metrics over trial records: excursions, sensitivity, expenditure.
 
-An excursion is a maximal run of consecutive samples with P > 1.  Each
-excursion's sensitivity is its peak height over its breadth; the mean over a
-record set, divided by the excursion count n, gives a normalized
-responsiveness figure that is comparable across arenas.
+An excursion is a maximal run of consecutive samples with P > 1; one still
+open when the record ends counts too, closed at the final sample.  Each
+excursion's sensitivity is its peak height above P = 1 over its breadth in
+seconds; the mean over a record set, divided by the excursion count n, gives
+a normalized responsiveness figure that is comparable across arenas.
 """
 
 from __future__ import annotations
@@ -12,30 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .trials import TrialRecord
-
-
-@dataclass(frozen=True)
-class MetricsOptions:
-    """Choices the peak definition leaves open; defaults are the reference ones.
-
-    ``peak_height`` "excess" measures the peak above the P = 1 boundary line,
-    "absolute" takes the raw peak value.  ``breadth`` is measured in seconds
-    or in samples.  Excursions still open at the end of a record are included
-    unless ``include_open`` is False.
-    """
-
-    peak_height: str = "excess"
-    breadth: str = "seconds"
-    include_open: bool = True
-
-    def __post_init__(self) -> None:
-        if self.peak_height not in ("excess", "absolute"):
-            raise ValueError(f"peak_height must be 'excess' or 'absolute', got {self.peak_height!r}")
-        if self.breadth not in ("seconds", "samples"):
-            raise ValueError(f"breadth must be 'seconds' or 'samples', got {self.breadth!r}")
-
-
-DEFAULT_OPTIONS = MetricsOptions()
 
 
 @dataclass(frozen=True)
@@ -73,7 +50,7 @@ class SensitivityReport:
     overlap_s: float
 
 
-def detect_excursions(record: TrialRecord, opts: MetricsOptions = DEFAULT_OPTIONS) -> list[Excursion]:
+def detect_excursions(record: TrialRecord) -> list[Excursion]:
     """Find all maximal runs of samples with P > 1 in one record."""
     if not record.samples:
         raise ValueError("record has no samples")
@@ -95,23 +72,13 @@ def detect_excursions(record: TrialRecord, opts: MetricsOptions = DEFAULT_OPTION
         # Closed at the final sample; a run that only begins there is given one
         # sample interval of breadth so the t_end > t_start invariant holds.
         t_end = t_last if t_last > run_start else run_start + record.dt
-        exc = Excursion(t_start=run_start, t_end=t_end, p_max=run_peak, closed=False)
-        if opts.include_open:
-            excursions.append(exc)
+        excursions.append(Excursion(t_start=run_start, t_end=t_end, p_max=run_peak, closed=False))
     return excursions
 
 
-def peak_sensitivity(
-    e: Excursion, opts: MetricsOptions = DEFAULT_OPTIONS, dt: float | None = None
-) -> float:
-    """Sensitivity of one peak: height over breadth."""
-    h = e.p_max - 1.0 if opts.peak_height == "excess" else e.p_max
-    b = e.t_end - e.t_start
-    if opts.breadth == "samples":
-        if dt is None:
-            raise ValueError("breadth in samples requires dt")
-        b = round(b / dt)
-    return h / b
+def peak_sensitivity(e: Excursion) -> float:
+    """Sensitivity of one peak: its height above P = 1 over its breadth in seconds."""
+    return (e.p_max - 1.0) / (e.t_end - e.t_start)
 
 
 def _active_counts(record: TrialRecord) -> tuple[int, int, int]:
@@ -144,7 +111,7 @@ def cross_arena_normalized(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def summarize(records: list[TrialRecord], opts: MetricsOptions = DEFAULT_OPTIONS) -> SensitivityReport:
+def summarize(records: list[TrialRecord]) -> SensitivityReport:
     """Aggregate excursion and expenditure metrics over a set of records.
 
     The report is independent of record order: excursions are sorted
@@ -154,8 +121,8 @@ def summarize(records: list[TrialRecord], opts: MetricsOptions = DEFAULT_OPTIONS
         raise ValueError("need at least one record")
     per_record: list[tuple[Excursion, float]] = []
     for record in records:
-        for e in detect_excursions(record, opts):
-            per_record.append((e, peak_sensitivity(e, opts, dt=record.dt)))
+        for e in detect_excursions(record):
+            per_record.append((e, peak_sensitivity(e)))
     per_record.sort(key=lambda item: (item[0].t_start, item[0].t_end, item[0].p_max))
     excursions = [e for e, _ in per_record]
     per_peak = [s for _, s in per_record]

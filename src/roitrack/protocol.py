@@ -105,7 +105,6 @@ class MockTransport:
     out raises ``TransportSaturated``; frames are never silently dropped.
     """
 
-    line_rate_bps: int = LINE_RATE_BPS
     log: list[tuple[float, str]] = field(default_factory=list)
     _busy_until: float = 0.0
 
@@ -114,7 +113,7 @@ class MockTransport:
             raise TransportSaturated(
                 f"line busy until t={self._busy_until:.6f}, cannot send at t={now:.6f}"
             )
-        seconds = len(frame.wire_bytes()) * BITS_PER_BYTE_ON_WIRE / self.line_rate_bps
+        seconds = len(frame.wire_bytes()) * BITS_PER_BYTE_ON_WIRE / LINE_RATE_BPS
         self._busy_until = now + seconds
         self.log.append((now, frame.text))
 

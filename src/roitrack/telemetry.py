@@ -13,7 +13,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
-from .controller import MAX_RATE_RAD_S
+from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
 from .geometry import Sector
 from .metrics import SensitivityReport
 from .trials import TrialRecord, TrialSample
@@ -67,7 +67,12 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
     Consecutive times must be ``dt`` apart, up to the rounding of their
     9-digit text; any other gap means a wrong ``dt`` or missing rows.  A row
     no run can write is rejected: a non-finite ``t``, ``x``, ``y`` or ``P``, a
-    negative ``P``, a command beyond the actuator cap or on both axes at once.
+    negative ``P``, a command beyond the actuator cap or on both axes at once,
+    or a command that contradicts ``P``.  A run commands nothing while ``P < 1``
+    or the target is lost, and the sector's axis and sign while a visible target
+    has ``P > 1``; a ``P`` that reads exactly 1 may carry either, since true
+    values in (1, 1 + 5e-9] print as 1.  The magnitude is the run's
+    ``rate_rad_s``, which the CSV does not record, so it is not checked.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -106,16 +111,26 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
                 )
             if yaw_cmd != 0.0 and pitch_cmd != 0.0:
                 raise ValueError(f"command ({row[5]}, {row[6]}) drives both axes")
+            sector, visible = Sector(row[4]), _parse_bool(row[7])
+            if yaw_cmd == 0.0 and pitch_cmd == 0.0:
+                if visible and p > 1.0:
+                    raise ValueError(f"P = {row[3]} with the target visible, but the command is zero")
+            elif not visible or p < 1.0:
+                raise ValueError(f"command ({row[5]}, {row[6]}) with P = {row[3]} and visible = {row[7]}")
+            else:
+                signs = (yaw_cmd > 0.0) - (yaw_cmd < 0.0), (pitch_cmd > 0.0) - (pitch_cmd < 0.0)
+                if signs != _SECTOR_SIGNS[sector]:
+                    raise ValueError(f"command ({row[5]}, {row[6]}) is not sector {row[4]}'s axis and sign")
             samples.append(
                 TrialSample(
                     t=t,
                     x=x,
                     y=y,
                     p=p,
-                    sector=Sector(row[4]),
+                    sector=sector,
                     yaw_cmd=yaw_cmd,
                     pitch_cmd=pitch_cmd,
-                    visible=_parse_bool(row[7]),
+                    visible=visible,
                 )
             )
         except ValueError as exc:

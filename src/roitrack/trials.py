@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .arenas import DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _pursue_xy, build_arena
+from .arenas import DEFAULT_LOOKAHEAD_M, Path, _pursue_xy, build_arena
 from .controller import ControllerConfig, _decide_xy
 from .geometry import EllipseRoi, FrameSpec, Sector
 from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
@@ -152,7 +152,7 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
     samples = []
     append = samples.append
     for i in range(steps):
-        rudder = _pursue_xy(x, y, heading, speed, path, lookahead, DEFAULT_MAX_RUDDER_RAD_S)
+        rudder = _pursue_xy(x, y, heading, speed, path, lookahead)
         # usv_step
         heading = heading + rudder * dt
         x = x + speed * cos(heading) * dt

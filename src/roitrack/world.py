@@ -63,7 +63,6 @@ class UavPose:
 class GimbalState:
     pan: float
     tilt: float
-    max_rate: float = MAX_RATE_RAD_S
 
     def __post_init__(self) -> None:
         if not TILT_MIN <= self.tilt <= TILT_MAX:
@@ -106,20 +105,19 @@ def usv_step(s: UsvState, rudder_rate: float, dt: float) -> UsvState:
 
 
 def gimbal_step(g: GimbalState, cmd: GimbalCommand, dt: float) -> GimbalState:
-    """Advance the gimbal; rates beyond the actuator cap are clamped, tilt saturates."""
+    """Advance the gimbal; rates beyond the actuator cap ``MAX_RATE_RAD_S`` are
+    clamped, tilt saturates."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     yaw = cmd.yaw_rate
     pitch = cmd.pitch_rate
-    if abs(yaw) > g.max_rate or abs(pitch) > g.max_rate:
-        log.warning(
-            "command (%g, %g) exceeds gimbal max_rate %g; clamping", yaw, pitch, g.max_rate
-        )
-        yaw = max(-g.max_rate, min(g.max_rate, yaw))
-        pitch = max(-g.max_rate, min(g.max_rate, pitch))
+    if abs(yaw) > MAX_RATE_RAD_S or abs(pitch) > MAX_RATE_RAD_S:
+        log.warning("command (%g, %g) exceeds the gimbal's %g rad/s; clamping", yaw, pitch, MAX_RATE_RAD_S)
+        yaw = max(-MAX_RATE_RAD_S, min(MAX_RATE_RAD_S, yaw))
+        pitch = max(-MAX_RATE_RAD_S, min(MAX_RATE_RAD_S, pitch))
     tilt = g.tilt + pitch * dt
     tilt = max(TILT_MIN, min(TILT_MAX, tilt))
-    return GimbalState(pan=g.pan + yaw * dt, tilt=tilt, max_rate=g.max_rate)
+    return GimbalState(pan=g.pan + yaw * dt, tilt=tilt)
 
 
 def project(
@@ -155,17 +153,17 @@ def project(
     return ImagePoint(u, v), visible
 
 
-def aim_at(uav: UavPose, target: tuple[float, float, float], max_rate: float = MAX_RATE_RAD_S) -> GimbalState:
+def aim_at(uav: UavPose, target: tuple[float, float, float]) -> GimbalState:
     """Gimbal state whose optical axis passes through the target point."""
     dx = target[0] - uav.x
     dy = target[1] - uav.y
     dz = target[2] - uav.altitude
     horizontal = math.hypot(dx, dy)
     if horizontal < 1e-12:
-        return GimbalState(pan=0.0, tilt=TILT_MIN, max_rate=max_rate)
+        return GimbalState(pan=0.0, tilt=TILT_MIN)
     pan = math.atan2(dx, dy)  # clockwise from +y
     tilt = max(TILT_MIN, min(TILT_MAX, math.atan2(dz, horizontal)))
-    return GimbalState(pan=pan, tilt=tilt, max_rate=max_rate)
+    return GimbalState(pan=pan, tilt=tilt)
 
 
 def closed_loop_step(

@@ -84,6 +84,23 @@ class TestPathInvariants:
         with pytest.raises(ValueError):
             Path(waypoints=((0.0, 0.0), (1.0, 1.0), (0.0, 0.0)), closed=True)
 
+    @pytest.mark.parametrize(
+        "waypoints",
+        [
+            ((math.inf, 0.0), (1.0, 0.0)),  # coordinate
+            ((0.0, 0.0), (1.0, math.nan)),  # coordinate
+            ((1e308, 0.0), (-1e308, 0.0)),  # leg vector overflows
+            ((0.0, 1e200), (0.0, -1e200)),  # squared leg length overflows
+        ],
+    )
+    def test_non_finite_geometry_rejected(self, waypoints):
+        with pytest.raises(ValueError, match="not finite"):
+            Path(waypoints=waypoints, closed=True)
+
+    def test_fixture_with_an_infinite_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_arena_text("closed = false\nwaypoint_01_m = 0 0\nwaypoint_02_m = inf 1\n")
+
 
 STRAIGHT_NORTH = Path(waypoints=((0.0, 0.0), (0.0, 10.0)), closed=False)
 

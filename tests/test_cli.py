@@ -149,6 +149,15 @@ class TestSimulate:
                        "--out-dir", tmp_path / "x") == EXIT_USAGE
         assert "lookahead must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_jitter_overflowing_the_path_is_usage_error(self, tmp_path, capsys, arena):
+        config = tmp_path / "jitter.cfg"
+        config.write_text("jitter_m = 1e308\n")
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--arena", arena, "--config", config, "--out-dir", out) == EXIT_USAGE
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "binary.cfg"
         config.write_bytes(b"seed = \xff\n")
@@ -504,6 +513,71 @@ class TestReport:
         err = capsys.readouterr().err
         assert "impossible.csv" in err and "line 2" in err
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0"])
+    def test_non_finite_or_non_positive_dt_is_usage_error(self, tmp_path, capsys, dt):
+        # one row, so no gap between sample times can catch the period
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,4,right,0.3,0,true\n")
+        assert run_cli("report", csv_path, "--dt-s", dt) == EXIT_USAGE
+        assert "--dt-s must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0.0006,right,0.3,0,true",  # acting inside the ellipse
+            "0.0006,right,0.3,0,false",  # acting while the target is lost
+            "3,right,0.3,0,false",
+            "3,right,0,0,true",  # idle outside the ellipse with the target in view
+            "3,right,0,-0.3,true",  # wrong axis for the sector
+            "3,right,-0.3,0,true",  # wrong sign for the sector
+            "3,left,0.3,0,true",
+            "3,top,0.3,0,true",
+            "3,top,0,-0.3,true",
+            "3,bottom,0,0.3,true",
+            "1,bottom,0,0.3,true",
+        ],
+    )
+    def test_command_contradicting_p_is_usage_error(self, tmp_path, capsys, row):
+        csv_path = tmp_path / "contradicts.csv"
+        csv_path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,{row}\n")
+        assert run_cli("report", csv_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "contradicts.csv" in err and "line 2" in err
+
+    def test_both_contradictions_in_one_file_are_usage_errors(self, tmp_path, capsys):
+        csv_path = tmp_path / "two.csv"
+        csv_path.write_text(
+            "t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n"
+            "0.0333333333,0,0,0.0006,right,0.3,0,true\n"
+            "0.0666666667,0,0,3,right,0,-0.3,true\n"
+        )
+        assert run_cli("report", csv_path) == EXIT_USAGE
+        assert "two.csv: line 2" in capsys.readouterr().err
+        csv_path.write_text(
+            "t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n"
+            "0.0333333333,0,0,0.0006,right,0,0,true\n"
+            "0.0666666667,0,0,3,right,0,-0.3,true\n"
+        )
+        assert run_cli("report", csv_path) == EXIT_USAGE
+        assert "two.csv: line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0.999,left,0,0,true",
+            "1,left,0,0,true",  # P in (1, 1 + 5e-9] prints as 1, with or without a command
+            "1,left,-0.3,0,true",
+            "1,top,0,0.1,true",
+            "3,bottom,0,-0.05,true",  # any magnitude: the CSV does not record rate_rad_s
+            "3,right,0,0,false",
+            "0.5,top,0,0,false",
+        ],
+    )
+    def test_command_consistent_with_p_is_accepted(self, tmp_path, row):
+        csv_path = tmp_path / "fine.csv"
+        csv_path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,{row}\n")
+        assert run_cli("report", csv_path) == EXIT_OK
+
     def test_undecodable_csv_names_file(self, tmp_path, capsys):
         bad = tmp_path / "binary.csv"
         bad.write_bytes(b"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,0,right,0,0,true\n\xff\n")
@@ -520,8 +594,8 @@ class TestReport:
     def test_sensitivities_too_large_to_sum_is_usage_error(self, tmp_path, capsys):
         csv_path = tmp_path / "peaks.csv"
         lines = ["t,x,y,P,sector,yaw_cmd,pitch_cmd,visible"]
-        for i, p in enumerate(["5e306", "0", "5e306", "0"], start=1):
-            lines.append(f"{i / 30:.9g},0,0,{p},right,0,0,true")
+        for i, (p, yaw) in enumerate([("5e306", "0.3"), ("0", "0"), ("5e306", "0.3"), ("0", "0")], start=1):
+            lines.append(f"{i / 30:.9g},0,0,{p},right,{yaw},0,true")
         csv_path.write_text("\n".join(lines) + "\n")
         assert run_cli("report", csv_path) == EXIT_USAGE
         assert "too large to sum" in capsys.readouterr().err

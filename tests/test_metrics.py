@@ -7,7 +7,6 @@ import pytest
 from conftest import record_from_p
 from roitrack.metrics import (
     Excursion,
-    MetricsOptions,
     control_expenditure,
     cross_arena_normalized,
     detect_excursions,
@@ -49,11 +48,6 @@ class TestDetectExcursions:
         assert exc.t_end == 2.0
         assert exc.p_max == 1.8
 
-    def test_open_excursion_can_be_excluded(self):
-        record = record_from_p([0.5, 1.5, 1.8], dt=1.0)
-        opts = MetricsOptions(include_open=False)
-        assert detect_excursions(record, opts) == []
-
     def test_single_sample_open_excursion_keeps_positive_breadth(self):
         record = record_from_p([0.5, 0.5, 1.5], dt=1.0)
         (exc,) = detect_excursions(record)
@@ -89,18 +83,6 @@ class TestPeakSensitivity:
         a = Excursion(t_start=0.0, t_end=1.0, p_max=1.3)
         b = Excursion(t_start=0.0, t_end=2.0, p_max=1.6)  # h and b both doubled
         assert peak_sensitivity(a) == pytest.approx(peak_sensitivity(b))
-
-    def test_absolute_baseline_option(self):
-        exc = Excursion(t_start=0.0, t_end=2.0, p_max=1.6)
-        opts = MetricsOptions(peak_height="absolute")
-        assert peak_sensitivity(exc, opts) == pytest.approx(0.8)
-
-    def test_breadth_in_samples_option(self):
-        exc = Excursion(t_start=1.0, t_end=2.0, p_max=1.5)
-        opts = MetricsOptions(breadth="samples")
-        assert peak_sensitivity(exc, opts, dt=0.5) == pytest.approx(0.5 / 2)
-        with pytest.raises(ValueError):
-            peak_sensitivity(exc, opts)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -189,13 +171,3 @@ class TestSummarize:
             ]
             assert interior
             assert all(s.yaw_cmd != 0.0 or s.pitch_cmd != 0.0 for s in interior)
-
-
-class TestOptionsValidation:
-    def test_bad_peak_height(self):
-        with pytest.raises(ValueError):
-            MetricsOptions(peak_height="nope")
-
-    def test_bad_breadth(self):
-        with pytest.raises(ValueError):
-            MetricsOptions(breadth="minutes")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import back_project
-from roitrack.controller import ControllerConfig, GimbalCommand, step
+from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, step
 from roitrack.geometry import EllipseRoi, FrameSpec, classify_sector, relative_position, to_polar, wrap_angle
 from roitrack.world import (
     TILT_MAX,
@@ -87,7 +87,7 @@ class TestGimbalStep:
         assert gimbal_step(g, GimbalCommand(pitch_rate=0.3), DT).tilt == TILT_MAX
 
     def test_overspeed_clamped_and_flagged(self, caplog):
-        g = GimbalState(pan=0.0, tilt=-0.5, max_rate=0.3)
+        g = GimbalState(pan=0.0, tilt=-0.5)
         with caplog.at_level(logging.WARNING, logger="roitrack.world"):
             out = gimbal_step(g, GimbalCommand(yaw_rate=0.9), dt=1.0)
         assert out.pan == pytest.approx(0.3)
@@ -102,8 +102,8 @@ class TestGimbalStep:
             return
         g = GimbalState(pan=pan, tilt=tilt)
         out = gimbal_step(g, GimbalCommand(yaw_rate=yaw, pitch_rate=pitch), DT)
-        assert abs(out.pan - g.pan) <= g.max_rate * DT + 1e-15
-        assert abs(out.tilt - g.tilt) <= g.max_rate * DT + 1e-15
+        assert abs(out.pan - g.pan) <= MAX_RATE_RAD_S * DT + 1e-15
+        assert abs(out.tilt - g.tilt) <= MAX_RATE_RAD_S * DT + 1e-15
 
     def test_pan_wraps_on_read(self):
         # the raw pan accumulates freely; a reader wraps it into (-pi, pi]
