@@ -13,24 +13,35 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
 from .controller import MAX_RATE_RAD_S, ControllerConfig, decide
 from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec, to_centered
-from .metrics import SensitivityReport, summarize
+from .metrics import RecordTally, SensitivityReport, summarize_tallies, tally
 from .protocol import CommandLink, MockTransport, TransportSaturated
-from .telemetry import fmt_float, format_kv_text, read_trial_csv, serialize_report, write_trial_csv
+from .telemetry import (
+    fmt_float,
+    format_kv_text,
+    read_trial_csv,
+    sample_row,
+    serialize_report,
+    write_csv_rows,
+    write_trial_csv,
+)
 from .trials import (
     BASELINE_DURATION_S,
     BASELINE_JITTER_M,
     BASELINE_USV_SPEED_MPS,
     DEFAULT_DT_S,
     DEFAULT_UAV,
+    MAX_TRIALS_PER_BATCH,
     TrialConfig,
     TrialSample,
-    run_batch,
+    iter_trial,
+    trial_path,
 )
 from .world import CameraModel, UavPose
 
@@ -133,8 +144,8 @@ def cmd_simulate(args) -> int:
     arena, trials, seed = settings["arena"], settings["trials"], settings["seed"]
     if arena is None:
         raise UsageError("an arena id is required (--arena or config)")
-    if trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS_PER_BATCH:
+        raise UsageError(f"--trials must be in [1, {MAX_TRIALS_PER_BATCH}], got {trials}")
     for key, baseline in (("duration_s", BASELINE_DURATION_S), ("usv_speed_mps", BASELINE_USV_SPEED_MPS)):
         if settings[key] is None:
             settings[key] = baseline.get(arena)
@@ -156,22 +167,27 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from None
 
     seeds = [seed + i for i in range(trials)]
+    configs = [replace(cfg, seed=s) for s in seeds]
     try:
-        records = run_batch(cfg, trials, seeds)
+        for trial_cfg in configs:  # every path is checked before any output exists
+            trial_path(trial_cfg)
     except ValueError as exc:  # a jittered path that is not finite
         raise UsageError(str(exc)) from None
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    csv_paths = []
-    for i, record in enumerate(records, start=1):
+    csv_paths, tallies = [], []
+    for i, trial_cfg in enumerate(configs, start=1):
         path = out / f"trial_{i:03d}.csv"
-        write_trial_csv(record.samples, path)
+        acc = RecordTally(cfg.dt)
+        try:
+            write_csv_rows(_tallied_rows(iter_trial(trial_cfg), acc), path)
+            tallies.append(acc.finish())
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
         csv_paths.append(path)
 
-    # The batch summary is computed from the written artifacts, as `report`
-    # computes it, so that `report` over the same CSVs reproduces it byte for byte.
-    report = _summarize_csvs(csv_paths, cfg.dt)
+    report = _report(tallies)
     summary_path = out / "summary.txt"
     summary_path.write_text(serialize_report(report))
 
@@ -230,16 +246,7 @@ def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: 
         img = to_centered(row=raw_y, col=raw_x, frame=frame)
         p, sector, cmd = decide(img, controller)
         link.send(cmd, now=t)
-        yield TrialSample(
-            t=t,
-            x=img.x,
-            y=img.y,
-            p=p,
-            sector=sector,
-            yaw_cmd=cmd.yaw_rate,
-            pitch_cmd=cmd.pitch_rate,
-            visible=True,
-        )
+        yield TrialSample(t, img.x, img.y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True)
 
 
 def cmd_replay(args) -> int:
@@ -263,16 +270,34 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _tallied_rows(samples, acc: RecordTally):
+    """Format each sample as its CSV row, and feed ``acc`` the values ``report``
+    reads back from that row, so that ``summary.txt`` is what ``report``
+    computes from the CSVs, byte for byte.  A command reads back zero exactly
+    when it is zero, and ``visible`` as written."""
+    add = acc.add
+    for sample in samples:
+        row = sample_row(sample)
+        add(float(row[0]), float(row[3]), sample.yaw_cmd, sample.pitch_cmd, sample.visible)
+        yield row
+
+
+def _report(tallies) -> SensitivityReport:
+    try:
+        return summarize_tallies(tallies)
+    except OverflowError as exc:
+        raise UsageError(f"excursion sensitivities too large to sum: {exc}") from None
+
+
 def _summarize_csvs(paths, dt: float) -> SensitivityReport:
     """Read telemetry CSVs recorded at loop period ``dt`` and summarize them."""
     if not (math.isfinite(dt) and dt > 0):
         raise UsageError(f"--dt-s must be finite and positive, got {dt}")
     try:
-        return summarize([read_trial_csv(Path(path), dt=dt) for path in paths])
+        tallies = [tally(read_trial_csv(Path(path), dt=dt)) for path in paths]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    except OverflowError as exc:
-        raise UsageError(f"excursion sensitivities too large to sum: {exc}") from None
+    return _report(tallies)
 
 
 def cmd_report(args) -> int:

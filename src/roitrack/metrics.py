@@ -50,30 +50,72 @@ class SensitivityReport:
     overlap_s: float
 
 
+class RecordTally:
+    """One record's metrics, fed one sample at a time with ``add``.
+
+    It finds the record's excursions, counts its samples with nonzero yaw,
+    nonzero pitch and both at once, and notes whether every sample was
+    visible.  ``finish`` closes a run still open at the end.  Only the
+    excursions are kept, so a record can be tallied while it streams past.
+    """
+
+    __slots__ = ("dt", "excursions", "yaw_n", "pitch_n", "overlap_n", "success", "_run_start", "_run_peak", "_t_last")
+
+    def __init__(self, dt: float) -> None:
+        self.dt = dt
+        self.excursions: list[Excursion] = []
+        self.yaw_n = self.pitch_n = self.overlap_n = 0
+        self.success = True
+        self._run_start: float | None = None
+        self._run_peak = 0.0
+        self._t_last: float | None = None
+
+    def add(self, t: float, p: float, yaw: float, pitch: float, visible: bool) -> None:
+        if p > 1.0:
+            if self._run_start is None:
+                self._run_start = t
+                self._run_peak = p
+            elif p > self._run_peak:
+                self._run_peak = p
+        elif self._run_start is not None:
+            self.excursions.append(Excursion(t_start=self._run_start, t_end=t, p_max=self._run_peak))
+            self._run_start = None
+        if yaw != 0.0:
+            self.yaw_n += 1
+            if pitch != 0.0:
+                self.overlap_n += 1
+        if pitch != 0.0:
+            self.pitch_n += 1
+        if not visible:
+            self.success = False
+        self._t_last = t
+
+    def finish(self) -> "RecordTally":
+        """Close a run still open at the last sample, once, after the last
+        ``add``; an empty record is an error."""
+        if self._t_last is None:
+            raise ValueError("record has no samples")
+        run_start = self._run_start
+        if run_start is not None:
+            # Closed at the final sample; a run that only begins there is given one
+            # sample interval of breadth so the t_end > t_start invariant holds.
+            t_end = self._t_last if self._t_last > run_start else run_start + self.dt
+            self.excursions.append(Excursion(t_start=run_start, t_end=t_end, p_max=self._run_peak, closed=False))
+        return self
+
+
+def tally(record: TrialRecord) -> RecordTally:
+    """Feed every sample of a record to a fresh tally and finish it."""
+    acc = RecordTally(record.dt)
+    add = acc.add
+    for t, _, _, p, _, yaw, pitch, visible in record.samples:
+        add(t, p, yaw, pitch, visible)
+    return acc.finish()
+
+
 def detect_excursions(record: TrialRecord) -> list[Excursion]:
     """Find all maximal runs of samples with P > 1 in one record."""
-    if not record.samples:
-        raise ValueError("record has no samples")
-    excursions: list[Excursion] = []
-    run_start: float | None = None
-    run_peak = 0.0
-    for sample in record.samples:
-        if sample.p > 1.0:
-            if run_start is None:
-                run_start = sample.t
-                run_peak = sample.p
-            else:
-                run_peak = max(run_peak, sample.p)
-        elif run_start is not None:
-            excursions.append(Excursion(t_start=run_start, t_end=sample.t, p_max=run_peak))
-            run_start = None
-    if run_start is not None:
-        t_last = record.samples[-1].t
-        # Closed at the final sample; a run that only begins there is given one
-        # sample interval of breadth so the t_end > t_start invariant holds.
-        t_end = t_last if t_last > run_start else run_start + record.dt
-        excursions.append(Excursion(t_start=run_start, t_end=t_end, p_max=run_peak, closed=False))
-    return excursions
+    return tally(record).excursions
 
 
 def peak_sensitivity(e: Excursion) -> float:
@@ -81,20 +123,10 @@ def peak_sensitivity(e: Excursion) -> float:
     return (e.p_max - 1.0) / (e.t_end - e.t_start)
 
 
-def _active_counts(record: TrialRecord) -> tuple[int, int, int]:
-    """Samples with nonzero yaw, nonzero pitch, and both at once."""
-    yaw_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0)
-    pitch_n = sum(1 for s in record.samples if s.pitch_cmd != 0.0)
-    overlap_n = sum(1 for s in record.samples if s.yaw_cmd != 0.0 and s.pitch_cmd != 0.0)
-    return yaw_n, pitch_n, overlap_n
-
-
 def control_expenditure(record: TrialRecord) -> tuple[float, float, float]:
     """Seconds of nonzero yaw, nonzero pitch, and both-at-once in one record."""
-    if not record.samples:
-        raise ValueError("record has no samples")
-    yaw_n, pitch_n, overlap_n = _active_counts(record)
-    return yaw_n * record.dt, pitch_n * record.dt, overlap_n * record.dt
+    acc = tally(record)
+    return acc.yaw_n * record.dt, acc.pitch_n * record.dt, acc.overlap_n * record.dt
 
 
 def normalized_sensitivity(mean_s: float, n: int) -> float | None:
@@ -112,17 +144,19 @@ def cross_arena_normalized(values: list[float]) -> float:
 
 
 def summarize(records: list[TrialRecord]) -> SensitivityReport:
-    """Aggregate excursion and expenditure metrics over a set of records.
+    """Aggregate excursion and expenditure metrics over a set of records."""
+    return summarize_tallies([tally(record) for record in records])
+
+
+def summarize_tallies(tallies: list[RecordTally]) -> SensitivityReport:
+    """Aggregate finished tallies, one per record, into a report.
 
     The report is independent of record order: excursions are sorted
     canonically and all sums use exact accumulation.
     """
-    if not records:
+    if not tallies:
         raise ValueError("need at least one record")
-    per_record: list[tuple[Excursion, float]] = []
-    for record in records:
-        for e in detect_excursions(record):
-            per_record.append((e, peak_sensitivity(e)))
+    per_record = [(e, peak_sensitivity(e)) for acc in tallies for e in acc.excursions]
     per_record.sort(key=lambda item: (item[0].t_start, item[0].t_end, item[0].p_max))
     excursions = [e for e, _ in per_record]
     per_peak = [s for _, s in per_record]
@@ -130,10 +164,11 @@ def summarize(records: list[TrialRecord]) -> SensitivityReport:
     mean_s = math.fsum(per_peak) / n if n else None
     # group expenditure counts by dt so the totals are exact under permutation
     by_dt: dict[float, list[int]] = {}
-    for record in records:
-        acc = by_dt.setdefault(record.dt, [0, 0, 0])
-        for k, count in enumerate(_active_counts(record)):
-            acc[k] += count
+    for acc in tallies:
+        counts = by_dt.setdefault(acc.dt, [0, 0, 0])
+        counts[0] += acc.yaw_n
+        counts[1] += acc.pitch_n
+        counts[2] += acc.overlap_n
     yaw_s = math.fsum(dt * counts[0] for dt, counts in sorted(by_dt.items()))
     pitch_s = math.fsum(dt * counts[1] for dt, counts in sorted(by_dt.items()))
     overlap_s = math.fsum(dt * counts[2] for dt, counts in sorted(by_dt.items()))
@@ -143,7 +178,7 @@ def summarize(records: list[TrialRecord]) -> SensitivityReport:
         per_peak_s=tuple(per_peak),
         mean_s=mean_s,
         normalized_s=normalized_sensitivity(mean_s, n) if n else None,
-        success=all(s.visible for record in records for s in record.samples),
+        success=all(acc.success for acc in tallies),
         yaw_active_s=yaw_s,
         pitch_active_s=pitch_s,
         overlap_s=overlap_s,

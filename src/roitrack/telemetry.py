@@ -19,6 +19,7 @@ from .metrics import SensitivityReport
 from .trials import TrialRecord, TrialSample
 
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
+_SECTORS = {sector.value: sector for sector in Sector}
 
 
 def fmt_float(value: float) -> str:
@@ -35,28 +36,52 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
+# A run's command fields take at most three values (0 and +-rate), so their
+# text is cached, not formatted per row.  Zero is seeded, so a zero command
+# prints "0" whatever its sign; the size cap bounds the cache in a process
+# that runs many rates.
+_COMMAND_TEXT = {0.0: "0"}
+_COMMAND_TEXT_MAX = 64
+
+
+def _fmt_command(value: float) -> str:
+    text = _COMMAND_TEXT.get(value)
+    if text is None:
+        text = fmt_float(value)
+        if len(_COMMAND_TEXT) < _COMMAND_TEXT_MAX:
+            _COMMAND_TEXT[value] = text
+    return text
+
+
 def sample_row(sample: TrialSample) -> list[str]:
+    t, x, y, p, sector, yaw_cmd, pitch_cmd, visible = sample
     return [
-        fmt_float(sample.t),
-        fmt_float(sample.x),
-        fmt_float(sample.y),
-        fmt_float(sample.p),
-        sample.sector.value,
-        fmt_float(sample.yaw_cmd),
-        fmt_float(sample.pitch_cmd),
-        fmt_bool(sample.visible),
+        fmt_float(t),
+        fmt_float(x),
+        fmt_float(y),
+        fmt_float(p),
+        sector.value,
+        _fmt_command(yaw_cmd),
+        _fmt_command(pitch_cmd),
+        fmt_bool(visible),
     ]
 
 
-def write_trial_csv(samples: Iterable[TrialSample], path: Path) -> None:
-    """Write a header and one row per sample, consuming ``samples`` as it goes.
+def write_csv_rows(rows: Iterable[list[str]], path: Path) -> None:
+    """Write the header and then each row of formatted fields, consuming
+    ``rows`` as it goes.
 
     Every field is a formatted number or a fixed word, none of which needs
     CSV quoting, so rows are joined directly.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(",".join(sample_row(sample)) + "\n" for sample in samples)
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def write_trial_csv(samples: Iterable[TrialSample], path: Path) -> None:
+    """Write a header and one row per sample, consuming ``samples`` as it goes."""
+    write_csv_rows(map(sample_row, samples), path)
 
 
 def read_trial_csv(path: Path, dt: float) -> TrialRecord:
@@ -111,7 +136,10 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
                 )
             if yaw_cmd != 0.0 and pitch_cmd != 0.0:
                 raise ValueError(f"command ({row[5]}, {row[6]}) drives both axes")
-            sector, visible = Sector(row[4]), _parse_bool(row[7])
+            sector = _SECTORS.get(row[4])
+            if sector is None:
+                raise ValueError(f"{row[4]!r} is not a valid Sector")
+            visible = _parse_bool(row[7])
             if yaw_cmd == 0.0 and pitch_cmd == 0.0:
                 if visible and p > 1.0:
                     raise ValueError(f"P = {row[3]} with the target visible, but the command is zero")
@@ -121,18 +149,7 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
                 signs = (yaw_cmd > 0.0) - (yaw_cmd < 0.0), (pitch_cmd > 0.0) - (pitch_cmd < 0.0)
                 if signs != _SECTOR_SIGNS[sector]:
                     raise ValueError(f"command ({row[5]}, {row[6]}) is not sector {row[4]}'s axis and sign")
-            samples.append(
-                TrialSample(
-                    t=t,
-                    x=x,
-                    y=y,
-                    p=p,
-                    sector=sector,
-                    yaw_cmd=yaw_cmd,
-                    pitch_cmd=pitch_cmd,
-                    visible=visible,
-                )
-            )
+            samples.append(TrialSample(t, x, y, p, sector, yaw_cmd, pitch_cmd, visible))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         last_t = t

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple
 
 from .arenas import DEFAULT_LOOKAHEAD_M, Path, _pursue_xy, build_arena
 from .controller import ControllerConfig, _decide_xy
@@ -26,6 +27,11 @@ DEFAULT_UAV = UavPose(x=0.0, y=0.0, altitude=1.83)  # hover at 6 ft
 BASELINE_USV_SPEED_MPS = {1: 0.6, 2: 0.8}
 BASELINE_DURATION_S = {1: 24.0, 2: 12.7}
 BASELINE_JITTER_M = 0.05
+
+# Run-size limits, checked before any stepping: a trial's samples and a batch's
+# trials are built one at a time, but a run past these would take hours.
+MAX_STEPS_PER_TRIAL = 10**7
+MAX_TRIALS_PER_BATCH = 10**4
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,10 @@ class TrialConfig:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not self.duration / self.dt < MAX_STEPS_PER_TRIAL + 0.5:
+            raise ValueError(
+                f"duration {self.duration} / dt {self.dt} is over the limit of {MAX_STEPS_PER_TRIAL} steps per trial"
+            )
         if round(self.duration / self.dt) < 1:
             raise ValueError(f"duration {self.duration} is shorter than one dt step of {self.dt}")
         if self.jitter_amplitude < 0:
@@ -79,8 +89,7 @@ class TrialConfig:
         return cls(**values)
 
 
-@dataclass(frozen=True)
-class TrialSample:
+class TrialSample(NamedTuple):
     t: float
     x: float
     y: float
@@ -122,8 +131,18 @@ def jitter_path(path: Path, amplitude: float, rng: random.Random) -> Path:
     return Path(waypoints=tuple(jittered), closed=path.closed)
 
 
+def trial_path(cfg: TrialConfig) -> Path:
+    """The path a trial follows: its arena's, jittered by its seed."""
+    return jitter_path(build_arena(cfg.arena_id), cfg.jitter_amplitude, random.Random(cfg.seed))
+
+
 def run_trial(cfg: TrialConfig) -> TrialRecord:
-    """Run one closed-loop trial and record every sample.
+    """Run one closed-loop trial and record every sample."""
+    return TrialRecord(samples=tuple(iter_trial(cfg)), dt=cfg.dt, config=cfg)
+
+
+def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
+    """Run one closed-loop trial, yielding each sample as it is stepped.
 
     Lost tracking (an invisible sample) is recorded, never raised.  Sample
     times are computed from the step index so they sit exactly on the dt grid.
@@ -132,8 +151,7 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
     floats: the same operations in the same order, so the samples match that
     reference to the bit, without building its state objects every step.
     """
-    rng = random.Random(cfg.seed)
-    path = jitter_path(build_arena(cfg.arena_id), cfg.jitter_amplitude, rng)
+    path = trial_path(cfg)
     start = path.waypoints[0]
     after = path.waypoints[1]
     x, y = start
@@ -148,10 +166,7 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
     half_w, half_h = cfg.camera.frame.width / 2, cfg.camera.frame.height / 2
     sin, cos, isfinite = math.sin, math.cos, math.isfinite
 
-    steps = round(cfg.duration / dt)
-    samples = []
-    append = samples.append
-    for i in range(steps):
+    for i in range(round(cfg.duration / dt)):
         rudder = _pursue_xy(x, y, heading, speed, path, lookahead)
         # usv_step
         heading = heading + rudder * dt
@@ -187,18 +202,13 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         tilt = tilt + pitch * dt
         tilt = tilt if tilt < TILT_MAX else TILT_MAX
         tilt = tilt if tilt > TILT_MIN else TILT_MIN
-        append(
-            TrialSample(
-                t=(i + 1) * dt, x=u, y=v, p=p, sector=sector, yaw_cmd=yaw, pitch_cmd=pitch, visible=visible
-            )
-        )
-    return TrialRecord(samples=tuple(samples), dt=cfg.dt, config=cfg)
+        yield TrialSample((i + 1) * dt, u, v, p, sector, yaw, pitch, visible)
 
 
 def run_batch(cfg: TrialConfig, count: int, seeds: list[int]) -> list[TrialRecord]:
     """Independent trials, one per seed, collected in seed order."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_TRIALS_PER_BATCH:
+        raise ValueError(f"count must be in [1, {MAX_TRIALS_PER_BATCH}], got {count}")
     if len(seeds) != count:
         raise ValueError(f"need exactly {count} seeds, got {len(seeds)}")
     return [run_trial(replace(cfg, seed=seed)) for seed in seeds]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import struct
 import tempfile
 from pathlib import Path
@@ -15,6 +17,7 @@ from roitrack.controller import ControllerConfig, step
 from roitrack.geometry import (
     EllipseRoi,
     FrameSpec,
+    Sector,
     classify_sector,
     relative_position,
     to_centered,
@@ -22,7 +25,15 @@ from roitrack.geometry import (
 )
 from roitrack.metrics import summarize
 from roitrack.telemetry import CSV_COLUMNS, fmt_float, read_trial_csv, sample_row, serialize_report
-from roitrack.trials import DEFAULT_DT_S, TrialConfig, run_batch, run_trial
+from roitrack.trials import (
+    DEFAULT_DT_S,
+    MAX_STEPS_PER_TRIAL,
+    MAX_TRIALS_PER_BATCH,
+    TrialConfig,
+    TrialSample,
+    run_batch,
+    run_trial,
+)
 
 
 def run_cli(*args):
@@ -156,6 +167,34 @@ class TestSimulate:
         out = tmp_path / "x"
         assert run_cli("simulate", "--arena", arena, "--config", config, "--out-dir", out) == EXIT_USAGE
         assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_later_trial_with_a_non_finite_path_leaves_no_output(self, tmp_path, capsys):
+        # At this jitter arena 1's seed-4 path is finite and seed 5's is not: the
+        # second trial fails, and it must fail before the first one is written.
+        config = tmp_path / "jitter.cfg"
+        config.write_text("jitter_m = 1e154\n")
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--arena", 1, "--trials", 2, "--seed", 4, "--duration-s", 1.0,
+                       "--config", config, "--out-dir", out)
+        assert code == EXIT_USAGE
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trials_over_the_limit_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--arena", 1, "--trials", MAX_TRIALS_PER_BATCH + 1,
+                       "--duration-s", 1.0, "--dt-s", 1.0, "--out-dir", out)
+        assert code == EXIT_USAGE
+        assert f"--trials must be in [1, {MAX_TRIALS_PER_BATCH}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration,dt", [(MAX_STEPS_PER_TRIAL + 1, 1.0), (1e12, 1e-3)])
+    def test_steps_over_the_limit_is_usage_error(self, tmp_path, capsys, duration, dt):
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--arena", 1, "--duration-s", duration, "--dt-s", dt, "--out-dir", out)
+        assert code == EXIT_USAGE
+        assert "steps per trial" in capsys.readouterr().err
         assert not out.exists()
 
     def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
@@ -390,6 +429,43 @@ def test_any_telemetry_file_exits_with_a_documented_code(data):
         assert main(["report", str(csv_path)]) in (EXIT_OK, EXIT_USAGE, EXIT_IO)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    arena=st.sampled_from([1, 2]),
+    seed=st.integers(-1000, 1000),
+    trials=st.integers(1, 3),
+    dt=st.one_of(st.just(DEFAULT_DT_S), st.floats(0.005, 1.0)),
+    duration=st.floats(0.01, 3.0),
+    rate=st.one_of(st.just(0.3), st.floats(1e-6, 0.3)),
+    roi_x=st.floats(0.05, 0.49),
+    roi_y=st.floats(0.05, 0.49),
+    fov=st.one_of(st.just(90.0), st.floats(1.0, 179.0)),  # a narrow view loses the target
+)
+def test_report_reproduces_the_summary_simulate_writes(arena, seed, trials, dt, duration, rate, roi_x, roi_y, fov):
+    """``simulate`` tallies each row as it writes it; ``report`` reads the rows
+    back.  Both must give the same bytes and agree on whether the run holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli("simulate", "--arena", arena, "--seed", seed, "--trials", trials,
+                           "--dt-s", repr(dt), "--duration-s", repr(duration), "--rate-rad-s", repr(rate),
+                           "--roi-frac-x", repr(roi_x), "--roi-frac-y", repr(roi_y), "--fov-deg", repr(fov),
+                           "--out-dir", out)
+        if code == EXIT_USAGE:  # a rejected run is rejected before any output
+            assert not out.exists()
+            return
+        assert code in (EXIT_OK, EXIT_TRACKING_LOST)
+        summary = (out / "summary.txt").read_text()
+        # simulate's verdict on the run is the summary's success line
+        assert ("success = true" in summary) == (code == EXIT_OK)
+        csvs = sorted(out.glob("trial_*.csv"))
+        assert len(csvs) == trials
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run_cli("report", *csvs, "--dt-s", repr(dt)) == EXIT_OK
+        assert printed.getvalue() == summary
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -439,6 +515,19 @@ class TestPinnedBytes:
             "replay_telemetry.csv": "6c3be6af2cb8a2d4f1958228b455dc53e91571042ca52a28d515f38b530d2966",
             "replay_frames.csv": "64f041251a218fe9bc4f7ecd99237d9692115abb6be3f75db3f9bd945f50cd1c",
         }
+
+
+class TestSampleRow:
+    def test_command_fields_are_their_formatted_rates(self):
+        # more distinct rates than the command-text cache holds
+        for k in range(1, 200):
+            rate = 0.3 * k / 200
+            row = sample_row(TrialSample(1.0, 2.0, 3.0, 4.0, Sector.LEFT, -rate, rate, True))
+            assert row[5:] == [fmt_float(-rate), fmt_float(rate), "true"]
+
+    def test_zero_command_prints_zero_whatever_its_sign(self):
+        row = sample_row(TrialSample(1.0, 2.0, 3.0, 0.5, Sector.TOP, -0.0, 0.0, False))
+        assert row == ["1", "2", "3", "0.5", "top", "0", "0", "false"]
 
 
 class TestReport:

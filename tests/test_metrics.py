@@ -7,12 +7,15 @@ import pytest
 from conftest import record_from_p
 from roitrack.metrics import (
     Excursion,
+    RecordTally,
     control_expenditure,
     cross_arena_normalized,
     detect_excursions,
     normalized_sensitivity,
     peak_sensitivity,
     summarize,
+    summarize_tallies,
+    tally,
 )
 from roitrack.trials import TrialConfig, run_trial
 
@@ -171,3 +174,75 @@ class TestSummarize:
             ]
             assert interior
             assert all(s.yaw_cmd != 0.0 or s.pitch_cmd != 0.0 for s in interior)
+
+
+def fed(record) -> RecordTally:
+    """A tally fed the record's samples one at a time, as a stream would be."""
+    acc = RecordTally(record.dt)
+    for sample in record.samples:
+        acc.add(sample.t, sample.p, sample.yaw_cmd, sample.pitch_cmd, sample.visible)
+    return acc.finish()
+
+
+class TestRecordTally:
+    def test_run_open_at_the_end_closes_at_the_last_sample(self):
+        record = record_from_p([0.5, 1.2, 0.5, 1.3, 1.9, 1.4], dt=0.5)
+        assert fed(record).excursions == [
+            Excursion(t_start=0.5, t_end=1.0, p_max=1.2),
+            Excursion(t_start=1.5, t_end=2.5, p_max=1.9, closed=False),
+        ]
+
+    def test_run_starting_on_the_last_sample_gets_one_dt_of_breadth(self):
+        record = record_from_p([0.5, 0.5, 3.0], dt=0.25, t0=10.0)
+        assert fed(record).excursions == [Excursion(t_start=10.5, t_end=10.75, p_max=3.0, closed=False)]
+
+    def test_empty_record_rejected(self):
+        with pytest.raises(ValueError, match="record has no samples"):
+            RecordTally(0.1).finish()
+        for on_record in (tally, detect_excursions, control_expenditure):
+            with pytest.raises(ValueError, match="record has no samples"):
+                on_record(record_from_p([]))
+        with pytest.raises(ValueError, match="record has no samples"):
+            summarize([record_from_p([0.5]), record_from_p([])])
+
+    def test_peak_after_the_first_sample_of_a_run(self):
+        record = record_from_p([0.5, 1.1, 1.7, 1.3, 0.9, 1.2, 1.2, 2.2, 0.4], dt=1.0)
+        assert fed(record).excursions == [
+            Excursion(t_start=1.0, t_end=4.0, p_max=1.7),
+            Excursion(t_start=5.0, t_end=8.0, p_max=2.2),
+        ]
+
+    def test_counts_commands_and_visibility(self):
+        record = record_from_p(
+            [2.0, 2.0, 2.0, 0.5],
+            dt=0.5,
+            yaw=[0.3, 0.0, -0.3, 0.0],
+            pitch=[0.3, 0.2, 0.0, 0.0],
+            visible=[True, True, False, True],
+        )
+        acc = fed(record)
+        assert (acc.yaw_n, acc.pitch_n, acc.overlap_n, acc.success) == (2, 2, 1, False)
+        assert control_expenditure(record) == (1.0, 1.0, 0.5)
+
+    def test_tally_of_a_record_equals_the_fed_stream(self):
+        record = run_trial(TrialConfig.baseline(2, seed=5, duration=4.0))
+        a, b = tally(record), fed(record)
+        assert (a.excursions, a.yaw_n, a.pitch_n, a.overlap_n, a.success) == (
+            b.excursions, b.yaw_n, b.pitch_n, b.overlap_n, b.success)
+        assert summarize([record]) == summarize_tallies([b])
+
+    def test_summarize_is_the_same_for_every_order_of_records(self):
+        records = [
+            record_from_p([0.5, 1.5, 0.5, 1.2], dt=1.0, yaw=[0.0, 0.3, 0.0, 0.3]),
+            record_from_p([1.8, 0.9, 2.5], dt=0.1, t0=0.3, pitch=[0.2, 0.0, -0.2]),
+            record_from_p([0.5, 1.5, 0.5], dt=1 / 30, t0=1.0, yaw=[0.0, 0.3, 0.0]),
+            record_from_p([0.7, 0.7], dt=1.0, visible=[True, False]),
+        ]
+        first = summarize(records)
+        assert first.n == 5
+        assert not first.success
+        rng = random.Random(3)
+        for _ in range(12):
+            shuffled = records[:]
+            rng.shuffle(shuffled)
+            assert summarize(shuffled) == first

@@ -10,7 +10,17 @@ import pytest
 from roitrack.arenas import build_arena, pursue
 from roitrack.controller import ControllerConfig, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, classify_sector, relative_position, to_polar
-from roitrack.trials import DEFAULT_DT_S, TrialConfig, TrialSample, jitter_path, run_batch, run_trial
+from roitrack.trials import (
+    DEFAULT_DT_S,
+    MAX_STEPS_PER_TRIAL,
+    MAX_TRIALS_PER_BATCH,
+    TrialConfig,
+    TrialSample,
+    iter_trial,
+    jitter_path,
+    run_batch,
+    run_trial,
+)
 from roitrack.world import CameraModel, UavPose, UsvState, WorldState, aim_at, closed_loop_step
 
 
@@ -61,6 +71,16 @@ class TestRunTrial:
 
     def test_baseline_arena1_never_loses_tracking(self, arena1_record):
         assert all(sample.visible for sample in arena1_record.samples)
+
+    def test_iter_trial_yields_the_samples_run_trial_records(self, arena1_record):
+        assert tuple(iter_trial(arena1_record.config)) == arena1_record.samples
+
+    def test_samples_are_read_only_tuples(self, arena1_record):
+        sample = arena1_record.samples[0]
+        assert sample == tuple(sample)
+        assert list(sample) == [getattr(sample, name) for name in TrialSample._fields]
+        with pytest.raises(AttributeError):
+            sample.p = 0.0
 
     def test_invisible_samples_recorded_not_raised(self):
         # a pathological camera setup loses the target; the trial still runs
@@ -169,6 +189,12 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             run_batch(cfg, 0, [])
 
+    def test_count_over_the_limit_rejected_before_stepping(self):
+        cfg = TrialConfig.baseline(1, duration=DEFAULT_DT_S)
+        count = MAX_TRIALS_PER_BATCH + 1
+        with pytest.raises(ValueError, match="count must be in"):
+            run_batch(cfg, count, list(range(count)))
+
 
 class TestConfigValidation:
     def test_bad_arena(self):
@@ -187,3 +213,17 @@ class TestConfigValidation:
     def test_bad_numeric_fields(self, field, value):
         with pytest.raises(ValueError):
             TrialConfig.baseline(1, **{field: value})
+
+    # Configurations are only built here, never run.
+    @pytest.mark.parametrize("duration,dt", [
+        (MAX_STEPS_PER_TRIAL + 1, 1.0),
+        (1e12, 1e-300),
+        (1.0, 5e-324),
+    ])
+    def test_steps_over_the_limit_rejected(self, duration, dt):
+        with pytest.raises(ValueError, match="steps per trial"):
+            TrialConfig.baseline(1, duration=duration, dt=dt)
+
+    def test_steps_at_the_limit_accepted(self):
+        cfg = TrialConfig.baseline(1, duration=MAX_STEPS_PER_TRIAL * 0.5, dt=0.5)
+        assert round(cfg.duration / cfg.dt) == MAX_STEPS_PER_TRIAL
