@@ -18,10 +18,10 @@ from pathlib import Path
 
 from . import __version__
 from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
-from .controller import MAX_RATE_RAD_S, ControllerConfig, decide
-from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec, to_centered
+from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, _decide_xy
+from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
 from .metrics import RecordTally, SensitivityReport, summarize_tallies, tally
-from .protocol import CommandLink, MockTransport, TransportSaturated
+from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .telemetry import (
     fmt_float,
     format_kv_text,
@@ -228,7 +228,7 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
         if len(cells) != 3:
             raise UsageError(f"{path}: line {lineno}: expected 3 columns, got {len(cells)}")
         try:
-            t, x, y = (float(cell) for cell in cells)
+            t, x, y = map(float, cells)
         except ValueError:
             raise UsageError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
         if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
@@ -241,16 +241,32 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
 
 
 def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: CommandLink):
-    """Decide each logged position, send the command, and yield its sample."""
+    """Decide each logged position, send the command, and yield its sample.
+
+    Steps on plain floats: the centring is ``to_centered``'s arithmetic and the
+    decision ``decide``'s kernel, and the link gets one ``GimbalCommand`` per
+    distinct command (at most five), built the first time it is decided."""
+    half_w, half_h = frame.width / 2, frame.height / 2
+    commands: dict[tuple[float, float], GimbalCommand] = {}
+    send = link.send
     for t, raw_x, raw_y in rows:
-        img = to_centered(row=raw_y, col=raw_x, frame=frame)
-        p, sector, cmd = decide(img, controller)
-        link.send(cmd, now=t)
-        yield TrialSample(t, img.x, img.y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True)
+        x = raw_x - half_w
+        y = half_h - raw_y
+        p, sector, yaw, pitch = _decide_xy(x, y, controller)
+        cmd = commands.get((yaw, pitch))
+        if cmd is None:
+            cmd = commands[yaw, pitch] = GimbalCommand(yaw, pitch)
+        send(cmd, t)
+        yield TrialSample(t, x, y, p, sector, yaw, pitch, True)
 
 
 def cmd_replay(args) -> int:
     frame, controller = _controller(_settings(args))
+    rate = controller.rate_magnitude
+    try:  # the gimbal acts on the frame's rate, so the frame must carry this one
+        encode(GimbalCommand(yaw_rate=rate))
+    except FrameError as exc:
+        raise UsageError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
     rows = _read_coordinate_log(Path(args.log))
 
     out = _out_dir(args)

@@ -12,6 +12,7 @@ Framing assumptions confined to this module: line-feed terminator, 8N1 at
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -52,8 +53,25 @@ def format_rate(value: float) -> str:
     return text
 
 
+# A run sends at most four distinct frames (one axis and sign each), so the
+# frame for a command is built and checked once, then reused.  Only frames
+# that passed every check are cached, so a bad command raises on every call;
+# the size cap bounds the cache in a process that encodes many rates.
+_FRAMES: dict[tuple[float, float], SerialFrame] = {}
+_FRAMES_MAX = 64
+
+
 def encode(cmd: GimbalCommand) -> list[SerialFrame]:
-    """Zero or one frame for a command; idle commands generate no traffic."""
+    """Zero or one frame for a command; idle commands generate no traffic.
+
+    A rate the frame cannot carry exactly (one that is not a whole number of
+    hundredths, such as 0.004 or 0.123) raises ``FrameError``: the receiver
+    would act on the frame's rate, not the command's.
+    """
+    key = (cmd.yaw_rate, cmd.pitch_rate)
+    frame = _FRAMES.get(key)
+    if frame is not None:
+        return [frame]
     if cmd.yaw_rate != 0.0 and cmd.pitch_rate != 0.0:
         raise FrameError(
             f"command ({cmd.yaw_rate}, {cmd.pitch_rate}) drives both axes and has no single-axis frame"
@@ -66,7 +84,15 @@ def encode(cmd: GimbalCommand) -> list[SerialFrame]:
         return []
     if abs(value) > MAX_RATE_RAD_S + 1e-9:
         raise FrameError(f"rate {value} exceeds the {MAX_RATE_RAD_S} rad/s actuator cap")
-    return [SerialFrame(text=f"{axis} {format_rate(value)}")]
+    frame = SerialFrame(text=f"{axis} {format_rate(value)}")
+    sent = decode(frame)
+    if (sent.yaw_rate, sent.pitch_rate) != key:
+        raise FrameError(
+            f"rate {value} has no exact frame: {frame.text!r} reads back as {sent.yaw_rate or sent.pitch_rate}"
+        )
+    if len(_FRAMES) < _FRAMES_MAX:
+        _FRAMES[key] = frame
+    return [frame]
 
 
 _RATE_RE = re.compile(r"-?\d+(\.\d{1,2})?")
@@ -106,7 +132,7 @@ class MockTransport:
     """
 
     log: list[tuple[float, str]] = field(default_factory=list)
-    _busy_until: float = 0.0
+    _busy_until: float = -math.inf  # idle: a log's times may start below zero
 
     def send(self, frame: SerialFrame, now: float) -> None:
         if now < self._busy_until:
@@ -137,11 +163,10 @@ class CommandLink:
     _last_sent_at: float = 0.0
 
     def send(self, cmd: GimbalCommand, now: float) -> list[SerialFrame]:
-        frames = encode(cmd)
-        if not frames:
+        if cmd.is_zero():
             self._last_text = None
             return []
-        frame = frames[0]
+        (frame,) = encode(cmd)
         due_keepalive = (
             self.keepalive_interval is not None
             and now - self._last_sent_at >= self.keepalive_interval

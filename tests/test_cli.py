@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roitrack.arenas import parse_kv_text
-from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, main
-from roitrack.controller import ControllerConfig, step
+from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, _replay_samples, main
+from roitrack.controller import ControllerConfig, decide, step
 from roitrack.geometry import (
     EllipseRoi,
     FrameSpec,
@@ -24,6 +24,7 @@ from roitrack.geometry import (
     to_polar,
 )
 from roitrack.metrics import summarize
+from roitrack.protocol import CommandLink, MockTransport
 from roitrack.telemetry import CSV_COLUMNS, fmt_float, read_trial_csv, sample_row, serialize_report
 from roitrack.trials import (
     DEFAULT_DT_S,
@@ -360,6 +361,36 @@ class TestReplay:
         assert not (out / "replay_telemetry.csv").exists()
         assert not (out / "replay_frames.csv").exists()
 
+    # The link carries whole hundredths of a rad/s: 0.004 would go out as
+    # "Yaw 0.0" and never move the gimbal; 0.005 as "Yaw 0.01", 0.123 as "Yaw 0.12".
+    @pytest.mark.parametrize("rate", ["0.004", "0.005", "0.123"])
+    def test_rate_the_wire_cannot_carry_is_usage_error(self, tmp_path, capsys, rate):
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--rate-rad-s", rate, "--out-dir", out) == EXIT_USAGE
+        assert "rate_rad_s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rate_the_wire_cannot_carry_from_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("rate_rad_s = 0.004\n")
+        out = tmp_path / "r"
+        assert run_cli("replay", tmp_path / "absent.csv", "--config", config, "--out-dir", out) == EXIT_USAGE
+        assert "rate_rad_s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_times_send_frames(self, tmp_path):
+        # The idle line used to count as busy until t = 0, so the first frame
+        # of a log with negative times was refused as too dense.
+        log = tmp_path / "log.csv"
+        write_log(log, [(-1.0, 1900, 360), (-0.5, 960, 360), (-0.25, 20, 360), (0.5, 1900, 360)])
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        assert (out / "replay_frames.csv").read_text().splitlines() == [
+            "t,frame", "-1,Yaw 0.3", "-0.25,Yaw -0.3", "0.5,Yaw 0.3"
+        ]
+
     def test_fov_flag_is_not_accepted(self, tmp_path):
         log = tmp_path / "log.csv"
         write_log(log, SWEEP_ROWS)
@@ -374,6 +405,69 @@ class TestReplay:
         assert run_cli("replay", log, "--out-dir", default) == EXIT_OK
         for name in ("replay_telemetry.csv", "replay_frames.csv"):
             assert (out / name).read_bytes() == (default / name).read_bytes()
+
+
+def reference_replay_samples(rows, frame, controller, link):
+    """``cli._replay_samples`` built from the public functions, with objects
+    per row: ``to_centered``, then ``decide``, then ``CommandLink.send``."""
+    for t, raw_x, raw_y in rows:
+        img = to_centered(row=raw_y, col=raw_x, frame=frame)
+        p, sector, cmd = decide(img, controller)
+        link.send(cmd, now=t)
+        yield TrialSample(t, img.x, img.y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True)
+
+
+def reference_rows(frame, roi):
+    """30 Hz raw rows from t = -2 s: the centre, the ellipse's ends, points on
+    the sector diagonals, raw -0.0 coordinates, a sweep over every sector, and
+    2.5 s held hard right (so keep-alives re-send)."""
+    cx, cy = frame.width / 2, frame.height / 2
+    points = [(cx, cy), (cx + roi.a, cy), (cx - roi.a, cy), (cx, cy - roi.b), (cx, cy + roi.b)]
+    for d in (roi.b / 2, roi.b, 2 * roi.b):
+        points += [(cx + d, cy - d), (cx - d, cy - d), (cx - d, cy + d), (cx + d, cy + d)]
+    points += [(-0.0, -0.0), (-0.0, cy), (cx, -0.0), (cx, cy)]
+    points += [(cx + (i * 37) % (2 * cx) - cx, cy + (i * 53) % (2 * cy) - cy) for i in range(60)]
+    points += [(float(frame.width), cy)] * 75 + [(cx, cy)]
+    times = [i / 30 - 2.0 for i in range(len(points))]
+    times[60] = -0.0  # 60 / 30 - 2.0 is 0.0
+    return [(t, x, y) for t, (x, y) in zip(times, points)]
+
+
+def replay_bits(loop, rows, frame, controller):
+    """Every bit of each sample a replay loop yields, and of each frame it sends."""
+    transport = MockTransport()
+    samples = [
+        (struct.pack("<6d", s.t, s.x, s.y, s.p, s.yaw_cmd, s.pitch_cmd), s.sector, s.visible)
+        for s in loop(rows, frame, controller, CommandLink(transport=transport))
+    ]
+    return samples, [(struct.pack("<d", t), text) for t, text in transport.log]
+
+
+def replay_controller(width=1920, height=720, roi=(0.3, 0.3), rate=0.3):
+    frame = FrameSpec(width, height)
+    return frame, ControllerConfig(roi=EllipseRoi.from_fractions(frame, *roi), frame=frame, rate_magnitude=rate)
+
+
+class TestReplayReferenceLoop:
+    @pytest.mark.parametrize("frame,controller", [
+        pytest.param(*replay_controller(), id="default"),
+        pytest.param(*replay_controller(roi=(0.2, 0.4)), id="roi-0.2-0.4"),
+        pytest.param(*replay_controller(rate=0.2), id="rate-0.2"),
+        pytest.param(*replay_controller(rate=0.05), id="rate-0.05"),
+        pytest.param(*replay_controller(1280, 640), id="frame-1280x640"),
+        pytest.param(*replay_controller(641, 361), id="frame-641x361"),
+    ])
+    def test_replay_samples_match_the_public_functions_bit_for_bit(self, frame, controller):
+        rows = reference_rows(frame, controller.roi)
+        expected_samples, expected_log = replay_bits(reference_replay_samples, rows, frame, controller)
+        samples, log = replay_bits(_replay_samples, rows, frame, controller)
+        assert len(samples) == len(expected_samples) == len(rows)
+        for i, (a, e) in enumerate(zip(samples, expected_samples)):
+            assert a == e, f"row {i}"
+        assert log == expected_log
+        # the rows reach every sector, and the hold re-sends its frame
+        assert {sector for _, sector, _ in samples} == set(Sector)
+        assert any(a[1] == b[1] for a, b in zip(log, log[1:]))
 
 
 def _log_rows():
@@ -464,6 +558,34 @@ def test_report_reproduces_the_summary_simulate_writes(arena, seed, trials, dt, 
         with contextlib.redirect_stdout(printed):
             assert run_cli("report", *csvs, "--dt-s", repr(dt)) == EXIT_OK
         assert printed.getvalue() == summary
+
+
+# Extremes for one setting's config text: zero, negative, +-huge (as a float
+# and as a whole number), the smallest subnormal, NaN and a wrong type.
+SETTING_EXTREMES = ["0", "-1", "1e308", "-1e308", str(10**308), str(-(10**308)), "5e-324", "nan", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(list(SETTINGS)), text=st.sampled_from(SETTING_EXTREMES))
+def test_any_extreme_setting_exits_with_a_documented_code(key, text):
+    """One setting at an extreme, the rest a 1 s run on arena 1 (30 steps).
+    No extreme of ``duration_s``, ``dt_s`` or ``trials`` is accepted: each is
+    too short for one step, non-finite, or over the run-size limit, which is
+    checked before stepping.  So every run that goes ahead is small."""
+    values = {"arena": "1", "duration_s": "1.0", key: text}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_TRACKING_LOST, EXIT_IO)
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_USAGE:
+            assert not out.exists()
+        if code in (EXIT_OK, EXIT_TRACKING_LOST):
+            rows = sum(len(path.read_text().splitlines()) - 1 for path in out.glob("trial_*.csv"))
+            assert rows <= 10**4
 
 
 def sha256_of(path):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from roitrack import protocol
 from roitrack.controller import GimbalCommand
 from roitrack.protocol import (
     BITS_PER_BYTE_ON_WIRE,
@@ -59,6 +62,58 @@ class TestEncode:
     def test_wire_bytes_terminated_by_line_feed(self):
         (frame,) = encode(GimbalCommand(yaw_rate=0.3))
         assert frame.wire_bytes() == b"Yaw 0.3\n"
+
+    # The frame carries whole hundredths: 0.004 would go out as "Yaw 0.0", a
+    # zero command, 0.005 as "Yaw 0.01" and 0.123 as "Yaw 0.12".
+    @pytest.mark.parametrize("rate", [0.004, 0.005, 0.123, -0.004, -0.123])
+    @pytest.mark.parametrize("axis", ["yaw_rate", "pitch_rate"])
+    def test_rate_the_frame_cannot_carry_exactly_rejected(self, axis, rate):
+        with pytest.raises(FrameError, match="no exact frame"):
+            encode(GimbalCommand(**{axis: rate}))
+
+
+class TestFrameCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_FRAMES", {})
+
+    def test_more_rates_than_the_cache_holds_encode_to_their_text(self):
+        commands = [
+            (GimbalCommand(yaw_rate=k / 100), f"Yaw {format_rate(k / 100)}") for k in range(-30, 31) if k
+        ] + [
+            (GimbalCommand(pitch_rate=k / 100), f"Pitch {format_rate(k / 100)}") for k in range(-30, 31) if k
+        ]
+        assert len(commands) > protocol._FRAMES_MAX
+        for _ in range(2):  # the second pass runs with the cache full
+            for cmd, text in commands:
+                assert [f.text for f in encode(cmd)] == [text]
+        assert len(protocol._FRAMES) == protocol._FRAMES_MAX
+
+    def test_mutating_a_result_leaves_the_next_one_alone(self):
+        cmd = GimbalCommand(pitch_rate=-0.3)
+        frames = encode(cmd)
+        frames.append(SerialFrame("Yaw 0.3"))
+        frames[0] = SerialFrame("Yaw 0.1")
+        assert [f.text for f in encode(cmd)] == ["Pitch -0.3"]
+        idle = encode(GimbalCommand())
+        idle.append(SerialFrame("Yaw 0.3"))
+        assert encode(GimbalCommand()) == []
+
+    @pytest.mark.parametrize("yaw,pitch", [
+        (0.4, 0.0),
+        (0.3, 0.3),
+        (math.nan, 0.0),
+        (0.0, math.inf),
+        (0.123, 0.0),
+    ])
+    def test_bad_command_raises_on_every_call(self, yaw, pitch):
+        bad = object.__new__(GimbalCommand)  # bypasses the dual-axis check
+        object.__setattr__(bad, "yaw_rate", yaw)
+        object.__setattr__(bad, "pitch_rate", pitch)
+        for _ in range(3):
+            with pytest.raises(FrameError):
+                encode(bad)
+        assert protocol._FRAMES == {}
 
 
 class TestDecode:
@@ -153,6 +208,12 @@ class TestMockTransport:
         with pytest.raises(TransportSaturated):
             transport.send(frame, now=wire_seconds * 0.99)
 
+    def test_idle_line_accepts_a_negative_time(self):
+        transport = MockTransport()
+        transport.send(SerialFrame("Yaw 0.3"), now=-2.0)
+        transport.send(SerialFrame("Yaw 0.2"), now=-1.0)
+        assert transport.log == [(-2.0, "Yaw 0.3"), (-1.0, "Yaw 0.2")]
+
     def test_bytes_sent_counts_terminators(self):
         transport = MockTransport()
         transport.send(SerialFrame("Yaw 0.3"), now=0.0)
@@ -178,6 +239,15 @@ class TestCommandLink:
         link.send(GimbalCommand(yaw_rate=0.3), now=0.0)
         sent = link.send(GimbalCommand(pitch_rate=0.3), now=1 / 30)
         assert [f.text for f in sent] == ["Pitch 0.3"]
+
+    def test_idle_command_is_not_encoded(self, monkeypatch):
+        def no_encode(cmd):
+            raise AssertionError("encode called for an idle command")
+
+        monkeypatch.setattr(protocol, "encode", no_encode)
+        link = CommandLink(transport=MockTransport())
+        assert link.send(GimbalCommand(), now=0.0) == []
+        assert link.send(GimbalCommand(pitch_rate=-0.0), now=2.0) == []
 
     def test_zero_then_same_command_resends(self):
         link = CommandLink(transport=MockTransport(), keepalive_interval=None)
