@@ -149,23 +149,45 @@ def pursue(s, path: Path, lookahead: float = DEFAULT_LOOKAHEAD_M) -> float:
     On an open path whose end has been reached the rudder is 0.  The rate is
     clamped to ``DEFAULT_MAX_RUDDER_RAD_S``.
     """
-    if lookahead <= 0:
+    if not lookahead > 0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
-    return _pursue_xy(s.x, s.y, s.heading, s.speed, path, lookahead)
+    leg, t, _ = _nearest_leg(s.x, s.y, path._legs)
+    return _steer(s.x, s.y, s.heading, s.speed, path, lookahead, leg, t)
 
 
-def _pursue_xy(px: float, py: float, heading: float, speed: float, path: Path, lookahead: float) -> float:
-    """``pursue`` on the boat's plain floats; ``lookahead`` must be positive."""
-    best_d2, best_i, best_t = math.inf, 0, 0.0
-    for i, (ax, ay, abx, aby, denom) in enumerate(path._legs):
+def _nearest_leg(px: float, py: float, legs) -> tuple[int, float, float]:
+    """The full leg search: the leg nearest (px, py), earliest winning ties,
+    the clamped projection parameter ``t`` on it, and the runner-up distance.
+
+    The runner-up distance is the least distance to any other leg: ``inf``
+    for a one-leg path, and NaN when some leg's squared distance is not
+    finite, so no bound can be built on it.
+    """
+    inf = math.inf
+    best_d2 = second_d2 = inf
+    best_i, best_t, finite = 0, 0.0, True
+    for i, (ax, ay, abx, aby, denom) in enumerate(legs):
         # Project (px, py) onto the leg, t clamped to [0, 1].
         t = ((px - ax) * abx + (py - ay) * aby) / denom
         t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
         dx, dy = px - (ax + t * abx), py - (ay + t * aby)
         d2 = dx * dx + dy * dy
-        if d2 < best_d2:
-            best_d2, best_i, best_t = d2, i, t
-    s_near = path._offsets[best_i] + best_t * path._lengths[best_i]
+        if d2 < second_d2:  # second_d2 >= best_d2, so this holds whenever d2 < best_d2
+            if d2 < best_d2:
+                best_d2, second_d2, best_i, best_t = d2, best_d2, i, t
+            else:
+                second_d2 = d2
+        elif not d2 < inf:
+            finite = False
+    return best_i, best_t, math.sqrt(second_d2) if finite else math.nan
+
+
+def _steer(
+    px: float, py: float, heading: float, speed: float, path: Path, lookahead: float, leg: int, t: float
+) -> float:
+    """The rudder toward the goal ``lookahead`` past the nearest point, at
+    ``t`` on leg ``leg``; ``lookahead`` must be positive."""
+    s_near = path._offsets[leg] + t * path._lengths[leg]
     if not path.closed and path._total - s_near < 1e-9:
         return 0.0
     gx, gy = _point_at_arc_length(path, s_near + lookahead)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
-from .arenas import DEFAULT_LOOKAHEAD_M, Path, _pursue_xy, build_arena
+from .arenas import DEFAULT_LOOKAHEAD_M, Path, _nearest_leg, _steer, build_arena
 from .controller import ControllerConfig, _decide_xy
 from .geometry import EllipseRoi, FrameSpec, Sector
 from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
@@ -33,6 +33,12 @@ BASELINE_JITTER_M = 0.05
 MAX_STEPS_PER_TRIAL = 10**7
 MAX_TRIALS_PER_BATCH = 10**4
 
+# The camera platform may sit at most this far from the arena origin along
+# each axis (x, y and altitude).  The arenas are about 3 m across; from 1 km
+# the default camera (90 degree field of view, 960 px focal length) sees the
+# whole arena within 3 px, so a run from farther away measures nothing.
+MAX_CAMERA_OFFSET_M = 1000.0
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -50,6 +56,10 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.arena_id not in (1, 2):
             raise ValueError(f"arena_id must be 1 or 2, got {self.arena_id}")
+        for name in ("usv_speed", "duration", "dt", "jitter_amplitude", "lookahead"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.dt <= 0:
@@ -66,6 +76,12 @@ class TrialConfig:
             raise ValueError(f"usv_speed must be >= 0, got {self.usv_speed}")
         if not self.lookahead > 0:
             raise ValueError(f"lookahead must be positive, got {self.lookahead}")
+        uav = self.uav
+        if max(abs(uav.x), abs(uav.y), uav.altitude) > MAX_CAMERA_OFFSET_M:
+            raise ValueError(
+                f"camera platform at ({uav.x}, {uav.y}, {uav.altitude}) is over {MAX_CAMERA_OFFSET_M} m"
+                " from the arena origin along an axis"
+            )
 
     @classmethod
     def baseline(cls, arena_id: int, seed: int = 1, **overrides) -> "TrialConfig":
@@ -150,6 +166,19 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
     Each step is ``pursue`` then ``world.closed_loop_step``, run on plain
     floats: the same operations in the same order, so the samples match that
     reference to the bit, without building its state objects every step.
+
+    Pursuit's full leg search runs only when a bound cannot prove that the
+    last nearest leg is still strictly nearest.  The last search, at
+    ``(x0, y0)``, found every other leg at least ``runner_up`` away; distance
+    to a leg is 1-Lipschitz in position, so every other leg is now at least
+    ``runner_up - hypot(x - x0, y - y0)`` away.  Less a margin that scales
+    with the coordinates, so rounding cannot decide it, that is ``reach``:
+    the last leg, evaluated by the search's own expressions (so ``t`` is the
+    same bits), is kept only while its squared distance is below ``reach**2``.
+    A NaN, or a squared distance that overflowed at the last search, fails
+    the test and runs the full search.  (A one-leg path has no other leg:
+    its runner-up distance is ``inf``, and it keeps its one leg while that
+    leg's squared distance is finite.)
     """
     path = trial_path(cfg)
     start = path.waypoints[0]
@@ -164,10 +193,25 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
     uav_x, uav_y, dz = uav.x, uav.y, 0.0 - uav.altitude
     f = cfg.camera.focal_px
     half_w, half_h = cfg.camera.frame.width / 2, cfg.camera.frame.height / 2
-    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+    sin, cos, isfinite, hypot = math.sin, math.cos, math.isfinite, math.hypot
+    legs = path._legs
+    extent = 1.0 + max(abs(c) for point in path.waypoints for c in point)
+    leg, x0, y0, runner_up = 0, x, y, -math.inf  # no search yet: the first step runs one
 
     for i in range(round(cfg.duration / dt)):
-        rudder = _pursue_xy(x, y, heading, speed, path, lookahead)
+        # pursue, with the certified reuse of the last nearest leg
+        reach = runner_up - hypot(x - x0, y - y0) - 1e-9 * (extent + abs(x) + abs(y))
+        certified = False
+        if reach > 0.0:
+            ax, ay, abx, aby, denom = legs[leg]
+            t = ((x - ax) * abx + (y - ay) * aby) / denom
+            t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
+            ex, ey = x - (ax + t * abx), y - (ay + t * aby)
+            certified = ex * ex + ey * ey < reach * reach
+        if not certified:
+            leg, t, runner_up = _nearest_leg(x, y, legs)
+            x0, y0 = x, y
+        rudder = _steer(x, y, heading, speed, path, lookahead, leg, t)
         # usv_step
         heading = heading + rudder * dt
         x = x + speed * cos(heading) * dt

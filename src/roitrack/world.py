@@ -55,6 +55,10 @@ class UavPose:
     altitude: float
 
     def __post_init__(self) -> None:
+        for name in ("x", "y", "altitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.altitude <= 0:
             raise ValueError(f"altitude must be positive, got {self.altitude}")
 

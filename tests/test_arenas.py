@@ -127,9 +127,10 @@ class TestPursue:
         path = build_arena(1)
         assert pursue(s, path, 0.5) == pursue(s, path, 0.5)
 
-    def test_bad_lookahead_rejected(self):
-        with pytest.raises(ValueError):
-            pursue(UsvState(0, 0, 0, 1.0), STRAIGHT_NORTH, lookahead=0.0)
+    @pytest.mark.parametrize("lookahead", [0.0, -0.5, math.nan])
+    def test_bad_lookahead_rejected(self, lookahead):
+        with pytest.raises(ValueError, match="lookahead must be positive"):
+            pursue(UsvState(0, 0, 0, 1.0), STRAIGHT_NORTH, lookahead=lookahead)
 
     def test_tracking_error_stays_bounded_on_arena2(self):
         # fine-timestep simulation oracle: cross-track error below 2x lookahead

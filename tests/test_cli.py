@@ -28,6 +28,7 @@ from roitrack.protocol import CommandLink, MockTransport
 from roitrack.telemetry import CSV_COLUMNS, fmt_float, read_trial_csv, sample_row, serialize_report
 from roitrack.trials import (
     DEFAULT_DT_S,
+    MAX_CAMERA_OFFSET_M,
     MAX_STEPS_PER_TRIAL,
     MAX_TRIALS_PER_BATCH,
     TrialConfig,
@@ -180,6 +181,15 @@ class TestSimulate:
                        "--config", config, "--out-dir", out)
         assert code == EXIT_USAGE
         assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["uav_x_m", "uav_y_m", "altitude_m"])
+    def test_camera_beyond_the_offset_bound_is_usage_error(self, tmp_path, capsys, key):
+        config = tmp_path / "far.cfg"
+        config.write_text(f"{key} = 1e308\n")
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--arena", 1, "--config", config, "--out-dir", out) == EXIT_USAGE
+        assert f"over {MAX_CAMERA_OFFSET_M} m" in capsys.readouterr().err
         assert not out.exists()
 
     def test_trials_over_the_limit_is_usage_error(self, tmp_path, capsys):

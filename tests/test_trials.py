@@ -4,14 +4,19 @@ import math
 import random
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from roitrack.arenas import build_arena, pursue
+from roitrack import trials
+from roitrack.arenas import Path, _nearest_leg, build_arena, pursue
 from roitrack.controller import ControllerConfig, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, classify_sector, relative_position, to_polar
 from roitrack.trials import (
     DEFAULT_DT_S,
+    MAX_CAMERA_OFFSET_M,
     MAX_STEPS_PER_TRIAL,
     MAX_TRIALS_PER_BATCH,
     TrialConfig,
@@ -20,8 +25,9 @@ from roitrack.trials import (
     jitter_path,
     run_batch,
     run_trial,
+    trial_path,
 )
-from roitrack.world import CameraModel, UavPose, UsvState, WorldState, aim_at, closed_loop_step
+from roitrack.world import CameraModel, UavPose, UsvState, WorldState, aim_at, closed_loop_step, usv_step
 
 
 @pytest.fixture(scope="module")
@@ -92,10 +98,12 @@ class TestRunTrial:
         assert all((s.yaw_cmd, s.pitch_cmd) == (0.0, 0.0) for s in invisible)
 
 
-def reference_samples(cfg: TrialConfig) -> list[TrialSample]:
+def reference_samples(cfg: TrialConfig, path: Path | None = None) -> list[TrialSample]:
     """``run_trial``'s loop built from the public step functions: ``pursue``,
-    then ``closed_loop_step``, with a state object per step."""
-    path = jitter_path(build_arena(cfg.arena_id), cfg.jitter_amplitude, random.Random(cfg.seed))
+    then ``closed_loop_step``, with a state object per step.  It runs on
+    ``path`` when one is given, else on the trial's jittered arena."""
+    if path is None:
+        path = jitter_path(build_arena(cfg.arena_id), cfg.jitter_amplitude, random.Random(cfg.seed))
     start, after = path.waypoints[0], path.waypoints[1]
     heading = math.atan2(after[1] - start[1], after[0] - start[0])
     usv = UsvState(x=start[0], y=start[1], heading=heading, speed=cfg.usv_speed)
@@ -162,6 +170,164 @@ class TestReferenceLoop:
             assert bits(a) == bits(e), f"sample {i}"
 
 
+def samples_on_path(cfg: TrialConfig, path: Path) -> list[TrialSample]:
+    """``iter_trial``'s samples with ``path`` in place of the trial's jittered arena."""
+    with mock.patch.object(trials, "trial_path", lambda _cfg: path):
+        return list(iter_trial(cfg))
+
+
+def assert_matches_reference(cfg: TrialConfig, path: Path) -> None:
+    expected = reference_samples(cfg, path)
+    actual = samples_on_path(cfg, path)
+    assert len(actual) == len(expected)
+    for i, (a, e) in enumerate(zip(actual, expected)):
+        assert bits(a) == bits(e), f"sample {i}"
+
+
+# A quarter-metre grid: collinear, overlapping and parallel legs, and exact
+# ties between them, are common on it.
+GRID = st.integers(-12, 12).map(lambda k: k / 4)
+
+
+@st.composite
+def grid_paths(draw):
+    points = draw(st.lists(st.tuples(GRID, GRID), min_size=2, max_size=7))
+    closed = draw(st.booleans())
+    assume(all(a != b for a, b in zip(points, points[1:])) and not (closed and points[-1] == points[0]))
+    return points, closed
+
+
+@st.composite
+def bisector_paths(draw):
+    """The boat starts on the bisector of two parallel legs, ``gap`` apart, and
+    heads along it; past the short first leg both stay exactly equidistant
+    from every point of the bisector."""
+    gap = draw(st.sampled_from([0.05, 0.25, 0.5, 1.0, 3.0]))
+    first = draw(st.sampled_from([0.01, 0.25, 1.0]))
+    length = draw(st.sampled_from([2.0, 4.0]))
+    points = [(0.0, 0.0), (first, 0.0), (first, gap / 2), (length, gap / 2), (length, -gap / 2), (first, -gap / 2)]
+    return points, draw(st.booleans())
+
+
+@st.composite
+def cut_in_paths(draw):
+    """A zig-zag of sharp cut-in corners, like arena 1's notches: each
+    corner's two legs meet at an angle of a few degrees to about 60."""
+    depth = draw(st.sampled_from([0.05, 0.2, 0.42, 1.0]))
+    run = draw(st.sampled_from([0.02, 0.1, 0.42]))
+    count = draw(st.integers(1, 4))
+    points = [(0.0, 0.0)]
+    for k in range(count):
+        x = points[-1][0]
+        points += [(x + run, depth if k % 2 == 0 else -depth), (x + 2 * run, 0.0)]
+    return points, draw(st.booleans())
+
+
+# Offsets move a path to where rounding is coarse, up to coordinates with a
+# spacing of 1 m (2**52); the margin must keep every certificate honest there.
+OFFSETS = st.sampled_from([0.0, 0.0, 1e3, 2.0**33, 1e12, 2.0**52])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(grid_paths(), bisector_paths(), cut_in_paths()),
+    offset=st.tuples(OFFSETS, OFFSETS),
+    speed=st.sampled_from([0.0, 0.3, 0.6, 1.5, 4.0]),
+    lookahead=st.sampled_from([0.1, 0.5, 1.2]),
+    dt=st.sampled_from([1.0 / 30.0, 0.1]),
+    steps=st.integers(1, 150),
+)
+def test_fused_loop_matches_the_reference_on_generated_paths(shape, offset, speed, lookahead, dt, steps):
+    points, closed = shape
+    points = [(x + offset[0], y + offset[1]) for x, y in points]
+    assume(all(a != b for a, b in zip(points, points[1:])) and not (closed and points[-1] == points[0]))
+    cfg = TrialConfig.baseline(1, usv_speed=speed, lookahead=lookahead, dt=dt, duration=steps * dt)
+    assert_matches_reference(cfg, Path(waypoints=tuple(points), closed=closed))
+
+
+# The boat heads east along y = 0, and its rudder stays exactly 0.  Leg 0 and
+# leg 4 both run along that line, so over x in [2, 6] both are at distance
+# exactly 0 (every operand is exact there): the earliest, leg 0, must keep
+# winning.  Were leg 4 chosen, the goal would turn onto leg 5 past x = 5.5.
+OVERLAP = Path(
+    waypoints=((0.0, 0.0), (8.0, 0.0), (8.0, 4.0), (2.0, 4.0), (2.0, 0.0), (6.0, 0.0), (6.0, -4.0)),
+    closed=True,
+)
+
+
+class TestCertifiedLegReuse:
+    """``iter_trial`` skips pursuit's full leg search while a distance bound
+    proves the last nearest leg is still strictly nearest; its samples must
+    stay those of ``pursue`` + ``closed_loop_step`` bit for bit."""
+
+    def test_equidistant_overlapping_legs_keep_the_earliest(self):
+        cfg = TrialConfig.baseline(1, usv_speed=0.6, duration=12.0)
+        usv = UsvState(0.0, 0.0, 0.0, cfg.usv_speed)
+        tied = 0
+        for _ in range(round(cfg.duration / cfg.dt)):
+            leg, _, runner_up = _nearest_leg(usv.x, usv.y, OVERLAP._legs)
+            if 2.0 <= usv.x <= 6.0:
+                assert (usv.y, leg, runner_up) == (0.0, 0, 0.0)
+                tied += 1
+            usv = usv_step(usv, pursue(usv, OVERLAP, cfg.lookahead), cfg.dt)
+        assert tied >= 150
+        assert_matches_reference(cfg, OVERLAP)
+
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_zero_speed(self, arena):
+        cfg = TrialConfig.baseline(arena, usv_speed=0.0, duration=3.0)
+        assert_matches_reference(cfg, trial_path(cfg))
+
+    # At this jitter arena 1's seed-4 path is finite with coordinates near
+    # 1e153, where squared distances come within a few powers of ten of overflow.
+    @pytest.mark.parametrize("speed", [0.6, 1e151])
+    def test_jitter_near_the_finite_path_limit(self, speed):
+        cfg = TrialConfig.baseline(1, seed=4, jitter_amplitude=1e153, usv_speed=speed, duration=3.0)
+        assert_matches_reference(cfg, trial_path(cfg))
+
+    @pytest.mark.parametrize("scale", [1e150, 5e153])
+    def test_scaled_arena_near_overflow(self, scale):
+        # Arena 1 and its dynamics scaled up together.  At 5e153 the squared
+        # distance to a far leg overflows on most full searches, which then
+        # report a NaN runner-up distance, so no certificate rests on it.
+        path = Path(waypoints=tuple((x * scale, y * scale) for x, y in build_arena(1).waypoints), closed=True)
+        cfg = TrialConfig.baseline(1, usv_speed=0.6 * scale, lookahead=0.5 * scale, duration=6.0)
+        assert_matches_reference(cfg, path)
+
+    def test_one_leg_path_running_off_to_overflow(self):
+        # A one-leg path has no other leg, so its runner-up distance is inf;
+        # once the boat is so far that the squared distance overflows, the
+        # search's tie rule (t = 0) must decide, not the reused leg's t.
+        path = Path(waypoints=((0.0, 0.0), (1.0, 0.0)), closed=False)
+        cfg = TrialConfig.baseline(1, usv_speed=3e156, duration=0.5)
+        assert_matches_reference(cfg, path)
+
+    def test_margin_covers_coarse_rounding(self):
+        # A small zig-zag 2**45 m east of the origin, where x is spaced 1/128 m
+        # apart: the distances the search computes are off by up to about a
+        # centimetre, so a certificate without the margin keeps a stale leg.
+        east = 2.0**45
+        path = Path(waypoints=((east - 0.5, 0.5), (east + 2.0, -0.5), (east + 1.25, 0.5), (east, -2.0)), closed=False)
+        cfg = TrialConfig.baseline(1, usv_speed=1.5, dt=0.1, duration=6.0)
+        assert_matches_reference(cfg, path)
+
+    def test_overflowed_leg_distances_certify_nothing(self):
+        # The boat takes 1e154 m steps and circles farther out than 1.34e154 m,
+        # the square root of the largest float, so the search's squared
+        # distance to the far leg overflows.  That leg is not known to be far:
+        # a runner-up distance that skipped it would keep the near leg too long.
+        path = Path(waypoints=((-4e153, 0.0), (0.0, -2e153), (-1e153, -6e153)), closed=False)
+        cfg = TrialConfig.baseline(1, usv_speed=1e155, dt=0.1, duration=6.0)
+        assert_matches_reference(cfg, path)
+
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_baseline_trials_skip_most_full_searches(self, arena):
+        searches = []
+        with mock.patch.object(trials, "_nearest_leg", lambda *args: searches.append(args) or _nearest_leg(*args)):
+            steps = sum(1 for _ in iter_trial(TrialConfig.baseline(arena, seed=1)))
+        assert 1 <= len(searches) < steps / 3
+
+
 class TestRunBatch:
     def test_single_trial_matches_run_trial(self):
         cfg = TrialConfig.baseline(1, seed=5)
@@ -223,6 +389,29 @@ class TestConfigValidation:
     def test_steps_over_the_limit_rejected(self, duration, dt):
         with pytest.raises(ValueError, match="steps per trial"):
             TrialConfig.baseline(1, duration=duration, dt=dt)
+
+    @pytest.mark.parametrize("field", ["usv_speed", "duration", "dt", "jitter_amplitude", "lookahead"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_numeric_fields_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            TrialConfig.baseline(1, **{field: value})
+
+    @pytest.mark.parametrize("uav", [
+        (1e308, 0.0, 1.83),
+        (0.0, -1e308, 1.83),
+        (0.0, 0.0, 1e308),
+        (math.nextafter(MAX_CAMERA_OFFSET_M, math.inf), 0.0, 1.83),
+        (0.0, -math.nextafter(MAX_CAMERA_OFFSET_M, math.inf), 1.83),
+        (0.0, 0.0, math.nextafter(MAX_CAMERA_OFFSET_M, math.inf)),
+    ])
+    def test_camera_offset_over_the_bound_rejected(self, uav):
+        with pytest.raises(ValueError, match=f"over {MAX_CAMERA_OFFSET_M} m"):
+            TrialConfig.baseline(1, uav=UavPose(*uav))
+
+    def test_camera_offset_at_the_bound_accepted(self):
+        bound = MAX_CAMERA_OFFSET_M
+        for uav in [(bound, -bound, bound), (-bound, bound, 1.83)]:
+            assert TrialConfig.baseline(1, uav=UavPose(*uav)).uav == UavPose(*uav)
 
     def test_steps_at_the_limit_accepted(self):
         cfg = TrialConfig.baseline(1, duration=MAX_STEPS_PER_TRIAL * 0.5, dt=0.5)

@@ -68,6 +68,20 @@ class TestUsvStep:
             usv_step(UsvState(0, 0, 0, 1.0), 0.0, dt=0.0)
 
 
+class TestUavPose:
+    @pytest.mark.parametrize("field", ["x", "y", "altitude"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, field, value):
+        coords = {"x": 0.0, "y": 0.0, "altitude": 1.83, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            UavPose(**coords)
+
+    @pytest.mark.parametrize("altitude", [0.0, -1.0])
+    def test_non_positive_altitude_rejected(self, altitude):
+        with pytest.raises(ValueError, match="altitude must be positive"):
+            UavPose(0.0, 0.0, altitude)
+
+
 class TestGimbalStep:
     def test_zero_command_is_identity(self):
         g = GimbalState(pan=0.4, tilt=-0.6)
