@@ -41,7 +41,6 @@ from .trials import (
     TrialConfig,
     TrialSample,
     iter_trial,
-    trial_path,
 )
 from .world import CameraModel, UavPose
 
@@ -163,25 +162,18 @@ def cmd_simulate(args) -> int:
             dt=settings["dt_s"],
             lookahead=settings["lookahead_m"],
         )
-    except (ValueError, OverflowError) as exc:  # OverflowError: duration / dt overflows
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
     seeds = [seed + i for i in range(trials)]
-    configs = [replace(cfg, seed=s) for s in seeds]
-    try:
-        for trial_cfg in configs:  # every path is checked before any output exists
-            trial_path(trial_cfg)
-    except ValueError as exc:  # a jittered path that is not finite
-        raise UsageError(str(exc)) from None
-
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     csv_paths, tallies = [], []
-    for i, trial_cfg in enumerate(configs, start=1):
+    for i, trial_seed in enumerate(seeds, start=1):
         path = out / f"trial_{i:03d}.csv"
         acc = RecordTally(cfg.dt)
         try:
-            write_csv_rows(_tallied_rows(iter_trial(trial_cfg), acc), path)
+            write_csv_rows(_tallied_rows(iter_trial(replace(cfg, seed=trial_seed)), acc), path)
             tallies.append(acc.finish())
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from None
@@ -244,20 +236,16 @@ def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: 
     """Decide each logged position, send the command, and yield its sample.
 
     Steps on plain floats: the centring is ``to_centered``'s arithmetic and the
-    decision ``decide``'s kernel, and the link gets one ``GimbalCommand`` per
-    distinct command (at most five), built the first time it is decided."""
+    decision ``decide``'s kernel, whose command, one of the controller's five,
+    goes to the link as it is."""
     half_w, half_h = frame.width / 2, frame.height / 2
-    commands: dict[tuple[float, float], GimbalCommand] = {}
     send = link.send
     for t, raw_x, raw_y in rows:
         x = raw_x - half_w
         y = half_h - raw_y
-        p, sector, yaw, pitch = _decide_xy(x, y, controller)
-        cmd = commands.get((yaw, pitch))
-        if cmd is None:
-            cmd = commands[yaw, pitch] = GimbalCommand(yaw, pitch)
+        p, sector, cmd = _decide_xy(x, y, controller)
         send(cmd, t)
-        yield TrialSample(t, x, y, p, sector, yaw, pitch, True)
+        yield TrialSample(t, x, y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True)
 
 
 def cmd_replay(args) -> int:

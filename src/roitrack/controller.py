@@ -12,7 +12,7 @@ positive pitch rate for a top-sector target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector
 
@@ -39,11 +39,17 @@ class GimbalCommand:
         return self.yaw_rate == 0.0 and self.pitch_rate == 0.0
 
 
+# The command for a target inside the ellipse, lost, or at a non-finite position.
+_IDLE = GimbalCommand()
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     roi: EllipseRoi
     frame: FrameSpec
     rate_magnitude: float = MAX_RATE_RAD_S
+    # Each sector's command for a target outside the ellipse, built once from _SECTOR_SIGNS.
+    _commands: dict[Sector, GimbalCommand] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rate_magnitude <= MAX_RATE_RAD_S:
@@ -55,25 +61,29 @@ class ControllerConfig:
                 f"ROI ({self.roi.a} x {self.roi.b}) does not fit in half the frame "
                 f"({self.frame.width}x{self.frame.height})"
             )
+        m = self.rate_magnitude
+        commands = {sector: GimbalCommand(yaw * m, pitch * m) for sector, (yaw, pitch) in _SECTOR_SIGNS.items()}
+        object.__setattr__(self, "_commands", commands)
 
 
 def decide(p: ImagePoint, cfg: ControllerConfig) -> tuple[float, Sector, GimbalCommand]:
     """Score one observed image position: (P, sector, command).
 
     P is the relative position against the ROI.  The sector is computed even
-    inside the ellipse, where the command is (0, 0), because telemetry
-    records it for every sample.  A non-finite position also gets (0, 0):
-    like a lost target, it must not move the gimbal.
+    inside the ellipse, where the command is idle, because telemetry records
+    it for every sample.  A non-finite position also gets the idle command:
+    like a lost target, it must not move the gimbal.  The command is one of
+    ``cfg``'s five objects, never a new one.
     """
-    rel, sector, yaw, pitch = _decide_xy(p.x, p.y, cfg)
-    return rel, sector, GimbalCommand(yaw_rate=yaw, pitch_rate=pitch)
+    return _decide_xy(p.x, p.y, cfg)
 
 
-def _decide_xy(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, float, float]:
-    """``decide`` on a position's plain floats: (P, sector, yaw rate, pitch rate).
+def _decide_xy(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, GimbalCommand]:
+    """``decide`` on a position's plain floats: (P, sector, command).
 
     P is computed as ``relative_position`` computes it, so the two match to the
     bit, and the sector is the one ``classify_sector`` gives ``to_polar``'s theta.
+    The command is the idle one or ``cfg``'s command for the sector.
     """
     roi = cfg.roi
     rel = (x * x) / (roi.a * roi.a) + (y * y) / (roi.b * roi.b)
@@ -81,9 +91,8 @@ def _decide_xy(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector
     sector = classify_sector(math.atan2(y, x))
     # A non-finite point never has rel <= 1, so only points outside pay for the check.
     if rel <= 1.0 or not (math.isfinite(x) and math.isfinite(y)):
-        return rel, sector, 0.0, 0.0
-    yaw_sign, pitch_sign = _SECTOR_SIGNS[sector]
-    return rel, sector, yaw_sign * cfg.rate_magnitude, pitch_sign * cfg.rate_magnitude
+        return rel, sector, _IDLE
+    return rel, sector, cfg._commands[sector]
 
 
 def step(p: ImagePoint, cfg: ControllerConfig) -> GimbalCommand:

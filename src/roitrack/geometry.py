@@ -9,6 +9,7 @@ output (row/col with origin at the top-left corner) enters through
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,9 @@ class FrameSpec:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"frame dimensions must be positive, got {self.width}x{self.height}")
+        # Every size is scaled as a float (ROI fractions, focal length), so it must fit one.
+        if max(self.width, self.height) > sys.float_info.max:
+            raise ValueError(f"frame dimensions must be within float range, got {self.width}x{self.height}")
 
 
 @dataclass(frozen=True)

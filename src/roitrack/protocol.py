@@ -53,14 +53,6 @@ def format_rate(value: float) -> str:
     return text
 
 
-# A run sends at most four distinct frames (one axis and sign each), so the
-# frame for a command is built and checked once, then reused.  Only frames
-# that passed every check are cached, so a bad command raises on every call;
-# the size cap bounds the cache in a process that encodes many rates.
-_FRAMES: dict[tuple[float, float], SerialFrame] = {}
-_FRAMES_MAX = 64
-
-
 def encode(cmd: GimbalCommand) -> list[SerialFrame]:
     """Zero or one frame for a command; idle commands generate no traffic.
 
@@ -68,10 +60,6 @@ def encode(cmd: GimbalCommand) -> list[SerialFrame]:
     hundredths, such as 0.004 or 0.123) raises ``FrameError``: the receiver
     would act on the frame's rate, not the command's.
     """
-    key = (cmd.yaw_rate, cmd.pitch_rate)
-    frame = _FRAMES.get(key)
-    if frame is not None:
-        return [frame]
     if cmd.yaw_rate != 0.0 and cmd.pitch_rate != 0.0:
         raise FrameError(
             f"command ({cmd.yaw_rate}, {cmd.pitch_rate}) drives both axes and has no single-axis frame"
@@ -86,12 +74,10 @@ def encode(cmd: GimbalCommand) -> list[SerialFrame]:
         raise FrameError(f"rate {value} exceeds the {MAX_RATE_RAD_S} rad/s actuator cap")
     frame = SerialFrame(text=f"{axis} {format_rate(value)}")
     sent = decode(frame)
-    if (sent.yaw_rate, sent.pitch_rate) != key:
+    if (sent.yaw_rate, sent.pitch_rate) != (cmd.yaw_rate, cmd.pitch_rate):
         raise FrameError(
             f"rate {value} has no exact frame: {frame.text!r} reads back as {sent.yaw_rate or sent.pitch_rate}"
         )
-    if len(_FRAMES) < _FRAMES_MAX:
-        _FRAMES[key] = frame
     return [frame]
 
 
@@ -154,19 +140,25 @@ class CommandLink:
     Consecutive identical commands emit a single frame; a changed command
     always goes out in the same loop iteration.  An optional keep-alive
     interval re-sends the current frame periodically in case the receiver
-    times out; ``None`` disables it.
+    times out; ``None`` disables it.  The frame of the last command encoded is
+    kept, across idle gaps too, so only a changed command is encoded again.
     """
 
     transport: MockTransport
     keepalive_interval: float | None = 1.0
     _last_text: str | None = None
     _last_sent_at: float = 0.0
+    _cmd: GimbalCommand | None = None
+    _frame: SerialFrame | None = None
 
     def send(self, cmd: GimbalCommand, now: float) -> list[SerialFrame]:
         if cmd.is_zero():
             self._last_text = None
             return []
-        (frame,) = encode(cmd)
+        if cmd != self._cmd:
+            (self._frame,) = encode(cmd)
+            self._cmd = cmd
+        frame = self._frame
         due_keepalive = (
             self.keepalive_interval is not None
             and now - self._last_sent_at >= self.keepalive_interval

@@ -36,21 +36,9 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-# A run's command fields take at most three values (0 and +-rate), so their
-# text is cached, not formatted per row.  Zero is seeded, so a zero command
-# prints "0" whatever its sign; the size cap bounds the cache in a process
-# that runs many rates.
-_COMMAND_TEXT = {0.0: "0"}
-_COMMAND_TEXT_MAX = 64
-
-
 def _fmt_command(value: float) -> str:
-    text = _COMMAND_TEXT.get(value)
-    if text is None:
-        text = fmt_float(value)
-        if len(_COMMAND_TEXT) < _COMMAND_TEXT_MAX:
-            _COMMAND_TEXT[value] = text
-    return text
+    """A command field's text; zero prints "0" whatever its sign."""
+    return fmt_float(value) if value else "0"
 
 
 def sample_row(sample: TrialSample) -> list[str]:

@@ -70,8 +70,11 @@ class TrialConfig:
             )
         if round(self.duration / self.dt) < 1:
             raise ValueError(f"duration {self.duration} is shorter than one dt step of {self.dt}")
-        if self.jitter_amplitude < 0:
-            raise ValueError(f"jitter_amplitude must be >= 0, got {self.jitter_amplitude}")
+        # A waypoint jittered beyond the camera's reach is too far out to measure,
+        # and far enough out (1e153 m) every step of the boat rounds away; within
+        # it, every jittered path of arenas 1 and 2 is finite.
+        if not 0 <= self.jitter_amplitude <= MAX_CAMERA_OFFSET_M:
+            raise ValueError(f"jitter_amplitude must be in [0, {MAX_CAMERA_OFFSET_M}] m, got {self.jitter_amplitude}")
         if self.usv_speed < 0:
             raise ValueError(f"usv_speed must be >= 0, got {self.usv_speed}")
         if not self.lookahead > 0:
@@ -237,8 +240,10 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
                 u = v = 0.0
                 visible = False
         # decide, with a lost target failing safe
-        p, sector, yaw, pitch = _decide_xy(u, v, controller)
-        if not visible:
+        p, sector, cmd = _decide_xy(u, v, controller)
+        if visible:
+            yaw, pitch = cmd.yaw_rate, cmd.pitch_rate
+        else:
             yaw = pitch = 0.0
         # gimbal_step; its rate clamp cannot fire, since decide commands at most
         # rate_magnitude, which ControllerConfig caps at the gimbal's MAX_RATE_RAD_S

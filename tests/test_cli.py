@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roitrack import cli, protocol
 from roitrack.arenas import parse_kv_text
 from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, _replay_samples, main
 from roitrack.controller import ControllerConfig, decide, step
@@ -24,7 +25,7 @@ from roitrack.geometry import (
     to_polar,
 )
 from roitrack.metrics import summarize
-from roitrack.protocol import CommandLink, MockTransport
+from roitrack.protocol import CommandLink, MockTransport, encode
 from roitrack.telemetry import CSV_COLUMNS, fmt_float, read_trial_csv, sample_row, serialize_report
 from roitrack.trials import (
     DEFAULT_DT_S,
@@ -168,19 +169,40 @@ class TestSimulate:
         config.write_text("jitter_m = 1e308\n")
         out = tmp_path / "x"
         assert run_cli("simulate", "--arena", arena, "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert "not finite" in capsys.readouterr().err
+        assert "jitter_amplitude must be in [0, 1000.0] m" in capsys.readouterr().err
         assert not out.exists()
 
     def test_later_trial_with_a_non_finite_path_leaves_no_output(self, tmp_path, capsys):
         # At this jitter arena 1's seed-4 path is finite and seed 5's is not: the
-        # second trial fails, and it must fail before the first one is written.
+        # run must fail before the first trial is written.
         config = tmp_path / "jitter.cfg"
         config.write_text("jitter_m = 1e154\n")
         out = tmp_path / "x"
         code = run_cli("simulate", "--arena", 1, "--trials", 2, "--seed", 4, "--duration-s", 1.0,
                        "--config", config, "--out-dir", out)
         assert code == EXIT_USAGE
-        assert "not finite" in capsys.readouterr().err
+        assert "jitter_amplitude must be in [0, 1000.0] m" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jitter_too_far_out_to_move_along_is_usage_error(self, tmp_path, capsys):
+        # At this jitter arena 1's seed-4 path is finite, but every step of the
+        # boat rounds away on it.
+        config = tmp_path / "jitter.cfg"
+        config.write_text("jitter_m = 1e153\n")
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--arena", 1, "--seed", 4, "--duration-s", 2.0,
+                       "--config", config, "--out-dir", out)
+        assert code == EXIT_USAGE
+        assert "jitter_amplitude must be in [0, 1000.0] m" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["frame_width_px", "frame_height_px"])
+    def test_frame_size_beyond_float_range_is_usage_error(self, tmp_path, capsys, key):
+        config = tmp_path / "frame.cfg"
+        config.write_text(f"{key} = {10**309}\n")
+        out = tmp_path / "x"
+        assert run_cli("simulate", "--arena", 1, "--config", config, "--out-dir", out) == EXIT_USAGE
+        assert "frame dimensions must be within float range" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["uav_x_m", "uav_y_m", "altitude_m"])
@@ -390,6 +412,40 @@ class TestReplay:
         assert "rate_rad_s" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["frame_width_px", "frame_height_px"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_frame_size_beyond_float_range_is_usage_error(self, tmp_path, capsys, key, sign):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {sign * 10**309}\n")
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--config", config, "--out-dir", out) == EXIT_USAGE
+        assert "frame dimensions must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_encodes_once_per_change_of_non_zero_command(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_encode(cmd):
+            calls.append(cmd)
+            return encode(cmd)
+
+        monkeypatch.setattr(protocol, "encode", counting_encode)
+        monkeypatch.setattr(cli, "encode", counting_encode)
+        right, left, top, centre = (1900, 360), (20, 360), (960, 10), (960, 360)
+        # Non-zero commands, idle rows aside: right x4, left, top x2, right.
+        points = [centre, right, right, right, centre, centre, right, left, top, centre, top, right]
+        log = tmp_path / "log.csv"
+        write_log(log, [(i / 10, x, y) for i, (x, y) in enumerate(points)])
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        rate = 0.3
+        expected = [(rate, 0.0), (rate, 0.0), (-rate, 0.0), (0.0, rate), (rate, 0.0)]  # the rate check first
+        assert [(c.yaw_rate, c.pitch_rate) for c in calls] == expected
+        frames = [line.split(",")[1] for line in (out / "replay_frames.csv").read_text().splitlines()[1:]]
+        assert frames == ["Yaw 0.3", "Yaw 0.3", "Yaw -0.3", "Pitch 0.3", "Pitch 0.3", "Yaw 0.3"]
+
     def test_negative_times_send_frames(self, tmp_path):
         # The idle line used to count as busy until t = 0, so the first frame
         # of a log with negative times was refused as too dense.
@@ -571,8 +627,11 @@ def test_report_reproduces_the_summary_simulate_writes(arena, seed, trials, dt, 
 
 
 # Extremes for one setting's config text: zero, negative, +-huge (as a float
-# and as a whole number), the smallest subnormal, NaN and a wrong type.
-SETTING_EXTREMES = ["0", "-1", "1e308", "-1e308", str(10**308), str(-(10**308)), "5e-324", "nan", "x"]
+# and as a whole number, within and beyond float range), the smallest
+# subnormal, NaN and a wrong type.
+SETTING_EXTREMES = [
+    "0", "-1", "1e308", "-1e308", str(10**308), str(-(10**308)), str(10**309), str(-(10**309)), "5e-324", "nan", "x"
+]
 
 
 @settings(max_examples=300, deadline=None)

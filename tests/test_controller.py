@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from roitrack import controller
 from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector, relative_position, to_polar
 
@@ -78,6 +80,32 @@ class TestStep:
         cmd = step(point_at(theta, p_target), CFG)
         m = CFG.rate_magnitude
         assert (cmd.yaw_rate, cmd.pitch_rate) in {(0.0, 0.0), (m, 0.0), (-m, 0.0), (0.0, m), (0.0, -m)}
+
+    @given(
+        p=st.one_of(
+            st.builds(point_at, st.floats(min_value=-math.pi + 1e-9, max_value=math.pi), st.floats(0.0, 9.0)),
+            st.builds(ImagePoint, st.floats(), st.floats()),
+        ),
+        rate=st.sampled_from([0.05, 0.2, 0.3]),
+    )
+    def test_output_is_one_of_the_configs_own_five_commands(self, p, rate):
+        cfg = ControllerConfig(roi=ROI, frame=FRAME, rate_magnitude=rate)
+        own = [controller._IDLE, *cfg._commands.values()]
+        cmd = step(p, cfg)
+        assert any(cmd is c for c in own)
+        assert decide(p, cfg)[2] is cmd
+
+    def test_commands_follow_the_config_through_replace_and_equality(self):
+        cfg = replace(CFG, rate_magnitude=0.2)
+        assert cfg._commands == {
+            Sector.RIGHT: GimbalCommand(yaw_rate=0.2),
+            Sector.LEFT: GimbalCommand(yaw_rate=-0.2),
+            Sector.TOP: GimbalCommand(pitch_rate=0.2),
+            Sector.BOTTOM: GimbalCommand(pitch_rate=-0.2),
+        }
+        same = ControllerConfig(roi=ROI, frame=FRAME, rate_magnitude=0.3)
+        assert same == CFG and hash(same) == hash(CFG) and same._commands is not CFG._commands
+        assert repr(same) == repr(CFG) and "_commands" not in repr(CFG)
 
     @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi),
            p_target=st.floats(min_value=0.0, max_value=9.0))

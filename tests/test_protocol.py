@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from roitrack import protocol
 from roitrack.controller import GimbalCommand
@@ -72,22 +73,17 @@ class TestEncode:
             encode(GimbalCommand(**{axis: rate}))
 
 
-class TestFrameCache:
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(protocol, "_FRAMES", {})
-
-    def test_more_rates_than_the_cache_holds_encode_to_their_text(self):
+class TestEncodeKeepsNoState:
+    def test_every_rate_encodes_to_its_text_on_every_call(self):
         commands = [
             (GimbalCommand(yaw_rate=k / 100), f"Yaw {format_rate(k / 100)}") for k in range(-30, 31) if k
         ] + [
             (GimbalCommand(pitch_rate=k / 100), f"Pitch {format_rate(k / 100)}") for k in range(-30, 31) if k
         ]
-        assert len(commands) > protocol._FRAMES_MAX
-        for _ in range(2):  # the second pass runs with the cache full
+        assert len(commands) == 120
+        for _ in range(2):
             for cmd, text in commands:
                 assert [f.text for f in encode(cmd)] == [text]
-        assert len(protocol._FRAMES) == protocol._FRAMES_MAX
 
     def test_mutating_a_result_leaves_the_next_one_alone(self):
         cmd = GimbalCommand(pitch_rate=-0.3)
@@ -113,7 +109,6 @@ class TestFrameCache:
         for _ in range(3):
             with pytest.raises(FrameError):
                 encode(bad)
-        assert protocol._FRAMES == {}
 
 
 class TestDecode:
@@ -329,3 +324,88 @@ def test_link_fed_no_faster_than_the_wire_never_saturates(sends, keepalive):
     for cmd, slack in sends:
         link.send(cmd, now=now)  # raises TransportSaturated if the line is still busy
         now = now + (wire_time(cmd) + slack)
+
+
+@dataclass
+class ReferenceLink:
+    """``CommandLink`` as it was before it kept its last frame: it encodes
+    every non-zero command it is given.  ``CommandLink`` must match it."""
+
+    transport: MockTransport
+    keepalive_interval: float | None = 1.0
+    _last_text: str | None = None
+    _last_sent_at: float = 0.0
+
+    def send(self, cmd: GimbalCommand, now: float) -> list[SerialFrame]:
+        if cmd.is_zero():
+            self._last_text = None
+            return []
+        (frame,) = encode(cmd)
+        due_keepalive = (
+            self.keepalive_interval is not None
+            and now - self._last_sent_at >= self.keepalive_interval
+        )
+        if frame.text == self._last_text and not due_keepalive:
+            return []
+        self.transport.send(frame, now)
+        self._last_text = frame.text
+        self._last_sent_at = now
+        return [frame]
+
+
+def outcome(link, cmd, now):
+    """What one send returned, or the error it raised."""
+    try:
+        return [f.text for f in link.send(cmd, now)]
+    except (FrameError, TransportSaturated) as exc:
+        return type(exc), str(exc)
+
+
+def unchecked_command(yaw: float, pitch: float) -> GimbalCommand:
+    cmd = object.__new__(GimbalCommand)  # bypasses the dual-axis check
+    object.__setattr__(cmd, "yaw_rate", yaw)
+    object.__setattr__(cmd, "pitch_rate", pitch)
+    return cmd
+
+
+# The five commands a run decides, the same values as new objects, other
+# rates (some with no exact frame, some over the cap), -0.0 axes, and
+# commands no run decides: both axes set, NaN.
+LINK_COMMANDS = st.one_of(
+    st.sampled_from(FIVE_COMMANDS),
+    st.builds(
+        GimbalCommand,
+        yaw_rate=st.sampled_from([0.3, -0.3, 0.2, 0.05, 0.123, 0.4, -0.0, 0.0]),
+    ),
+    st.builds(
+        GimbalCommand,
+        pitch_rate=st.sampled_from([0.3, -0.3, -0.15, 0.004, -0.0, 0.0]),
+    ),
+    st.sampled_from([
+        GimbalCommand(yaw_rate=0.3, pitch_rate=-0.0),
+        GimbalCommand(yaw_rate=-0.0, pitch_rate=-0.3),
+        GimbalCommand(yaw_rate=-0.0, pitch_rate=-0.0),
+        unchecked_command(0.3, 0.3),
+        unchecked_command(math.nan, 0.0),
+    ]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    sends=st.lists(
+        # Gaps from 0 (one frame takes about 8 ms on the line) to past a keep-alive.
+        st.tuples(LINK_COMMANDS, st.sampled_from([0.0, 0.001, 0.005, 1 / 30, 0.1, 0.5, 1.0, 1.5])),
+        max_size=80,
+    ),
+    keepalive=st.sampled_from([None, 1.0]),
+    start=st.sampled_from([0.0, -2.0]),
+)
+def test_link_matches_the_reference_link(sends, keepalive, start):
+    link = CommandLink(transport=MockTransport(), keepalive_interval=keepalive)
+    reference = ReferenceLink(transport=MockTransport(), keepalive_interval=keepalive)
+    now = start
+    for cmd, gap in sends:
+        now += gap
+        assert outcome(link, cmd, now) == outcome(reference, cmd, now)
+    assert link.transport.log == reference.transport.log

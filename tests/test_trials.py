@@ -280,10 +280,11 @@ class TestCertifiedLegReuse:
 
     # At this jitter arena 1's seed-4 path is finite with coordinates near
     # 1e153, where squared distances come within a few powers of ten of overflow.
+    # TrialConfig rejects such a jitter, so the path is built here.
     @pytest.mark.parametrize("speed", [0.6, 1e151])
     def test_jitter_near_the_finite_path_limit(self, speed):
-        cfg = TrialConfig.baseline(1, seed=4, jitter_amplitude=1e153, usv_speed=speed, duration=3.0)
-        assert_matches_reference(cfg, trial_path(cfg))
+        cfg = TrialConfig.baseline(1, seed=4, usv_speed=speed, duration=3.0)
+        assert_matches_reference(cfg, jitter_path(build_arena(1), 1e153, random.Random(4)))
 
     @pytest.mark.parametrize("scale", [1e150, 5e153])
     def test_scaled_arena_near_overflow(self, scale):
@@ -407,6 +408,18 @@ class TestConfigValidation:
     def test_camera_offset_over_the_bound_rejected(self, uav):
         with pytest.raises(ValueError, match=f"over {MAX_CAMERA_OFFSET_M} m"):
             TrialConfig.baseline(1, uav=UavPose(*uav))
+
+    @pytest.mark.parametrize("jitter", [-0.1, math.nextafter(MAX_CAMERA_OFFSET_M, math.inf), 1e153, 1e308])
+    def test_jitter_outside_the_bound_rejected(self, jitter):
+        with pytest.raises(ValueError, match=rf"^jitter_amplitude must be in \[0, {MAX_CAMERA_OFFSET_M}\] m"):
+            TrialConfig.baseline(1, jitter_amplitude=jitter)
+
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_jitter_at_the_bound_runs(self, arena):
+        for seed in range(1, 6):
+            cfg = TrialConfig.baseline(arena, seed=seed, jitter_amplitude=MAX_CAMERA_OFFSET_M, duration=0.5)
+            assert all(math.isfinite(c) for point in trial_path(cfg).waypoints for c in point)
+            assert len(run_trial(cfg).samples) == 15
 
     def test_camera_offset_at_the_bound_accepted(self):
         bound = MAX_CAMERA_OFFSET_M
