@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import tee
 from pathlib import Path
 
 from . import __version__
@@ -23,13 +24,7 @@ from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
 from .metrics import RecordTally, SensitivityReport, summarize_tallies, tally
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .telemetry import (
-    fmt_float,
-    format_kv_text,
-    read_trial_csv,
-    sample_row,
-    serialize_report,
-    write_csv_rows,
-    write_trial_csv,
+    fmt_float, format_kv_text, read_trial_csv, row_lines, serialize_report, write_csv_lines, write_trial_csv
 )
 from .trials import (
     BASELINE_DURATION_S,
@@ -173,7 +168,7 @@ def cmd_simulate(args) -> int:
         path = out / f"trial_{i:03d}.csv"
         acc = RecordTally(cfg.dt)
         try:
-            write_csv_rows(_tallied_rows(iter_trial(replace(cfg, seed=trial_seed)), acc), path)
+            write_csv_lines(_tallied_rows(iter_trial(replace(cfg, seed=trial_seed)), acc), path)
             tallies.append(acc.finish())
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from None
@@ -212,20 +207,21 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
     header = [cell.strip() for cell in lines[0].split(",")]
     if header != ["t", "x", "y"]:
         raise UsageError(f"{path}: expected header 't,x,y', got {lines[0]!r}")
-    last_t = None
+    last_t = -math.inf
+    to_float, isfinite = float, math.isfinite
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         cells = line.split(",")
         if len(cells) != 3:
+            if not line.strip():  # a blank line has no comma, so it lands here
+                continue
             raise UsageError(f"{path}: line {lineno}: expected 3 columns, got {len(cells)}")
         try:
-            t, x, y = map(float, cells)
+            t, x, y = to_float(cells[0]), to_float(cells[1]), to_float(cells[2])
         except ValueError:
             raise UsageError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
-        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+        if not (isfinite(t) and isfinite(x) and isfinite(y)):
             raise UsageError(f"{path}: line {lineno}: non-finite value in {line!r}")
-        if last_t is not None and t <= last_t:
+        if t <= last_t:
             raise UsageError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
         last_t = t
         rows.append((t, x, y))
@@ -275,15 +271,17 @@ def cmd_replay(args) -> int:
 
 
 def _tallied_rows(samples, acc: RecordTally):
-    """Format each sample as its CSV row, and feed ``acc`` the values ``report``
-    reads back from that row, so that ``summary.txt`` is what ``report``
-    computes from the CSVs, byte for byte.  A command reads back zero exactly
-    when it is zero, and ``visible`` as written."""
+    """Yield each sample's CSV line, and feed ``acc`` the values ``report``
+    reads back from it, so that ``summary.txt`` is what ``report`` computes
+    from the CSVs, byte for byte: t and P from their text, and the commands and
+    ``visible`` as they are, since a command reads back zero exactly when it is
+    zero."""
     add = acc.add
-    for sample in samples:
-        row = sample_row(sample)
-        add(float(row[0]), float(row[3]), sample.yaw_cmd, sample.pitch_cmd, sample.visible)
-        yield row
+    samples, mirror = tee(samples)
+    for (_, _, _, _, _, yaw_cmd, pitch_cmd, visible), line in zip(mirror, row_lines(samples)):
+        t_text, _, _, p_text, _ = line.split(",", 4)
+        add(float(t_text), float(p_text), yaw_cmd, pitch_cmd, visible)
+        yield line
 
 
 def _report(tallies) -> SensitivityReport:

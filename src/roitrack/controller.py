@@ -84,11 +84,34 @@ def _decide_xy(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector
     P is computed as ``relative_position`` computes it, so the two match to the
     bit, and the sector is the one ``classify_sector`` gives ``to_polar``'s theta.
     The command is the idle one or ``cfg``'s command for the sector.
+
+    The sector is certified by comparing ``|y|`` with ``|x|``; only points near
+    a diagonal pay for ``atan2``.  A rounded product is within a relative
+    2**-53 of the exact one or, below 2**-1022, within 2**-1075, and every
+    double is a multiple of 2**-1074, so a double below (above) a subnormal
+    rounded product is below (above) the exact one.  So ``|y| < |x| * c``, with
+    c = 1 - 1e-12 as rounded, gives ``|y| / |x| < c * (1 + 2**-53) <
+    1 - 0.99e-12`` exactly and, as ``atan``'s slope on [0, 1] is at least 1/2,
+    puts the angle from the x-axis more than 4.9e-13 short of pi/4.  Likewise
+    ``|y| > |x| * (1 + 1e-12)`` puts the angle from the y-axis,
+    ``atan(|x| / |y|)``, more than 4.9e-13 short of pi/4.  ``atan2`` within 2
+    ulps (C libraries keep it within about 1) errs by under 9e-16 up to pi,
+    and ``classify_sector``'s float boundaries lie within 1e-16 of the odd
+    multiples of pi/4, so ``atan2`` lands strictly inside the sector the
+    comparison names: right or left by the sign of ``x`` (nonzero there), top
+    or bottom by the sign of ``y``.  Both comparisons fail near the diagonals,
+    at (+-0, +-0), at equal infinities and at NaN, which take ``atan2``.
     """
     roi = cfg.roi
     rel = (x * x) / (roi.a * roi.a) + (y * y) / (roi.b * roi.b)
-    # classify_sector wraps theta itself, so the -pi that to_polar folds to pi needs no fix here.
-    sector = classify_sector(math.atan2(y, x))
+    ax, ay = abs(x), abs(y)
+    if ay < ax * (1.0 - 1e-12):
+        sector = Sector.RIGHT if x > 0.0 else Sector.LEFT
+    elif ay > ax * (1.0 + 1e-12):
+        sector = Sector.TOP if y > 0.0 else Sector.BOTTOM
+    else:
+        # classify_sector wraps theta itself, so the -pi that to_polar folds to pi needs no fix here.
+        sector = classify_sector(math.atan2(y, x))
     # A non-finite point never has rel <= 1, so only points outside pay for the check.
     if rel <= 1.0 or not (math.isfinite(x) and math.isfinite(y)):
         return rel, sector, _IDLE

@@ -9,13 +9,13 @@ output (row/col with origin at the top-left corner) enters through
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
 _QUARTER_PI = 0.25 * math.pi
 DEFAULT_ROI_FRAC = 0.30  # ROI semi-axes as a fraction of the frame size
+_MAX_FRAME_PX = 2**20  # per side
 
 
 class Sector(Enum):
@@ -37,9 +37,12 @@ class FrameSpec:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"frame dimensions must be positive, got {self.width}x{self.height}")
-        # Every size is scaled as a float (ROI fractions, focal length), so it must fit one.
-        if max(self.width, self.height) > sys.float_info.max:
-            raise ValueError(f"frame dimensions must be within float range, got {self.width}x{self.height}")
+        # P must stay finite: an in-frame coordinate squared is at most 2**38, and
+        # a semi-axis squared at least 0.0025 (a 0.05 fraction of 1 px).
+        if max(self.width, self.height) > _MAX_FRAME_PX:
+            raise ValueError(
+                f"frame dimensions must be within float range for P, at most 2**20 px, got {self.width}x{self.height}"
+            )
 
 
 @dataclass(frozen=True)

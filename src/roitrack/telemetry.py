@@ -3,6 +3,13 @@
 Floats are serialized with 9 significant digits, decimal point, no locale
 formatting, so fixtures diff cleanly and identical runs produce identical
 bytes.  The telemetry column set and order are fixed.
+
+Telemetry rows have one codec, ``row_lines``, and every writer goes through
+it.  A row is one ``%``-format of t, x, y and P, each as ``fmt_float`` prints
+it, and the row's tail: the sector word, both commands and ``visible``.  The
+tail is built once per distinct (sector, yaw, pitch, visible) and reused, so
+a run's five commands give at most 16 tails.  A zero command prints ``0``
+whatever its sign.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ import csv
 import io
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
 from .geometry import Sector
@@ -23,7 +30,7 @@ _SECTORS = {sector.value: sector for sector in Sector}
 
 
 def fmt_float(value: float) -> str:
-    return f"{value:.9g}"
+    return "%.9g" % value
 
 
 def fmt_bool(value: bool) -> str:
@@ -36,40 +43,35 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _fmt_command(value: float) -> str:
-    """A command field's text; zero prints "0" whatever its sign."""
-    return fmt_float(value) if value else "0"
+def row_lines(samples: Iterable[TrialSample]) -> Iterator[str]:
+    """The codec: each sample's CSV line, newline included, consuming
+    ``samples`` as it goes.  Each call keeps its own tails.  Every field is a
+    formatted number or a fixed word, none of which needs CSV quoting."""
+    tails: dict[tuple, str] = {}
+    for t, x, y, p, sector, yaw, pitch, visible in samples:
+        key = (sector, yaw, pitch, visible)
+        tail = tails.get(key)
+        if tail is None:
+            yaw_text, pitch_text = fmt_float(yaw) if yaw else "0", fmt_float(pitch) if pitch else "0"
+            tail = tails[key] = f"{sector.value},{yaw_text},{pitch_text},{fmt_bool(visible)}"
+        yield "%.9g,%.9g,%.9g,%.9g,%s\n" % (t, x, y, p, tail)
 
 
 def sample_row(sample: TrialSample) -> list[str]:
-    t, x, y, p, sector, yaw_cmd, pitch_cmd, visible = sample
-    return [
-        fmt_float(t),
-        fmt_float(x),
-        fmt_float(y),
-        fmt_float(p),
-        sector.value,
-        _fmt_command(yaw_cmd),
-        _fmt_command(pitch_cmd),
-        fmt_bool(visible),
-    ]
+    """One sample's CSV fields: its ``row_lines`` line, split."""
+    return next(row_lines((sample,)))[:-1].split(",")
 
 
-def write_csv_rows(rows: Iterable[list[str]], path: Path) -> None:
-    """Write the header and then each row of formatted fields, consuming
-    ``rows`` as it goes.
-
-    Every field is a formatted number or a fixed word, none of which needs
-    CSV quoting, so rows are joined directly.
-    """
+def write_csv_lines(lines: Iterable[str], path: Path) -> None:
+    """Write the header and then each line, consuming ``lines`` as it goes."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
 def write_trial_csv(samples: Iterable[TrialSample], path: Path) -> None:
     """Write a header and one row per sample, consuming ``samples`` as it goes."""
-    write_csv_rows(map(sample_row, samples), path)
+    write_csv_lines(row_lines(samples), path)
 
 
 def read_trial_csv(path: Path, dt: float) -> TrialRecord:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -26,7 +27,9 @@ from roitrack.geometry import (
 )
 from roitrack.metrics import summarize
 from roitrack.protocol import CommandLink, MockTransport, encode
-from roitrack.telemetry import CSV_COLUMNS, fmt_float, read_trial_csv, sample_row, serialize_report
+from roitrack.telemetry import (
+    CSV_COLUMNS, fmt_float, read_trial_csv, row_lines, sample_row, serialize_report, write_trial_csv
+)
 from roitrack.trials import (
     DEFAULT_DT_S,
     MAX_CAMERA_OFFSET_M,
@@ -203,6 +206,17 @@ class TestSimulate:
         out = tmp_path / "x"
         assert run_cli("simulate", "--arena", 1, "--config", config, "--out-dir", out) == EXIT_USAGE
         assert "frame dimensions must be within float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["frame_width_px", "frame_height_px"])
+    def test_frame_size_too_large_for_p_is_usage_error(self, tmp_path, capsys, key):
+        # 10**308 px fits a float, but x * x and a * a overflow, so P would read nan
+        config = tmp_path / "frame.cfg"
+        config.write_text(f"{key} = {10**308}\n")
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--arena", 1, "--duration-s", 2.0, "--config", config, "--out-dir", out)
+        assert code == EXIT_USAGE
+        assert "at most 2**20 px" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["uav_x_m", "uav_y_m", "altitude_m"])
@@ -719,6 +733,52 @@ class TestSampleRow:
     def test_zero_command_prints_zero_whatever_its_sign(self):
         row = sample_row(TrialSample(1.0, 2.0, 3.0, 0.5, Sector.TOP, -0.0, 0.0, False))
         assert row == ["1", "2", "3", "0.5", "top", "0", "0", "false"]
+
+
+def oracle_line(sample) -> str:
+    """A telemetry row built field by field: ``fmt_float`` per number, "0" for
+    a zero command of either sign, and true/false."""
+    def command(value):
+        return "0" if value == 0.0 else fmt_float(value)
+
+    t, x, y, p, sector, yaw, pitch, visible = sample
+    fields = [fmt_float(t), fmt_float(x), fmt_float(y), fmt_float(p), sector.value, command(yaw), command(pitch)]
+    return ",".join(fields + ["true" if visible else "false"]) + "\n"
+
+
+ROW_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e308, -1e308]),
+)
+ROW_COMMANDS = st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.3]), st.floats(-0.3, 0.3), ROW_NUMBERS)
+ROW_SAMPLES = st.builds(
+    TrialSample, ROW_NUMBERS, ROW_NUMBERS, ROW_NUMBERS, ROW_NUMBERS,
+    st.sampled_from(list(Sector)), ROW_COMMANDS, ROW_COMMANDS, st.booleans(),
+)
+
+
+class TestRowCodec:
+    @settings(max_examples=300)
+    @given(samples=st.lists(ROW_SAMPLES, max_size=40))
+    def test_lines_match_the_field_by_field_oracle(self, samples):
+        assert list(row_lines(samples)) == [oracle_line(s) for s in samples]
+        for s in samples:
+            assert sample_row(s) == oracle_line(s)[:-1].split(",")
+
+    def test_cached_tails_stay_right_across_many_rates(self, tmp_path):
+        # every sector, -0.0 commands and 60 distinct rates, each rate with
+        # both signs and both visibilities
+        samples = []
+        for k in range(240):
+            rate = 0.3 * (k % 60 + 1) / 60 * (-1) ** (k // 60)
+            sector = list(Sector)[k % 4]
+            yaw, pitch = (rate, -0.0) if k % 3 else (0.0, rate)
+            samples.append(TrialSample(k / 30, 1e308 / (k + 1), -5e-324 * k, math.inf, sector, yaw, pitch, k < 120))
+        expected = [oracle_line(s) for s in samples]
+        assert list(row_lines(samples)) == expected
+        path = tmp_path / "rows.csv"
+        write_trial_csv(iter(samples), path)
+        assert path.read_text() == ",".join(CSV_COLUMNS) + "\n" + "".join(expected)
 
 
 class TestReport:

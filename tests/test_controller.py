@@ -5,10 +5,10 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from roitrack import controller
-from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide, step
+from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, _decide_xy, decide, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector, relative_position, to_polar
 
 FRAME = FrameSpec(1920, 720)
@@ -164,6 +164,54 @@ class TestStep:
                 Sector.BOTTOM: GimbalCommand(pitch_rate=-0.3),
             }[sector]
             assert cmd == expected
+
+
+def atan2_sector(x: float, y: float) -> Sector:
+    return classify_sector(math.atan2(y, x))
+
+
+def ulps_away(value: float, k: int) -> float:
+    """``value`` moved ``k`` representable doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        value = math.nextafter(value, math.copysign(math.inf, k))
+    return value
+
+
+# Any magnitude a double can take, log-uniform, subnormals included.
+log_uniform = st.builds(
+    lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+    st.sampled_from([1.0, -1.0]), st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1023),
+)
+
+
+class TestCertifiedSector:
+    """``_decide_xy`` names the sector without ``atan2`` away from the
+    diagonals; it must name the one ``atan2`` and ``classify_sector`` give."""
+
+    @settings(max_examples=1000)
+    @given(x=st.floats(), y=st.floats())
+    def test_any_floats(self, x, y):
+        assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y)
+
+    @settings(max_examples=1000)
+    @given(x=log_uniform, y=log_uniform)
+    def test_log_uniform_magnitudes(self, x, y):
+        assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 3.0, 7e-300, 5e300, 1e-310, 5e-324, 1.7e308])
+    def test_within_40_ulps_of_both_diagonals(self, magnitude):
+        for k in range(-40, 41):
+            near = ulps_away(magnitude, k)
+            for a, b in ((magnitude, near), (near, magnitude)):
+                for x in (a, -a):
+                    for y in (b, -b):
+                        assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y), (x, y)
+
+    def test_zeros_infinities_nan_and_extremes(self):
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.0, -1.0]
+        for x in values:
+            for y in values:
+                assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y), (x, y)
 
 
 class TestValidation:

@@ -171,6 +171,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             FrameSpec(0, 720)
 
+    def test_frame_side_at_most_2_pow_20(self):
+        FrameSpec(2**20, 2**20)
+        for width, height in ((2**20 + 1, 720), (1920, 2**20 + 1)):
+            with pytest.raises(ValueError, match=r"at most 2\*\*20 px"):
+                FrameSpec(width, height)
+
     def test_roi_must_be_positive(self):
         with pytest.raises(ValueError):
             EllipseRoi(0.0, 10.0)
