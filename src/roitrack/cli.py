@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
-from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, _decide_xy
+from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, _decide_xy
 from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
 from .metrics import RecordTally, SensitivityReport, summarize_tallies, tally
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
@@ -233,15 +233,19 @@ def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: 
 
     Steps on plain floats: the centring is ``to_centered``'s arithmetic and the
     decision ``decide``'s kernel, whose command, one of the controller's five,
-    goes to the link as it is."""
+    goes to the link as it is: only when the command changes to or from idle or
+    stays non-idle.  A repeated idle send does nothing (an idle one only forgets
+    the last frame sent), so the frames and their times are unchanged."""
     half_w, half_h = frame.width / 2, frame.height / 2
-    send = link.send
+    send, new, idle, last = link.send, tuple.__new__, _IDLE, None  # None: the first row always goes to the link
     for t, raw_x, raw_y in rows:
         x = raw_x - half_w
         y = half_h - raw_y
         p, sector, cmd = _decide_xy(x, y, controller)
-        send(cmd, t)
-        yield TrialSample(t, x, y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True)
+        if cmd is not idle or last is not idle:
+            send(cmd, t)
+            last = cmd
+        yield new(TrialSample, (t, x, y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True))
 
 
 def cmd_replay(args) -> int:

@@ -19,7 +19,12 @@ _MAX_FRAME_PX = 2**20  # per side
 
 
 class Sector(Enum):
-    """Angular zone of the frame, delimited by the diagonals at pi/4 to the x-axis."""
+    """Angular zone of the frame, delimited by the diagonals at pi/4 to the x-axis.
+
+    Members are singletons compared by identity, so they hash by identity too:
+    in C, not in ``Enum.__hash__``'s Python frame, for the per-row lookups."""
+
+    __hash__ = object.__hash__
 
     RIGHT = "right"
     TOP = "top"

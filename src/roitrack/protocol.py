@@ -155,7 +155,7 @@ class CommandLink:
         if cmd.is_zero():
             self._last_text = None
             return []
-        if cmd != self._cmd:
+        if cmd is not self._cmd and cmd != self._cmd:
             (self._frame,) = encode(cmd)
             self._cmd = cmd
         frame = self._frame

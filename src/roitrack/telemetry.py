@@ -37,12 +37,6 @@ def fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"expected true/false, got {text!r}")
-    return text == "true"
-
-
 def row_lines(samples: Iterable[TrialSample]) -> Iterator[str]:
     """The codec: each sample's CSV line, newline included, consuming
     ``samples`` as it goes.  Each call keeps its own tails.  Every field is a
@@ -107,39 +101,46 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
     if header != CSV_COLUMNS:
         raise ValueError(f"{path}: unexpected header {header!r}")
     samples = []
+    append, new, to_float, isfinite = samples.append, tuple.__new__, float, math.isfinite
+    sectors, sector_signs, columns = _SECTORS, _SECTOR_SIGNS, len(CSV_COLUMNS)
     last_t = None
     for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} columns")
+        if len(row) != columns:
+            raise ValueError(f"{path}: line {lineno}: expected {columns} columns")
+        t_text, x_text, y_text, p_text, sector_text, yaw_text, pitch_text, visible_text = row
         try:
-            t, x, y, p = float(row[0]), float(row[1]), float(row[2]), float(row[3])
-            if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y) and math.isfinite(p)):
+            t, x, y, p = to_float(t_text), to_float(x_text), to_float(y_text), to_float(p_text)
+            if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(p)):
                 raise ValueError(f"non-finite value in t, x, y or P: {','.join(row[:4])}")
             if p < 0.0:
-                raise ValueError(f"P = {row[3]} is negative")
-            if last_t is not None and not abs(t - last_t - dt) <= 1e-8 * max(1.0, abs(t), abs(last_t)):
-                raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
-            yaw_cmd, pitch_cmd = float(row[5]), float(row[6])
+                raise ValueError(f"P = {p_text} is negative")
+            if last_t is not None:
+                scale = abs(t) if abs(t) > abs(last_t) else abs(last_t)
+                if not abs(t - last_t - dt) <= 1e-8 * (scale if scale > 1.0 else 1.0):
+                    raise ValueError(f"sample time {t_text} is not dt = {dt} after {fmt_float(last_t)}")
+            yaw_cmd, pitch_cmd = to_float(yaw_text), to_float(pitch_text)
             if not (abs(yaw_cmd) <= MAX_RATE_RAD_S and abs(pitch_cmd) <= MAX_RATE_RAD_S):
                 raise ValueError(
-                    f"command ({row[5]}, {row[6]}) is outside [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}] rad/s"
+                    f"command ({yaw_text}, {pitch_text}) is outside [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}] rad/s"
                 )
             if yaw_cmd != 0.0 and pitch_cmd != 0.0:
-                raise ValueError(f"command ({row[5]}, {row[6]}) drives both axes")
-            sector = _SECTORS.get(row[4])
+                raise ValueError(f"command ({yaw_text}, {pitch_text}) drives both axes")
+            sector = sectors.get(sector_text)
             if sector is None:
-                raise ValueError(f"{row[4]!r} is not a valid Sector")
-            visible = _parse_bool(row[7])
+                raise ValueError(f"{sector_text!r} is not a valid Sector")
+            visible = visible_text == "true"
+            if not visible and visible_text != "false":
+                raise ValueError(f"expected true/false, got {visible_text!r}")
             if yaw_cmd == 0.0 and pitch_cmd == 0.0:
                 if visible and p > 1.0:
-                    raise ValueError(f"P = {row[3]} with the target visible, but the command is zero")
+                    raise ValueError(f"P = {p_text} with the target visible, but the command is zero")
             elif not visible or p < 1.0:
-                raise ValueError(f"command ({row[5]}, {row[6]}) with P = {row[3]} and visible = {row[7]}")
+                raise ValueError(f"command ({yaw_text}, {pitch_text}) with P = {p_text} and visible = {visible_text}")
             else:
                 signs = (yaw_cmd > 0.0) - (yaw_cmd < 0.0), (pitch_cmd > 0.0) - (pitch_cmd < 0.0)
-                if signs != _SECTOR_SIGNS[sector]:
-                    raise ValueError(f"command ({row[5]}, {row[6]}) is not sector {row[4]}'s axis and sign")
-            samples.append(TrialSample(t, x, y, p, sector, yaw_cmd, pitch_cmd, visible))
+                if signs != sector_signs[sector]:
+                    raise ValueError(f"command ({yaw_text}, {pitch_text}) is not sector {sector_text}'s axis and sign")
+            append(new(TrialSample, (t, x, y, p, sector, yaw_cmd, pitch_cmd, visible)))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         last_t = t

@@ -197,6 +197,7 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
     f = cfg.camera.focal_px
     half_w, half_h = cfg.camera.frame.width / 2, cfg.camera.frame.height / 2
     sin, cos, isfinite, hypot = math.sin, math.cos, math.isfinite, math.hypot
+    new = tuple.__new__  # builds the TrialSample in C, skipping NamedTuple's Python __new__
     legs = path._legs
     extent = 1.0 + max(abs(c) for point in path.waypoints for c in point)
     leg, x0, y0, runner_up = 0, x, y, -math.inf  # no search yet: the first step runs one
@@ -251,7 +252,7 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
         tilt = tilt + pitch * dt
         tilt = tilt if tilt < TILT_MAX else TILT_MAX
         tilt = tilt if tilt > TILT_MIN else TILT_MIN
-        yield TrialSample((i + 1) * dt, u, v, p, sector, yaw, pitch, visible)
+        yield new(TrialSample, ((i + 1) * dt, u, v, p, sector, yaw, pitch, visible))
 
 
 def run_batch(cfg: TrialConfig, count: int, seeds: list[int]) -> list[TrialRecord]:

@@ -528,6 +528,19 @@ def replay_controller(width=1920, height=720, roi=(0.3, 0.3), rate=0.3):
     return frame, ControllerConfig(roi=EllipseRoi.from_fractions(frame, *roi), frame=frame, rate_magnitude=rate)
 
 
+def recording_link():
+    """A link over a fresh transport, and the list of (command, time) it is sent."""
+    link = CommandLink(transport=MockTransport())
+    sent, send = [], link.send
+
+    def record(cmd, now):
+        sent.append((cmd, now))
+        return send(cmd, now)
+
+    link.send = record
+    return link, sent
+
+
 class TestReplayReferenceLoop:
     @pytest.mark.parametrize("frame,controller", [
         pytest.param(*replay_controller(), id="default"),
@@ -548,6 +561,30 @@ class TestReplayReferenceLoop:
         # the rows reach every sector, and the hold re-sends its frame
         assert {sector for _, sector, _ in samples} == set(Sector)
         assert any(a[1] == b[1] for a, b in zip(log, log[1:]))
+
+    @pytest.mark.parametrize("frame,controller", [
+        pytest.param(*replay_controller(), id="default"),
+        pytest.param(*replay_controller(rate=0.05), id="rate-0.05"),
+    ])
+    def test_link_is_called_only_when_the_command_is_or_was_non_idle(self, frame, controller):
+        rows = reference_rows(frame, controller.roi)
+        link, sent = recording_link()
+        samples = list(_replay_samples(rows, frame, controller, link))
+        active = [s.yaw_cmd != 0.0 or s.pitch_cmd != 0.0 for s in samples]
+        # the first row counts as following a non-idle one: the link's state is not the loop's to assume
+        expected = [i for i, on in enumerate(active) if on or i == 0 or active[i - 1]]
+        assert [now for _, now in sent] == [rows[i][0] for i in expected]
+        assert sum(active) < len(expected) < len(rows)
+        for sample in samples:
+            assert type(sample) is TrialSample
+            assert sample == TrialSample(*sample)
+
+    def test_centre_rows_only_make_no_frame_and_at_most_one_call(self):
+        frame, controller = replay_controller()
+        link, sent = recording_link()
+        rows = [(i / 30, frame.width / 2, frame.height / 2) for i in range(300)]
+        assert len(list(_replay_samples(rows, frame, controller, link))) == 300
+        assert len(sent) <= 1 and link.transport.log == []
 
 
 def _log_rows():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,6 +146,18 @@ class TestClassifySector:
     @given(theta=st.floats(min_value=-50.0, max_value=50.0))
     def test_total_over_any_angle(self, theta):
         assert classify_sector(theta) in Sector
+
+
+class TestSectorMembers:
+    """Sectors hash by identity; they stay singletons through every copy."""
+
+    @pytest.mark.parametrize("member", list(Sector), ids=lambda m: m.value)
+    def test_hash_is_identity_and_copies_are_the_member(self, member):
+        assert hash(member) == object.__hash__(member)
+        assert Sector(member.value) is member
+        assert copy.copy(member) is member
+        assert copy.deepcopy(member) is member
+        assert pickle.loads(pickle.dumps(member)) is member
 
 
 class TestIsInside:

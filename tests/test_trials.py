@@ -81,6 +81,11 @@ class TestRunTrial:
     def test_iter_trial_yields_the_samples_run_trial_records(self, arena1_record):
         assert tuple(iter_trial(arena1_record.config)) == arena1_record.samples
 
+    def test_iter_trial_yields_trial_samples(self, arena1_record):
+        for sample in iter_trial(replace(arena1_record.config, duration=2.0)):
+            assert type(sample) is TrialSample
+            assert sample == TrialSample(*sample)
+
     def test_samples_are_read_only_tuples(self, arena1_record):
         sample = arena1_record.samples[0]
         assert sample == tuple(sample)
