@@ -10,6 +10,7 @@ its one parser, ``parse_kv_text``, lives here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -26,25 +27,24 @@ DEFAULT_MAX_RUDDER_RAD_S = 2.5
 class Path:
     """Waypoint polyline in meters; closed paths wrap the last leg to the first.
 
-    The per-leg data pursuit reads on every step is derived once here: each
-    leg's start point, its vector ``b - a`` and squared length ``denom``, the
-    leg lengths, the exact prefix sums of those lengths and their total.  Every
-    one of them must be finite.
+    The per-leg data pursuit reads on every step is derived once here, one
+    ``_legs`` entry per leg: its start point, its vector ``b - a``, the squared
+    length ``denom``, its length and its offset, the exact prefix sum of the
+    lengths before it; and the total length.  Every one of them must be finite.
     """
 
     waypoints: tuple[tuple[float, float], ...]
     closed: bool
-    _legs: tuple[tuple[float, float, float, float, float], ...] = field(init=False, repr=False, compare=False)
-    _lengths: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _offsets: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _legs: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least 2 waypoints")
         segs = self.segments()
+        lengths = [math.dist(a, b) for a, b in segs]
         legs = []
-        for a, b in segs:
+        for i, (a, b) in enumerate(segs):
             if a == b:
                 raise ValueError(f"consecutive waypoints must be distinct, got repeated {a}")
             abx, aby = b[0] - a[0], b[1] - a[1]
@@ -53,11 +53,8 @@ class Path:
             # too; a finite one bounds each leg, and so the total, far below overflow.
             if not math.isfinite(denom):
                 raise ValueError(f"leg from {a} to {b} is not finite: squared length {denom}")
-            legs.append((a[0], a[1], abx, aby, denom))
-        lengths = [math.dist(a, b) for a, b in segs]
+            legs.append((a[0], a[1], abx, aby, denom, lengths[i], math.fsum(lengths[:i])))
         object.__setattr__(self, "_legs", tuple(legs))
-        object.__setattr__(self, "_lengths", tuple(lengths))
-        object.__setattr__(self, "_offsets", tuple(math.fsum(lengths[:i]) for i in range(len(lengths))))
         object.__setattr__(self, "_total", math.fsum(lengths))
 
     def segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
@@ -120,8 +117,10 @@ def arena_fixture_bytes(arena_id: int) -> bytes:
     return (resources.files("roitrack.data") / ARENA_FILES[arena_id]).read_bytes()
 
 
+@functools.cache
 def build_arena(arena_id: int) -> Path:
-    """Load the canonical waypoint path for arena 1 or 2."""
+    """Load the canonical waypoint path for arena 1 or 2, parsed once per
+    process; ``Path`` is frozen, so every caller can share it."""
     return parse_arena_text(arena_fixture_bytes(arena_id).decode("utf-8"))
 
 
@@ -131,7 +130,7 @@ def _point_at_arc_length(path: Path, s: float) -> tuple[float, float]:
         s = s % total
     else:
         s = max(0.0, min(total, s))
-    for (ax, ay, abx, aby, _), seg_len in zip(path._legs, path._lengths):
+    for ax, ay, abx, aby, _, seg_len, _ in path._legs:
         if s <= seg_len:
             t = s / seg_len
             return ax + t * abx, ay + t * aby
@@ -147,12 +146,23 @@ def pursue(s, path: Path, lookahead: float = DEFAULT_LOOKAHEAD_M) -> float:
     the boat position (nearest point on the polyline, earliest segment wins
     ties), then the goal is the point ``lookahead`` meters further along.
     On an open path whose end has been reached the rudder is 0.  The rate is
-    clamped to ``DEFAULT_MAX_RUDDER_RAD_S``.
+    clamped to ``DEFAULT_MAX_RUDDER_RAD_S``.  ``trials.iter_trial`` runs the
+    same steering inline, and the tests hold it to this function bit for bit.
     """
     if not lookahead > 0:
         raise ValueError(f"lookahead must be positive, got {lookahead}")
     leg, t, _ = _nearest_leg(s.x, s.y, path._legs)
-    return _steer(s.x, s.y, s.heading, s.speed, path, lookahead, leg, t)
+    _, _, _, _, _, length, offset = path._legs[leg]
+    s_near = offset + t * length
+    if not path.closed and path._total - s_near < 1e-9:
+        return 0.0
+    gx, gy = _point_at_arc_length(path, s_near + lookahead)
+    dx, dy = gx - s.x, gy - s.y
+    if math.hypot(dx, dy) < 1e-12:
+        return 0.0
+    alpha = wrap_angle(math.atan2(dy, dx) - s.heading)
+    rudder = 2.0 * s.speed * math.sin(alpha) / lookahead
+    return max(-DEFAULT_MAX_RUDDER_RAD_S, min(DEFAULT_MAX_RUDDER_RAD_S, rudder))
 
 
 def _nearest_leg(px: float, py: float, legs) -> tuple[int, float, float]:
@@ -166,7 +176,7 @@ def _nearest_leg(px: float, py: float, legs) -> tuple[int, float, float]:
     inf = math.inf
     best_d2 = second_d2 = inf
     best_i, best_t, finite = 0, 0.0, True
-    for i, (ax, ay, abx, aby, denom) in enumerate(legs):
+    for i, (ax, ay, abx, aby, denom, _, _) in enumerate(legs):
         # Project (px, py) onto the leg, t clamped to [0, 1].
         t = ((px - ax) * abx + (py - ay) * aby) / denom
         t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
@@ -180,20 +190,3 @@ def _nearest_leg(px: float, py: float, legs) -> tuple[int, float, float]:
         elif not d2 < inf:
             finite = False
     return best_i, best_t, math.sqrt(second_d2) if finite else math.nan
-
-
-def _steer(
-    px: float, py: float, heading: float, speed: float, path: Path, lookahead: float, leg: int, t: float
-) -> float:
-    """The rudder toward the goal ``lookahead`` past the nearest point, at
-    ``t`` on leg ``leg``; ``lookahead`` must be positive."""
-    s_near = path._offsets[leg] + t * path._lengths[leg]
-    if not path.closed and path._total - s_near < 1e-9:
-        return 0.0
-    gx, gy = _point_at_arc_length(path, s_near + lookahead)
-    dx, dy = gx - px, gy - py
-    if math.hypot(dx, dy) < 1e-12:
-        return 0.0
-    alpha = wrap_angle(math.atan2(dy, dx) - heading)
-    rudder = 2.0 * speed * math.sin(alpha) / lookahead
-    return max(-DEFAULT_MAX_RUDDER_RAD_S, min(DEFAULT_MAX_RUDDER_RAD_S, rudder))

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
-from .arenas import DEFAULT_LOOKAHEAD_M, Path, _nearest_leg, _steer, build_arena
+from .arenas import DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena
 from .controller import ControllerConfig, _decide_xy
-from .geometry import EllipseRoi, FrameSpec, Sector
+from .geometry import TWO_PI, EllipseRoi, FrameSpec, Sector
 from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
 
 DEFAULT_DT_S = 1.0 / 30.0  # frame-driven control loop at 30 fps
@@ -182,32 +182,38 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
     the test and runs the full search.  (A one-leg path has no other leg:
     its runner-up distance is ``inf``, and it keeps its one leg while that
     leg's squared distance is finite.)
+
+    The gimbal's sin and cos are recomputed only after a step that can change
+    an angle's bits.  An idle axis adds ``±0.0``, which leaves every angle but
+    ``-0.0`` as it is (``-0.0 + 0.0`` is ``+0.0``).  So pan's follow a nonzero
+    yaw or a pan of ``±0.0``; tilt's a nonzero pitch only, as tilt is never
+    ``-0.0`` (every clamp to ``TILT_MAX`` makes it ``+0.0``) and in range.
     """
     path = trial_path(cfg)
-    start = path.waypoints[0]
-    after = path.waypoints[1]
-    x, y = start
-    heading = math.atan2(after[1] - start[1], after[0] - start[0])
-    uav = cfg.uav
-    gimbal = aim_at(uav, (x, y, 0.0))
+    (x, y), after = path.waypoints[:2]
+    heading = math.atan2(after[1] - y, after[0] - x)
+    gimbal = aim_at(cfg.uav, (x, y, 0.0))
     pan, tilt = gimbal.pan, gimbal.tilt
 
     speed, dt, lookahead, controller = cfg.usv_speed, cfg.dt, cfg.lookahead, cfg.controller
-    uav_x, uav_y, dz = uav.x, uav.y, 0.0 - uav.altitude
+    uav_x, uav_y, dz = cfg.uav.x, cfg.uav.y, 0.0 - cfg.uav.altitude
     f = cfg.camera.focal_px
     half_w, half_h = cfg.camera.frame.width / 2, cfg.camera.frame.height / 2
     sin, cos, isfinite, hypot = math.sin, math.cos, math.isfinite, math.hypot
+    atan2, remainder, pi = math.atan2, math.remainder, math.pi
     new = tuple.__new__  # builds the TrialSample in C, skipping NamedTuple's Python __new__
-    legs = path._legs
+    legs, closed, total = path._legs, path.closed, path._total
+    end, gain, max_rudder = path.waypoints[0 if closed else -1], 2.0 * speed, DEFAULT_MAX_RUDDER_RAD_S
     extent = 1.0 + max(abs(c) for point in path.waypoints for c in point)
     leg, x0, y0, runner_up = 0, x, y, -math.inf  # no search yet: the first step runs one
+    sp, cp, st, ct = sin(pan), cos(pan), sin(tilt), cos(tilt)
 
     for i in range(round(cfg.duration / dt)):
         # pursue, with the certified reuse of the last nearest leg
         reach = runner_up - hypot(x - x0, y - y0) - 1e-9 * (extent + abs(x) + abs(y))
         certified = False
         if reach > 0.0:
-            ax, ay, abx, aby, denom = legs[leg]
+            ax, ay, abx, aby, denom, length, offset = legs[leg]
             t = ((x - ax) * abx + (y - ay) * aby) / denom
             t = 0.0 if t <= 0.0 else 1.0 if t >= 1.0 else t
             ex, ey = x - (ax + t * abx), y - (ay + t * aby)
@@ -215,16 +221,38 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
         if not certified:
             leg, t, runner_up = _nearest_leg(x, y, legs)
             x0, y0 = x, y
-        rudder = _steer(x, y, heading, speed, path, lookahead, leg, t)
+            _, _, _, _, _, length, offset = legs[leg]
+        s_near = offset + t * length
+        rudder = 0.0
+        if closed or not total - s_near < 1e-9:
+            # _point_at_arc_length: the goal, lookahead past the nearest point
+            s = s_near + lookahead
+            if closed:
+                s = s % total
+            else:
+                s = s if s < total else total
+                s = s if s > 0.0 else 0.0
+            gx, gy = end  # where rounding leaves s just past the last leg
+            for ax, ay, abx, aby, _, length, _ in legs:
+                if s <= length:
+                    t = s / length
+                    gx, gy = ax + t * abx, ay + t * aby
+                    break
+                s -= length
+            ex, ey = gx - x, gy - y
+            if not hypot(ex, ey) < 1e-12:
+                alpha = remainder(atan2(ey, ex) - heading, TWO_PI)  # wrap_angle
+                alpha = alpha + TWO_PI if alpha <= -pi else alpha
+                rudder = gain * sin(alpha) / lookahead
+                rudder = rudder if rudder < max_rudder else max_rudder
+                rudder = rudder if rudder > -max_rudder else -max_rudder
         # usv_step
         heading = heading + rudder * dt
         x = x + speed * cos(heading) * dt
         y = y + speed * sin(heading) * dt
-        # project
+        # project, with the trig of the gimbal's last move
         dx = x - uav_x
         dy = y - uav_y
-        sp, cp = sin(pan), cos(pan)
-        st, ct = sin(tilt), cos(tilt)
         x_c = dx * cp - dy * sp
         ahead = dx * sp + dy * cp
         y_c = -st * ahead + ct * dz
@@ -246,12 +274,16 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
             yaw, pitch = cmd.yaw_rate, cmd.pitch_rate
         else:
             yaw = pitch = 0.0
-        # gimbal_step; its rate clamp cannot fire, since decide commands at most
-        # rate_magnitude, which ControllerConfig caps at the gimbal's MAX_RATE_RAD_S
-        pan = pan + yaw * dt
-        tilt = tilt + pitch * dt
-        tilt = tilt if tilt < TILT_MAX else TILT_MAX
-        tilt = tilt if tilt > TILT_MIN else TILT_MIN
+        # gimbal_step, on each axis it may change; its rate clamp cannot fire, since
+        # decide commands at most rate_magnitude, capped at MAX_RATE_RAD_S
+        if yaw != 0.0 or pan == 0.0:
+            pan = pan + yaw * dt
+            sp, cp = sin(pan), cos(pan)
+        if pitch != 0.0:
+            tilt = tilt + pitch * dt
+            tilt = tilt if tilt < TILT_MAX else TILT_MAX
+            tilt = tilt if tilt > TILT_MIN else TILT_MIN
+            st, ct = sin(tilt), cos(tilt)
         yield new(TrialSample, ((i + 1) * dt, u, v, p, sector, yaw, pitch, visible))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -34,6 +35,20 @@ class TestFixtures:
     def test_unknown_arena_rejected(self):
         with pytest.raises(ValueError):
             build_arena(3)
+
+    def test_parsed_once_and_shared_frozen(self):
+        assert build_arena(1) is build_arena(1)
+        assert build_arena(2) is build_arena(2)
+        assert build_arena(1) == parse_arena_text(arena_fixture_bytes(1).decode("utf-8"))
+        with pytest.raises(FrozenInstanceError):
+            build_arena(1).closed = False
+        assert build_arena(1).closed
+
+    def test_unknown_arena_rejected_on_every_call(self):
+        # The cache keeps results only: an error is raised afresh each time.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown arena id 3"):
+                build_arena(3)
 
     def test_fixture_bytes_stable(self):
         assert arena_fixture_bytes(1) == arena_fixture_bytes(1)

@@ -233,20 +233,37 @@ def cut_in_paths(draw):
 OFFSETS = st.sampled_from([0.0, 0.0, 1e3, 2.0**33, 1e12, 2.0**52])
 
 
+# The camera platform sits at the origin (either sign of zero), inside the
+# paths' square, or out at the bound, from just above the water to the bound.
+# With the field of view and the ROI drawn too, the gimbal moves one axis at a
+# time, the target is lost, and now and then the tilt saturates.  A path far
+# from the origin barely moves in the image, so half the examples keep the
+# path where it was drawn, near the camera.
+CAMERA_XY = st.sampled_from([0.0, -0.0, 0.5, -1.25, 2.0, -MAX_CAMERA_OFFSET_M])
+CAMERA_ALTITUDE = st.sampled_from([0.05, 0.3, 1.83, MAX_CAMERA_OFFSET_M])
+ROI_FRACTION = st.sampled_from([0.05, 0.1, 0.3, 0.49])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     shape=st.one_of(grid_paths(), bisector_paths(), cut_in_paths()),
-    offset=st.tuples(OFFSETS, OFFSETS),
+    offset=st.one_of(st.just((0.0, 0.0)), st.tuples(OFFSETS, OFFSETS)),
     speed=st.sampled_from([0.0, 0.3, 0.6, 1.5, 4.0]),
     lookahead=st.sampled_from([0.1, 0.5, 1.2]),
     dt=st.sampled_from([1.0 / 30.0, 0.1]),
     steps=st.integers(1, 150),
+    uav=st.tuples(CAMERA_XY, CAMERA_XY, CAMERA_ALTITUDE),
+    fov_deg=st.sampled_from([20.0, 60.0, 90.0, 150.0]),
+    roi=st.tuples(ROI_FRACTION, ROI_FRACTION),
 )
-def test_fused_loop_matches_the_reference_on_generated_paths(shape, offset, speed, lookahead, dt, steps):
+def test_fused_loop_matches_the_reference_on_generated_paths(
+    shape, offset, speed, lookahead, dt, steps, uav, fov_deg, roi
+):
     points, closed = shape
     points = [(x + offset[0], y + offset[1]) for x, y in points]
     assume(all(a != b for a, b in zip(points, points[1:])) and not (closed and points[-1] == points[0]))
-    cfg = TrialConfig.baseline(1, usv_speed=speed, lookahead=lookahead, dt=dt, duration=steps * dt)
+    cfg = config(1, fov_deg=fov_deg, roi=roi, uav=uav, usv_speed=speed, lookahead=lookahead, dt=dt,
+                 duration=steps * dt)
     assert_matches_reference(cfg, Path(waypoints=tuple(points), closed=closed))
 
 
@@ -332,6 +349,26 @@ class TestCertifiedLegReuse:
         with mock.patch.object(trials, "_nearest_leg", lambda *args: searches.append(args) or _nearest_leg(*args)):
             steps = sum(1 for _ in iter_trial(TrialConfig.baseline(arena, seed=1)))
         assert 1 <= len(searches) < steps / 3
+
+
+class TestGimbalTrigReuse:
+    """``iter_trial`` keeps the gimbal's sin and cos while an idle step leaves
+    its angles the same bits; its samples must stay the reference's."""
+
+    def test_idle_step_turns_a_negative_zero_pan_positive(self):
+        # The camera looks along +y at the boat's start (-0.0, 1.0), so pan
+        # starts at atan2(-0.0, 1.0) = -0.0.  The parked boat heads west, and
+        # x stays -0.0 since 0.0 * cos(heading) < 0.  The first, idle, step
+        # turns pan to +0.0, and with it the sign of every later sample's x:
+        # pan's trig must be recomputed then, though no yaw was commanded.
+        path = Path(waypoints=((-0.0, 1.0), (-1.0, 1.0), (-1.0, 2.0)), closed=False)
+        cfg = TrialConfig.baseline(1, usv_speed=0.0, duration=0.2, uav=UavPose(0.0, 0.0, 1.83))
+        pan = aim_at(cfg.uav, (-0.0, 1.0, 0.0)).pan
+        assert (pan, math.copysign(1.0, pan)) == (0.0, -1.0)
+        samples = samples_on_path(cfg, path)
+        assert all(s.yaw_cmd == 0.0 for s in samples)
+        assert [math.copysign(1.0, s.x) for s in samples[1:]] == [-1.0] * 5
+        assert_matches_reference(cfg, path)
 
 
 class TestRunBatch:
