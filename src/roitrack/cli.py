@@ -114,11 +114,11 @@ def _settings(args) -> dict:
     return values
 
 
-def _controller(settings: dict) -> tuple[FrameSpec, ControllerConfig]:
+def _controller(settings: dict) -> ControllerConfig:
     try:
         frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
         roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
-        return frame, ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
+        return ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -143,7 +143,7 @@ def cmd_simulate(args) -> int:
     for key, baseline in (("duration_s", BASELINE_DURATION_S), ("usv_speed_mps", BASELINE_USV_SPEED_MPS)):
         if settings[key] is None:
             settings[key] = baseline.get(arena)
-    frame, controller = _controller(settings)
+    controller = _controller(settings)
     try:
         cfg = TrialConfig(
             arena_id=arena,
@@ -152,7 +152,7 @@ def cmd_simulate(args) -> int:
             seed=seed,
             jitter_amplitude=settings["jitter_m"],
             controller=controller,
-            camera=CameraModel(frame=frame, horizontal_fov=math.radians(settings["fov_deg"])),
+            camera=CameraModel(frame=controller.frame, horizontal_fov=math.radians(settings["fov_deg"])),
             uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
             dt=settings["dt_s"],
             lookahead=settings["lookahead_m"],
@@ -197,8 +197,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if report.success else EXIT_TRACKING_LOST
 
 
-def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
-    """Parse a replay log: header 't,x,y', raw top-left pixel coordinates."""
+def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, float, float]]:
+    """Parse a replay log: header 't,x,y', raw top-left pixel coordinates, each
+    inside ``frame``, edges included (``simulate`` calls a target outside it lost)."""
     text = _read_text(path)
     if not text.strip():
         return []
@@ -208,7 +209,7 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
     if header != ["t", "x", "y"]:
         raise UsageError(f"{path}: expected header 't,x,y', got {lines[0]!r}")
     last_t = -math.inf
-    to_float, isfinite = float, math.isfinite
+    to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 3:
@@ -219,8 +220,8 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
             t, x, y = to_float(cells[0]), to_float(cells[1]), to_float(cells[2])
         except ValueError:
             raise UsageError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
-        if not (isfinite(t) and isfinite(x) and isfinite(y)):
-            raise UsageError(f"{path}: line {lineno}: non-finite value in {line!r}")
+        if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
+            raise UsageError(f"{path}: line {lineno}: non-finite time or position outside the frame in {line!r}")
         if t <= last_t:
             raise UsageError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
         last_t = t
@@ -228,7 +229,7 @@ def _read_coordinate_log(path: Path) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: CommandLink):
+def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
     """Decide each logged position, send the command, and yield its sample.
 
     Steps on plain floats: the centring is ``to_centered``'s arithmetic and the
@@ -236,7 +237,7 @@ def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: 
     goes to the link as it is: only when the command changes to or from idle or
     stays non-idle.  A repeated idle send does nothing (an idle one only forgets
     the last frame sent), so the frames and their times are unchanged."""
-    half_w, half_h = frame.width / 2, frame.height / 2
+    half_w, half_h = controller.frame.width / 2, controller.frame.height / 2
     send, new, idle, last = link.send, tuple.__new__, _IDLE, None  # None: the first row always goes to the link
     for t, raw_x, raw_y in rows:
         x = raw_x - half_w
@@ -249,13 +250,13 @@ def _replay_samples(rows, frame: FrameSpec, controller: ControllerConfig, link: 
 
 
 def cmd_replay(args) -> int:
-    frame, controller = _controller(_settings(args))
+    controller = _controller(_settings(args))
     rate = controller.rate_magnitude
     try:  # the gimbal acts on the frame's rate, so the frame must carry this one
         encode(GimbalCommand(yaw_rate=rate))
     except FrameError as exc:
         raise UsageError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
-    rows = _read_coordinate_log(Path(args.log))
+    rows = _read_coordinate_log(Path(args.log), controller.frame)
 
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,7 +264,7 @@ def cmd_replay(args) -> int:
     link = CommandLink(transport=transport)
     telemetry_path = out / "replay_telemetry.csv"
     try:
-        write_trial_csv(_replay_samples(rows, frame, controller, link), telemetry_path)
+        write_trial_csv(_replay_samples(rows, controller, link), telemetry_path)
     except TransportSaturated as exc:
         telemetry_path.unlink()
         raise UsageError(f"{args.log}: rows too dense for the serial link: {exc}") from None

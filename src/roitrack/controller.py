@@ -24,12 +24,17 @@ _SECTOR_SIGNS = {Sector.RIGHT: (1, 0), Sector.LEFT: (-1, 0), Sector.TOP: (0, 1),
 
 @dataclass(frozen=True)
 class GimbalCommand:
-    """Single-axis rate command; at most one of the two rates is nonzero."""
+    """Single-axis rate command; at most one of the two rates is nonzero, and
+    neither exceeds the actuator cap ``MAX_RATE_RAD_S`` (a NaN rate is rejected)."""
 
     yaw_rate: float = 0.0
     pitch_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (abs(self.yaw_rate) <= MAX_RATE_RAD_S and abs(self.pitch_rate) <= MAX_RATE_RAD_S):
+            raise ValueError(
+                f"rates ({self.yaw_rate}, {self.pitch_rate}) not within the {MAX_RATE_RAD_S} rad/s actuator cap"
+            )
         if self.yaw_rate != 0.0 and self.pitch_rate != 0.0:
             raise ValueError(
                 f"yaw and pitch are mutually exclusive, got ({self.yaw_rate}, {self.pitch_rate})"

@@ -39,7 +39,6 @@ class Excursion:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    excursions: tuple[Excursion, ...]
     n: int
     per_peak_s: tuple[float, ...]
     mean_s: float | None
@@ -151,16 +150,14 @@ def summarize(records: list[TrialRecord]) -> SensitivityReport:
 def summarize_tallies(tallies: list[RecordTally]) -> SensitivityReport:
     """Aggregate finished tallies, one per record, into a report.
 
-    The report is independent of record order: excursions are sorted
-    canonically and all sums use exact accumulation.
+    The report is independent of record order: the peaks are ordered by their
+    excursions, sorted canonically, and all sums use exact accumulation.
     """
     if not tallies:
         raise ValueError("need at least one record")
-    per_record = [(e, peak_sensitivity(e)) for acc in tallies for e in acc.excursions]
-    per_record.sort(key=lambda item: (item[0].t_start, item[0].t_end, item[0].p_max))
-    excursions = [e for e, _ in per_record]
-    per_peak = [s for _, s in per_record]
-    n = len(excursions)
+    excursions = sorted((e for acc in tallies for e in acc.excursions), key=lambda e: (e.t_start, e.t_end, e.p_max))
+    per_peak = [peak_sensitivity(e) for e in excursions]
+    n = len(per_peak)
     mean_s = math.fsum(per_peak) / n if n else None
     # group expenditure counts by dt so the totals are exact under permutation
     by_dt: dict[float, list[int]] = {}
@@ -173,7 +170,6 @@ def summarize_tallies(tallies: list[RecordTally]) -> SensitivityReport:
     pitch_s = math.fsum(dt * counts[1] for dt, counts in sorted(by_dt.items()))
     overlap_s = math.fsum(dt * counts[2] for dt, counts in sorted(by_dt.items()))
     return SensitivityReport(
-        excursions=tuple(excursions),
         n=n,
         per_peak_s=tuple(per_peak),
         mean_s=mean_s,

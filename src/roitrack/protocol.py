@@ -20,6 +20,7 @@ from .controller import MAX_RATE_RAD_S, GimbalCommand
 
 TERMINATOR = b"\n"
 LINE_RATE_BPS = 9600
+KEEPALIVE_S = 1.0  # a held command's frame is re-sent this long after, in case the receiver times out
 BITS_PER_BYTE_ON_WIRE = 10  # 8 data bits + start + stop
 
 _AXES = ("Yaw", "Pitch")
@@ -58,7 +59,8 @@ def encode(cmd: GimbalCommand) -> list[SerialFrame]:
 
     A rate the frame cannot carry exactly (one that is not a whole number of
     hundredths, such as 0.004 or 0.123) raises ``FrameError``: the receiver
-    would act on the frame's rate, not the command's.
+    would act on the frame's rate, not the command's.  So does a rate past the
+    actuator cap, which only a command built around ``GimbalCommand``'s check has.
     """
     if cmd.yaw_rate != 0.0 and cmd.pitch_rate != 0.0:
         raise FrameError(
@@ -70,8 +72,6 @@ def encode(cmd: GimbalCommand) -> list[SerialFrame]:
         axis, value = "Pitch", cmd.pitch_rate
     else:
         return []
-    if abs(value) > MAX_RATE_RAD_S + 1e-9:
-        raise FrameError(f"rate {value} exceeds the {MAX_RATE_RAD_S} rad/s actuator cap")
     frame = SerialFrame(text=f"{axis} {format_rate(value)}")
     sent = decode(frame)
     if (sent.yaw_rate, sent.pitch_rate) != (cmd.yaw_rate, cmd.pitch_rate):
@@ -138,14 +138,13 @@ class CommandLink:
     """Send-on-change command writer over a transport.
 
     Consecutive identical commands emit a single frame; a changed command
-    always goes out in the same loop iteration.  An optional keep-alive
-    interval re-sends the current frame periodically in case the receiver
-    times out; ``None`` disables it.  The frame of the last command encoded is
-    kept, across idle gaps too, so only a changed command is encoded again.
+    always goes out in the same loop iteration.  A held command's frame is
+    re-sent ``KEEPALIVE_S`` after it was last sent.  The frame of the last
+    command encoded is kept, across idle gaps too, so only a changed command
+    is encoded again.
     """
 
     transport: MockTransport
-    keepalive_interval: float | None = 1.0
     _last_text: str | None = None
     _last_sent_at: float = 0.0
     _cmd: GimbalCommand | None = None
@@ -159,11 +158,7 @@ class CommandLink:
             (self._frame,) = encode(cmd)
             self._cmd = cmd
         frame = self._frame
-        due_keepalive = (
-            self.keepalive_interval is not None
-            and now - self._last_sent_at >= self.keepalive_interval
-        )
-        if frame.text == self._last_text and not due_keepalive:
+        if frame.text == self._last_text and not now - self._last_sent_at >= KEEPALIVE_S:
             return []
         self.transport.send(frame, now)
         self._last_text = frame.text

@@ -51,11 +51,6 @@ def row_lines(samples: Iterable[TrialSample]) -> Iterator[str]:
         yield "%.9g,%.9g,%.9g,%.9g,%s\n" % (t, x, y, p, tail)
 
 
-def sample_row(sample: TrialSample) -> list[str]:
-    """One sample's CSV fields: its ``row_lines`` line, split."""
-    return next(row_lines((sample,)))[:-1].split(",")
-
-
 def write_csv_lines(lines: Iterable[str], path: Path) -> None:
     """Write the header and then each line, consuming ``lines`` as it goes."""
     with open(path, "w", newline="") as fh:
@@ -144,7 +139,7 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         last_t = t
-    return TrialRecord(samples=tuple(samples), dt=dt, config=None)
+    return TrialRecord(samples=tuple(samples), dt=dt)
 
 
 def serialize_report(report: SensitivityReport) -> str:

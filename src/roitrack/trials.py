@@ -56,6 +56,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if self.arena_id not in (1, 2):
             raise ValueError(f"arena_id must be 1 or 2, got {self.arena_id}")
+        if self.camera.frame != self.controller.frame:
+            raise ValueError(f"camera {self.camera.frame} is not the controller's {self.controller.frame}")
         for name in ("usv_speed", "duration", "dt", "jitter_amplitude", "lookahead"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -123,7 +125,6 @@ class TrialSample(NamedTuple):
 class TrialRecord:
     samples: tuple[TrialSample, ...]
     dt: float
-    config: TrialConfig | None = None
 
 
 def jitter_path(path: Path, amplitude: float, rng: random.Random) -> Path:
@@ -157,7 +158,7 @@ def trial_path(cfg: TrialConfig) -> Path:
 
 def run_trial(cfg: TrialConfig) -> TrialRecord:
     """Run one closed-loop trial and record every sample."""
-    return TrialRecord(samples=tuple(iter_trial(cfg)), dt=cfg.dt, config=cfg)
+    return TrialRecord(samples=tuple(iter_trial(cfg)), dt=cfg.dt)
 
 
 def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
@@ -274,8 +275,7 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
             yaw, pitch = cmd.yaw_rate, cmd.pitch_rate
         else:
             yaw = pitch = 0.0
-        # gimbal_step, on each axis it may change; its rate clamp cannot fire, since
-        # decide commands at most rate_magnitude, capped at MAX_RATE_RAD_S
+        # gimbal_step, on each axis it may change
         if yaw != 0.0 or pan == 0.0:
             pan = pan + yaw * dt
             sp, cp = sin(pan), cos(pan)

@@ -1,5 +1,5 @@
 """Deterministic fixed-timestep world model: boat, hovering camera platform,
-rate-limited pan/tilt gimbal, and pinhole projection into the camera frame.
+pan/tilt gimbal, and pinhole projection into the camera frame.
 
 World frame: x east, y north, z up, ground plane at z = 0.  The camera
 platform hovers at a fixed position and altitude; only the gimbal moves.
@@ -19,14 +19,11 @@ projected directly, since the controller consumes coordinates, not images.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
-from .controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
+from .controller import ControllerConfig, GimbalCommand, decide
 from .geometry import FrameSpec, ImagePoint, Sector
-
-log = logging.getLogger(__name__)
 
 TILT_MIN = -0.5 * math.pi  # straight down
 TILT_MAX = 0.0  # horizon
@@ -109,19 +106,13 @@ def usv_step(s: UsvState, rudder_rate: float, dt: float) -> UsvState:
 
 
 def gimbal_step(g: GimbalState, cmd: GimbalCommand, dt: float) -> GimbalState:
-    """Advance the gimbal; rates beyond the actuator cap ``MAX_RATE_RAD_S`` are
-    clamped, tilt saturates."""
+    """Advance the gimbal at the command's rates, which ``GimbalCommand`` holds
+    within the actuator cap; tilt saturates."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    yaw = cmd.yaw_rate
-    pitch = cmd.pitch_rate
-    if abs(yaw) > MAX_RATE_RAD_S or abs(pitch) > MAX_RATE_RAD_S:
-        log.warning("command (%g, %g) exceeds the gimbal's %g rad/s; clamping", yaw, pitch, MAX_RATE_RAD_S)
-        yaw = max(-MAX_RATE_RAD_S, min(MAX_RATE_RAD_S, yaw))
-        pitch = max(-MAX_RATE_RAD_S, min(MAX_RATE_RAD_S, pitch))
-    tilt = g.tilt + pitch * dt
+    tilt = g.tilt + cmd.pitch_rate * dt
     tilt = max(TILT_MIN, min(TILT_MAX, tilt))
-    return GimbalState(pan=g.pan + yaw * dt, tilt=tilt)
+    return GimbalState(pan=g.pan + cmd.yaw_rate * dt, tilt=tilt)
 
 
 def project(

@@ -30,7 +30,7 @@ def record_from_p(p_values, dt=1.0, t0=0.0, yaw=None, pitch=None, visible=None):
                 visible=True if visible is None else visible[i],
             )
         )
-    return TrialRecord(samples=tuple(samples), dt=dt, config=None)
+    return TrialRecord(samples=tuple(samples), dt=dt)
 
 
 def back_project(u: float, v: float, uav: UavPose, g: GimbalState, cam: CameraModel):

@@ -28,7 +28,7 @@ from roitrack.geometry import (
 from roitrack.metrics import summarize
 from roitrack.protocol import CommandLink, MockTransport, encode
 from roitrack.telemetry import (
-    CSV_COLUMNS, fmt_float, read_trial_csv, row_lines, sample_row, serialize_report, write_trial_csv
+    CSV_COLUMNS, fmt_float, read_trial_csv, row_lines, serialize_report, write_trial_csv
 )
 from roitrack.trials import (
     DEFAULT_DT_S,
@@ -321,8 +321,8 @@ class TestReplay:
         assert frames == ["t,frame"]
 
     def test_right_exit_emits_yaw_frames(self, tmp_path):
-        # synthetic track marching out the right side of the frame
-        rows = [(i / 30, 960.0 + 40.0 * i, 360.0) for i in range(30)]
+        # synthetic track marching to the right edge of the frame and held there
+        rows = [(i / 30, min(960.0 + 40.0 * i, 1920.0), 360.0) for i in range(30)]
         log = tmp_path / "log.csv"
         write_log(log, rows)
         out = tmp_path / "replay"
@@ -395,6 +395,44 @@ class TestReplay:
         assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
+
+    # simulate calls a target outside the frame lost; a logged row cannot say so
+    @pytest.mark.parametrize("rows,line", [
+        ("0,1e200,3\n0.0333333333,960,360", 2),
+        ("0,-5,3", 2),
+        ("0,960,360\n0.0333,1920.0001,360", 3),
+        ("0,960,360\n0.0333,960,720.5", 3),
+        ("0,960,360\n0.0333,-5e-324,360", 3),
+        ("0,960,360\n0.0333,960,-inf", 3),
+    ])
+    def test_row_outside_the_frame_rejected(self, tmp_path, capsys, rows, line):
+        log = tmp_path / "bad.csv"
+        log.write_text(f"t,x,y\n{rows}\n")
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
+        assert f"{log}: line {line}: non-finite time or position outside the frame" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_row_outside_a_configured_frame_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("frame_width_px = 1280\nframe_height_px = 640\n")
+        log = tmp_path / "log.csv"
+        write_log(log, [(0.0, 1280.0, 640.0), (1 / 30, 1300.0, 320.0)])
+        assert run_cli("replay", log, "--out-dir", tmp_path / "d") == EXIT_OK
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--config", config, "--out-dir", out) == EXIT_USAGE
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rows_on_the_frame_edges_replayed(self, tmp_path):
+        corners = [(-0.0, -0.0), (1920.0, 0.0), (0.0, 720.0), (1920.0, 720.0), (960.0, -0.0)]
+        log = tmp_path / "log.csv"
+        write_log(log, [(i / 30, x, y) for i, (x, y) in enumerate(corners)])
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        rows = (out / "replay_telemetry.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["-960", "360"], ["960", "360"], ["-960", "-360"],
+                                                         ["960", "-360"], ["0", "360"]]
 
     def test_dense_log_saturating_the_link_is_usage_error(self, tmp_path, capsys):
         # alternating hard left / hard right, 1 ms apart: every row changes the
@@ -487,11 +525,11 @@ class TestReplay:
             assert (out / name).read_bytes() == (default / name).read_bytes()
 
 
-def reference_replay_samples(rows, frame, controller, link):
+def reference_replay_samples(rows, controller, link):
     """``cli._replay_samples`` built from the public functions, with objects
     per row: ``to_centered``, then ``decide``, then ``CommandLink.send``."""
     for t, raw_x, raw_y in rows:
-        img = to_centered(row=raw_y, col=raw_x, frame=frame)
+        img = to_centered(row=raw_y, col=raw_x, frame=controller.frame)
         p, sector, cmd = decide(img, controller)
         link.send(cmd, now=t)
         yield TrialSample(t, img.x, img.y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True)
@@ -513,12 +551,12 @@ def reference_rows(frame, roi):
     return [(t, x, y) for t, (x, y) in zip(times, points)]
 
 
-def replay_bits(loop, rows, frame, controller):
+def replay_bits(loop, rows, controller):
     """Every bit of each sample a replay loop yields, and of each frame it sends."""
     transport = MockTransport()
     samples = [
         (struct.pack("<6d", s.t, s.x, s.y, s.p, s.yaw_cmd, s.pitch_cmd), s.sector, s.visible)
-        for s in loop(rows, frame, controller, CommandLink(transport=transport))
+        for s in loop(rows, controller, CommandLink(transport=transport))
     ]
     return samples, [(struct.pack("<d", t), text) for t, text in transport.log]
 
@@ -552,8 +590,8 @@ class TestReplayReferenceLoop:
     ])
     def test_replay_samples_match_the_public_functions_bit_for_bit(self, frame, controller):
         rows = reference_rows(frame, controller.roi)
-        expected_samples, expected_log = replay_bits(reference_replay_samples, rows, frame, controller)
-        samples, log = replay_bits(_replay_samples, rows, frame, controller)
+        expected_samples, expected_log = replay_bits(reference_replay_samples, rows, controller)
+        samples, log = replay_bits(_replay_samples, rows, controller)
         assert len(samples) == len(expected_samples) == len(rows)
         for i, (a, e) in enumerate(zip(samples, expected_samples)):
             assert a == e, f"row {i}"
@@ -569,7 +607,7 @@ class TestReplayReferenceLoop:
     def test_link_is_called_only_when_the_command_is_or_was_non_idle(self, frame, controller):
         rows = reference_rows(frame, controller.roi)
         link, sent = recording_link()
-        samples = list(_replay_samples(rows, frame, controller, link))
+        samples = list(_replay_samples(rows, controller, link))
         active = [s.yaw_cmd != 0.0 or s.pitch_cmd != 0.0 for s in samples]
         # the first row counts as following a non-idle one: the link's state is not the loop's to assume
         expected = [i for i, on in enumerate(active) if on or i == 0 or active[i - 1]]
@@ -583,7 +621,7 @@ class TestReplayReferenceLoop:
         frame, controller = replay_controller()
         link, sent = recording_link()
         rows = [(i / 30, frame.width / 2, frame.height / 2) for i in range(300)]
-        assert len(list(_replay_samples(rows, frame, controller, link))) == 300
+        assert len(list(_replay_samples(rows, controller, link))) == 300
         assert len(sent) <= 1 and link.transport.log == []
 
 
@@ -613,8 +651,62 @@ def test_any_replay_log_exits_with_a_documented_code(data):
             assert not (out / "replay_telemetry.csv").exists()
 
 
+def _in_frame(side: int):
+    return st.one_of(st.sampled_from([0.0, -0.0, float(side), side / 2]), st.floats(0.0, float(side)))
+
+
+def _off_frame(side: int):
+    edges = [-5e-324, -1.0, math.nextafter(side, math.inf), 1e200, math.nan, math.inf, -math.inf]
+    return st.one_of(st.sampled_from(edges), st.floats(max_value=-5e-324), st.floats(min_value=side, exclude_min=True))
+
+
+@st.composite
+def _replay_run(draw):
+    """A config the CLI accepts (frame, ROI, a rate the link carries), a 30 Hz
+    log inside its frame, and maybe one row moved off it: (config, rows, off)."""
+    sides = st.one_of(st.sampled_from([1, 720, 1920, 2**20]), st.integers(1, 5000))
+    width, height = draw(sides), draw(sides)
+    config = {
+        "frame_width_px": width,
+        "frame_height_px": height,
+        "roi_frac_x": draw(st.floats(0.05, 0.49)),
+        "roi_frac_y": draw(st.floats(0.05, 0.49)),
+        "rate_rad_s": draw(st.integers(1, 30)) / 100,
+    }
+    points = draw(st.lists(st.tuples(_in_frame(width), _in_frame(height)), min_size=1, max_size=40))
+    off = draw(st.booleans())
+    if off:
+        i, axis = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, 1))
+        point = list(points[i])
+        point[axis] = draw(_off_frame((width, height)[axis]))
+        points[i] = tuple(point)
+    return config, [(i / 30, x, y) for i, (x, y) in enumerate(points)], off
+
+
+@settings(max_examples=100, deadline=None)
+@given(_replay_run())
+def test_replay_telemetry_is_what_report_reads_or_replay_refuses_the_log(run):
+    """Replay of an in-frame 30 Hz log writes telemetry that ``report`` accepts;
+    one row off the frame makes replay exit 1 before it writes anything."""
+    config, rows, off = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, log, out = Path(tmp) / "run.cfg", Path(tmp) / "log.csv", Path(tmp) / "out"
+        cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in config.items()))
+        log.write_text("t,x,y\n" + "".join(f"{t!r},{x!r},{y!r}\n" for t, x, y in rows))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["replay", str(log), "--config", str(cfg), "--out-dir", str(out)])
+            if off:
+                assert code == EXIT_USAGE
+                assert not (out / "replay_telemetry.csv").exists()
+                return
+            assert code == EXIT_OK
+            telemetry = str(out / "replay_telemetry.csv")
+            assert main(["report", telemetry, "--dt-s", "0.03333333333333333"]) == EXIT_OK
+
+
 VALID_ROWS = [
-    sample_row(s) for s in run_trial(TrialConfig.baseline(1, seed=1, usv_speed=5.0, duration=0.5)).samples
+    line[:-1].split(",")
+    for line in row_lines(run_trial(TrialConfig.baseline(1, seed=1, usv_speed=5.0, duration=0.5)).samples)
 ]
 FIELDS = st.one_of(
     st.text(max_size=20),
@@ -762,14 +854,15 @@ class TestPinnedBytes:
 class TestSampleRow:
     def test_command_fields_are_their_formatted_rates(self):
         # more distinct rates than the command-text cache holds
-        for k in range(1, 200):
-            rate = 0.3 * k / 200
-            row = sample_row(TrialSample(1.0, 2.0, 3.0, 4.0, Sector.LEFT, -rate, rate, True))
-            assert row[5:] == [fmt_float(-rate), fmt_float(rate), "true"]
+        samples = [
+            TrialSample(1.0, 2.0, 3.0, 4.0, Sector.LEFT, -0.3 * k / 200, 0.3 * k / 200, True) for k in range(1, 200)
+        ]
+        for s, line in zip(samples, row_lines(samples)):
+            assert line[:-1].split(",")[5:] == [fmt_float(s.yaw_cmd), fmt_float(s.pitch_cmd), "true"]
 
     def test_zero_command_prints_zero_whatever_its_sign(self):
-        row = sample_row(TrialSample(1.0, 2.0, 3.0, 0.5, Sector.TOP, -0.0, 0.0, False))
-        assert row == ["1", "2", "3", "0.5", "top", "0", "0", "false"]
+        rows = row_lines([TrialSample(1.0, 2.0, 3.0, 0.5, Sector.TOP, -0.0, 0.0, False)])
+        assert list(rows) == ["1,2,3,0.5,top,0,0,false\n"]
 
 
 def oracle_line(sample) -> str:
@@ -799,8 +892,6 @@ class TestRowCodec:
     @given(samples=st.lists(ROW_SAMPLES, max_size=40))
     def test_lines_match_the_field_by_field_oracle(self, samples):
         assert list(row_lines(samples)) == [oracle_line(s) for s in samples]
-        for s in samples:
-            assert sample_row(s) == oracle_line(s)[:-1].split(",")
 
     def test_cached_tails_stay_right_across_many_rates(self, tmp_path):
         # every sector, -0.0 commands and 60 distinct rates, each rate with

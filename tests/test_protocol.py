@@ -10,6 +10,7 @@ from roitrack import protocol
 from roitrack.controller import GimbalCommand
 from roitrack.protocol import (
     BITS_PER_BYTE_ON_WIRE,
+    KEEPALIVE_S,
     LINE_RATE_BPS,
     CommandLink,
     FrameError,
@@ -50,8 +51,10 @@ class TestEncode:
         assert [f.text for f in encode(GimbalCommand(pitch_rate=0.3))] == ["Pitch 0.3"]
 
     def test_over_cap_rejected(self):
-        with pytest.raises(FrameError):
-            encode(GimbalCommand(yaw_rate=0.4))
+        # the cap is GimbalCommand's: a command over it is never built, so never encoded
+        for axis in ("yaw_rate", "pitch_rate"):
+            with pytest.raises(ValueError, match="actuator cap"):
+                GimbalCommand(**{axis: 0.4})
 
     def test_dual_axis_rejected(self):
         bad = object.__new__(GimbalCommand)
@@ -100,10 +103,12 @@ class TestEncodeKeepsNoState:
         (0.3, 0.3),
         (math.nan, 0.0),
         (0.0, math.inf),
+        (-math.inf, 0.0),
+        (1e300, 0.0),
         (0.123, 0.0),
     ])
     def test_bad_command_raises_on_every_call(self, yaw, pitch):
-        bad = object.__new__(GimbalCommand)  # bypasses the dual-axis check
+        bad = object.__new__(GimbalCommand)  # bypasses the cap and dual-axis checks
         object.__setattr__(bad, "yaw_rate", yaw)
         object.__setattr__(bad, "pitch_rate", pitch)
         for _ in range(3):
@@ -223,14 +228,14 @@ class TestCommandLink:
         assert link.transport.bytes_sent() == 0
 
     def test_send_on_change_dedupes(self):
-        link = CommandLink(transport=MockTransport(), keepalive_interval=None)
+        link = CommandLink(transport=MockTransport())
         cmd = GimbalCommand(yaw_rate=0.3)
         for i in range(30):
             link.send(cmd, now=i / 30)
         assert [text for _, text in link.transport.log] == ["Yaw 0.3"]
 
     def test_change_emits_in_same_iteration(self):
-        link = CommandLink(transport=MockTransport(), keepalive_interval=None)
+        link = CommandLink(transport=MockTransport())
         link.send(GimbalCommand(yaw_rate=0.3), now=0.0)
         sent = link.send(GimbalCommand(pitch_rate=0.3), now=1 / 30)
         assert [f.text for f in sent] == ["Pitch 0.3"]
@@ -245,14 +250,14 @@ class TestCommandLink:
         assert link.send(GimbalCommand(pitch_rate=-0.0), now=2.0) == []
 
     def test_zero_then_same_command_resends(self):
-        link = CommandLink(transport=MockTransport(), keepalive_interval=None)
+        link = CommandLink(transport=MockTransport())
         link.send(GimbalCommand(yaw_rate=0.3), now=0.0)
         link.send(GimbalCommand(), now=0.1)
         link.send(GimbalCommand(yaw_rate=0.3), now=0.2)
         assert [text for _, text in link.transport.log] == ["Yaw 0.3", "Yaw 0.3"]
 
     def test_keepalive_resends_periodically(self):
-        link = CommandLink(transport=MockTransport(), keepalive_interval=1.0)
+        link = CommandLink(transport=MockTransport())
         cmd = GimbalCommand(yaw_rate=0.3)
         for i in range(75):  # 2.5 s at 30 Hz
             link.send(cmd, now=i / 30)
@@ -271,7 +276,7 @@ class TestCommandLink:
             + [GimbalCommand(yaw_rate=0.3)] * 2
             + [GimbalCommand(yaw_rate=-0.3)] * 2
         )
-        link = CommandLink(transport=MockTransport(), keepalive_interval=None)
+        link = CommandLink(transport=MockTransport())
         for i, cmd in enumerate(commands):
             link.send(cmd, now=i / 30)
         # oracle: walk the sequence counting zero->nonzero plus changes while nonzero
@@ -287,7 +292,7 @@ class TestCommandLink:
 
     def test_thirty_hz_loop_stays_under_line_budget(self):
         # alternating commands every frame: worst-case traffic
-        link = CommandLink(transport=MockTransport(), keepalive_interval=None)
+        link = CommandLink(transport=MockTransport())
         duration = 10.0
         n = int(duration * 30)
         for i in range(n):
@@ -316,10 +321,9 @@ def wire_time(cmd: GimbalCommand) -> float:
         st.tuples(st.sampled_from(FIVE_COMMANDS), st.floats(min_value=0.0, max_value=0.05)),
         max_size=60,
     ),
-    keepalive=st.sampled_from([None, 1.0, 0.01, 0.0]),
 )
-def test_link_fed_no_faster_than_the_wire_never_saturates(sends, keepalive):
-    link = CommandLink(transport=MockTransport(), keepalive_interval=keepalive)
+def test_link_fed_no_faster_than_the_wire_never_saturates(sends):
+    link = CommandLink(transport=MockTransport())
     now = 0.0
     for cmd, slack in sends:
         link.send(cmd, now=now)  # raises TransportSaturated if the line is still busy
@@ -332,7 +336,6 @@ class ReferenceLink:
     every non-zero command it is given.  ``CommandLink`` must match it."""
 
     transport: MockTransport
-    keepalive_interval: float | None = 1.0
     _last_text: str | None = None
     _last_sent_at: float = 0.0
 
@@ -341,10 +344,7 @@ class ReferenceLink:
             self._last_text = None
             return []
         (frame,) = encode(cmd)
-        due_keepalive = (
-            self.keepalive_interval is not None
-            and now - self._last_sent_at >= self.keepalive_interval
-        )
+        due_keepalive = now - self._last_sent_at >= KEEPALIVE_S
         if frame.text == self._last_text and not due_keepalive:
             return []
         self.transport.send(frame, now)
@@ -362,20 +362,20 @@ def outcome(link, cmd, now):
 
 
 def unchecked_command(yaw: float, pitch: float) -> GimbalCommand:
-    cmd = object.__new__(GimbalCommand)  # bypasses the dual-axis check
+    cmd = object.__new__(GimbalCommand)  # bypasses the cap and dual-axis checks
     object.__setattr__(cmd, "yaw_rate", yaw)
     object.__setattr__(cmd, "pitch_rate", pitch)
     return cmd
 
 
 # The five commands a run decides, the same values as new objects, other
-# rates (some with no exact frame, some over the cap), -0.0 axes, and
-# commands no run decides: both axes set, NaN.
+# rates (some with no exact frame), -0.0 axes, and commands no run decides,
+# built around GimbalCommand's checks: both axes set, over the cap, NaN.
 LINK_COMMANDS = st.one_of(
     st.sampled_from(FIVE_COMMANDS),
     st.builds(
         GimbalCommand,
-        yaw_rate=st.sampled_from([0.3, -0.3, 0.2, 0.05, 0.123, 0.4, -0.0, 0.0]),
+        yaw_rate=st.sampled_from([0.3, -0.3, 0.2, 0.05, 0.123, -0.0, 0.0]),
     ),
     st.builds(
         GimbalCommand,
@@ -386,6 +386,7 @@ LINK_COMMANDS = st.one_of(
         GimbalCommand(yaw_rate=-0.0, pitch_rate=-0.3),
         GimbalCommand(yaw_rate=-0.0, pitch_rate=-0.0),
         unchecked_command(0.3, 0.3),
+        unchecked_command(0.4, 0.0),
         unchecked_command(math.nan, 0.0),
     ]),
 )
@@ -398,12 +399,11 @@ LINK_COMMANDS = st.one_of(
         st.tuples(LINK_COMMANDS, st.sampled_from([0.0, 0.001, 0.005, 1 / 30, 0.1, 0.5, 1.0, 1.5])),
         max_size=80,
     ),
-    keepalive=st.sampled_from([None, 1.0]),
     start=st.sampled_from([0.0, -2.0]),
 )
-def test_link_matches_the_reference_link(sends, keepalive, start):
-    link = CommandLink(transport=MockTransport(), keepalive_interval=keepalive)
-    reference = ReferenceLink(transport=MockTransport(), keepalive_interval=keepalive)
+def test_link_matches_the_reference_link(sends, start):
+    link = CommandLink(transport=MockTransport())
+    reference = ReferenceLink(transport=MockTransport())
     now = start
     for cmd, gap in sends:
         now += gap

@@ -81,7 +81,7 @@ def reference_read_rows(reader, path: Path, dt: float) -> TrialRecord:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         last_t = t
-    return TrialRecord(samples=tuple(samples), dt=dt, config=None)
+    return TrialRecord(samples=tuple(samples), dt=dt)
 
 
 def _replay_lines() -> list[str]:
@@ -91,7 +91,7 @@ def _replay_lines() -> list[str]:
     points = [(960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
     points += [(1900.0, 360.0)] * 20 + [(960.0, 360.0)] * 5
     rows = [(i / 30, x, y) for i, (x, y) in enumerate(points)]
-    return list(row_lines(_replay_samples(rows, frame, controller, CommandLink(MockTransport()))))
+    return list(row_lines(_replay_samples(rows, controller, CommandLink(MockTransport()))))
 
 
 # Valid telemetry: simulate's rows (arena 1 with the target lost, arena 2) and replay's.
@@ -109,7 +109,7 @@ def record_bits(record: TrialRecord):
         (type(s), struct.pack("<6d", s.t, s.x, s.y, s.p, s.yaw_cmd, s.pitch_cmd), s.sector, s.visible)
         for s in record.samples
     ]
-    return samples, struct.pack("<d", record.dt), record.config
+    return samples, struct.pack("<d", record.dt)
 
 
 def outcome(read_rows, text: str, dt: float):

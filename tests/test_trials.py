@@ -30,9 +30,12 @@ from roitrack.trials import (
 from roitrack.world import CameraModel, UavPose, UsvState, WorldState, aim_at, closed_loop_step, usv_step
 
 
+ARENA1_CONFIG = TrialConfig.baseline(1, seed=1)
+
+
 @pytest.fixture(scope="module")
 def arena1_record():
-    return run_trial(TrialConfig.baseline(1, seed=1))
+    return run_trial(ARENA1_CONFIG)
 
 
 class TestRunTrial:
@@ -58,12 +61,12 @@ class TestRunTrial:
         assert a != b
 
     def test_p_recomputable_from_coordinates(self, arena1_record):
-        roi = arena1_record.config.controller.roi
+        roi = ARENA1_CONFIG.controller.roi
         for sample in arena1_record.samples:
             assert abs(sample.p - relative_position(ImagePoint(sample.x, sample.y), roi)) <= 1e-12
 
     def test_commands_recomputable_from_coordinates(self, arena1_record):
-        cfg = arena1_record.config.controller
+        cfg = ARENA1_CONFIG.controller
         for sample in arena1_record.samples:
             if not sample.visible:
                 continue
@@ -79,10 +82,10 @@ class TestRunTrial:
         assert all(sample.visible for sample in arena1_record.samples)
 
     def test_iter_trial_yields_the_samples_run_trial_records(self, arena1_record):
-        assert tuple(iter_trial(arena1_record.config)) == arena1_record.samples
+        assert tuple(iter_trial(ARENA1_CONFIG)) == arena1_record.samples
 
     def test_iter_trial_yields_trial_samples(self, arena1_record):
-        for sample in iter_trial(replace(arena1_record.config, duration=2.0)):
+        for sample in iter_trial(replace(ARENA1_CONFIG, duration=2.0)):
             assert type(sample) is TrialSample
             assert sample == TrialSample(*sample)
 
@@ -462,6 +465,18 @@ class TestConfigValidation:
             cfg = TrialConfig.baseline(arena, seed=seed, jitter_amplitude=MAX_CAMERA_OFFSET_M, duration=0.5)
             assert all(math.isfinite(c) for point in trial_path(cfg).waypoints for c in point)
             assert len(run_trial(cfg).samples) == 15
+
+    # The ROI is sized for the controller's frame: a 640 px camera under the
+    # default 1920 px controller has a 576 px semi-axis, wider than its 320 px
+    # half-frame, so the target could never leave the ellipse.
+    @pytest.mark.parametrize("frame", [FrameSpec(640, 480), FrameSpec(1920, 721), FrameSpec(1921, 720)])
+    def test_camera_frame_other_than_the_controllers_rejected(self, frame):
+        with pytest.raises(ValueError, match="is not the controller's"):
+            TrialConfig.baseline(1, camera=CameraModel(frame=frame))
+        controller = ControllerConfig(roi=EllipseRoi.from_fractions(frame), frame=frame)
+        with pytest.raises(ValueError, match="is not the controller's"):
+            TrialConfig.baseline(1, controller=controller)
+        assert TrialConfig.baseline(1, controller=controller, camera=CameraModel(frame=frame)).camera.frame == frame
 
     def test_camera_offset_at_the_bound_accepted(self):
         bound = MAX_CAMERA_OFFSET_M

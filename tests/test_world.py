@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -100,12 +99,17 @@ class TestGimbalStep:
         g = GimbalState(pan=0.0, tilt=TILT_MAX)
         assert gimbal_step(g, GimbalCommand(pitch_rate=0.3), DT).tilt == TILT_MAX
 
-    def test_overspeed_clamped_and_flagged(self, caplog):
-        g = GimbalState(pan=0.0, tilt=-0.5)
-        with caplog.at_level(logging.WARNING, logger="roitrack.world"):
-            out = gimbal_step(g, GimbalCommand(yaw_rate=0.9), dt=1.0)
-        assert out.pan == pytest.approx(0.3)
-        assert any("clamping" in rec.message for rec in caplog.records)
+    def test_command_over_the_cap_cannot_be_built(self):
+        # the gimbal needs no clamp: GimbalCommand holds every rate within the cap
+        over = math.nextafter(MAX_RATE_RAD_S, math.inf)
+        for rate in (over, -over, math.nan, math.inf, -math.inf):
+            for axis in ("yaw_rate", "pitch_rate"):
+                with pytest.raises(ValueError):
+                    GimbalCommand(**{axis: rate})
+        for rate in (MAX_RATE_RAD_S, -MAX_RATE_RAD_S):
+            g = GimbalState(pan=0.0, tilt=-0.5)
+            assert gimbal_step(g, GimbalCommand(yaw_rate=rate), dt=1.0).pan == rate
+            assert gimbal_step(g, GimbalCommand(pitch_rate=rate), dt=1.0).tilt == -0.5 + rate
 
     @given(pan=st.floats(min_value=-10, max_value=10),
            tilt=st.floats(min_value=TILT_MIN, max_value=TILT_MAX),
