@@ -14,7 +14,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from itertools import tee
 from pathlib import Path
 
 from . import __version__
@@ -168,7 +167,7 @@ def cmd_simulate(args) -> int:
         path = out / f"trial_{i:03d}.csv"
         acc = RecordTally(cfg.dt)
         try:
-            write_csv_lines(_tallied_rows(iter_trial(replace(cfg, seed=trial_seed)), acc), path)
+            write_csv_lines(_tallied_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc), path)
             tallies.append(acc.finish())
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from None
@@ -199,7 +198,8 @@ def cmd_simulate(args) -> int:
 
 def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, float, float]]:
     """Parse a replay log: header 't,x,y', raw top-left pixel coordinates, each
-    inside ``frame``, edges included (``simulate`` calls a target outside it lost)."""
+    inside ``frame``, edges included (``simulate`` calls a target outside it lost),
+    and increasing times whose 9-digit telemetry texts differ."""
     text = _read_text(path)
     if not text.strip():
         return []
@@ -222,8 +222,12 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
             raise UsageError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
         if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
             raise UsageError(f"{path}: line {lineno}: non-finite time or position outside the frame in {line!r}")
-        if t <= last_t:
-            raise UsageError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
+        # Over 1e-8 of the larger |time| apart (t or -last_t, for t > last_t), two
+        # times print as different 9-digit texts; the first row has no last time.
+        if t - last_t <= 1e-8 * (t if t > -last_t else -last_t) and rows:
+            if t <= last_t:
+                raise UsageError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
+            raise UsageError(f"{path}: line {lineno}: time {t} is too close to {last_t} to print apart from it")
         last_t = t
         rows.append((t, x, y))
     return rows
@@ -275,17 +279,16 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _tallied_rows(samples, acc: RecordTally):
-    """Yield each sample's CSV line, and feed ``acc`` the values ``report``
-    reads back from it, so that ``summary.txt`` is what ``report`` computes
-    from the CSVs, byte for byte: t and P from their text, and the commands and
-    ``visible`` as they are, since a command reads back zero exactly when it is
-    zero."""
+def _tallied_rows(lines, acc: RecordTally):
+    """Yield each telemetry line that ``row_lines`` made, and feed ``acc`` the
+    row as ``report`` reads it from the same text, so that ``summary.txt`` is
+    what ``report`` computes from the CSVs, byte for byte.  t and P are parsed;
+    a command is active unless its field is ``0``, which ``row_lines`` prints
+    for every zero command; ``visible`` is its word."""
     add = acc.add
-    samples, mirror = tee(samples)
-    for (_, _, _, _, _, yaw_cmd, pitch_cmd, visible), line in zip(mirror, row_lines(samples)):
-        t_text, _, _, p_text, _ = line.split(",", 4)
-        add(float(t_text), float(p_text), yaw_cmd, pitch_cmd, visible)
+    for line in lines:
+        t_text, _, _, p_text, _, yaw_text, pitch_text, visible_text = line.split(",")
+        add(float(t_text), float(p_text), yaw_text != "0", pitch_text != "0", visible_text == "true\n")
         yield line
 
 

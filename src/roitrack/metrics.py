@@ -173,7 +173,7 @@ def summarize_tallies(tallies: list[RecordTally]) -> SensitivityReport:
         n=n,
         per_peak_s=tuple(per_peak),
         mean_s=mean_s,
-        normalized_s=normalized_sensitivity(mean_s, n) if n else None,
+        normalized_s=normalized_sensitivity(mean_s, n),
         success=all(acc.success for acc in tallies),
         yaw_active_s=yaw_s,
         pitch_active_s=pitch_s,

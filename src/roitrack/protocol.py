@@ -3,8 +3,10 @@
 The ground station accepts one command per line: the axis word (``Yaw`` or
 ``Pitch``) followed by a signed rate in rad/s, for example ``Yaw 0.2``.
 Rates are limited to [-0.3, 0.3] and carry at most two fractional digits
-with no trailing zero beyond the first decimal place.  A zero command
-produces no traffic at all; the link is one-way and silent when idle.
+with no trailing zero beyond the first decimal place.  A frame drives one
+axis: ``GimbalCommand`` owns that rule, and ``encode`` refuses any command
+its frame does not read back as.  A zero command produces no traffic at
+all; the link is one-way and silent when idle.
 
 Framing assumptions confined to this module: line-feed terminator, 8N1 at
 9600 bps (10 bits per byte on the wire).
@@ -57,15 +59,11 @@ def format_rate(value: float) -> str:
 def encode(cmd: GimbalCommand) -> list[SerialFrame]:
     """Zero or one frame for a command; idle commands generate no traffic.
 
-    A rate the frame cannot carry exactly (one that is not a whole number of
-    hundredths, such as 0.004 or 0.123) raises ``FrameError``: the receiver
-    would act on the frame's rate, not the command's.  So does a rate past the
-    actuator cap, which only a command built around ``GimbalCommand``'s check has.
+    A command its frame does not read back as exactly raises ``FrameError``,
+    since the receiver acts on the frame: a rate that is not whole hundredths
+    (0.004, 0.123) or, in a command built around ``GimbalCommand``'s checks,
+    a rate past the cap or a second nonzero axis.
     """
-    if cmd.yaw_rate != 0.0 and cmd.pitch_rate != 0.0:
-        raise FrameError(
-            f"command ({cmd.yaw_rate}, {cmd.pitch_rate}) drives both axes and has no single-axis frame"
-        )
     if cmd.yaw_rate != 0.0:
         axis, value = "Yaw", cmd.yaw_rate
     elif cmd.pitch_rate != 0.0:
@@ -76,7 +74,8 @@ def encode(cmd: GimbalCommand) -> list[SerialFrame]:
     sent = decode(frame)
     if (sent.yaw_rate, sent.pitch_rate) != (cmd.yaw_rate, cmd.pitch_rate):
         raise FrameError(
-            f"rate {value} has no exact frame: {frame.text!r} reads back as {sent.yaw_rate or sent.pitch_rate}"
+            f"command ({cmd.yaw_rate}, {cmd.pitch_rate}) has no exact frame:"
+            f" {frame.text!r} reads back as ({sent.yaw_rate}, {sent.pitch_rate})"
         )
     return [frame]
 
@@ -117,8 +116,8 @@ class MockTransport:
     out raises ``TransportSaturated``; frames are never silently dropped.
     """
 
-    log: list[tuple[float, str]] = field(default_factory=list)
-    _busy_until: float = -math.inf  # idle: a log's times may start below zero
+    log: list[tuple[float, str]] = field(default_factory=list, init=False)
+    _busy_until: float = field(default=-math.inf, init=False)  # idle: a log's times may start below zero
 
     def send(self, frame: SerialFrame, now: float) -> None:
         if now < self._busy_until:
@@ -145,10 +144,10 @@ class CommandLink:
     """
 
     transport: MockTransport
-    _last_text: str | None = None
-    _last_sent_at: float = 0.0
-    _cmd: GimbalCommand | None = None
-    _frame: SerialFrame | None = None
+    _last_text: str | None = field(default=None, init=False)
+    _last_sent_at: float = field(default=0.0, init=False)
+    _cmd: GimbalCommand | None = field(default=None, init=False)
+    _frame: SerialFrame | None = field(default=None, init=False)
 
     def send(self, cmd: GimbalCommand, now: float) -> list[SerialFrame]:
         if cmd.is_zero():

@@ -9,13 +9,13 @@ it.  A row is one ``%``-format of t, x, y and P, each as ``fmt_float`` prints
 it, and the row's tail: the sector word, both commands and ``visible``.  The
 tail is built once per distinct (sector, yaw, pitch, visible) and reused, so
 a run's five commands give at most 16 tails.  A zero command prints ``0``
-whatever its sign.
+whatever its sign, so ``simulate`` tallies each row from its text alone, as
+``report`` reads it.  ``format_kv_text`` is the one writer of key-value text.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -69,7 +69,8 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
     The CSV carries sample times but not the loop period, so ``dt`` must be
     supplied by the caller (it is needed for sample-count based quantities).
     Consecutive times must be ``dt`` apart, up to the rounding of their
-    9-digit text; any other gap means a wrong ``dt`` or missing rows.  A row
+    9-digit text and within ``dt / 2``; any other gap means a wrong ``dt``,
+    missing rows, or a ``t`` text too coarse to resolve ``dt``.  A row
     no run can write is rejected: a non-finite ``t``, ``x``, ``y`` or ``P``, a
     negative ``P``, a command beyond the actuator cap or on both axes at once,
     or a command that contradicts ``P``.  A run commands nothing while ``P < 1``
@@ -111,7 +112,8 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
                 raise ValueError(f"P = {p_text} is negative")
             if last_t is not None:
                 scale = abs(t) if abs(t) > abs(last_t) else abs(last_t)
-                if not abs(t - last_t - dt) <= 1e-8 * (scale if scale > 1.0 else 1.0):
+                miss = abs(t - last_t - dt)
+                if not (miss <= 1e-8 * (scale if scale > 1.0 else 1.0) and miss < 0.5 * dt):
                     raise ValueError(f"sample time {t_text} is not dt = {dt} after {fmt_float(last_t)}")
             yaw_cmd, pitch_cmd = to_float(yaw_text), to_float(pitch_text)
             if not (abs(yaw_cmd) <= MAX_RATE_RAD_S and abs(pitch_cmd) <= MAX_RATE_RAD_S):
@@ -148,22 +150,20 @@ def serialize_report(report: SensitivityReport) -> str:
     ``normalized_s`` and ``mean_s`` are omitted entirely when there are no
     excursions (absent, not zero).
     """
-    lines = [f"n = {report.n}"]
+    values = {"n": str(report.n)}
     if report.per_peak_s:
-        lines.append("per_peak_s = " + " ".join(fmt_float(s) for s in report.per_peak_s))
+        values["per_peak_s"] = " ".join(fmt_float(s) for s in report.per_peak_s)
     if report.mean_s is not None:
-        lines.append(f"mean_s = {fmt_float(report.mean_s)}")
+        values["mean_s"] = fmt_float(report.mean_s)
     if report.normalized_s is not None:
-        lines.append(f"normalized_s = {fmt_float(report.normalized_s)}")
-    lines.append(f"success = {fmt_bool(report.success)}")
-    lines.append(f"yaw_active_s = {fmt_float(report.yaw_active_s)}")
-    lines.append(f"pitch_active_s = {fmt_float(report.pitch_active_s)}")
-    lines.append(f"overlap_s = {fmt_float(report.overlap_s)}")
-    return "\n".join(lines) + "\n"
+        values["normalized_s"] = fmt_float(report.normalized_s)
+    values["success"] = fmt_bool(report.success)
+    values["yaw_active_s"] = fmt_float(report.yaw_active_s)
+    values["pitch_active_s"] = fmt_float(report.pitch_active_s)
+    values["overlap_s"] = fmt_float(report.overlap_s)
+    return format_kv_text(values)
 
 
 def format_kv_text(values: dict[str, str]) -> str:
-    buffer = io.StringIO()
-    for key, value in values.items():
-        buffer.write(f"{key} = {value}\n")
-    return buffer.getvalue()
+    """The one writer of the ``key = value`` text that ``arenas.parse_kv_text`` reads."""
+    return "".join(f"{key} = {value}\n" for key, value in values.items())

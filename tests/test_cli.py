@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from roitrack import cli, protocol
 from roitrack.arenas import parse_kv_text
-from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, _replay_samples, main
+from roitrack.cli import (
+    EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, _replay_samples, _tallied_rows, main
+)
 from roitrack.controller import ControllerConfig, decide, step
 from roitrack.geometry import (
     EllipseRoi,
@@ -25,7 +27,7 @@ from roitrack.geometry import (
     to_centered,
     to_polar,
 )
-from roitrack.metrics import summarize
+from roitrack.metrics import RecordTally, summarize, tally
 from roitrack.protocol import CommandLink, MockTransport, encode
 from roitrack.telemetry import (
     CSV_COLUMNS, fmt_float, read_trial_csv, row_lines, serialize_report, write_trial_csv
@@ -304,6 +306,8 @@ def write_log(path, rows):
 
 # 3 s of raw pixel rows sweeping the ellipse and all four sectors
 SWEEP_ROWS = [(i / 30, 960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
+# 1 s at Unix-epoch times, centred, with the target leaving the ROI on the last row
+EPOCH_ROWS = [(1.7e9 + i / 30, 960.0 if i < 29 else 1900.0, 360.0) for i in range(30)]
 
 
 class TestReplay:
@@ -383,6 +387,36 @@ class TestReplay:
         log.write_text("t,x,y\n0.1,960,360\n0.1,961,360\n")
         assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_USAGE
         assert "non-monotonic" in capsys.readouterr().err
+
+    # Telemetry prints t with 9 significant digits: each pair below prints as
+    # one time (1.7e+09 for the whole epoch log), so report cannot find dt.
+    @pytest.mark.parametrize("rows,line", [
+        (EPOCH_ROWS, 3),
+        ([(1.0, 960, 360), (1.0 + 1e-9, 960, 360)], 3),
+        ([(-1.0 - 2e-9, 960, 360), (-1.0, 960, 360)], 3),
+        ([(0.0, 960, 360), (123456789.0, 960, 360), (123456789.4, 960, 360)], 4),
+    ])
+    def test_times_the_telemetry_cannot_tell_apart_rejected(self, tmp_path, capsys, rows, line):
+        log = tmp_path / "close.csv"
+        write_log(log, rows)
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{log}: line {line}: time " in err and "non-monotonic" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 960, 360), (1.0 + 2e-8, 960, 360)],
+        [(-5e-324, 960, 360), (0.0, 960, 360), (5e-324, 960, 360)],
+        [(i / 30 - 1e5 / 30, 960, 360) for i in range(3)],
+    ])
+    def test_times_the_telemetry_can_tell_apart_replayed(self, tmp_path, rows):
+        log = tmp_path / "close.csv"
+        write_log(log, rows)
+        out = tmp_path / "r"
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        times = [row.split(",")[0] for row in (out / "replay_telemetry.csv").read_text().splitlines()[1:]]
+        assert len(set(times)) == len(times) == len(rows)
 
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.csv", "--out-dir", tmp_path / "r") == EXIT_IO
@@ -769,6 +803,99 @@ def test_report_reproduces_the_summary_simulate_writes(arena, seed, trials, dt, 
         assert printed.getvalue() == summary
 
 
+def _log_uniform(lo: float, hi: float):
+    """Floats in [lo, hi] (both positive), uniform in their logarithm, ends included."""
+    exponents = st.floats(math.log10(lo), math.log10(hi))
+    return st.one_of(st.sampled_from([lo, hi]), exponents.map(lambda e: min(max(10.0 ** e, lo), hi)))
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(lambda pair: pair[0] * pair[1])
+
+
+_SIDES = st.one_of(st.sampled_from([1, 2**20]), st.floats(0.0, 20.0).map(lambda e: round(2.0**e)))
+
+
+@st.composite
+def _simulate_settings(draw):
+    """Every ``simulate`` setting over its accepted range, log-uniform where
+    that spans decades; 1 to 200 steps per trial."""
+    dt = draw(_log_uniform(1e-9, 1e3))
+    return {
+        "arena": draw(st.sampled_from([1, 2])),
+        "trials": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(-(2**31), 2**31)),
+        "dt_s": dt,
+        "duration_s": draw(st.integers(1, 200)) * dt,
+        "usv_speed_mps": draw(st.one_of(st.just(0.0), _log_uniform(1e-5, 1e300))),
+        "jitter_m": draw(st.one_of(st.just(0.0), st.floats(0.0, 1000.0), _log_uniform(1e-300, 1000.0))),
+        "lookahead_m": draw(_log_uniform(1e-300, 1e300)),
+        "roi_frac_x": draw(st.floats(0.05, 0.49)),
+        "roi_frac_y": draw(st.floats(0.05, 0.49)),
+        "rate_rad_s": draw(st.one_of(st.floats(0.0, 0.3, exclude_min=True), _log_uniform(5e-324, 0.3))),
+        "fov_deg": draw(st.one_of(st.floats(0.001, 179.999), _log_uniform(0.001, 179.999))),
+        "frame_width_px": draw(_SIDES),
+        "frame_height_px": draw(_SIDES),
+        "uav_x_m": draw(st.one_of(st.just(0.0), _signed(_log_uniform(1e-300, 1000.0)))),
+        "uav_y_m": draw(st.one_of(st.just(0.0), _signed(_log_uniform(1e-300, 1000.0)))),
+        "altitude_m": draw(_log_uniform(1e-300, 1000.0)),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(_simulate_settings())
+def test_report_reproduces_the_summary_over_every_settings_range(values):
+    """Over the whole accepted range of every setting, ``report --dt-s <dt>``
+    prints exactly the ``summary.txt`` that ``simulate`` wrote, or
+    ``simulate`` exits 1 and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        config.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+        if code == EXIT_USAGE:
+            assert not out.exists()
+            return
+        assert code in (EXIT_OK, EXIT_TRACKING_LOST)
+        summary = (out / "summary.txt").read_text()
+        assert ("success = true" in summary) == (code == EXIT_OK)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            csvs = [str(path) for path in sorted(out.glob("trial_*.csv"))]
+            assert main(["report", *csvs, "--dt-s", repr(values["dt_s"])]) == EXIT_OK
+        assert printed.getvalue() == summary
+
+
+class TestTalliedRows:
+    # -0.0 and 0.0 commands print 0 and are idle; 5e-324 prints non-zero and is
+    # active; one row is invisible
+    SAMPLES = [
+        TrialSample(1 / 30, 0.0, 0.0, 0.5, Sector.RIGHT, 0.0, -0.0, True),
+        TrialSample(2 / 30, 900.0, 0.0, 3.0, Sector.RIGHT, 0.3, 0.0, True),
+        TrialSample(3 / 30, 0.0, 300.0, 2.0, Sector.TOP, -0.0, 5e-324, True),
+        TrialSample(4 / 30, 0.0, 0.0, 0.0, Sector.RIGHT, -0.0, -0.0, False),
+        TrialSample(5 / 30, 0.0, -300.0, 2.0, Sector.BOTTOM, 0.0, -0.3, True),
+    ]
+
+    def test_each_row_is_tallied_from_its_own_text(self, tmp_path):
+        acc = RecordTally(DEFAULT_DT_S)
+        lines = list(_tallied_rows(row_lines(self.SAMPLES), acc))
+        assert lines == list(row_lines(self.SAMPLES))
+        acc.finish()
+        assert (acc.yaw_n, acc.pitch_n, acc.overlap_n, acc.success) == (1, 2, 0, False)
+        path = tmp_path / "trial.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(lines))
+        read = tally(read_trial_csv(path, dt=DEFAULT_DT_S))
+        assert (read.yaw_n, read.pitch_n, read.overlap_n, read.success) == (1, 2, 0, False)
+        assert acc.excursions == read.excursions and len(acc.excursions) == 2
+
+    def test_a_run_of_visible_rows_succeeds(self):
+        acc = RecordTally(DEFAULT_DT_S)
+        visible = [s for s in self.SAMPLES if s.visible]
+        assert len(list(_tallied_rows(row_lines(visible), acc))) == 4
+        assert acc.finish().success
+
+
 # Extremes for one setting's config text: zero, negative, +-huge (as a float
 # and as a whole number, within and beyond float range), the smallest
 # subnormal, NaN and a wrong type.
@@ -957,6 +1084,38 @@ class TestReport:
         csv_path.write_text("\n".join(lines) + "\n")
         assert run_cli("report", csv_path) == EXIT_USAGE
         assert "line 5" in capsys.readouterr().err
+
+    def test_epoch_times_printed_as_one_time_are_usage_error(self, tmp_path, capsys):
+        # What replay wrote for the epoch log before it refused such logs: 30
+        # rows at one printed time, the last outside the ROI.
+        _, controller = replay_controller()
+        lines = list(row_lines(_replay_samples(EPOCH_ROWS, controller, CommandLink(transport=MockTransport()))))
+        assert {line.split(",")[0] for line in lines} == {"1.7e+09"}
+        csv_path = tmp_path / "epoch.csv"
+        csv_path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(lines))
+        assert run_cli("report", csv_path, "--dt-s", repr(1 / 30)) == EXIT_USAGE
+        assert f"{csv_path}: line 3: sample time 1.7e+09 is not dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times,dt,line", [
+        (["10", "10"], "1e-8", 3),
+        (["1", "1.00000001", "1.00000001"], "1e-8", 4),
+        (["1e-9", "3e-9"], "1e-9", 3),
+    ])
+    def test_gap_far_from_a_tiny_dt_is_usage_error(self, tmp_path, capsys, times, dt, line):
+        csv_path = tmp_path / "tiny.csv"
+        csv_path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(f"{t},0,0,0,right,0,0,true\n" for t in times))
+        assert run_cli("report", csv_path, "--dt-s", dt) == EXIT_USAGE
+        assert f"{csv_path}: line {line}: sample time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times,dt", [
+        (["10", "10.00000001", "10.00000002"], "1e-8"),
+        (["1e-9", "2e-9", "3e-9"], "1e-9"),
+        (["1000", "2000"], "1000"),
+    ])
+    def test_gap_of_a_tiny_or_large_dt_is_accepted(self, tmp_path, times, dt):
+        csv_path = tmp_path / "fine.csv"
+        csv_path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(f"{t},0,0,0,right,0,0,true\n" for t in times))
+        assert run_cli("report", csv_path, "--dt-s", dt) == EXIT_OK
 
     @pytest.mark.parametrize(
         "row",

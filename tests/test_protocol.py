@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,11 +57,17 @@ class TestEncode:
                 GimbalCommand(**{axis: 0.4})
 
     def test_dual_axis_rejected(self):
-        bad = object.__new__(GimbalCommand)
-        object.__setattr__(bad, "yaw_rate", 0.3)
-        object.__setattr__(bad, "pitch_rate", 0.3)
-        with pytest.raises(FrameError):
-            encode(bad)
+        # GimbalCommand refuses both axes; one built around it has no frame
+        # that reads back as it, from encode or through the link
+        for yaw, pitch in [(0.3, -0.2), (-0.05, 0.1), (0.3, 1e-300)]:
+            bad = unchecked_command(yaw, pitch)
+            both = rf"\({yaw}, {pitch}\)"
+            with pytest.raises(FrameError, match=both):
+                encode(bad)
+            link = CommandLink(transport=MockTransport())
+            with pytest.raises(FrameError, match=both):
+                link.send(bad, now=0.0)
+            assert link.transport.log == []
 
     def test_wire_bytes_terminated_by_line_feed(self):
         (frame,) = encode(GimbalCommand(yaw_rate=0.3))
@@ -74,6 +80,25 @@ class TestEncode:
     def test_rate_the_frame_cannot_carry_exactly_rejected(self, axis, rate):
         with pytest.raises(FrameError, match="no exact frame"):
             encode(GimbalCommand(**{axis: rate}))
+
+
+class TestPrivateState:
+    def test_the_link_is_built_from_its_transport_alone(self):
+        assert [f.name for f in fields(CommandLink) if f.init] == ["transport"]
+        transport, cmd = MockTransport(), GimbalCommand(yaw_rate=0.3)
+        for private in ({"_cmd": cmd}, {"_frame": SerialFrame("Yaw 0.3")}, {"_last_text": "Yaw 0.3"},
+                        {"_last_sent_at": 0.0}):
+            with pytest.raises(TypeError):
+                CommandLink(transport=transport, **private)
+
+    def test_the_transport_is_built_from_nothing(self):
+        assert [f.name for f in fields(MockTransport) if f.init] == []
+        for private in ({"log": []}, {"_busy_until": 0.0}):
+            with pytest.raises(TypeError):
+                MockTransport(**private)
+        with pytest.raises(TypeError):
+            MockTransport([])
+        assert MockTransport().log == [] and MockTransport().log is not MockTransport().log
 
 
 class TestEncodeKeepsNoState:

@@ -19,11 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roitrack.arenas import parse_kv_text
 from roitrack.cli import _replay_samples
 from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig
 from roitrack.geometry import EllipseRoi, FrameSpec, Sector
+from roitrack.metrics import SensitivityReport
 from roitrack.protocol import CommandLink, MockTransport
-from roitrack.telemetry import CSV_COLUMNS, _read_rows, fmt_float, read_trial_csv, row_lines
+from roitrack.telemetry import CSV_COLUMNS, _read_rows, fmt_float, read_trial_csv, row_lines, serialize_report
 from roitrack.trials import DEFAULT_DT_S, TrialConfig, TrialRecord, TrialSample, iter_trial
 
 _REFERENCE_SECTORS = {sector.value: sector for sector in Sector}
@@ -55,8 +57,10 @@ def reference_read_rows(reader, path: Path, dt: float) -> TrialRecord:
                 raise ValueError(f"non-finite value in t, x, y or P: {','.join(row[:4])}")
             if p < 0.0:
                 raise ValueError(f"P = {row[3]} is negative")
-            if last_t is not None and not abs(t - last_t - dt) <= 1e-8 * max(1.0, abs(t), abs(last_t)):
-                raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
+            if last_t is not None:
+                miss = abs(t - last_t - dt)
+                if not (miss <= 1e-8 * max(1.0, abs(t), abs(last_t)) and miss < dt / 2):
+                    raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
             yaw_cmd, pitch_cmd = float(row[5]), float(row[6])
             if not (abs(yaw_cmd) <= MAX_RATE_RAD_S and abs(pitch_cmd) <= MAX_RATE_RAD_S):
                 raise ValueError(
@@ -216,3 +220,43 @@ class TestRowValidator:
         with open(path, newline="") as fh:
             expected = reference_read_rows(csv.reader(fh), path, DEFAULT_DT_S)
         assert record_bits(record) == record_bits(expected)
+
+
+SERIALIZED_REPORTS = [
+    pytest.param(
+        SensitivityReport(n=0, per_peak_s=(), mean_s=None, normalized_s=None, success=True,
+                          yaw_active_s=0.0, pitch_active_s=0.0, overlap_s=0.0),
+        "n = 0\nsuccess = true\nyaw_active_s = 0\npitch_active_s = 0\noverlap_s = 0\n",
+        id="no-excursions",
+    ),
+    pytest.param(
+        SensitivityReport(n=0, per_peak_s=(), mean_s=None, normalized_s=None, success=False,
+                          yaw_active_s=1 / 3, pitch_active_s=2.5, overlap_s=-0.0),
+        "n = 0\nsuccess = false\nyaw_active_s = 0.333333333\npitch_active_s = 2.5\noverlap_s = -0\n",
+        id="no-excursions-lost",
+    ),
+    pytest.param(
+        SensitivityReport(n=1, per_peak_s=(12.0,), mean_s=12.0, normalized_s=12.0, success=True,
+                          yaw_active_s=0.1, pitch_active_s=0.0, overlap_s=0.0),
+        "n = 1\nper_peak_s = 12\nmean_s = 12\nnormalized_s = 12\nsuccess = true\n"
+        "yaw_active_s = 0.1\npitch_active_s = 0\noverlap_s = 0\n",
+        id="one-excursion",
+    ),
+    pytest.param(
+        SensitivityReport(n=3, per_peak_s=(0.123456789123, 5e-324, 1e300), mean_s=1e300 / 3,
+                          normalized_s=1e300 / 9, success=False, yaw_active_s=24.0,
+                          pitch_active_s=1 / 30, overlap_s=0.0),
+        "n = 3\nper_peak_s = 0.123456789 4.94065646e-324 1e+300\nmean_s = 3.33333333e+299\n"
+        "normalized_s = 1.11111111e+299\nsuccess = false\nyaw_active_s = 24\n"
+        "pitch_active_s = 0.0333333333\noverlap_s = 0\n",
+        id="three-excursions",
+    ),
+]
+
+
+@pytest.mark.parametrize("report,text", SERIALIZED_REPORTS)
+def test_serialize_report_writes_the_fixed_text(report, text):
+    assert serialize_report(report) == text
+    values = parse_kv_text(text)
+    assert int(values["n"]) == report.n
+    assert ("mean_s" in values) == ("normalized_s" in values) == ("per_peak_s" in values) == (report.n > 0)
