@@ -18,13 +18,11 @@ from pathlib import Path
 
 from . import __version__
 from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
-from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, _decide_xy
+from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
 from .metrics import RecordTally, SensitivityReport, summarize_tallies, tally
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
-from .telemetry import (
-    fmt_float, format_kv_text, read_trial_csv, row_lines, serialize_report, write_csv_lines, write_trial_csv
-)
+from .telemetry import fmt_float, format_kv_text, read_trial_csv, row_lines, serialize_report, write_trial_csv
 from .trials import (
     BASELINE_DURATION_S,
     BASELINE_JITTER_M,
@@ -151,7 +149,7 @@ def cmd_simulate(args) -> int:
             seed=seed,
             jitter_amplitude=settings["jitter_m"],
             controller=controller,
-            camera=CameraModel(frame=controller.frame, horizontal_fov=math.radians(settings["fov_deg"])),
+            horizontal_fov=math.radians(settings["fov_deg"]),
             uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
             dt=settings["dt_s"],
             lookahead=settings["lookahead_m"],
@@ -167,7 +165,7 @@ def cmd_simulate(args) -> int:
         path = out / f"trial_{i:03d}.csv"
         acc = RecordTally(cfg.dt)
         try:
-            write_csv_lines(_tallied_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc), path)
+            write_trial_csv(_tallied_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc), path)
             tallies.append(acc.finish())
         except ValueError as exc:
             raise UsageError(f"{path}: {exc}") from None
@@ -223,11 +221,13 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
         if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
             raise UsageError(f"{path}: line {lineno}: non-finite time or position outside the frame in {line!r}")
         # Over 1e-8 of the larger |time| apart (t or -last_t, for t > last_t), two
-        # times print as different 9-digit texts; the first row has no last time.
+        # times print as different 9-digit texts; closer, their texts are compared.
+        # The first row has no last time.
         if t - last_t <= 1e-8 * (t if t > -last_t else -last_t) and rows:
             if t <= last_t:
                 raise UsageError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
-            raise UsageError(f"{path}: line {lineno}: time {t} is too close to {last_t} to print apart from it")
+            if fmt_float(t) == fmt_float(last_t):
+                raise UsageError(f"{path}: line {lineno}: time {t} is too close to {last_t} to print apart from it")
         last_t = t
         rows.append((t, x, y))
     return rows
@@ -236,17 +236,17 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
 def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
     """Decide each logged position, send the command, and yield its sample.
 
-    Steps on plain floats: the centring is ``to_centered``'s arithmetic and the
-    decision ``decide``'s kernel, whose command, one of the controller's five,
-    goes to the link as it is: only when the command changes to or from idle or
-    stays non-idle.  A repeated idle send does nothing (an idle one only forgets
-    the last frame sent), so the frames and their times are unchanged."""
+    Steps on plain floats: the centring is ``to_centered``'s arithmetic, and
+    ``decide``'s command, one of the controller's five, goes to the link as it
+    is: only when the command changes to or from idle or stays non-idle.  A
+    repeated idle send does nothing (an idle one only forgets the last frame
+    sent), so the frames and their times are unchanged."""
     half_w, half_h = controller.frame.width / 2, controller.frame.height / 2
     send, new, idle, last = link.send, tuple.__new__, _IDLE, None  # None: the first row always goes to the link
     for t, raw_x, raw_y in rows:
         x = raw_x - half_w
         y = half_h - raw_y
-        p, sector, cmd = _decide_xy(x, y, controller)
+        p, sector, cmd = decide(x, y, controller)
         if cmd is not idle or last is not idle:
             send(cmd, t)
             last = cmd
@@ -268,7 +268,7 @@ def cmd_replay(args) -> int:
     link = CommandLink(transport=transport)
     telemetry_path = out / "replay_telemetry.csv"
     try:
-        write_trial_csv(_replay_samples(rows, controller, link), telemetry_path)
+        write_trial_csv(row_lines(_replay_samples(rows, controller, link)), telemetry_path)
     except TransportSaturated as exc:
         telemetry_path.unlink()
         raise UsageError(f"{args.log}: rows too dense for the serial link: {exc}") from None

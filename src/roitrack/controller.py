@@ -71,24 +71,17 @@ class ControllerConfig:
         object.__setattr__(self, "_commands", commands)
 
 
-def decide(p: ImagePoint, cfg: ControllerConfig) -> tuple[float, Sector, GimbalCommand]:
-    """Score one observed image position: (P, sector, command).
+def decide(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, GimbalCommand]:
+    """Score one observed image position, given as its centered coordinates:
+    (P, sector, command).
 
-    P is the relative position against the ROI.  The sector is computed even
-    inside the ellipse, where the command is idle, because telemetry records
-    it for every sample.  A non-finite position also gets the idle command:
-    like a lost target, it must not move the gimbal.  The command is one of
-    ``cfg``'s five objects, never a new one.
-    """
-    return _decide_xy(p.x, p.y, cfg)
-
-
-def _decide_xy(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, GimbalCommand]:
-    """``decide`` on a position's plain floats: (P, sector, command).
-
-    P is computed as ``relative_position`` computes it, so the two match to the
-    bit, and the sector is the one ``classify_sector`` gives ``to_polar``'s theta.
-    The command is the idle one or ``cfg``'s command for the sector.
+    P is the relative position against the ROI, computed as
+    ``relative_position`` computes it, so the two match to the bit.  The
+    sector is the one ``classify_sector`` gives ``to_polar``'s theta; it is
+    computed even inside the ellipse, where the command is idle, because
+    telemetry records it for every sample.  A non-finite position also gets
+    the idle command: like a lost target, it must not move the gimbal.  The
+    command is one of ``cfg``'s five objects, never a new one.
 
     The sector is certified by comparing ``|y|`` with ``|x|``; only points near
     a diagonal pay for ``atan2``.  A rounded product is within a relative
@@ -129,4 +122,4 @@ def step(p: ImagePoint, cfg: ControllerConfig) -> GimbalCommand:
     Output is one of exactly five values: (0, 0), (+-m, 0), (0, +-m) with
     m = ``cfg.rate_magnitude``.
     """
-    return decide(p, cfg)[2]
+    return decide(p.x, p.y, cfg)[2]

@@ -51,16 +51,12 @@ def row_lines(samples: Iterable[TrialSample]) -> Iterator[str]:
         yield "%.9g,%.9g,%.9g,%.9g,%s\n" % (t, x, y, p, tail)
 
 
-def write_csv_lines(lines: Iterable[str], path: Path) -> None:
-    """Write the header and then each line, consuming ``lines`` as it goes."""
+def write_trial_csv(lines: Iterable[str], path: Path) -> None:
+    """Write the header and then each of ``row_lines``' lines, consuming
+    ``lines`` as it goes."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.writelines(lines)
-
-
-def write_trial_csv(samples: Iterable[TrialSample], path: Path) -> None:
-    """Write a header and one row per sample, consuming ``samples`` as it goes."""
-    write_csv_lines(row_lines(samples), path)
 
 
 def read_trial_csv(path: Path, dt: float) -> TrialRecord:

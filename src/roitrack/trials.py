@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 from .arenas import DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena
-from .controller import ControllerConfig, _decide_xy
+from .controller import ControllerConfig, decide
 from .geometry import TWO_PI, EllipseRoi, FrameSpec, Sector
 from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
 
@@ -48,16 +48,20 @@ class TrialConfig:
     seed: int
     jitter_amplitude: float
     controller: ControllerConfig
-    camera: CameraModel
+    horizontal_fov: float
     uav: UavPose
     dt: float
     lookahead: float = DEFAULT_LOOKAHEAD_M
+    # The camera sees the controller's frame, whose size the ROI is built for.
+    camera: CameraModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arena_id not in (1, 2):
             raise ValueError(f"arena_id must be 1 or 2, got {self.arena_id}")
-        if self.camera.frame != self.controller.frame:
-            raise ValueError(f"camera {self.camera.frame} is not the controller's {self.controller.frame}")
+        # random.Random seeds from |seed|, so a negative seed would repeat a positive one's run.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "camera", CameraModel(frame=self.controller.frame, horizontal_fov=self.horizontal_fov))
         for name in ("usv_speed", "duration", "dt", "jitter_amplitude", "lookahead"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -102,7 +106,7 @@ class TrialConfig:
             seed=seed,
             jitter_amplitude=BASELINE_JITTER_M,
             controller=controller,
-            camera=CameraModel(frame=frame),
+            horizontal_fov=CameraModel.horizontal_fov,
             uav=DEFAULT_UAV,
             dt=DEFAULT_DT_S,
         )
@@ -270,7 +274,7 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
                 u = v = 0.0
                 visible = False
         # decide, with a lost target failing safe
-        p, sector, cmd = _decide_xy(u, v, controller)
+        p, sector, cmd = decide(u, v, controller)
         if visible:
             yaw, pitch = cmd.yaw_rate, cmd.pitch_rate
         else:

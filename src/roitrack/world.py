@@ -175,12 +175,12 @@ def closed_loop_step(
     is invisible the command is (0, 0); the previous command is deliberately
     not latched, so a lost target fails safe with a frozen gimbal.
 
-    ``trials.run_trial`` runs this step on plain floats; the tests hold its
+    ``trials.iter_trial`` runs this step on plain floats; the tests hold its
     samples to this function's, bit for bit.
     """
     usv = usv_step(w.usv, rudder_rate, dt)
     img, visible = project((usv.x, usv.y, 0.0), w.uav, w.gimbal, cam)
-    p, sector, cmd = decide(img, cfg)
+    p, sector, cmd = decide(img.x, img.y, cfg)
     if not visible:
         cmd = GimbalCommand()
     gimbal = gimbal_step(w.gimbal, cmd, dt)

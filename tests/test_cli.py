@@ -7,6 +7,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,14 @@ class TestSimulate:
 
     def test_bad_arena_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--arena", 9, "--out-dir", tmp_path / "x") == EXIT_USAGE
+
+    def test_negative_seed_is_usage_error_before_any_output(self, tmp_path, capsys):
+        # random.Random seeds from |seed|, so seed -1 would rerun seed 1's trial.
+        out = tmp_path / "x"
+        code = run_cli("simulate", "--arena", 1, "--trials", 3, "--seed", -1, "--duration-s", 2.0, "--out-dir", out)
+        assert code == EXIT_USAGE
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_arena_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--out-dir", tmp_path / "x") == EXIT_USAGE
@@ -409,6 +418,8 @@ class TestReplay:
         [(1.0, 960, 360), (1.0 + 2e-8, 960, 360)],
         [(-5e-324, 960, 360), (0.0, 960, 360), (5e-324, 960, 360)],
         [(i / 30 - 1e5 / 30, 960, 360) for i in range(3)],
+        # within the cheap bound, but printed as 123456789 and 123456790
+        [(123456789.0, 960, 360), (123456789.5, 960, 360)],
     ])
     def test_times_the_telemetry_can_tell_apart_replayed(self, tmp_path, rows):
         log = tmp_path / "close.csv"
@@ -417,6 +428,14 @@ class TestReplay:
         assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
         times = [row.split(",")[0] for row in (out / "replay_telemetry.csv").read_text().splitlines()[1:]]
         assert len(set(times)) == len(times) == len(rows)
+
+    def test_one_decision_per_row(self, tmp_path):
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        calls = []
+        with mock.patch.object(cli, "decide", lambda *args: calls.append(args) or decide(*args)):
+            assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_OK
+        assert len(calls) == len(SWEEP_ROWS)
 
     def test_missing_log_is_io_error(self, tmp_path):
         assert run_cli("replay", tmp_path / "nope.csv", "--out-dir", tmp_path / "r") == EXIT_IO
@@ -564,7 +583,7 @@ def reference_replay_samples(rows, controller, link):
     per row: ``to_centered``, then ``decide``, then ``CommandLink.send``."""
     for t, raw_x, raw_y in rows:
         img = to_centered(row=raw_y, col=raw_x, frame=controller.frame)
-        p, sector, cmd = decide(img, controller)
+        p, sector, cmd = decide(img.x, img.y, controller)
         link.send(cmd, now=t)
         yield TrialSample(t, img.x, img.y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True)
 
@@ -1032,7 +1051,7 @@ class TestRowCodec:
         expected = [oracle_line(s) for s in samples]
         assert list(row_lines(samples)) == expected
         path = tmp_path / "rows.csv"
-        write_trial_csv(iter(samples), path)
+        write_trial_csv(row_lines(samples), path)
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n" + "".join(expected)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from roitrack import controller
-from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, _decide_xy, decide, step
+from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector, relative_position, to_polar
 
 FRAME = FrameSpec(1920, 720)
@@ -93,7 +93,7 @@ class TestStep:
         own = [controller._IDLE, *cfg._commands.values()]
         cmd = step(p, cfg)
         assert any(cmd is c for c in own)
-        assert decide(p, cfg)[2] is cmd
+        assert decide(p.x, p.y, cfg)[2] is cmd
 
     def test_commands_follow_the_config_through_replace_and_equality(self):
         cfg = replace(CFG, rate_magnitude=0.2)
@@ -125,7 +125,7 @@ class TestStep:
     ))
     def test_decide_reports_p_and_sector_inside_too(self, p):
         # bit for bit, for any point: -0.0, infinities and NaN included
-        rel, sector, _ = decide(p, CFG)
+        rel, sector, _ = decide(p.x, p.y, CFG)
         assert struct.pack("<d", rel) == struct.pack("<d", relative_position(p, CFG.roi))
         assert sector is classify_sector(to_polar(p).theta)
 
@@ -185,18 +185,18 @@ log_uniform = st.builds(
 
 
 class TestCertifiedSector:
-    """``_decide_xy`` names the sector without ``atan2`` away from the
+    """``decide`` names the sector without ``atan2`` away from the
     diagonals; it must name the one ``atan2`` and ``classify_sector`` give."""
 
     @settings(max_examples=1000)
     @given(x=st.floats(), y=st.floats())
     def test_any_floats(self, x, y):
-        assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y)
+        assert decide(x, y, CFG)[1] is atan2_sector(x, y)
 
     @settings(max_examples=1000)
     @given(x=log_uniform, y=log_uniform)
     def test_log_uniform_magnitudes(self, x, y):
-        assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y)
+        assert decide(x, y, CFG)[1] is atan2_sector(x, y)
 
     @pytest.mark.parametrize("magnitude", [1.0, 3.0, 7e-300, 5e300, 1e-310, 5e-324, 1.7e308])
     def test_within_40_ulps_of_both_diagonals(self, magnitude):
@@ -205,13 +205,13 @@ class TestCertifiedSector:
             for a, b in ((magnitude, near), (near, magnitude)):
                 for x in (a, -a):
                     for y in (b, -b):
-                        assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y), (x, y)
+                        assert decide(x, y, CFG)[1] is atan2_sector(x, y), (x, y)
 
     def test_zeros_infinities_nan_and_extremes(self):
         values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.0, -1.0]
         for x in values:
             for y in values:
-                assert _decide_xy(x, y, CFG)[1] is atan2_sector(x, y), (x, y)
+                assert decide(x, y, CFG)[1] is atan2_sector(x, y), (x, y)
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from roitrack import trials
 from roitrack.arenas import Path, _nearest_leg, build_arena, pursue
-from roitrack.controller import ControllerConfig, step
+from roitrack.controller import ControllerConfig, decide, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, classify_sector, relative_position, to_polar
 from roitrack.trials import (
     DEFAULT_DT_S,
@@ -81,6 +81,13 @@ class TestRunTrial:
     def test_baseline_arena1_never_loses_tracking(self, arena1_record):
         assert all(sample.visible for sample in arena1_record.samples)
 
+    def test_one_decision_per_step_on_the_samples_coordinates(self):
+        calls = []
+        with mock.patch.object(trials, "decide", lambda *args: calls.append(args) or decide(*args)):
+            record = run_trial(TrialConfig.baseline(1, duration=2.0))
+        assert len(calls) == len(record.samples) == 60
+        assert [args[:2] for args in calls] == [(s.x, s.y) for s in record.samples]
+
     def test_iter_trial_yields_the_samples_run_trial_records(self, arena1_record):
         assert tuple(iter_trial(ARENA1_CONFIG)) == arena1_record.samples
 
@@ -139,7 +146,7 @@ def config(arena_id: int, seed: int = 1, fov_deg: float = 90.0, roi=(0.3, 0.3), 
         arena_id,
         seed=seed,
         controller=controller,
-        camera=CameraModel(frame=frame, horizontal_fov=math.radians(fov_deg)),
+        horizontal_fov=math.radians(fov_deg),
         uav=UavPose(*uav),
         **overrides,
     )
@@ -421,6 +428,11 @@ class TestConfigValidation:
         ("lookahead", 0.0),
         ("lookahead", -0.5),
         ("lookahead", math.nan),
+        ("horizontal_fov", 0.0),
+        ("horizontal_fov", math.pi),
+        ("horizontal_fov", math.nan),
+        # random.Random seeds from |seed|, so seed -1 would rerun seed 1's trial.
+        ("seed", -1),
     ])
     def test_bad_numeric_fields(self, field, value):
         with pytest.raises(ValueError):
@@ -466,17 +478,16 @@ class TestConfigValidation:
             assert all(math.isfinite(c) for point in trial_path(cfg).waypoints for c in point)
             assert len(run_trial(cfg).samples) == 15
 
-    # The ROI is sized for the controller's frame: a 640 px camera under the
-    # default 1920 px controller has a 576 px semi-axis, wider than its 320 px
-    # half-frame, so the target could never leave the ellipse.
+    # The ROI is sized for the controller's frame, so the camera is built on it:
+    # there is no camera to pass, and so no other frame it could see.
     @pytest.mark.parametrize("frame", [FrameSpec(640, 480), FrameSpec(1920, 721), FrameSpec(1921, 720)])
-    def test_camera_frame_other_than_the_controllers_rejected(self, frame):
-        with pytest.raises(ValueError, match="is not the controller's"):
-            TrialConfig.baseline(1, camera=CameraModel(frame=frame))
+    def test_camera_sees_the_controllers_frame(self, frame):
         controller = ControllerConfig(roi=EllipseRoi.from_fractions(frame), frame=frame)
-        with pytest.raises(ValueError, match="is not the controller's"):
-            TrialConfig.baseline(1, controller=controller)
-        assert TrialConfig.baseline(1, controller=controller, camera=CameraModel(frame=frame)).camera.frame == frame
+        cfg = TrialConfig.baseline(1, controller=controller, horizontal_fov=1.0)
+        assert cfg.camera == CameraModel(frame=frame, horizontal_fov=1.0)
+        assert replace(cfg, seed=2).camera == cfg.camera
+        with pytest.raises(TypeError):
+            TrialConfig.baseline(1, camera=CameraModel(frame=frame))
 
     def test_camera_offset_at_the_bound_accepted(self):
         bound = MAX_CAMERA_OFFSET_M
