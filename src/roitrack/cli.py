@@ -195,12 +195,14 @@ def cmd_simulate(args) -> int:
 
 
 def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, float, float]]:
-    """Parse a replay log: header 't,x,y', raw top-left pixel coordinates, each
-    inside ``frame``, edges included (``simulate`` calls a target outside it lost),
-    and increasing times whose 9-digit telemetry texts differ."""
+    """Parse a replay log: header 't,x,y', then at least one row of raw
+    top-left pixel coordinates, each inside ``frame``, edges included
+    (``simulate`` calls a target outside it lost), and increasing times whose
+    9-digit telemetry texts differ.  A log with no row has no telemetry that
+    ``report`` could read, so it is refused like any other malformed log."""
     text = _read_text(path)
     if not text.strip():
-        return []
+        raise UsageError(f"{path}: empty log, expected header 't,x,y' and at least one row")
     rows: list[tuple[float, float, float]] = []
     lines = text.splitlines()
     header = [cell.strip() for cell in lines[0].split(",")]
@@ -230,6 +232,8 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
                 raise UsageError(f"{path}: line {lineno}: time {t} is too close to {last_t} to print apart from it")
         last_t = t
         rows.append((t, x, y))
+    if not rows:
+        raise UsageError(f"{path}: no rows after the header 't,x,y'")
     return rows
 
 

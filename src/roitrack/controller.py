@@ -20,6 +20,8 @@ MAX_RATE_RAD_S = 0.3  # gimbal actuator cap, rad/s
 
 # The signs of (yaw, pitch) in the command for a target outside the ellipse.
 _SECTOR_SIGNS = {Sector.RIGHT: (1, 0), Sector.LEFT: (-1, 0), Sector.TOP: (0, 1), Sector.BOTTOM: (0, -1)}
+# The members bound once: ``Sector.RIGHT`` is a Python-level descriptor lookup on every call.
+_RIGHT, _LEFT, _TOP, _BOTTOM = Sector.RIGHT, Sector.LEFT, Sector.TOP, Sector.BOTTOM
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,9 @@ class ControllerConfig:
     rate_magnitude: float = MAX_RATE_RAD_S
     # Each sector's command for a target outside the ellipse, built once from _SECTOR_SIGNS.
     _commands: dict[Sector, GimbalCommand] = field(init=False, repr=False, compare=False)
+    # The ROI's semi-axes squared, as ``relative_position`` squares them, for ``decide``.
+    _a_sq: float = field(init=False, repr=False, compare=False)
+    _b_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rate_magnitude <= MAX_RATE_RAD_S:
@@ -69,6 +74,8 @@ class ControllerConfig:
         m = self.rate_magnitude
         commands = {sector: GimbalCommand(yaw * m, pitch * m) for sector, (yaw, pitch) in _SECTOR_SIGNS.items()}
         object.__setattr__(self, "_commands", commands)
+        object.__setattr__(self, "_a_sq", self.roi.a * self.roi.a)
+        object.__setattr__(self, "_b_sq", self.roi.b * self.roi.b)
 
 
 def decide(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, GimbalCommand]:
@@ -76,12 +83,13 @@ def decide(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, Gi
     (P, sector, command).
 
     P is the relative position against the ROI, computed as
-    ``relative_position`` computes it, so the two match to the bit.  The
-    sector is the one ``classify_sector`` gives ``to_polar``'s theta; it is
-    computed even inside the ellipse, where the command is idle, because
-    telemetry records it for every sample.  A non-finite position also gets
-    the idle command: like a lost target, it must not move the gimbal.  The
-    command is one of ``cfg``'s five objects, never a new one.
+    ``relative_position`` computes it, from the squared semi-axes ``cfg``
+    stores, so the two match to the bit.  The sector is the one
+    ``classify_sector`` gives ``to_polar``'s theta; it is computed even inside
+    the ellipse, where the command is idle, because telemetry records it for
+    every sample.  A non-finite position also gets the idle command: like a
+    lost target, it must not move the gimbal.  The command is one of ``cfg``'s
+    five objects, never a new one.
 
     The sector is certified by comparing ``|y|`` with ``|x|``; only points near
     a diagonal pay for ``atan2``.  A rounded product is within a relative
@@ -100,13 +108,12 @@ def decide(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, Gi
     or bottom by the sign of ``y``.  Both comparisons fail near the diagonals,
     at (+-0, +-0), at equal infinities and at NaN, which take ``atan2``.
     """
-    roi = cfg.roi
-    rel = (x * x) / (roi.a * roi.a) + (y * y) / (roi.b * roi.b)
+    rel = (x * x) / cfg._a_sq + (y * y) / cfg._b_sq
     ax, ay = abs(x), abs(y)
     if ay < ax * (1.0 - 1e-12):
-        sector = Sector.RIGHT if x > 0.0 else Sector.LEFT
+        sector = _RIGHT if x > 0.0 else _LEFT
     elif ay > ax * (1.0 + 1e-12):
-        sector = Sector.TOP if y > 0.0 else Sector.BOTTOM
+        sector = _TOP if y > 0.0 else _BOTTOM
     else:
         # classify_sector wraps theta itself, so the -pi that to_polar folds to pi needs no fix here.
         sector = classify_sector(math.atan2(y, x))

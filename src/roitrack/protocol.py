@@ -138,25 +138,26 @@ class CommandLink:
 
     Consecutive identical commands emit a single frame; a changed command
     always goes out in the same loop iteration.  A held command's frame is
-    re-sent ``KEEPALIVE_S`` after it was last sent.  The frame of the last
-    command encoded is kept, across idle gaps too, so only a changed command
-    is encoded again.
+    re-sent ``KEEPALIVE_S`` after it was last sent.  Each distinct command is
+    encoded once per link: its frame is kept, keyed by the command's value,
+    so equal commands share it.  Only a command that encodes is kept, so at
+    most one frame per whole-hundredth rate per axis (120) is held; one that
+    does not raises ``FrameError`` each time it is sent.
     """
 
     transport: MockTransport
     _last_text: str | None = field(default=None, init=False)
     _last_sent_at: float = field(default=0.0, init=False)
-    _cmd: GimbalCommand | None = field(default=None, init=False)
-    _frame: SerialFrame | None = field(default=None, init=False)
+    _frames: dict[GimbalCommand, SerialFrame] = field(default_factory=dict, init=False)
 
     def send(self, cmd: GimbalCommand, now: float) -> list[SerialFrame]:
         if cmd.is_zero():
             self._last_text = None
             return []
-        if cmd is not self._cmd and cmd != self._cmd:
-            (self._frame,) = encode(cmd)
-            self._cmd = cmd
-        frame = self._frame
+        frame = self._frames.get(cmd)
+        if frame is None:
+            (frame,) = encode(cmd)
+            self._frames[cmd] = frame
         if frame.text == self._last_text and not now - self._last_sent_at >= KEEPALIVE_S:
             return []
         self.transport.send(frame, now)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -26,6 +27,7 @@ from .metrics import SensitivityReport
 from .trials import TrialRecord, TrialSample
 
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
+_BLOCK_LINES = 4096  # rows per write: under 0.5 MB of text
 _SECTORS = {sector.value: sector for sector in Sector}
 
 
@@ -52,11 +54,14 @@ def row_lines(samples: Iterable[TrialSample]) -> Iterator[str]:
 
 
 def write_trial_csv(lines: Iterable[str], path: Path) -> None:
-    """Write the header and then each of ``row_lines``' lines, consuming
-    ``lines`` as it goes."""
+    """Write the header and then ``row_lines``' lines, consuming ``lines`` as
+    it goes: each block of ``_BLOCK_LINES`` lines is joined and written in one
+    call, so no more than one block is held, never the whole file."""
+    lines = iter(lines)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(lines)
+        while block := "".join(islice(lines, _BLOCK_LINES)):
+            fh.write(block)
 
 
 def read_trial_csv(path: Path, dt: float) -> TrialRecord:

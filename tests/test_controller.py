@@ -23,6 +23,20 @@ def point_at(theta: float, p_target: float, roi: EllipseRoi = ROI) -> ImagePoint
     return ImagePoint(r * c, r * s)
 
 
+@st.composite
+def any_config(draw):
+    """CFG, or a config on a drawn frame and ROI fractions, built directly or
+    made from CFG with ``replace``."""
+    frame = FrameSpec(draw(st.integers(1, 2**20)), draw(st.integers(1, 2**20)))
+    roi = EllipseRoi.from_fractions(frame, draw(st.floats(0.05, 0.49)), draw(st.floats(0.05, 0.49)))
+    how = draw(st.sampled_from(["fixed", "built", "replaced"]))
+    if how == "fixed":
+        return CFG
+    if how == "built":
+        return ControllerConfig(roi=roi, frame=frame)
+    return replace(CFG, roi=roi, frame=frame)
+
+
 class TestStep:
     def test_inside_is_quiet(self):
         p = point_at(0.7, 0.5)
@@ -106,6 +120,16 @@ class TestStep:
         same = ControllerConfig(roi=ROI, frame=FRAME, rate_magnitude=0.3)
         assert same == CFG and hash(same) == hash(CFG) and same._commands is not CFG._commands
         assert repr(same) == repr(CFG) and "_commands" not in repr(CFG)
+        # The ROI's squares follow the ROI through replace, and are derived state
+        # like the commands: equality, hash and repr see the three fields alone.
+        moved = replace(CFG, roi=EllipseRoi(100.0, 50.0))
+        assert (moved._a_sq, moved._b_sq) == (10000.0, 2500.0)
+        assert (CFG._a_sq, CFG._b_sq) == (ROI.a * ROI.a, ROI.b * ROI.b)
+        odd = ControllerConfig(roi=ROI, frame=FRAME)
+        object.__setattr__(odd, "_a_sq", 1.0)
+        object.__setattr__(odd, "_b_sq", 2.0)
+        assert odd == CFG and hash(odd) == hash(CFG) == hash((ROI, FRAME, 0.3))
+        assert repr(odd) == repr(CFG) == f"ControllerConfig(roi={ROI!r}, frame={FRAME!r}, rate_magnitude=0.3)"
 
     @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi),
            p_target=st.floats(min_value=0.0, max_value=9.0))
@@ -119,14 +143,16 @@ class TestStep:
         p = point_at(theta, p_target)
         assert step(p, CFG).is_zero() == (relative_position(p, CFG.roi) <= 1.0)
 
-    @given(p=st.one_of(
-        st.builds(point_at, st.floats(min_value=-math.pi + 1e-9, max_value=math.pi), st.floats(0.0, 9.0)),
-        st.builds(ImagePoint, st.floats(), st.floats()),
-    ))
-    def test_decide_reports_p_and_sector_inside_too(self, p):
+    @given(cfg=any_config(), data=st.data())
+    def test_decide_reports_p_and_sector_inside_too(self, cfg, data):
         # bit for bit, for any point: -0.0, infinities and NaN included
-        rel, sector, _ = decide(p.x, p.y, CFG)
-        assert struct.pack("<d", rel) == struct.pack("<d", relative_position(p, CFG.roi))
+        p = data.draw(st.one_of(
+            st.builds(point_at, st.floats(min_value=-math.pi + 1e-9, max_value=math.pi), st.floats(0.0, 9.0),
+                      st.just(cfg.roi)),
+            st.builds(ImagePoint, st.floats(), st.floats()),
+        ))
+        rel, sector, _ = decide(p.x, p.y, cfg)
+        assert struct.pack("<d", rel) == struct.pack("<d", relative_position(p, cfg.roi))
         assert sector is classify_sector(to_polar(p).theta)
 
     @given(theta=st.floats(min_value=-math.pi + 1e-9, max_value=math.pi))

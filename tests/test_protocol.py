@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,7 +87,7 @@ class TestPrivateState:
     def test_the_link_is_built_from_its_transport_alone(self):
         assert [f.name for f in fields(CommandLink) if f.init] == ["transport"]
         transport, cmd = MockTransport(), GimbalCommand(yaw_rate=0.3)
-        for private in ({"_cmd": cmd}, {"_frame": SerialFrame("Yaw 0.3")}, {"_last_text": "Yaw 0.3"},
+        for private in ({"_frames": {cmd: SerialFrame("Yaw 0.3")}}, {"_last_text": "Yaw 0.3"},
                         {"_last_sent_at": 0.0}):
             with pytest.raises(TypeError):
                 CommandLink(transport=transport, **private)
@@ -427,10 +428,25 @@ LINK_COMMANDS = st.one_of(
     start=st.sampled_from([0.0, -2.0]),
 )
 def test_link_matches_the_reference_link(sends, start):
+    encoded = []  # (command, whether it encoded), for each of the link's encode calls
+
+    def counting_encode(cmd):
+        try:
+            frames = encode(cmd)
+        except FrameError:
+            encoded.append((cmd, False))
+            raise
+        encoded.append((cmd, True))
+        return frames
+
     link = CommandLink(transport=MockTransport())
     reference = ReferenceLink(transport=MockTransport())
     now = start
-    for cmd, gap in sends:
-        now += gap
-        assert outcome(link, cmd, now) == outcome(reference, cmd, now)
+    with mock.patch.object(protocol, "encode", counting_encode):
+        for cmd, gap in sends:
+            now += gap
+            assert outcome(link, cmd, now) == outcome(reference, cmd, now)
     assert link.transport.log == reference.transport.log
+    # A command that encodes is encoded once per link; one that does not, each time it is sent.
+    framed = [cmd for cmd, ok in encoded if ok]
+    assert len(framed) == len(set(framed))
