@@ -31,7 +31,6 @@ from .trials import (
     DEFAULT_UAV,
     MAX_TRIALS_PER_BATCH,
     TrialConfig,
-    TrialSample,
     iter_trial,
 )
 from .world import CameraModel, UavPose
@@ -80,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -173,7 +172,7 @@ def cmd_simulate(args) -> int:
 
     report = _report(tallies)
     summary_path = out / "summary.txt"
-    summary_path.write_text(serialize_report(report))
+    summary_path.write_text(serialize_report(report), encoding="utf-8")
 
     manifest = {"tool_version": __version__}
     for key, value in settings.items():
@@ -186,7 +185,7 @@ def cmd_simulate(args) -> int:
         manifest[f"artifact_{i:03d}_sha256"] = _sha256(path)
     manifest["artifact_summary"] = summary_path.name
     manifest["artifact_summary_sha256"] = _sha256(summary_path)
-    (out / "manifest.txt").write_text(format_kv_text(manifest))
+    (out / "manifest.txt").write_text(format_kv_text(manifest), encoding="utf-8")
 
     print(f"wrote {len(csv_paths)} trial CSVs, summary, and manifest to {out}")
     mean_text = fmt_float(report.mean_s) if report.mean_s is not None else "absent"
@@ -211,14 +210,15 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
     last_t = -math.inf
     to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 3:
-            if not line.strip():  # a blank line has no comma, so it lands here
-                continue
-            raise UsageError(f"{path}: line {lineno}: expected 3 columns, got {len(cells)}")
         try:
-            t, x, y = to_float(cells[0]), to_float(cells[1]), to_float(cells[2])
-        except ValueError:
+            t_text, x_text, y_text = line.split(",")
+            t, x, y = to_float(t_text), to_float(x_text), to_float(y_text)
+        except ValueError:  # split again only to name what is wrong
+            columns = len(line.split(","))
+            if columns != 3:
+                if not line.strip():  # a blank line has no comma, so it lands here
+                    continue
+                raise UsageError(f"{path}: line {lineno}: expected 3 columns, got {columns}") from None
             raise UsageError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
         if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
             raise UsageError(f"{path}: line {lineno}: non-finite time or position outside the frame in {line!r}")
@@ -238,15 +238,17 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
 
 
 def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
-    """Decide each logged position, send the command, and yield its sample.
+    """Decide each logged position, send the command, and yield its row.
 
-    Steps on plain floats: the centring is ``to_centered``'s arithmetic, and
-    ``decide``'s command, one of the controller's five, goes to the link as it
-    is: only when the command changes to or from idle or stays non-idle.  A
-    repeated idle send does nothing (an idle one only forgets the last frame
-    sent), so the frames and their times are unchanged."""
+    A row is a plain tuple in ``TrialSample``'s field order, which
+    ``row_lines``, its only reader, reads by position.  Steps on plain floats:
+    the centring is ``to_centered``'s arithmetic, and ``decide``'s command,
+    one of the controller's five, goes to the link as it is: only when the
+    command changes to or from idle or stays non-idle.  A repeated idle send
+    does nothing (an idle one only forgets the last frame sent), so the frames
+    and their times are unchanged."""
     half_w, half_h = controller.frame.width / 2, controller.frame.height / 2
-    send, new, idle, last = link.send, tuple.__new__, _IDLE, None  # None: the first row always goes to the link
+    send, idle, last = link.send, _IDLE, None  # None: the first row always goes to the link
     for t, raw_x, raw_y in rows:
         x = raw_x - half_w
         y = half_h - raw_y
@@ -254,7 +256,7 @@ def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
         if cmd is not idle or last is not idle:
             send(cmd, t)
             last = cmd
-        yield new(TrialSample, (t, x, y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True))
+        yield t, x, y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True
 
 
 def cmd_replay(args) -> int:
@@ -270,15 +272,15 @@ def cmd_replay(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     transport = MockTransport()
     link = CommandLink(transport=transport)
-    telemetry_path = out / "replay_telemetry.csv"
+    telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
     try:
         write_trial_csv(row_lines(_replay_samples(rows, controller, link)), telemetry_path)
     except TransportSaturated as exc:
         telemetry_path.unlink()
+        frames_path.unlink(missing_ok=True)  # an earlier run's, which no telemetry beside it explains
         raise UsageError(f"{args.log}: rows too dense for the serial link: {exc}") from None
-    frames_path = out / "replay_frames.csv"
     frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
-    frames_path.write_text("\n".join(frame_lines) + "\n")
+    frames_path.write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
     print(f"replayed {len(rows)} rows: {len(transport.log)} frames -> {out}")
     return EXIT_OK
 

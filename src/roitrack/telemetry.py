@@ -39,10 +39,12 @@ def fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def row_lines(samples: Iterable[TrialSample]) -> Iterator[str]:
+def row_lines(samples: Iterable[tuple]) -> Iterator[str]:
     """The codec: each sample's CSV line, newline included, consuming
-    ``samples`` as it goes.  Each call keeps its own tails.  Every field is a
-    formatted number or a fixed word, none of which needs CSV quoting."""
+    ``samples`` as it goes.  A sample is read by position, in ``TrialSample``'s
+    field order, so a plain 8-tuple (replay's rows) writes the same line.
+    Each call keeps its own tails.  Every field is a formatted number or a
+    fixed word, none of which needs CSV quoting."""
     tails: dict[tuple, str] = {}
     for t, x, y, p, sector, yaw, pitch, visible in samples:
         key = (sector, yaw, pitch, visible)
@@ -58,7 +60,7 @@ def write_trial_csv(lines: Iterable[str], path: Path) -> None:
     it goes: each block of ``_BLOCK_LINES`` lines is joined and written in one
     call, so no more than one block is held, never the whole file."""
     lines = iter(lines)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         while block := "".join(islice(lines, _BLOCK_LINES)):
             fh.write(block)
@@ -80,7 +82,7 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
     values in (1, 1 + 5e-9] print as 1.  The magnitude is the run's
     ``rate_rad_s``, which the CSV does not record, so it is not checked.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             return _read_rows(reader, path, dt)

@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -29,7 +32,7 @@ from roitrack.geometry import (
     to_polar,
 )
 from roitrack.metrics import RecordTally, summarize, tally
-from roitrack.protocol import CommandLink, MockTransport, encode
+from roitrack.protocol import BITS_PER_BYTE_ON_WIRE, LINE_RATE_BPS, CommandLink, MockTransport, encode
 from roitrack.telemetry import (
     CSV_COLUMNS, fmt_float, read_trial_csv, row_lines, serialize_report, write_trial_csv
 )
@@ -308,6 +311,37 @@ class TestSettingsTable:
             assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
 
 
+class TestFileEncoding:
+    # Python's locale encoding is ASCII here: no coercion to C.UTF-8, no UTF-8 mode.
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    def run_in_ascii_locale(self, *args):
+        env = dict(os.environ, **self.ASCII_LOCALE, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "roitrack.cli", *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stderr
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        """Every file is read and written as UTF-8: a config with a non-ASCII
+        comment runs under an ASCII locale, with the bytes of a UTF-8 run."""
+        config = tmp_path / "run.cfg"
+        config.write_text("# café\narena = 1\nduration_s = 2.0\n", encoding="utf-8")
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        commands = {
+            "sim": ["simulate", "--config", config],
+            "replay": ["replay", log, "--config", config],
+        }
+        for name, args in commands.items():
+            utf8, ascii_ = tmp_path / f"{name}_utf8", tmp_path / f"{name}_ascii"
+            assert run_cli(*args, "--out-dir", utf8) == EXIT_OK
+            assert self.run_in_ascii_locale(*args, "--out-dir", ascii_) == (EXIT_OK, "")
+            files = sorted(path.name for path in utf8.iterdir())
+            assert files == sorted(path.name for path in ascii_.iterdir())
+            for file in files:
+                assert (ascii_ / file).read_bytes() == (utf8 / file).read_bytes(), file
+
+
 def write_log(path, rows):
     lines = ["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -391,6 +425,23 @@ class TestReplay:
         log.write_text("t,x,y\n0.0,960,360\n0.033,oops,360\n")
         assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
+
+    # One line of a log between the header and a good row: what replay prints
+    # to stderr, with the line number and the line as the log holds it.
+    @pytest.mark.parametrize("line,code,message", [
+        ("", EXIT_OK, ""),
+        ("  ", EXIT_OK, ""),
+        ("1,2", EXIT_USAGE, "line 2: expected 3 columns, got 2"),
+        ("1,2,3,4", EXIT_USAGE, "line 2: expected 3 columns, got 4"),
+        ("a,b,c", EXIT_USAGE, "line 2: non-numeric value in 'a,b,c'"),
+        (",,", EXIT_USAGE, "line 2: non-numeric value in ',,'"),
+        (" 0 , 960 , 360 ", EXIT_OK, ""),
+    ])
+    def test_each_log_line_gets_its_exact_message(self, tmp_path, capsys, line, code, message):
+        log = tmp_path / "log.csv"
+        log.write_text(f"t,x,y\n{line}\n1,960,360\n")
+        assert run_cli("replay", log, "--out-dir", tmp_path / "r") == code
+        assert capsys.readouterr().err == (f"error: {log}: {message}\n" if message else "")
 
     def test_non_monotonic_time_rejected(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"
@@ -489,11 +540,17 @@ class TestReplay:
                                                          ["960", "-360"], ["0", "360"]]
 
     def test_dense_log_saturating_the_link_is_usage_error(self, tmp_path, capsys):
+        # into a directory that holds an earlier replay's files: a refused run
+        # leaves neither, so no frames file stands beside no telemetry
+        out = tmp_path / "r"
+        good = tmp_path / "good.csv"
+        write_log(good, [(i / 30, 1900 if i % 20 < 10 else 960, 360) for i in range(60)])
+        assert run_cli("replay", good, "--out-dir", out) == EXIT_OK
+        assert (out / "replay_telemetry.csv").exists() and (out / "replay_frames.csv").exists()
         # alternating hard left / hard right, 1 ms apart: every row changes the
         # command, and one frame takes about 8 ms on the 9600 bps line
         log = tmp_path / "dense.csv"
         write_log(log, [(i / 1000, 20 if i % 2 == 0 else 1900, 360) for i in range(20)])
-        out = tmp_path / "r"
         assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
         assert "t=0.001000" in capsys.readouterr().err
         assert not (out / "replay_telemetry.csv").exists()
@@ -606,11 +663,12 @@ def reference_rows(frame, roi):
 
 
 def replay_bits(loop, rows, controller):
-    """Every bit of each sample a replay loop yields, and of each frame it sends."""
+    """Every bit of each row a replay loop yields, read by position in
+    ``TrialSample``'s field order, and of each frame it sends."""
     transport = MockTransport()
     samples = [
-        (struct.pack("<6d", s.t, s.x, s.y, s.p, s.yaw_cmd, s.pitch_cmd), s.sector, s.visible)
-        for s in loop(rows, controller, CommandLink(transport=transport))
+        (struct.pack("<6d", t, x, y, p, yaw, pitch), sector, visible)
+        for t, x, y, p, sector, yaw, pitch, visible in loop(rows, controller, CommandLink(transport=transport))
     ]
     return samples, [(struct.pack("<d", t), text) for t, text in transport.log]
 
@@ -662,14 +720,14 @@ class TestReplayReferenceLoop:
         rows = reference_rows(frame, controller.roi)
         link, sent = recording_link()
         samples = list(_replay_samples(rows, controller, link))
-        active = [s.yaw_cmd != 0.0 or s.pitch_cmd != 0.0 for s in samples]
+        active = [yaw != 0.0 or pitch != 0.0 for _, _, _, _, _, yaw, pitch, _ in samples]
         # the first row counts as following a non-idle one: the link's state is not the loop's to assume
         expected = [i for i, on in enumerate(active) if on or i == 0 or active[i - 1]]
         assert [now for _, now in sent] == [rows[i][0] for i in expected]
         assert sum(active) < len(expected) < len(rows)
-        for sample in samples:
-            assert type(sample) is TrialSample
-            assert sample == TrialSample(*sample)
+        # plain tuples in TrialSample's field order: row_lines reads them by position
+        for row in samples:
+            assert type(row) is tuple and row == TrialSample(*row)
 
     def test_centre_rows_only_make_no_frame_and_at_most_one_call(self):
         frame, controller = replay_controller()
@@ -886,6 +944,75 @@ def test_report_reproduces_the_summary_over_every_settings_range(values):
             csvs = [str(path) for path in sorted(out.glob("trial_*.csv"))]
             assert main(["report", *csvs, "--dt-s", repr(values["dt_s"])]) == EXIT_OK
         assert printed.getvalue() == summary
+
+
+# The longest frame, "Pitch -0.25" and its line feed, on the 9600 bps line.
+_LONGEST_FRAME_S = len(b"Pitch -0.25\n") * BITS_PER_BYTE_ON_WIRE / LINE_RATE_BPS
+
+
+@st.composite
+def _agreement_settings(draw):
+    """One ``simulate`` trial of up to 4 s over arenas, seeds, ROI fractions,
+    frame sizes, rates the link carries (whole hundredths) and loop periods,
+    some of them shorter than a frame's time on the wire."""
+    dt = draw(st.one_of(st.just(DEFAULT_DT_S), _log_uniform(0.001, 0.2)))
+    return {
+        "arena": draw(st.sampled_from([1, 2])),
+        "seed": draw(st.integers(0, 2**31)),
+        "dt_s": dt,
+        "duration_s": draw(st.floats(dt, 4.0)),
+        "roi_frac_x": draw(st.floats(0.05, 0.49)),
+        "roi_frac_y": draw(st.floats(0.05, 0.49)),
+        "rate_rad_s": draw(st.integers(1, 30)) / 100,
+        "frame_width_px": draw(_SIDES),
+        "frame_height_px": draw(_SIDES),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_agreement_settings())
+def test_replay_of_a_simulated_trial_gives_its_sectors_and_commands(values):
+    """The two paths that run the controller agree.  A ``simulate`` trial whose
+    rows are all visible, turned back into raw pixels and replayed under the
+    run's manifest, gives the same sector and commands on every row, except
+    where the 9-digit ``x, y`` moved the point across ``P = 1`` or a diagonal:
+    rows that ``decide`` on the re-entered point already tells from the
+    recorded row.  Rows closer than one frame's time on the wire may make
+    replay exit 1 for link saturation instead."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, sim, log, out = Path(tmp) / "run.cfg", Path(tmp) / "sim", Path(tmp) / "log.csv", Path(tmp) / "out"
+        config.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["simulate", "--config", str(config), "--out-dir", str(sim)]) in (EXIT_OK, EXIT_TRACKING_LOST)
+        recorded = [line.split(",") for line in (sim / "trial_001.csv").read_text().splitlines()[1:]]
+        if any(row[7] != "true" for row in recorded):
+            return
+        half_w, half_h = values["frame_width_px"] / 2, values["frame_height_px"] / 2
+        raw = [(float(x) + half_w, half_h - float(y)) for _, x, y, *_ in recorded]
+        log.write_text("t,x,y\n" + "".join(f"{row[0]},{x!r},{y!r}\n" for row, (x, y) in zip(recorded, raw)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["replay", str(log), "--config", str(sim / "manifest.txt"), "--out-dir", str(out)])
+        if code == EXIT_USAGE:
+            assert values["dt_s"] < _LONGEST_FRAME_S
+            assert "rows too dense for the serial link" in err.getvalue()
+            assert not (out / "replay_telemetry.csv").exists()
+            return
+        assert code == EXIT_OK
+        replayed = [line.split(",") for line in (out / "replay_telemetry.csv").read_text().splitlines()[1:]]
+        assert len(replayed) == len(recorded)
+        frame = FrameSpec(values["frame_width_px"], values["frame_height_px"])
+        roi = EllipseRoi.from_fractions(frame, values["roi_frac_x"], values["roi_frac_y"])
+        controller = ControllerConfig(roi=roi, frame=frame, rate_magnitude=values["rate_rad_s"])
+        for i, (row, again, (raw_x, raw_y)) in enumerate(zip(recorded, replayed, raw)):
+            assert again[0] == row[0], f"row {i}"
+            x, y = raw_x - half_w, half_h - raw_y  # replay's centring
+            p, sector, cmd = decide(x, y, controller)
+            if (sector.value, cmd.yaw_rate, cmd.pitch_rate) != (row[4], float(row[5]), float(row[6])):
+                # 9 digits move a point by at most 5e-9 of the frame
+                assert abs(p - 1.0) <= 1e-6 or abs(abs(x) - abs(y)) <= 1e-7 * (half_w + half_h), f"row {i}"
+                continue
+            assert again[4:7] == row[4:7], f"row {i}"
 
 
 class TestTalliedRows:
