@@ -20,9 +20,11 @@ from . import __version__
 from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
-from .metrics import RecordTally, SensitivityReport, summarize_tallies, tally
+from .metrics import RecordTally, SensitivityReport, summarize_tallies
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
-from .telemetry import fmt_float, format_kv_text, read_trial_csv, row_lines, serialize_report, write_trial_csv
+from .telemetry import (
+    CSV_COLUMNS, fmt_float, format_kv_text, row_lines, serialize_report, tally_rows, write_trial_csv
+)
 from .trials import (
     BASELINE_DURATION_S,
     BASELINE_JITTER_M,
@@ -159,16 +161,17 @@ def cmd_simulate(args) -> int:
     seeds = [seed + i for i in range(trials)]
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    csv_paths, tallies = [], []
-    for i, trial_seed in enumerate(seeds, start=1):
-        path = out / f"trial_{i:03d}.csv"
+    csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
+    for stale in set(out.glob("trial_*.csv")).difference(csv_paths):  # an earlier, larger batch's
+        stale.unlink()
+    tallies = []
+    for path, trial_seed in zip(csv_paths, seeds):
         acc = RecordTally(cfg.dt)
         try:
-            write_trial_csv(_tallied_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc), path)
+            write_trial_csv(tally_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc, path, cfg.dt), path)
             tallies.append(acc.finish())
         except ValueError as exc:
-            raise UsageError(f"{path}: {exc}") from None
-        csv_paths.append(path)
+            raise UsageError(str(exc)) from None
 
     report = _report(tallies)
     summary_path = out / "summary.txt"
@@ -285,19 +288,6 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _tallied_rows(lines, acc: RecordTally):
-    """Yield each telemetry line that ``row_lines`` made, and feed ``acc`` the
-    row as ``report`` reads it from the same text, so that ``summary.txt`` is
-    what ``report`` computes from the CSVs, byte for byte.  t and P are parsed;
-    a command is active unless its field is ``0``, which ``row_lines`` prints
-    for every zero command; ``visible`` is its word."""
-    add = acc.add
-    for line in lines:
-        t_text, _, _, p_text, _, yaw_text, pitch_text, visible_text = line.split(",")
-        add(float(t_text), float(p_text), yaw_text != "0", pitch_text != "0", visible_text == "true\n")
-        yield line
-
-
 def _report(tallies) -> SensitivityReport:
     try:
         return summarize_tallies(tallies)
@@ -305,15 +295,32 @@ def _report(tallies) -> SensitivityReport:
         raise UsageError(f"excursion sensitivities too large to sum: {exc}") from None
 
 
+def _tally_csv(path: Path, dt: float) -> RecordTally:
+    """Check a telemetry CSV's header, then tally its rows through the reader
+    that ``simulate`` runs, one line at a time."""
+    acc = RecordTally(dt)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header != CSV_COLUMNS:
+                raise UsageError(f"{path}: unexpected header {header!r}")
+            for _ in tally_rows(fh, acc, path, dt):
+                pass
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    try:
+        return acc.finish()
+    except ValueError as exc:  # no row after the header
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _summarize_csvs(paths, dt: float) -> SensitivityReport:
     """Read telemetry CSVs recorded at loop period ``dt`` and summarize them."""
     if not (math.isfinite(dt) and dt > 0):
         raise UsageError(f"--dt-s must be finite and positive, got {dt}")
-    try:
-        tallies = [tally(read_trial_csv(Path(path), dt=dt)) for path in paths]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return _report(tallies)
+    return _report([_tally_csv(Path(path), dt) for path in paths])
 
 
 def cmd_report(args) -> int:

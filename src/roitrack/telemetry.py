@@ -9,26 +9,28 @@ it.  A row is one ``%``-format of t, x, y and P, each as ``fmt_float`` prints
 it, and the row's tail: the sector word, both commands and ``visible``.  The
 tail is built once per distinct (sector, yaw, pitch, visible) and reused, so
 a run's five commands give at most 16 tails.  A zero command prints ``0``
-whatever its sign, so ``simulate`` tallies each row from its text alone, as
-``report`` reads it.  ``format_kv_text`` is the one writer of key-value text.
+whatever its sign.
+
+Telemetry rows have one reader, ``tally_rows``: ``simulate`` runs each line
+it writes through it and ``report`` each line it reads, so both check the
+same rules and tally the same text, and ``summary.txt`` is what ``report``
+prints over the batch's CSVs.  ``format_kv_text`` is the one writer of
+key-value text.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
-from .geometry import Sector
-from .metrics import SensitivityReport
-from .trials import TrialRecord, TrialSample
+from .metrics import RecordTally, SensitivityReport
 
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
 _BLOCK_LINES = 4096  # rows per write: under 0.5 MB of text
-_SECTORS = {sector.value: sector for sector in Sector}
+_SIGNS = {sector.value: signs for sector, signs in _SECTOR_SIGNS.items()}  # a sector's word -> its command's signs
 
 
 def fmt_float(value: float) -> str:
@@ -66,8 +68,15 @@ def write_trial_csv(lines: Iterable[str], path: Path) -> None:
             fh.write(block)
 
 
-def read_trial_csv(path: Path, dt: float) -> TrialRecord:
-    """Load a telemetry CSV back into a record.
+def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path, dt: float) -> Iterator[str]:
+    """The one reader of telemetry rows: check each line, feed its sample to
+    ``acc`` and yield the line unchanged, consuming ``lines`` as it goes.
+
+    ``lines`` are the rows after the header, each with its newline or, the
+    last, without; ``source`` names them in errors, as ``{source}: line N``,
+    counting the header as line 1.  A row is split once on ``,``; no field is
+    quoted, as no writer quotes one.  The caller finishes ``acc`` once the
+    rows are exhausted.
 
     The CSV carries sample times but not the loop period, so ``dt`` must be
     supplied by the caller (it is needed for sample-count based quantities).
@@ -82,35 +91,17 @@ def read_trial_csv(path: Path, dt: float) -> TrialRecord:
     values in (1, 1 + 5e-9] print as 1.  The magnitude is the run's
     ``rate_rad_s``, which the CSV does not record, so it is not checked.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            return _read_rows(reader, path, dt)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file, expected a header row") from None
-    if header != CSV_COLUMNS:
-        raise ValueError(f"{path}: unexpected header {header!r}")
-    samples = []
-    append, new, to_float, isfinite = samples.append, tuple.__new__, float, math.isfinite
-    sectors, sector_signs, columns = _SECTORS, _SECTOR_SIGNS, len(CSV_COLUMNS)
+    add, to_float, isfinite, signs_of, columns = acc.add, float, math.isfinite, _SIGNS, len(CSV_COLUMNS)
     last_t = None
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, line in enumerate(lines, start=2):
+        row = line.rstrip("\n").split(",")
         if len(row) != columns:
-            raise ValueError(f"{path}: line {lineno}: expected {columns} columns")
+            raise ValueError(f"{source}: line {lineno}: expected {columns} columns")
         t_text, x_text, y_text, p_text, sector_text, yaw_text, pitch_text, visible_text = row
         try:
             t, x, y, p = to_float(t_text), to_float(x_text), to_float(y_text), to_float(p_text)
             if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(p)):
-                raise ValueError(f"non-finite value in t, x, y or P: {','.join(row[:4])}")
+                raise ValueError(f"non-finite value in t, x, y or P: {t_text},{x_text},{y_text},{p_text}")
             if p < 0.0:
                 raise ValueError(f"P = {p_text} is negative")
             if last_t is not None:
@@ -125,8 +116,8 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
                 )
             if yaw_cmd != 0.0 and pitch_cmd != 0.0:
                 raise ValueError(f"command ({yaw_text}, {pitch_text}) drives both axes")
-            sector = sectors.get(sector_text)
-            if sector is None:
+            signs = signs_of.get(sector_text)
+            if signs is None:
                 raise ValueError(f"{sector_text!r} is not a valid Sector")
             visible = visible_text == "true"
             if not visible and visible_text != "false":
@@ -136,15 +127,13 @@ def _read_rows(reader, path: Path, dt: float) -> TrialRecord:
                     raise ValueError(f"P = {p_text} with the target visible, but the command is zero")
             elif not visible or p < 1.0:
                 raise ValueError(f"command ({yaw_text}, {pitch_text}) with P = {p_text} and visible = {visible_text}")
-            else:
-                signs = (yaw_cmd > 0.0) - (yaw_cmd < 0.0), (pitch_cmd > 0.0) - (pitch_cmd < 0.0)
-                if signs != sector_signs[sector]:
-                    raise ValueError(f"command ({yaw_text}, {pitch_text}) is not sector {sector_text}'s axis and sign")
-            append(new(TrialSample, (t, x, y, p, sector, yaw_cmd, pitch_cmd, visible)))
+            elif ((yaw_cmd > 0.0) - (yaw_cmd < 0.0), (pitch_cmd > 0.0) - (pitch_cmd < 0.0)) != signs:
+                raise ValueError(f"command ({yaw_text}, {pitch_text}) is not sector {sector_text}'s axis and sign")
+            add(t, p, yaw_cmd, pitch_cmd, visible)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            raise ValueError(f"{source}: line {lineno}: {exc}") from None
         last_t = t
-    return TrialRecord(samples=tuple(samples), dt=dt)
+        yield line
 
 
 def serialize_report(report: SensitivityReport) -> str:

@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_record
 from roitrack import cli, protocol
 from roitrack.arenas import parse_kv_text
-from roitrack.cli import (
-    EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, _replay_samples, _tallied_rows, main
-)
+from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, _replay_samples, main
 from roitrack.controller import ControllerConfig, decide, step
 from roitrack.geometry import (
     EllipseRoi,
@@ -33,9 +32,7 @@ from roitrack.geometry import (
 )
 from roitrack.metrics import RecordTally, summarize, tally
 from roitrack.protocol import BITS_PER_BYTE_ON_WIRE, LINE_RATE_BPS, CommandLink, MockTransport, encode
-from roitrack.telemetry import (
-    CSV_COLUMNS, fmt_float, read_trial_csv, row_lines, serialize_report, write_trial_csv
-)
+from roitrack.telemetry import CSV_COLUMNS, fmt_float, row_lines, serialize_report, tally_rows, write_trial_csv
 from roitrack.trials import (
     DEFAULT_DT_S,
     MAX_CAMERA_OFFSET_M,
@@ -68,8 +65,20 @@ class TestSimulate:
         assert (sim_dir / "summary.txt").exists()
         assert (sim_dir / "manifest.txt").exists()
 
+    def test_smaller_batch_removes_the_trials_it_does_not_write(self, sim_dir, capsys):
+        # the 3-trial batch holds 34 excursions; report over the directory
+        # must see the 1-trial batch's 11 only, as its summary does
+        (sim_dir / "notes.csv").write_text("kept\n")
+        code = run_cli("simulate", "--arena", 1, "--trials", 1, "--seed", 7,
+                       "--duration-s", 6.0, "--out-dir", sim_dir)
+        assert code == EXIT_OK
+        assert sorted(p.name for p in sim_dir.glob("*.csv")) == ["notes.csv", "trial_001.csv"]
+        capsys.readouterr()
+        assert run_cli("report", *sorted(sim_dir.glob("trial_*.csv"))) == EXIT_OK
+        assert capsys.readouterr().out == (sim_dir / "summary.txt").read_text()
+
     def test_rows_match_duration(self, sim_dir):
-        record = read_trial_csv(sim_dir / "trial_001.csv", dt=DEFAULT_DT_S)
+        record = read_record(sim_dir / "trial_001.csv", DEFAULT_DT_S)
         assert len(record.samples) == round(6.0 / DEFAULT_DT_S)
 
     def test_zero_duration_is_usage_error(self, tmp_path):
@@ -396,7 +405,7 @@ class TestReplay:
         out = tmp_path / "replay"
         assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
 
-        record = read_trial_csv(out / "replay_telemetry.csv", dt=DEFAULT_DT_S)
+        record = read_record(out / "replay_telemetry.csv", DEFAULT_DT_S)
         cfg = ControllerConfig(roi=EllipseRoi.from_fractions(self.FRAME), frame=self.FRAME)
         assert len(record.samples) == len(SWEEP_ROWS)
         for sample, (t, x, y) in zip(record.samples, SWEEP_ROWS):
@@ -1028,20 +1037,20 @@ class TestTalliedRows:
 
     def test_each_row_is_tallied_from_its_own_text(self, tmp_path):
         acc = RecordTally(DEFAULT_DT_S)
-        lines = list(_tallied_rows(row_lines(self.SAMPLES), acc))
+        lines = list(tally_rows(row_lines(self.SAMPLES), acc, "trial.csv", DEFAULT_DT_S))
         assert lines == list(row_lines(self.SAMPLES))
         acc.finish()
         assert (acc.yaw_n, acc.pitch_n, acc.overlap_n, acc.success) == (1, 2, 0, False)
         path = tmp_path / "trial.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(lines))
-        read = tally(read_trial_csv(path, dt=DEFAULT_DT_S))
+        read = tally(read_record(path, DEFAULT_DT_S))
         assert (read.yaw_n, read.pitch_n, read.overlap_n, read.success) == (1, 2, 0, False)
         assert acc.excursions == read.excursions and len(acc.excursions) == 2
 
     def test_a_run_of_visible_rows_succeeds(self):
         acc = RecordTally(DEFAULT_DT_S)
-        visible = [s for s in self.SAMPLES if s.visible]
-        assert len(list(_tallied_rows(row_lines(visible), acc))) == 4
+        visible = [s._replace(t=(i + 1) / 30) for i, s in enumerate(s for s in self.SAMPLES if s.visible)]
+        assert list(tally_rows(row_lines(visible), acc, "trial.csv", DEFAULT_DT_S)) == list(row_lines(visible))
         assert acc.finish().success
 
 
@@ -1194,7 +1203,7 @@ class TestReport:
 
     def test_close_to_in_memory_summary(self, sim_dir):
         csvs = sorted(sim_dir.glob("trial_*.csv"))
-        records = [read_trial_csv(p, dt=DEFAULT_DT_S) for p in csvs]
+        records = [read_record(p, DEFAULT_DT_S) for p in csvs]
         report = summarize(records)
         assert serialize_report(report) == (sim_dir / "summary.txt").read_text()
 
@@ -1360,12 +1369,40 @@ class TestReport:
         assert run_cli("report", bad) == EXIT_USAGE
         assert "binary.csv" in capsys.readouterr().err
 
-    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, capsys):
-        big = tmp_path / "big.csv"
-        big.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,{'0' * 200_000},0,0,right,0,0,true\n")
-        assert run_cli("report", big) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "big.csv" in err and "line 2" in err
+    def test_long_number_field_is_read_as_its_value(self, tmp_path, capsys):
+        # a row is split on commas, with no field-size limit: 200,000 zeros are 0
+        texts = {}
+        for name, x_text in (("long", "0" * 200_000), ("short", "0")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,{x_text},0,0,right,0,0,true\n")
+            assert run_cli("report", path) == EXIT_OK
+            texts[name] = capsys.readouterr().out
+        assert texts["long"] == texts["short"]
+
+    def test_crlf_lines_and_a_missing_final_newline_read_the_same(self, sim_dir, tmp_path, capsys):
+        data = (sim_dir / "trial_001.csv").read_bytes()
+        assert run_cli("report", sim_dir / "trial_001.csv") == EXIT_OK
+        expected = capsys.readouterr().out
+        for name, copy in (("crlf.csv", data.replace(b"\n", b"\r\n")), ("unterminated.csv", data[:-1])):
+            path = tmp_path / name
+            path.write_bytes(copy)
+            assert run_cli("report", path) == EXIT_OK
+            assert capsys.readouterr().out == expected, name
+
+    # No writer quotes a field or writes a NUL; the row reader splits on commas
+    # and takes each field as it stands.
+    @pytest.mark.parametrize("row", [
+        '0.0333333333,0,0,"0.5",right,0,0,true',
+        '"0.0333333333",0,0,0.5,right,0,0,true',
+        '0.0333333333,0,0,0.5,"right",0,0,true',
+        "0.0333333333,0,0,0.5,right,0,0,true\x00",
+        "0.0333333333,0\x00,0,0.5,right,0,0,true",
+    ])
+    def test_quoted_or_nul_field_names_file_and_line(self, tmp_path, capsys, row):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n{row}\n")
+        assert run_cli("report", path) == EXIT_USAGE
+        assert f"error: {path}: line 2: " in capsys.readouterr().err
 
     def test_sensitivities_too_large_to_sum_is_usage_error(self, tmp_path, capsys):
         csv_path = tmp_path / "peaks.csv"
@@ -1376,7 +1413,8 @@ class TestReport:
         assert run_cli("report", csv_path) == EXIT_USAGE
         assert "too large to sum" in capsys.readouterr().err
 
-    def test_header_only_csv_is_usage_error(self, tmp_path):
+    def test_header_only_csv_is_usage_error(self, tmp_path, capsys):
         empty = tmp_path / "header_only.csv"
         empty.write_text("t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n")
         assert run_cli("report", empty) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {empty}: record has no samples\n"

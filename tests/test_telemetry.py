@@ -1,17 +1,15 @@
-"""The telemetry row validator against a reference copy of its rules.
+"""The telemetry row reader against a reference copy of its rules.
 
-``reference_read_rows`` is the validator as it was written rule by rule, one
-helper call per check and a ``TrialSample(...)`` per row.  ``_read_rows`` is
-the flat rewrite that ``read_trial_csv`` runs.  Both must accept the same rows
-with the same record, to the bit, and reject the same rows with the same
-message.
+``conftest.reference_read_rows`` is the validator as it was written
+rule by rule.  ``tally_rows`` is the one reader that ``simulate`` and
+``report`` run.  Both must accept the same rows with the same tally, to the
+bit, and reject the same rows with the same message.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import struct
 from pathlib import Path
 
@@ -19,73 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_record, reference_read_rows
 from roitrack.arenas import parse_kv_text
 from roitrack.cli import _replay_samples
-from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig
+from roitrack.controller import ControllerConfig
 from roitrack.geometry import EllipseRoi, FrameSpec, Sector
-from roitrack.metrics import SensitivityReport
+from roitrack.metrics import RecordTally, SensitivityReport, tally
 from roitrack.protocol import CommandLink, MockTransport
-from roitrack.telemetry import CSV_COLUMNS, _read_rows, fmt_float, read_trial_csv, row_lines, serialize_report
-from roitrack.trials import DEFAULT_DT_S, TrialConfig, TrialRecord, TrialSample, iter_trial
-
-_REFERENCE_SECTORS = {sector.value: sector for sector in Sector}
-_REFERENCE_SIGNS = {Sector.RIGHT: (1, 0), Sector.LEFT: (-1, 0), Sector.TOP: (0, 1), Sector.BOTTOM: (0, -1)}
-
-
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"expected true/false, got {text!r}")
-    return text == "true"
-
-
-def reference_read_rows(reader, path: Path, dt: float) -> TrialRecord:
-    """The row validator, one rule after another in their documented order."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file, expected a header row") from None
-    if header != CSV_COLUMNS:
-        raise ValueError(f"{path}: unexpected header {header!r}")
-    samples = []
-    last_t = None
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"{path}: line {lineno}: expected {len(CSV_COLUMNS)} columns")
-        try:
-            t, x, y, p = float(row[0]), float(row[1]), float(row[2]), float(row[3])
-            if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y) and math.isfinite(p)):
-                raise ValueError(f"non-finite value in t, x, y or P: {','.join(row[:4])}")
-            if p < 0.0:
-                raise ValueError(f"P = {row[3]} is negative")
-            if last_t is not None:
-                miss = abs(t - last_t - dt)
-                if not (miss <= 1e-8 * max(1.0, abs(t), abs(last_t)) and miss < dt / 2):
-                    raise ValueError(f"sample time {row[0]} is not dt = {dt} after {fmt_float(last_t)}")
-            yaw_cmd, pitch_cmd = float(row[5]), float(row[6])
-            if not (abs(yaw_cmd) <= MAX_RATE_RAD_S and abs(pitch_cmd) <= MAX_RATE_RAD_S):
-                raise ValueError(
-                    f"command ({row[5]}, {row[6]}) is outside [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}] rad/s"
-                )
-            if yaw_cmd != 0.0 and pitch_cmd != 0.0:
-                raise ValueError(f"command ({row[5]}, {row[6]}) drives both axes")
-            sector = _REFERENCE_SECTORS.get(row[4])
-            if sector is None:
-                raise ValueError(f"{row[4]!r} is not a valid Sector")
-            visible = _parse_bool(row[7])
-            if yaw_cmd == 0.0 and pitch_cmd == 0.0:
-                if visible and p > 1.0:
-                    raise ValueError(f"P = {row[3]} with the target visible, but the command is zero")
-            elif not visible or p < 1.0:
-                raise ValueError(f"command ({row[5]}, {row[6]}) with P = {row[3]} and visible = {row[7]}")
-            else:
-                signs = (yaw_cmd > 0.0) - (yaw_cmd < 0.0), (pitch_cmd > 0.0) - (pitch_cmd < 0.0)
-                if signs != _REFERENCE_SIGNS[sector]:
-                    raise ValueError(f"command ({row[5]}, {row[6]}) is not sector {row[4]}'s axis and sign")
-            samples.append(TrialSample(t, x, y, p, sector, yaw_cmd, pitch_cmd, visible))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        last_t = t
-    return TrialRecord(samples=tuple(samples), dt=dt)
+from roitrack.telemetry import CSV_COLUMNS, fmt_float, row_lines, serialize_report, tally_rows, write_trial_csv
+from roitrack.trials import DEFAULT_DT_S, TrialConfig, TrialSample, iter_trial
 
 
 def _replay_lines() -> list[str]:
@@ -107,19 +47,28 @@ SOURCES = [
 PATH = Path("trial.csv")
 
 
-def record_bits(record: TrialRecord):
-    """Every bit of a record, and the type of each of its samples."""
-    samples = [
-        (type(s), struct.pack("<6d", s.t, s.x, s.y, s.p, s.yaw_cmd, s.pitch_cmd), s.sector, s.visible)
-        for s in record.samples
-    ]
-    return samples, struct.pack("<d", record.dt)
+def tally_bits(acc: RecordTally):
+    """Every bit of a finished tally: its excursions, counts, success and dt."""
+    excursions = [(struct.pack("<3d", e.t_start, e.t_end, e.p_max), e.closed) for e in acc.excursions]
+    return excursions, acc.yaw_n, acc.pitch_n, acc.overlap_n, acc.success, struct.pack("<d", acc.dt)
 
 
-def outcome(read_rows, text: str, dt: float):
-    """A reader's record, every bit of it, or the text of its ValueError."""
+def reference_outcome(text: str, dt: float):
+    """The reference's record, tallied, every bit of it, or the text of its ValueError."""
     try:
-        return "read", record_bits(read_rows(csv.reader(io.StringIO(text)), PATH, dt))
+        return "read", tally_bits(tally(reference_read_rows(csv.reader(io.StringIO(text)), PATH, dt)))
+    except ValueError as exc:
+        return "rejected", str(exc)
+
+
+def reader_outcome(text: str, dt: float):
+    """``tally_rows``' tally over the lines after the header, every bit of it,
+    or the text of its ValueError.  Each line it yields is the line it read."""
+    lines = list(io.StringIO(text))[1:]
+    acc = RecordTally(dt)
+    try:
+        assert list(tally_rows(lines, acc, PATH, dt)) == lines
+        return "read", tally_bits(acc.finish())
     except ValueError as exc:
         return "rejected", str(exc)
 
@@ -174,10 +123,7 @@ class TestRowValidator:
     @settings(max_examples=400, deadline=None)
     @given(telemetry_text(), st.sampled_from([DEFAULT_DT_S, 1 / 30, 0.04]))
     def test_matches_the_reference_validator(self, text, dt):
-        expected = outcome(reference_read_rows, text, dt)
-        assert outcome(_read_rows, text, dt) == expected
-        if expected[0] == "read":
-            assert all(kind is TrialSample for kind, *_ in expected[1][0])
+        assert reader_outcome(text, dt) == reference_outcome(text, dt)
 
     def test_each_rule_rejects_with_the_reference_message(self):
         """One hand-made bad row per rule, between two good ones: both readers
@@ -203,23 +149,24 @@ class TestRowValidator:
         ]
         for message, row in cases:
             text = "".join([",".join(CSV_COLUMNS) + "\n", base[0], ",".join(row) + "\n", base[2]])
-            expected = outcome(reference_read_rows, text, DEFAULT_DT_S)
+            expected = reference_outcome(text, DEFAULT_DT_S)
             assert expected[0] == "rejected" and message in expected[1], message
             assert expected[1].startswith(f"{PATH}: line 3: ")
-            assert outcome(_read_rows, text, DEFAULT_DT_S) == expected
+            assert reader_outcome(text, DEFAULT_DT_S) == expected
 
     @pytest.mark.parametrize("lines", SOURCES, ids=["simulate-lost", "simulate-arena-2", "replay"])
     def test_read_trial_csv_returns_trial_samples(self, tmp_path, lines):
+        """A written file reads back, by the reference, as one ``TrialSample``
+        per line that prints that line again, and ``tally_rows`` tallies its
+        lines as the reference's record tallies."""
         path = tmp_path / "trial.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(lines))
-        record = read_trial_csv(path, dt=DEFAULT_DT_S)
-        assert len(record.samples) == len(lines)
-        for sample in record.samples:
-            assert type(sample) is TrialSample
-            assert sample == TrialSample(*sample)
-        with open(path, newline="") as fh:
-            expected = reference_read_rows(csv.reader(fh), path, DEFAULT_DT_S)
-        assert record_bits(record) == record_bits(expected)
+        write_trial_csv(lines, path)
+        record = read_record(path, DEFAULT_DT_S)
+        assert all(type(sample) is TrialSample for sample in record.samples)
+        assert list(row_lines(record.samples)) == lines
+        acc = RecordTally(DEFAULT_DT_S)
+        assert list(tally_rows(lines, acc, path, DEFAULT_DT_S)) == lines
+        assert tally_bits(acc.finish()) == tally_bits(tally(record))
 
 
 SERIALIZED_REPORTS = [
