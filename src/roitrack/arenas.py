@@ -4,8 +4,9 @@ The two canonical arenas live in versioned fixture files under
 ``roitrack/data``: arena 1 is a rectangular circuit with corner cut-ins,
 arena 2 an open zig-zag track.  Their waypoint coordinates were calibrated
 once against the baseline trial configuration and are never tuned per test.
-The fixtures' flat ``key = value`` format is also the CLI's config format, so
-its one parser, ``parse_kv_text``, lives here.
+The fixtures' flat ``key = value`` format is also the CLI's config format and
+the format of its manifests and reports, so its one parser, ``parse_kv_text``,
+and its one writer, ``format_kv_text``, live here.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ValueError(f"{source}: line {lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
+
+
+def format_kv_text(values: dict[str, str]) -> str:
+    """The one writer of the ``key = value`` text that ``parse_kv_text`` reads."""
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def parse_arena_text(text: str) -> Path:

@@ -2,7 +2,9 @@
 and report metrics over telemetry CSVs.
 
 Exit codes are scriptable: 0 success, 1 usage or malformed input, 2 ran but
-lost tracking, 3 I/O failure.  All artifacts are byte-stable: rerunning the
+lost tracking, 3 I/O failure.  A refused input is a ``ValueError`` carrying its
+own message, raised here or in the library, and ``main`` alone turns it into
+one ``error:`` line and exit 1.  All artifacts are byte-stable: rerunning the
 same command (or a run manifest) reproduces them bit for bit.
 """
 
@@ -17,14 +19,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, parse_kv_text
+from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, format_kv_text, parse_kv_text
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
-from .metrics import RecordTally, SensitivityReport, summarize_tallies
+from .metrics import RecordTally, summarize_tallies
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
-from .telemetry import (
-    CSV_COLUMNS, fmt_float, format_kv_text, row_lines, serialize_report, tally_rows, write_trial_csv
-)
+from .telemetry import CSV_COLUMNS, fmt_float, row_lines, serialize_report, tally_rows, write_trial_csv
 from .trials import (
     BASELINE_DURATION_S,
     BASELINE_JITTER_M,
@@ -70,61 +70,51 @@ SETTINGS = {
 _INFO_KEYS = {"tool_version", "seeds", "arena_fixture_sha256"}
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep the exit-code contract
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _settings(args) -> dict:
     """Resolve every setting: its table default < the --config file < its flag."""
     values = {key: default for key, (_, default) in SETTINGS.items()}
     if args.config:
-        try:
-            raw = parse_kv_text(_read_text(args.config), source=args.config)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        for key, text in raw.items():
+        for key, text in parse_kv_text(_read_text(args.config), source=args.config).items():
             if key in _INFO_KEYS or key.startswith("artifact_"):
                 continue
             if key not in SETTINGS:
-                raise UsageError(f"{args.config}: unknown config key {key!r}")
+                raise ValueError(f"{args.config}: unknown config key {key!r}")
             try:
                 values[key] = SETTINGS[key][0](text)
             except ValueError:
-                raise UsageError(f"{args.config}: bad value for {key}: {text!r}") from None
+                raise ValueError(f"{args.config}: bad value for {key}: {text!r}") from None
     for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
         if isinstance(values[key], float) and not math.isfinite(values[key]):
-            raise UsageError(f"{key} must be finite, got {values[key]}")
+            raise ValueError(f"{key} must be finite, got {values[key]}")
     return values
 
 
 def _controller(settings: dict) -> ControllerConfig:
-    try:
-        frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
-        roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
-        return ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
+    roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
+    return ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
 
 
 def _out_dir(args) -> Path:
-    if args.out_dir is not None:
-        return Path(args.out_dir)
-    return Path(os.environ.get(OUT_DIR_ENV, "runs"))
+    """Create the output directory: only once every check has passed."""
+    out = Path(args.out_dir if args.out_dir is not None else os.environ.get(OUT_DIR_ENV, "runs"))
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _sha256(path: Path) -> str:
@@ -135,45 +125,40 @@ def cmd_simulate(args) -> int:
     settings = _settings(args)
     arena, trials, seed = settings["arena"], settings["trials"], settings["seed"]
     if arena is None:
-        raise UsageError("an arena id is required (--arena or config)")
+        raise ValueError("an arena id is required (--arena or config)")
     if not 1 <= trials <= MAX_TRIALS_PER_BATCH:
-        raise UsageError(f"--trials must be in [1, {MAX_TRIALS_PER_BATCH}], got {trials}")
+        raise ValueError(f"--trials must be in [1, {MAX_TRIALS_PER_BATCH}], got {trials}")
     for key, baseline in (("duration_s", BASELINE_DURATION_S), ("usv_speed_mps", BASELINE_USV_SPEED_MPS)):
         if settings[key] is None:
             settings[key] = baseline.get(arena)
-    controller = _controller(settings)
-    try:
-        cfg = TrialConfig(
-            arena_id=arena,
-            usv_speed=settings["usv_speed_mps"],
-            duration=settings["duration_s"],
-            seed=seed,
-            jitter_amplitude=settings["jitter_m"],
-            controller=controller,
-            horizontal_fov=math.radians(settings["fov_deg"]),
-            uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
-            dt=settings["dt_s"],
-            lookahead=settings["lookahead_m"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = TrialConfig(
+        arena_id=arena,
+        usv_speed=settings["usv_speed_mps"],
+        duration=settings["duration_s"],
+        seed=seed,
+        jitter_amplitude=settings["jitter_m"],
+        controller=_controller(settings),
+        horizontal_fov=math.radians(settings["fov_deg"]),
+        uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
+        dt=settings["dt_s"],
+        lookahead=settings["lookahead_m"],
+    )
 
     seeds = [seed + i for i in range(trials)]
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
-    for stale in set(out.glob("trial_*.csv")).difference(csv_paths):  # an earlier, larger batch's
-        stale.unlink()
+    for stale in out.glob("trial_*.csv"):  # an earlier, larger batch's; any other name is the user's
+        digits = stale.name[len("trial_"):-len(".csv")]
+        i = int(digits) if digits.isdecimal() else 0
+        if trials < i <= MAX_TRIALS_PER_BATCH and stale.name == f"trial_{i:03d}.csv":
+            stale.unlink()
     tallies = []
     for path, trial_seed in zip(csv_paths, seeds):
         acc = RecordTally(cfg.dt)
-        try:
-            write_trial_csv(tally_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc, path, cfg.dt), path)
-            tallies.append(acc.finish())
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        write_trial_csv(tally_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc, path), path)
+        tallies.append(acc.finish())
 
-    report = _report(tallies)
+    report = summarize_tallies(tallies)
     summary_path = out / "summary.txt"
     summary_path.write_text(serialize_report(report), encoding="utf-8")
 
@@ -204,12 +189,12 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
     ``report`` could read, so it is refused like any other malformed log."""
     text = _read_text(path)
     if not text.strip():
-        raise UsageError(f"{path}: empty log, expected header 't,x,y' and at least one row")
+        raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
     rows: list[tuple[float, float, float]] = []
     lines = text.splitlines()
     header = [cell.strip() for cell in lines[0].split(",")]
     if header != ["t", "x", "y"]:
-        raise UsageError(f"{path}: expected header 't,x,y', got {lines[0]!r}")
+        raise ValueError(f"{path}: expected header 't,x,y', got {lines[0]!r}")
     last_t = -math.inf
     to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -221,22 +206,22 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
             if columns != 3:
                 if not line.strip():  # a blank line has no comma, so it lands here
                     continue
-                raise UsageError(f"{path}: line {lineno}: expected 3 columns, got {columns}") from None
-            raise UsageError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
+                raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {columns}") from None
+            raise ValueError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
         if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
-            raise UsageError(f"{path}: line {lineno}: non-finite time or position outside the frame in {line!r}")
+            raise ValueError(f"{path}: line {lineno}: non-finite time or position outside the frame in {line!r}")
         # Over 1e-8 of the larger |time| apart (t or -last_t, for t > last_t), two
         # times print as different 9-digit texts; closer, their texts are compared.
         # The first row has no last time.
         if t - last_t <= 1e-8 * (t if t > -last_t else -last_t) and rows:
             if t <= last_t:
-                raise UsageError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
+                raise ValueError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
             if fmt_float(t) == fmt_float(last_t):
-                raise UsageError(f"{path}: line {lineno}: time {t} is too close to {last_t} to print apart from it")
+                raise ValueError(f"{path}: line {lineno}: time {t} is too close to {last_t} to print apart from it")
         last_t = t
         rows.append((t, x, y))
     if not rows:
-        raise UsageError(f"{path}: no rows after the header 't,x,y'")
+        raise ValueError(f"{path}: no rows after the header 't,x,y'")
     return rows
 
 
@@ -268,11 +253,10 @@ def cmd_replay(args) -> int:
     try:  # the gimbal acts on the frame's rate, so the frame must carry this one
         encode(GimbalCommand(yaw_rate=rate))
     except FrameError as exc:
-        raise UsageError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
+        raise ValueError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
     rows = _read_coordinate_log(Path(args.log), controller.frame)
 
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     transport = MockTransport()
     link = CommandLink(transport=transport)
     telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
@@ -281,50 +265,36 @@ def cmd_replay(args) -> int:
     except TransportSaturated as exc:
         telemetry_path.unlink()
         frames_path.unlink(missing_ok=True)  # an earlier run's, which no telemetry beside it explains
-        raise UsageError(f"{args.log}: rows too dense for the serial link: {exc}") from None
+        raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
     frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
     frames_path.write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
     print(f"replayed {len(rows)} rows: {len(transport.log)} frames -> {out}")
     return EXIT_OK
 
 
-def _report(tallies) -> SensitivityReport:
-    try:
-        return summarize_tallies(tallies)
-    except OverflowError as exc:
-        raise UsageError(f"excursion sensitivities too large to sum: {exc}") from None
-
-
 def _tally_csv(path: Path, dt: float) -> RecordTally:
-    """Check a telemetry CSV's header, then tally its rows through the reader
-    that ``simulate`` runs, one line at a time."""
+    """Check a telemetry CSV's header, then tally its rows, recorded at loop
+    period ``dt``, through the reader that ``simulate`` runs, one line at a
+    time; that reader refuses a file with no row after the header."""
     acc = RecordTally(dt)
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split(",")
             if header != CSV_COLUMNS:
-                raise UsageError(f"{path}: unexpected header {header!r}")
-            for _ in tally_rows(fh, acc, path, dt):
+                raise ValueError(f"{path}: unexpected header {header!r}")
+            for _ in tally_rows(fh, acc, path):
                 pass
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        return acc.finish()
-    except ValueError as exc:  # no row after the header
-        raise UsageError(f"{path}: {exc}") from None
-
-
-def _summarize_csvs(paths, dt: float) -> SensitivityReport:
-    """Read telemetry CSVs recorded at loop period ``dt`` and summarize them."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise UsageError(f"--dt-s must be finite and positive, got {dt}")
-    return _report([_tally_csv(Path(path), dt) for path in paths])
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    return acc.finish()
 
 
 def cmd_report(args) -> int:
-    print(serialize_report(_summarize_csvs(args.csvs, args.dt_s)), end="")
+    dt = args.dt_s
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"--dt-s must be finite and positive, got {dt}")
+    report = summarize_tallies([_tally_csv(Path(path), dt) for path in args.csvs])
+    print(serialize_report(report), end="")
     return EXIT_OK
 
 
@@ -367,7 +337,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # every refused input, from cli's own checks or the library's
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

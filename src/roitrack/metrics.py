@@ -152,13 +152,17 @@ def summarize_tallies(tallies: list[RecordTally]) -> SensitivityReport:
 
     The report is independent of record order: the peaks are ordered by their
     excursions, sorted canonically, and all sums use exact accumulation.
+    Peaks whose sum overflows a float are refused with a ``ValueError``.
     """
     if not tallies:
         raise ValueError("need at least one record")
     excursions = sorted((e for acc in tallies for e in acc.excursions), key=lambda e: (e.t_start, e.t_end, e.p_max))
     per_peak = [peak_sensitivity(e) for e in excursions]
     n = len(per_peak)
-    mean_s = math.fsum(per_peak) / n if n else None
+    try:
+        mean_s = math.fsum(per_peak) / n if n else None
+    except OverflowError as exc:  # finite peaks whose sum is not
+        raise ValueError(f"excursion sensitivities too large to sum: {exc}") from None
     # group expenditure counts by dt so the totals are exact under permutation
     by_dt: dict[float, list[int]] = {}
     for acc in tallies:

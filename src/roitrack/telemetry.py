@@ -13,9 +13,10 @@ whatever its sign.
 
 Telemetry rows have one reader, ``tally_rows``: ``simulate`` runs each line
 it writes through it and ``report`` each line it reads, so both check the
-same rules and tally the same text, and ``summary.txt`` is what ``report``
-prints over the batch's CSVs.  ``format_kv_text`` is the one writer of
-key-value text.
+same rules, at the loop period their tally holds, refuse a record with no
+row alike, and tally the same text, and ``summary.txt`` is what ``report``
+prints over the batch's CSVs.  A report is written as the key-value text of
+``arenas.format_kv_text``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .arenas import format_kv_text
 from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
 from .metrics import RecordTally, SensitivityReport
 
@@ -68,30 +70,31 @@ def write_trial_csv(lines: Iterable[str], path: Path) -> None:
             fh.write(block)
 
 
-def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path, dt: float) -> Iterator[str]:
+def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> Iterator[str]:
     """The one reader of telemetry rows: check each line, feed its sample to
     ``acc`` and yield the line unchanged, consuming ``lines`` as it goes.
 
     ``lines`` are the rows after the header, each with its newline or, the
     last, without; ``source`` names them in errors, as ``{source}: line N``,
     counting the header as line 1.  A row is split once on ``,``; no field is
-    quoted, as no writer quotes one.  The caller finishes ``acc`` once the
-    rows are exhausted.
+    quoted, as no writer quotes one.  Once the rows are exhausted, none at all
+    is refused as ``{source}: record has no samples``; otherwise the caller
+    finishes ``acc``.
 
-    The CSV carries sample times but not the loop period, so ``dt`` must be
-    supplied by the caller (it is needed for sample-count based quantities).
-    Consecutive times must be ``dt`` apart, up to the rounding of their
-    9-digit text and within ``dt / 2``; any other gap means a wrong ``dt``,
-    missing rows, or a ``t`` text too coarse to resolve ``dt``.  A row
-    no run can write is rejected: a non-finite ``t``, ``x``, ``y`` or ``P``, a
-    negative ``P``, a command beyond the actuator cap or on both axes at once,
-    or a command that contradicts ``P``.  A run commands nothing while ``P < 1``
-    or the target is lost, and the sector's axis and sign while a visible target
-    has ``P > 1``; a ``P`` that reads exactly 1 may carry either, since true
-    values in (1, 1 + 5e-9] print as 1.  The magnitude is the run's
-    ``rate_rad_s``, which the CSV does not record, so it is not checked.
+    The CSV carries sample times but not the loop period: that is ``acc.dt``,
+    the period the caller built the tally with.  Consecutive times must be
+    ``dt`` apart, up to the rounding of their 9-digit text and within
+    ``dt / 2``; any other gap means a wrong ``dt``, missing rows, or a ``t``
+    text too coarse to resolve ``dt``.  A row no run can write is rejected: a
+    non-finite ``t``, ``x``, ``y`` or ``P``, a negative ``P``, a command beyond
+    the actuator cap or on both axes at once, or a command that contradicts
+    ``P``.  A run commands nothing while ``P < 1`` or the target is lost, and
+    the sector's axis and sign while a visible target has ``P > 1``; a ``P``
+    that reads exactly 1 may carry either, since true values in (1, 1 + 5e-9]
+    print as 1.  The magnitude is the run's ``rate_rad_s``, which the CSV does
+    not record, so it is not checked.
     """
-    add, to_float, isfinite, signs_of, columns = acc.add, float, math.isfinite, _SIGNS, len(CSV_COLUMNS)
+    add, dt, to_float, isfinite, signs_of, columns = acc.add, acc.dt, float, math.isfinite, _SIGNS, len(CSV_COLUMNS)
     last_t = None
     for lineno, line in enumerate(lines, start=2):
         row = line.rstrip("\n").split(",")
@@ -134,6 +137,8 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path, dt: f
             raise ValueError(f"{source}: line {lineno}: {exc}") from None
         last_t = t
         yield line
+    if last_t is None:
+        raise ValueError(f"{source}: record has no samples")
 
 
 def serialize_report(report: SensitivityReport) -> str:
@@ -154,8 +159,3 @@ def serialize_report(report: SensitivityReport) -> str:
     values["pitch_active_s"] = fmt_float(report.pitch_active_s)
     values["overlap_s"] = fmt_float(report.overlap_s)
     return format_kv_text(values)
-
-
-def format_kv_text(values: dict[str, str]) -> str:
-    """The one writer of the ``key = value`` text that ``arenas.parse_kv_text`` reads."""
-    return "".join(f"{key} = {value}\n" for key, value in values.items())

@@ -65,16 +65,23 @@ class TestSimulate:
         assert (sim_dir / "summary.txt").exists()
         assert (sim_dir / "manifest.txt").exists()
 
-    def test_smaller_batch_removes_the_trials_it_does_not_write(self, sim_dir, capsys):
+    # Only a name simulate writes, trial_{i:03d}.csv for i up to the batch
+    # limit, is swept; any other file is the user's and is kept.
+    @pytest.mark.parametrize("kept", [
+        "notes.csv", "trial_notes.csv", "trial_001_backup.csv", "trial_0002.csv", "trial_10001.csv"
+    ])
+    def test_smaller_batch_removes_the_trials_it_does_not_write(self, sim_dir, capsys, kept):
         # the 3-trial batch holds 34 excursions; report over the directory
         # must see the 1-trial batch's 11 only, as its summary does
-        (sim_dir / "notes.csv").write_text("kept\n")
+        (sim_dir / kept).write_text("kept\n")
         code = run_cli("simulate", "--arena", 1, "--trials", 1, "--seed", 7,
                        "--duration-s", 6.0, "--out-dir", sim_dir)
         assert code == EXIT_OK
-        assert sorted(p.name for p in sim_dir.glob("*.csv")) == ["notes.csv", "trial_001.csv"]
+        assert sorted(p.name for p in sim_dir.glob("*.csv")) == sorted([kept, "trial_001.csv"])
+        assert (sim_dir / kept).read_text() == "kept\n"
         capsys.readouterr()
-        assert run_cli("report", *sorted(sim_dir.glob("trial_*.csv"))) == EXIT_OK
+        written = sorted(p for p in sim_dir.glob("trial_*.csv") if p.name != kept)
+        assert run_cli("report", *written) == EXIT_OK
         assert capsys.readouterr().out == (sim_dir / "summary.txt").read_text()
 
     def test_rows_match_duration(self, sim_dir):
@@ -295,6 +302,40 @@ NON_DEFAULT_SETTINGS = {
     "uav_y_m": -0.5,
     "altitude_m": 2.5,
 }
+
+
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
+_FILE = object()  # stands for the case's input file in its argv
+
+
+# One refusal per kind of check, pinned to its whole output: one error line on
+# stderr, nothing on stdout, exit 1, and no output directory.
+@pytest.mark.parametrize("text,argv,message", [
+    pytest.param("seed 1\n", ["simulate", "--arena", "1", "--config", _FILE],
+                 "{file}: line 1: expected 'key = value', got 'seed 1'", id="config-line-without-equals"),
+    pytest.param("frame_width_px = 0\n", ["simulate", "--arena", "1", "--config", _FILE],
+                 "frame dimensions must be positive, got 0x720", id="zero-frame-width"),
+    pytest.param("lookahead_m = 0\n", ["simulate", "--arena", "1", "--config", _FILE],
+                 "lookahead must be positive, got 0.0", id="zero-lookahead"),
+    pytest.param(None, ["simulate", "--arena", "1", "--trials", "abc"],
+                 "argument --trials: invalid int value: 'abc'", id="non-integer-trials"),
+    pytest.param(_HEADER, ["report", _FILE], "{file}: record has no samples", id="header-only-csv"),
+    pytest.param(
+        _HEADER + "".join(f"{i / 30:.9g},0,0,{p},right,{yaw},0,true\n"
+                          for i, (p, yaw) in enumerate([("5e306", "0.3"), ("0", "0")] * 2, start=1)),
+        ["report", _FILE], "excursion sensitivities too large to sum: intermediate overflow in fsum",
+        id="sensitivities-too-large-to-sum"),
+])
+def test_each_refusal_prints_one_error_line_and_exits_1(tmp_path, capsys, text, argv, message):
+    path, out = tmp_path / "input.txt", tmp_path / "out"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = [str(path) if arg is _FILE else arg for arg in argv]
+    if argv[0] == "simulate":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message.format(file=path)}\n")
+    assert not out.exists()
 
 
 class TestSettingsTable:
@@ -1037,7 +1078,7 @@ class TestTalliedRows:
 
     def test_each_row_is_tallied_from_its_own_text(self, tmp_path):
         acc = RecordTally(DEFAULT_DT_S)
-        lines = list(tally_rows(row_lines(self.SAMPLES), acc, "trial.csv", DEFAULT_DT_S))
+        lines = list(tally_rows(row_lines(self.SAMPLES), acc, "trial.csv"))
         assert lines == list(row_lines(self.SAMPLES))
         acc.finish()
         assert (acc.yaw_n, acc.pitch_n, acc.overlap_n, acc.success) == (1, 2, 0, False)
@@ -1050,7 +1091,7 @@ class TestTalliedRows:
     def test_a_run_of_visible_rows_succeeds(self):
         acc = RecordTally(DEFAULT_DT_S)
         visible = [s._replace(t=(i + 1) / 30) for i, s in enumerate(s for s in self.SAMPLES if s.visible)]
-        assert list(tally_rows(row_lines(visible), acc, "trial.csv", DEFAULT_DT_S)) == list(row_lines(visible))
+        assert list(tally_rows(row_lines(visible), acc, "trial.csv")) == list(row_lines(visible))
         assert acc.finish().success
 
 

@@ -67,7 +67,7 @@ def reader_outcome(text: str, dt: float):
     lines = list(io.StringIO(text))[1:]
     acc = RecordTally(dt)
     try:
-        assert list(tally_rows(lines, acc, PATH, dt)) == lines
+        assert list(tally_rows(lines, acc, PATH)) == lines
         return "read", tally_bits(acc.finish())
     except ValueError as exc:
         return "rejected", str(exc)
@@ -154,6 +154,22 @@ class TestRowValidator:
             assert expected[1].startswith(f"{PATH}: line 3: ")
             assert reader_outcome(text, DEFAULT_DT_S) == expected
 
+    def test_rows_are_read_at_the_tallys_period_and_none_is_refused(self):
+        """``tally_rows`` checks each gap against the ``dt`` its tally was built
+        with, and refuses a record with no row, naming its source."""
+        def rows(step):
+            return [f"{fmt_float(i * step)},0,0,0,right,0,0,true\n" for i in range(1, 4)]
+
+        acc = RecordTally(0.5)
+        assert list(tally_rows(rows(0.5), acc, PATH)) == rows(0.5)
+        assert acc.finish().success and acc.excursions == []
+        with pytest.raises(ValueError) as refused:
+            list(tally_rows(rows(1 / 30), RecordTally(0.5), PATH))
+        assert str(refused.value) == f"{PATH}: line 3: sample time 0.0666666667 is not dt = 0.5 after 0.0333333333"
+        with pytest.raises(ValueError) as refused:
+            list(tally_rows([], RecordTally(0.5), PATH))
+        assert str(refused.value) == f"{PATH}: record has no samples"
+
     @pytest.mark.parametrize("lines", SOURCES, ids=["simulate-lost", "simulate-arena-2", "replay"])
     def test_read_trial_csv_returns_trial_samples(self, tmp_path, lines):
         """A written file reads back, by the reference, as one ``TrialSample``
@@ -165,7 +181,7 @@ class TestRowValidator:
         assert all(type(sample) is TrialSample for sample in record.samples)
         assert list(row_lines(record.samples)) == lines
         acc = RecordTally(DEFAULT_DT_S)
-        assert list(tally_rows(lines, acc, path, DEFAULT_DT_S)) == lines
+        assert list(tally_rows(lines, acc, path)) == lines
         assert tally_bits(acc.finish()) == tally_bits(tally(record))
 
 
