@@ -150,12 +150,19 @@ def summarize(records: list[TrialRecord]) -> SensitivityReport:
 def summarize_tallies(tallies: list[RecordTally]) -> SensitivityReport:
     """Aggregate finished tallies, one per record, into a report.
 
-    The report is independent of record order: the peaks are ordered by their
-    excursions, sorted canonically, and all sums use exact accumulation.
-    Peaks whose sum overflows a float are refused with a ``ValueError``.
+    The tallies must share one loop period: two different ``dt`` values are
+    refused with a ``ValueError`` naming both.  Each expenditure is then that
+    ``dt`` times a whole sample count.  The report is independent of record
+    order: the peaks are ordered by their excursions, sorted canonically, and
+    summed with exact accumulation.  Peaks whose sum overflows a float are
+    refused with a ``ValueError``.
     """
     if not tallies:
         raise ValueError("need at least one record")
+    dt = tallies[0].dt
+    for acc in tallies:
+        if acc.dt != dt:
+            raise ValueError(f"records must share one loop period, got dt = {dt!r} and {acc.dt!r}")
     excursions = sorted((e for acc in tallies for e in acc.excursions), key=lambda e: (e.t_start, e.t_end, e.p_max))
     per_peak = [peak_sensitivity(e) for e in excursions]
     n = len(per_peak)
@@ -163,23 +170,13 @@ def summarize_tallies(tallies: list[RecordTally]) -> SensitivityReport:
         mean_s = math.fsum(per_peak) / n if n else None
     except OverflowError as exc:  # finite peaks whose sum is not
         raise ValueError(f"excursion sensitivities too large to sum: {exc}") from None
-    # group expenditure counts by dt so the totals are exact under permutation
-    by_dt: dict[float, list[int]] = {}
-    for acc in tallies:
-        counts = by_dt.setdefault(acc.dt, [0, 0, 0])
-        counts[0] += acc.yaw_n
-        counts[1] += acc.pitch_n
-        counts[2] += acc.overlap_n
-    yaw_s = math.fsum(dt * counts[0] for dt, counts in sorted(by_dt.items()))
-    pitch_s = math.fsum(dt * counts[1] for dt, counts in sorted(by_dt.items()))
-    overlap_s = math.fsum(dt * counts[2] for dt, counts in sorted(by_dt.items()))
     return SensitivityReport(
         n=n,
         per_peak_s=tuple(per_peak),
         mean_s=mean_s,
         normalized_s=normalized_sensitivity(mean_s, n),
         success=all(acc.success for acc in tallies),
-        yaw_active_s=yaw_s,
-        pitch_active_s=pitch_s,
-        overlap_s=overlap_s,
+        yaw_active_s=dt * sum(acc.yaw_n for acc in tallies),
+        pitch_active_s=dt * sum(acc.pitch_n for acc in tallies),
+        overlap_s=dt * sum(acc.overlap_n for acc in tallies),
     )

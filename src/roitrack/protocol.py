@@ -101,7 +101,7 @@ def decode(frame: SerialFrame | str) -> GimbalCommand:
     if re.search(r"\.\d0$", payload):
         raise FrameError(f"rate {payload!r} carries a trailing zero")
     value = float(payload)
-    if abs(value) > MAX_RATE_RAD_S + 1e-9:
+    if abs(value) > MAX_RATE_RAD_S:
         raise FrameError(f"rate {value} out of range [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}]")
     if axis == "Yaw":
         return GimbalCommand(yaw_rate=value)

@@ -94,15 +94,14 @@ class TrialConfig:
 
     @classmethod
     def baseline(cls, arena_id: int, seed: int = 1, **overrides) -> "TrialConfig":
-        """The frozen baseline configuration for an arena."""
-        if arena_id not in BASELINE_USV_SPEED_MPS:
-            raise ValueError(f"arena_id must be 1 or 2, got {arena_id}")
+        """The frozen baseline configuration for an arena; ``__post_init__``
+        refuses an unknown ``arena_id`` before its missing speed is read."""
         frame = FrameSpec()
         controller = ControllerConfig(roi=EllipseRoi.from_fractions(frame), frame=frame)
         values = dict(
             arena_id=arena_id,
-            usv_speed=BASELINE_USV_SPEED_MPS[arena_id],
-            duration=BASELINE_DURATION_S[arena_id],
+            usv_speed=BASELINE_USV_SPEED_MPS.get(arena_id),
+            duration=BASELINE_DURATION_S.get(arena_id),
             seed=seed,
             jitter_amplitude=BASELINE_JITTER_M,
             controller=controller,

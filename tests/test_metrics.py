@@ -233,10 +233,10 @@ class TestRecordTally:
 
     def test_summarize_is_the_same_for_every_order_of_records(self):
         records = [
-            record_from_p([0.5, 1.5, 0.5, 1.2], dt=1.0, yaw=[0.0, 0.3, 0.0, 0.3]),
+            record_from_p([0.5, 1.5, 0.5, 1.2], dt=0.1, yaw=[0.0, 0.3, 0.0, 0.3]),
             record_from_p([1.8, 0.9, 2.5], dt=0.1, t0=0.3, pitch=[0.2, 0.0, -0.2]),
-            record_from_p([0.5, 1.5, 0.5], dt=1 / 30, t0=1.0, yaw=[0.0, 0.3, 0.0]),
-            record_from_p([0.7, 0.7], dt=1.0, visible=[True, False]),
+            record_from_p([0.5, 1.5, 0.5], dt=0.1, t0=1.0, yaw=[0.0, 0.3, 0.0]),
+            record_from_p([0.7, 0.7], dt=0.1, visible=[True, False]),
         ]
         first = summarize(records)
         assert first.n == 5
@@ -246,3 +246,10 @@ class TestRecordTally:
             shuffled = records[:]
             rng.shuffle(shuffled)
             assert summarize(shuffled) == first
+
+    def test_tallies_of_two_loop_periods_are_refused(self):
+        # Expenditure is one dt times a sample count; past float range, the
+        # two periods' seconds could not be summed at all.
+        tallies = [fed(record_from_p([0.5], dt=dt, yaw=[0.3])) for dt in (1e308, 1.5e308)]
+        with pytest.raises(ValueError, match=r"one loop period, got dt = 1e\+308 and 1\.5e\+308"):
+            summarize_tallies(tallies)

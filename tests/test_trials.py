@@ -417,7 +417,7 @@ class TestRunBatch:
 
 class TestConfigValidation:
     def test_bad_arena(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^arena_id must be 1 or 2, got 3$"):
             TrialConfig.baseline(3)
 
     @pytest.mark.parametrize("field,value", [
