@@ -1,5 +1,6 @@
 """Command-line entry point: simulate trial batches, replay coordinate logs,
-and report metrics over telemetry CSVs.
+and report metrics over telemetry CSVs; ``simulate`` summarizes the CSVs it
+has written with ``report``'s own function, ``telemetry.summarize_csvs``.
 
 Exit codes are scriptable: 0 success, 1 usage or malformed input, 2 ran but
 lost tracking, 3 I/O failure.  A refused input is a ``ValueError`` carrying its
@@ -22,9 +23,8 @@ from . import __version__
 from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, format_kv_text, parse_kv_text
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
-from .metrics import RecordTally, summarize_tallies
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
-from .telemetry import CSV_COLUMNS, fmt_float, row_lines, serialize_report, tally_rows, write_trial_csv
+from .telemetry import fmt_float, row_lines, serialize_report, summarize_csvs, write_trial_csv
 from .trials import (
     BASELINE_DURATION_S,
     BASELINE_JITTER_M,
@@ -118,7 +118,12 @@ def _out_dir(args) -> Path:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hash a file in 1 MiB blocks, so no more than one block is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def cmd_simulate(args) -> int:
@@ -147,19 +152,18 @@ def cmd_simulate(args) -> int:
     seeds = [seed + i for i in range(trials)]
     out = _out_dir(args)
     csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
+    summary_path, manifest_path = out / "summary.txt", out / "manifest.txt"
+    for path in (manifest_path, summary_path):  # an earlier run's, which a failed run would leave beside other trials
+        path.unlink(missing_ok=True)
     for stale in out.glob("trial_*.csv"):  # an earlier, larger batch's; any other name is the user's
         digits = stale.name[len("trial_"):-len(".csv")]
         i = int(digits) if digits.isdecimal() else 0
         if trials < i <= MAX_TRIALS_PER_BATCH and stale.name == f"trial_{i:03d}.csv":
             stale.unlink()
-    tallies = []
     for path, trial_seed in zip(csv_paths, seeds):
-        acc = RecordTally(cfg.dt)
-        write_trial_csv(tally_rows(row_lines(iter_trial(replace(cfg, seed=trial_seed))), acc, path), path)
-        tallies.append(acc.finish())
+        write_trial_csv(row_lines(iter_trial(replace(cfg, seed=trial_seed))), path)
 
-    report = summarize_tallies(tallies)
-    summary_path = out / "summary.txt"
+    report = summarize_csvs(csv_paths, cfg.dt)
     summary_path.write_text(serialize_report(report), encoding="utf-8")
 
     manifest = {"tool_version": __version__}
@@ -173,7 +177,7 @@ def cmd_simulate(args) -> int:
         manifest[f"artifact_{i:03d}_sha256"] = _sha256(path)
     manifest["artifact_summary"] = summary_path.name
     manifest["artifact_summary_sha256"] = _sha256(summary_path)
-    (out / "manifest.txt").write_text(format_kv_text(manifest), encoding="utf-8")
+    manifest_path.write_text(format_kv_text(manifest), encoding="utf-8")
 
     print(f"wrote {len(csv_paths)} trial CSVs, summary, and manifest to {out}")
     mean_text = fmt_float(report.mean_s) if report.mean_s is not None else "absent"
@@ -272,28 +276,11 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
-def _tally_csv(path: Path, dt: float) -> RecordTally:
-    """Check a telemetry CSV's header, then tally its rows, recorded at loop
-    period ``dt``, through the reader that ``simulate`` runs, one line at a
-    time; that reader refuses a file with no row after the header."""
-    acc = RecordTally(dt)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            if header != CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            for _ in tally_rows(fh, acc, path):
-                pass
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    return acc.finish()
-
-
 def cmd_report(args) -> int:
     dt = args.dt_s
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"--dt-s must be finite and positive, got {dt}")
-    report = summarize_tallies([_tally_csv(Path(path), dt) for path in args.csvs])
+    report = summarize_csvs(map(Path, args.csvs), dt)
     print(serialize_report(report), end="")
     return EXIT_OK
 

@@ -11,12 +11,11 @@ tail is built once per distinct (sector, yaw, pitch, visible) and reused, so
 a run's five commands give at most 16 tails.  A zero command prints ``0``
 whatever its sign.
 
-Telemetry rows have one reader, ``tally_rows``: ``simulate`` runs each line
-it writes through it and ``report`` each line it reads, so both check the
-same rules, at the loop period their tally holds, refuse a record with no
-row alike, and tally the same text, and ``summary.txt`` is what ``report``
-prints over the batch's CSVs.  A report is written as the key-value text of
-``arenas.format_kv_text``.
+Telemetry rows have one reader, ``tally_rows``.  ``summarize_csvs`` tallies
+each CSV's rows through it: ``report`` runs it over its arguments and
+``simulate`` over the CSVs it has just written, so ``summary.txt`` is what
+``report`` prints over the batch's CSVs by construction.  A report is the
+key-value text of ``arenas.format_kv_text``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator
 
 from .arenas import format_kv_text
 from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
-from .metrics import RecordTally, SensitivityReport
+from .metrics import RecordTally, SensitivityReport, summarize_tallies
 
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
 _BLOCK_LINES = 4096  # rows per write: under 0.5 MB of text
@@ -70,9 +69,9 @@ def write_trial_csv(lines: Iterable[str], path: Path) -> None:
             fh.write(block)
 
 
-def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> Iterator[str]:
-    """The one reader of telemetry rows: check each line, feed its sample to
-    ``acc`` and yield the line unchanged, consuming ``lines`` as it goes.
+def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> None:
+    """The one reader of telemetry rows: check each line and feed its sample
+    to ``acc``, consuming ``lines`` as it goes.
 
     ``lines`` are the rows after the header, each with its newline or, the
     last, without; ``source`` names them in errors, as ``{source}: line N``,
@@ -136,9 +135,27 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> It
         except ValueError as exc:
             raise ValueError(f"{source}: line {lineno}: {exc}") from None
         last_t = t
-        yield line
     if last_t is None:
         raise ValueError(f"{source}: record has no samples")
+
+
+def summarize_csvs(paths: Iterable[Path], dt: float) -> SensitivityReport:
+    """The report over telemetry CSVs recorded at loop period ``dt``: check
+    each file's header, then tally its rows through ``tally_rows``, one line at
+    a time, which refuses a file with no row after the header."""
+    tallies = []
+    for path in paths:
+        acc = RecordTally(dt)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().rstrip("\n").split(",")
+                if header != CSV_COLUMNS:
+                    raise ValueError(f"{path}: unexpected header {header!r}")
+                tally_rows(fh, acc, path)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        tallies.append(acc.finish())
+    return summarize_tallies(tallies)
 
 
 def serialize_report(report: SensitivityReport) -> str:

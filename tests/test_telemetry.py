@@ -63,11 +63,11 @@ def reference_outcome(text: str, dt: float):
 
 def reader_outcome(text: str, dt: float):
     """``tally_rows``' tally over the lines after the header, every bit of it,
-    or the text of its ValueError.  Each line it yields is the line it read."""
+    or the text of its ValueError."""
     lines = list(io.StringIO(text))[1:]
     acc = RecordTally(dt)
     try:
-        assert list(tally_rows(lines, acc, PATH)) == lines
+        tally_rows(lines, acc, PATH)
         return "read", tally_bits(acc.finish())
     except ValueError as exc:
         return "rejected", str(exc)
@@ -161,13 +161,13 @@ class TestRowValidator:
             return [f"{fmt_float(i * step)},0,0,0,right,0,0,true\n" for i in range(1, 4)]
 
         acc = RecordTally(0.5)
-        assert list(tally_rows(rows(0.5), acc, PATH)) == rows(0.5)
+        tally_rows(rows(0.5), acc, PATH)
         assert acc.finish().success and acc.excursions == []
         with pytest.raises(ValueError) as refused:
-            list(tally_rows(rows(1 / 30), RecordTally(0.5), PATH))
+            tally_rows(rows(1 / 30), RecordTally(0.5), PATH)
         assert str(refused.value) == f"{PATH}: line 3: sample time 0.0666666667 is not dt = 0.5 after 0.0333333333"
         with pytest.raises(ValueError) as refused:
-            list(tally_rows([], RecordTally(0.5), PATH))
+            tally_rows([], RecordTally(0.5), PATH)
         assert str(refused.value) == f"{PATH}: record has no samples"
 
     @pytest.mark.parametrize("lines", SOURCES, ids=["simulate-lost", "simulate-arena-2", "replay"])
@@ -181,7 +181,7 @@ class TestRowValidator:
         assert all(type(sample) is TrialSample for sample in record.samples)
         assert list(row_lines(record.samples)) == lines
         acc = RecordTally(DEFAULT_DT_S)
-        assert list(tally_rows(lines, acc, path)) == lines
+        tally_rows(lines, acc, path)
         assert tally_bits(acc.finish()) == tally_bits(tally(record))
 
 
