@@ -12,6 +12,7 @@ same command (or a run manifest) reproduces them bit for bit.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import math
 import os
@@ -153,31 +154,45 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
     summary_path, manifest_path = out / "summary.txt", out / "manifest.txt"
-    for path in (manifest_path, summary_path):  # an earlier run's, which a failed run would leave beside other trials
-        path.unlink(missing_ok=True)
+    # Each artifact is written under a hidden name no `trial_*.csv` glob matches,
+    # and put in place, in this order, only once all are written: the manifest
+    # comes last, so a directory with a manifest holds the run it describes.
+    staged = {path: path.with_name(f".{path.name}.tmp") for path in (*csv_paths, summary_path, manifest_path)}
+    try:
+        for path, trial_seed in zip(csv_paths, seeds):
+            write_trial_csv(row_lines(iter_trial(replace(cfg, seed=trial_seed))), staged[path])
+
+        report = summarize_csvs([staged[path] for path in csv_paths], cfg.dt)
+        staged[summary_path].write_text(serialize_report(report), encoding="utf-8")
+
+        manifest = {"tool_version": __version__}
+        for key, value in settings.items():
+            manifest[key] = repr(value)
+            if key == "seed":
+                manifest["seeds"] = " ".join(map(str, seeds))
+        manifest["arena_fixture_sha256"] = hashlib.sha256(arena_fixture_bytes(arena)).hexdigest()
+        for i, path in enumerate(csv_paths, start=1):
+            manifest[f"artifact_{i:03d}"] = path.name
+            manifest[f"artifact_{i:03d}_sha256"] = _sha256(staged[path])
+        manifest["artifact_summary"] = summary_path.name
+        manifest["artifact_summary_sha256"] = _sha256(staged[summary_path])
+        staged[manifest_path].write_text(format_kv_text(manifest), encoding="utf-8")
+
+        for path in (manifest_path, summary_path):  # an earlier run's, which a failed rename would leave beside other trials
+            path.unlink(missing_ok=True)
+        for path in csv_paths:  # a rename onto a directory fails: refuse it before any trial is replaced
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+    finally:  # on success every temporary has been renamed; after a failure none is left
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
     for stale in out.glob("trial_*.csv"):  # an earlier, larger batch's; any other name is the user's
         digits = stale.name[len("trial_"):-len(".csv")]
         i = int(digits) if digits.isdecimal() else 0
         if trials < i <= MAX_TRIALS_PER_BATCH and stale.name == f"trial_{i:03d}.csv":
             stale.unlink()
-    for path, trial_seed in zip(csv_paths, seeds):
-        write_trial_csv(row_lines(iter_trial(replace(cfg, seed=trial_seed))), path)
-
-    report = summarize_csvs(csv_paths, cfg.dt)
-    summary_path.write_text(serialize_report(report), encoding="utf-8")
-
-    manifest = {"tool_version": __version__}
-    for key, value in settings.items():
-        manifest[key] = repr(value)
-        if key == "seed":
-            manifest["seeds"] = " ".join(map(str, seeds))
-    manifest["arena_fixture_sha256"] = hashlib.sha256(arena_fixture_bytes(arena)).hexdigest()
-    for i, path in enumerate(csv_paths, start=1):
-        manifest[f"artifact_{i:03d}"] = path.name
-        manifest[f"artifact_{i:03d}_sha256"] = _sha256(path)
-    manifest["artifact_summary"] = summary_path.name
-    manifest["artifact_summary_sha256"] = _sha256(summary_path)
-    manifest_path.write_text(format_kv_text(manifest), encoding="utf-8")
 
     print(f"wrote {len(csv_paths)} trial CSVs, summary, and manifest to {out}")
     mean_text = fmt_float(report.mean_s) if report.mean_s is not None else "absent"

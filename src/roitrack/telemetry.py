@@ -11,11 +11,13 @@ tail is built once per distinct (sector, yaw, pitch, visible) and reused, so
 a run's five commands give at most 16 tails.  A zero command prints ``0``
 whatever its sign.
 
-Telemetry rows have one reader, ``tally_rows``.  ``summarize_csvs`` tallies
-each CSV's rows through it: ``report`` runs it over its arguments and
-``simulate`` over the CSVs it has just written, so ``summary.txt`` is what
-``report`` prints over the batch's CSVs by construction.  A report is the
-key-value text of ``arenas.format_kv_text``.
+Telemetry rows have one reader, ``tally_rows``.  It parses the four numbers
+of every row but checks each distinct tail once, as the writer builds it,
+keeping a bounded number of verdicts.  ``summarize_csvs`` tallies each CSV's
+rows through it: ``report`` runs it over its arguments and ``simulate`` over
+the CSVs it has just written, so ``summary.txt`` is what ``report`` prints
+over the batch's CSVs by construction.  A report is the key-value text of
+``arenas.format_kv_text``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .metrics import RecordTally, SensitivityReport, summarize_tallies
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
 _BLOCK_LINES = 4096  # rows per write: under 0.5 MB of text
 _SIGNS = {sector.value: signs for sector, signs in _SECTOR_SIGNS.items()}  # a sector's word -> its command's signs
+_TAIL_VERDICTS = 64  # tail verdicts one tally_rows call keeps: a run writes at most 16 tails
+_WRONG_COLUMNS = (f"expected {len(CSV_COLUMNS)} columns", 0.0, 0.0, False, None, None)
 
 
 def fmt_float(value: float) -> str:
@@ -69,16 +73,55 @@ def write_trial_csv(lines: Iterable[str], path: Path) -> None:
             fh.write(block)
 
 
+def _tail_verdict(tail: str) -> tuple:
+    """What a row's tail, the text after its fourth comma, says about the row,
+    whatever its numbers: ``(refusal, yaw, pitch, visible, command,
+    wrong_sign)``.
+
+    ``refusal`` is the message of the first tail rule the text breaks, in
+    ``tally_rows``' order (the yaw and pitch parse, the cap, one axis, the
+    sector word, the ``visible`` word), or None.  A tail of other than four
+    fields gives ``_WRONG_COLUMNS``, whose refusal comes before any number's.
+    ``command`` is None for a zero command and otherwise the command's text as
+    refusals name it; ``wrong_sign`` is the refusal of a nonzero command off
+    its sector's axis or sign, which applies only where ``P`` calls for one.
+    """
+    fields = tail.rstrip("\n").split(",")
+    if len(fields) != 4:
+        return _WRONG_COLUMNS
+    sector_text, yaw_text, pitch_text, visible_text = fields
+    try:
+        yaw, pitch = float(yaw_text), float(pitch_text)
+    except ValueError as exc:
+        return str(exc), 0.0, 0.0, False, None, None
+    command = f"command ({yaw_text}, {pitch_text})"
+    if not (abs(yaw) <= MAX_RATE_RAD_S and abs(pitch) <= MAX_RATE_RAD_S):
+        refusal = f"{command} is outside [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}] rad/s"
+    elif yaw != 0.0 and pitch != 0.0:
+        refusal = f"{command} drives both axes"
+    elif sector_text not in _SIGNS:
+        refusal = f"{sector_text!r} is not a valid Sector"
+    elif visible_text not in ("true", "false"):
+        refusal = f"expected true/false, got {visible_text!r}"
+    elif yaw == 0.0 and pitch == 0.0:
+        return None, yaw, pitch, visible_text == "true", None, None
+    else:
+        signs = (yaw > 0.0) - (yaw < 0.0), (pitch > 0.0) - (pitch < 0.0)
+        wrong_sign = None if signs == _SIGNS[sector_text] else f"{command} is not sector {sector_text}'s axis and sign"
+        return None, yaw, pitch, visible_text == "true", command, wrong_sign
+    return refusal, 0.0, 0.0, False, None, None
+
+
 def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> None:
     """The one reader of telemetry rows: check each line and feed its sample
     to ``acc``, consuming ``lines`` as it goes.
 
     ``lines`` are the rows after the header, each with its newline or, the
     last, without; ``source`` names them in errors, as ``{source}: line N``,
-    counting the header as line 1.  A row is split once on ``,``; no field is
-    quoted, as no writer quotes one.  Once the rows are exhausted, none at all
-    is refused as ``{source}: record has no samples``; otherwise the caller
-    finishes ``acc``.
+    counting the header as line 1.  A row is split once, at its first four
+    commas, into t, x, y, P and its tail; no field is quoted, as no writer
+    quotes one.  Once the rows are exhausted, none at all is refused as
+    ``{source}: record has no samples``; otherwise the caller finishes ``acc``.
 
     The CSV carries sample times but not the loop period: that is ``acc.dt``,
     the period the caller built the tally with.  Consecutive times must be
@@ -92,49 +135,54 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
     that reads exactly 1 may carry either, since true values in (1, 1 + 5e-9]
     print as 1.  The magnitude is the run's ``rate_rad_s``, which the CSV does
     not record, so it is not checked.
+
+    The rules are checked, and a row refused by the first it breaks, in the
+    order above, column count first.  Each distinct tail text is checked once
+    per call by ``_tail_verdict``, whose verdict is kept for the rows after it:
+    a run writes at most 16 tails, and no more than ``_TAIL_VERDICTS`` are
+    kept, so rows of ever new tails are checked each on its own.  Per row,
+    only the four numbers, the gap and the command against ``P`` are checked.
     """
-    add, dt, to_float, isfinite, signs_of, columns = acc.add, acc.dt, float, math.isfinite, _SIGNS, len(CSV_COLUMNS)
-    last_t = None
+    add, dt, to_float, isfinite = acc.add, acc.dt, float, math.isfinite
+    verdicts: dict[str, tuple] = {}
+    last_t = last_abs_t = None
     for lineno, line in enumerate(lines, start=2):
-        row = line.rstrip("\n").split(",")
-        if len(row) != columns:
-            raise ValueError(f"{source}: line {lineno}: expected {columns} columns")
-        t_text, x_text, y_text, p_text, sector_text, yaw_text, pitch_text, visible_text = row
+        fields = line.split(",", 4)
+        verdict = verdicts.get(fields[-1])
+        if verdict is None:
+            verdict = _tail_verdict(fields[-1])
+            if len(verdicts) < _TAIL_VERDICTS:
+                verdicts[fields[-1]] = verdict
+        # A line of under five fields ends in a field with no comma: a wrong column count too.
+        if verdict is _WRONG_COLUMNS:
+            raise ValueError(f"{source}: line {lineno}: {verdict[0]}")
+        t_text, x_text, y_text, p_text, _ = fields
+        refusal, yaw_cmd, pitch_cmd, visible, command, wrong_sign = verdict
         try:
             t, x, y, p = to_float(t_text), to_float(x_text), to_float(y_text), to_float(p_text)
             if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(p)):
                 raise ValueError(f"non-finite value in t, x, y or P: {t_text},{x_text},{y_text},{p_text}")
             if p < 0.0:
                 raise ValueError(f"P = {p_text} is negative")
+            abs_t = abs(t)
             if last_t is not None:
-                scale = abs(t) if abs(t) > abs(last_t) else abs(last_t)
+                scale = abs_t if abs_t > last_abs_t else last_abs_t
                 miss = abs(t - last_t - dt)
                 if not (miss <= 1e-8 * (scale if scale > 1.0 else 1.0) and miss < 0.5 * dt):
                     raise ValueError(f"sample time {t_text} is not dt = {dt} after {fmt_float(last_t)}")
-            yaw_cmd, pitch_cmd = to_float(yaw_text), to_float(pitch_text)
-            if not (abs(yaw_cmd) <= MAX_RATE_RAD_S and abs(pitch_cmd) <= MAX_RATE_RAD_S):
-                raise ValueError(
-                    f"command ({yaw_text}, {pitch_text}) is outside [-{MAX_RATE_RAD_S}, {MAX_RATE_RAD_S}] rad/s"
-                )
-            if yaw_cmd != 0.0 and pitch_cmd != 0.0:
-                raise ValueError(f"command ({yaw_text}, {pitch_text}) drives both axes")
-            signs = signs_of.get(sector_text)
-            if signs is None:
-                raise ValueError(f"{sector_text!r} is not a valid Sector")
-            visible = visible_text == "true"
-            if not visible and visible_text != "false":
-                raise ValueError(f"expected true/false, got {visible_text!r}")
-            if yaw_cmd == 0.0 and pitch_cmd == 0.0:
+            if refusal is not None:
+                raise ValueError(refusal)
+            if command is None:
                 if visible and p > 1.0:
                     raise ValueError(f"P = {p_text} with the target visible, but the command is zero")
             elif not visible or p < 1.0:
-                raise ValueError(f"command ({yaw_text}, {pitch_text}) with P = {p_text} and visible = {visible_text}")
-            elif ((yaw_cmd > 0.0) - (yaw_cmd < 0.0), (pitch_cmd > 0.0) - (pitch_cmd < 0.0)) != signs:
-                raise ValueError(f"command ({yaw_text}, {pitch_text}) is not sector {sector_text}'s axis and sign")
+                raise ValueError(f"{command} with P = {p_text} and visible = {fmt_bool(visible)}")
+            elif wrong_sign is not None:
+                raise ValueError(wrong_sign)
             add(t, p, yaw_cmd, pitch_cmd, visible)
         except ValueError as exc:
             raise ValueError(f"{source}: line {lineno}: {exc}") from None
-        last_t = t
+        last_t, last_abs_t = t, abs_t
     if last_t is None:
         raise ValueError(f"{source}: record has no samples")
 

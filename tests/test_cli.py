@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import io
+import itertools
 import math
 import os
 import struct
@@ -176,10 +178,35 @@ class TestSimulate:
         assert run_cli(*argv, "--seed", 7) == EXIT_OK
         (out / "trial_002.csv").unlink()
         (out / "trial_002.csv").mkdir()
+        kept = {name: (out / name).read_bytes() for name in ("trial_001.csv", "trial_003.csv")}
         assert run_cli(*argv, "--seed", 100) == EXIT_IO
         assert "trial_002.csv" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
         assert not (out / "summary.txt").exists()
+        # the directory is refused before any trial is replaced, and no temporary is left
+        assert sorted(p.name for p in out.iterdir()) == ["trial_001.csv", "trial_002.csv", "trial_003.csv"]
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+
+    def test_rerun_failing_mid_write_leaves_the_earlier_run_as_it_was(self, tmp_path, monkeypatch):
+        # a disk that fills while trial 2 is written: the earlier run, manifest
+        # included, stays byte for byte, and no partial file is left
+        out = tmp_path / "batch"
+        argv = ["simulate", "--arena", 1, "--trials", 3, "--duration-s", 2.0, "--out-dir", out]
+        assert run_cli(*argv, "--seed", 7) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        writes = []
+
+        def fill_the_disk_on_trial_2(lines, path):
+            writes.append(path)
+            if len(writes) == 2:
+                write_trial_csv(itertools.islice(lines, 10), path)
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            write_trial_csv(lines, path)
+
+        monkeypatch.setattr(cli, "write_trial_csv", fill_the_disk_on_trial_2)
+        assert run_cli(*argv, "--seed", 100) == EXIT_IO
+        assert len(writes) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_manifest_hash_holds_one_block_not_the_file(self, tmp_path):
         path = tmp_path / "big.csv"

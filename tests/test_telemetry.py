@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import struct
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,6 +172,50 @@ class TestRowValidator:
             tally_rows([], RecordTally(0.5), PATH)
         assert str(refused.value) == f"{PATH}: record has no samples"
 
+    @pytest.mark.parametrize("tail,good_p,bad_p,message", [
+        ("right,0.3,0,true", "1.5", "0.5", "command (0.3, 0) with P = 0.5 and visible = true"),
+        ("right,0,0,true", "0.5", "2", "P = 2 with the target visible, but the command is zero"),
+    ])
+    def test_a_tail_checked_once_is_still_refused_where_p_contradicts_it(self, tail, good_p, bad_p, message):
+        """A tail's verdict is kept from its first row, but each later row's
+        ``P`` is still held against its command."""
+        rows = [f"{fmt_float(i / 30)},0,0,{bad_p if i == 5 else good_p},{tail}\n" for i in range(1, 8)]
+        text = ",".join(CSV_COLUMNS) + "\n" + "".join(rows)
+        expected = reference_outcome(text, DEFAULT_DT_S)
+        assert expected == ("rejected", f"{PATH}: line 6: {message}")
+        assert reader_outcome(text, DEFAULT_DT_S) == expected
+
+    @pytest.mark.parametrize("last_p", ["1.5", "0.5"], ids=["accepted", "refused"])
+    def test_a_last_line_without_its_newline_is_read_like_the_others(self, last_p):
+        """The last line's tail lacks the newline the earlier rows' tails end
+        in; it is checked as the same tail."""
+        rows = [f"{fmt_float(i / 30)},0,0,1.5,right,0.3,0,true" for i in range(1, 5)]
+        rows[-1] = rows[-1].replace(",1.5,", f",{last_p},")
+        text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows)
+        assert not text.endswith("\n")
+        assert reader_outcome(text, DEFAULT_DT_S) == reference_outcome(text, DEFAULT_DT_S)
+        assert reader_outcome(text, DEFAULT_DT_S)[0] == ("read" if last_p == "1.5" else "rejected")
+
+    def test_rows_of_ever_new_tails_are_read_in_bounded_memory(self):
+        """200,000 rows, each with its own tail, tally as the reference's record
+        does, and the verdicts kept stay bounded: a verdict per tail would hold
+        tens of MiB."""
+        def rows():
+            return (f"{fmt_float(k / 30)},0,0,2,right,{k}e-12,0,true\n" for k in range(1, 200_001))
+
+        acc = RecordTally(DEFAULT_DT_S)
+        tracemalloc.start()
+        try:
+            tally_rows(rows(), acc, PATH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"tallying 200,000 distinct tails peaked at {peak / 2**20:.1f} MiB"
+        assert acc.finish().yaw_n == 200_000
+        header = [",".join(CSV_COLUMNS) + "\n"]
+        record = reference_read_rows(csv.reader(itertools.chain(header, rows())), PATH, DEFAULT_DT_S)
+        assert tally_bits(acc) == tally_bits(tally(record))
+
     @pytest.mark.parametrize("lines", SOURCES, ids=["simulate-lost", "simulate-arena-2", "replay"])
     def test_read_trial_csv_returns_trial_samples(self, tmp_path, lines):
         """A written file reads back, by the reference, as one ``TrialSample``
@@ -183,6 +229,56 @@ class TestRowValidator:
         acc = RecordTally(DEFAULT_DT_S)
         tally_rows(lines, acc, path)
         assert tally_bits(acc.finish()) == tally_bits(tally(record))
+
+
+# Where the rows' times start: all negative, crossing 0, and near +-1e6, where
+# the 9-digit text of t resolves only 0.01 s and the gap rule scales with |t|.
+TIME_STARTS = {
+    "negative": st.floats(-1000.0, -2.0),
+    "crossing-zero": st.floats(-1.2, -0.01),
+    "near-1e6": st.floats(1e6 - 5.0, 1e6 + 5.0),
+    "near-minus-1e6": st.floats(-1e6 - 5.0, -1e6 + 5.0),
+}
+
+
+@st.composite
+def shifted_telemetry_text(draw, start: st.SearchStrategy, perturbed: bool):
+    """A window of valid rows whose times are rewritten as ``t0 + i / 30`` from
+    a drawn ``t0``; if ``perturbed``, one row's time then moves by a drawn gap."""
+    lines = draw(st.sampled_from(SOURCES))
+    first = draw(st.integers(0, len(lines) - 2))
+    window = [line[:-1].split(",") for line in lines[first:first + draw(st.integers(2, 60))]]
+    t0 = draw(start)
+    times = [t0 + i / 30 for i in range(len(window))]
+    if perturbed:
+        i = draw(st.integers(0, len(window) - 1))
+        times[i] += draw(st.one_of(st.sampled_from([1e-9, -1e-7, 1e-3, -0.004, 0.011, 1 / 60, -1 / 30]),
+                                   st.floats(-1.0, 1.0)))
+    for row, t in zip(window, times):
+        row[0] = fmt_float(t)
+    return "".join(",".join(row) + "\n" for row in [CSV_COLUMNS, *window])
+
+
+class TestSampleTimes:
+    """The gap rule at times of either sign and far from 0: ``tally_rows``
+    carries the last row's ``|t|`` to the next, and must scale its tolerance as
+    the reference does."""
+
+    @pytest.mark.parametrize("where", list(TIME_STARTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_evenly_spaced_rows_are_read_as_the_reference_reads_them(self, where, data):
+        text = data.draw(shifted_telemetry_text(TIME_STARTS[where], perturbed=False))
+        outcome = reader_outcome(text, 1 / 30)
+        assert outcome == reference_outcome(text, 1 / 30)
+        assert outcome[0] == "read"
+
+    @pytest.mark.parametrize("where", list(TIME_STARTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_moved_row_is_judged_as_the_reference_judges_it(self, where, data):
+        text = data.draw(shifted_telemetry_text(TIME_STARTS[where], perturbed=True))
+        assert reader_outcome(text, 1 / 30) == reference_outcome(text, 1 / 30)
 
 
 SERIALIZED_REPORTS = [
