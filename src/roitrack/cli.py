@@ -5,13 +5,17 @@ has written with ``report``'s own function, ``telemetry.summarize_csvs``.
 Exit codes are scriptable: 0 success, 1 usage or malformed input, 2 ran but
 lost tracking, 3 I/O failure.  A refused input is a ``ValueError`` carrying its
 own message, raised here or in the library, and ``main`` alone turns it into
-one ``error:`` line and exit 1.  All artifacts are byte-stable: rerunning the
-same command (or a run manifest) reproduces them bit for bit.
+one ``error:`` line and exit 1.  Both ``simulate`` and ``replay`` write their
+files under hidden temporary names and put them in place through ``_staged``
+only once all are written, so a failed run leaves its output directory as it
+was.  All artifacts are byte-stable: rerunning the same command (or a run
+manifest) reproduces them bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import hashlib
 import math
@@ -118,6 +122,27 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _staged(paths):
+    """Yield each output path's temporary, a hidden ``.<name>.tmp`` beside it
+    that no ``trial_*.csv`` glob matches, for the block to write.  Once the
+    block has written them all, the files are put in place in the order given,
+    after a directory where one goes is refused, since a rename onto it fails.
+    Every temporary is removed on any exception, so a failed run leaves the
+    directory as it was."""
+    staged = {path: path.with_name(f".{path.name}.tmp") for path in paths}
+    try:
+        yield staged
+        for path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
+    finally:  # on success every temporary has been renamed; after a failure none is left
+        for temporary in staged.values():
+            temporary.unlink(missing_ok=True)
+
+
 def _sha256(path: Path) -> str:
     """Hash a file in 1 MiB blocks, so no more than one block is held."""
     digest = hashlib.sha256()
@@ -154,11 +179,9 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
     summary_path, manifest_path = out / "summary.txt", out / "manifest.txt"
-    # Each artifact is written under a hidden name no `trial_*.csv` glob matches,
-    # and put in place, in this order, only once all are written: the manifest
-    # comes last, so a directory with a manifest holds the run it describes.
-    staged = {path: path.with_name(f".{path.name}.tmp") for path in (*csv_paths, summary_path, manifest_path)}
-    try:
+    # The manifest is put in place last, so a directory with a manifest holds
+    # the run it describes.
+    with _staged((*csv_paths, summary_path, manifest_path)) as staged:
         for path, trial_seed in zip(csv_paths, seeds):
             write_trial_csv(row_lines(iter_trial(replace(cfg, seed=trial_seed))), staged[path])
 
@@ -180,14 +203,6 @@ def cmd_simulate(args) -> int:
 
         for path in (manifest_path, summary_path):  # an earlier run's, which a failed rename would leave beside other trials
             path.unlink(missing_ok=True)
-        for path in csv_paths:  # a rename onto a directory fails: refuse it before any trial is replaced
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        for path, temporary in staged.items():
-            os.replace(temporary, path)
-    finally:  # on success every temporary has been renamed; after a failure none is left
-        for temporary in staged.values():
-            temporary.unlink(missing_ok=True)
     for stale in out.glob("trial_*.csv"):  # an earlier, larger batch's; any other name is the user's
         digits = stale.name[len("trial_"):-len(".csv")]
         i = int(digits) if digits.isdecimal() else 0
@@ -279,14 +294,13 @@ def cmd_replay(args) -> int:
     transport = MockTransport()
     link = CommandLink(transport=transport)
     telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
-    try:
-        write_trial_csv(row_lines(_replay_samples(rows, controller, link)), telemetry_path)
-    except TransportSaturated as exc:
-        telemetry_path.unlink()
-        frames_path.unlink(missing_ok=True)  # an earlier run's, which no telemetry beside it explains
-        raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
-    frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
-    frames_path.write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
+    with _staged((telemetry_path, frames_path)) as staged:
+        try:
+            write_trial_csv(row_lines(_replay_samples(rows, controller, link)), staged[telemetry_path])
+        except TransportSaturated as exc:
+            raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
+        frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
+        staged[frames_path].write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
     print(f"replayed {len(rows)} rows: {len(transport.log)} frames -> {out}")
     return EXIT_OK
 

@@ -461,6 +461,8 @@ def write_log(path, rows):
 
 # 3 s of raw pixel rows sweeping the ellipse and all four sectors
 SWEEP_ROWS = [(i / 30, 960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
+# 20 rows 1 ms apart, alternating hard left and hard right: too dense for the serial link
+DENSE_ROWS = [(i / 1000, 20 if i % 2 == 0 else 1900, 360) for i in range(20)]
 # 1 s at Unix-epoch times, centred, with the target leaving the ROI on the last row
 EPOCH_ROWS = [(1.7e9 + i / 30, 960.0 if i < 29 else 1900.0, 360.0) for i in range(30)]
 
@@ -653,20 +655,60 @@ class TestReplay:
 
     def test_dense_log_saturating_the_link_is_usage_error(self, tmp_path, capsys):
         # into a directory that holds an earlier replay's files: a refused run
-        # leaves neither, so no frames file stands beside no telemetry
+        # leaves that consistent pair byte for byte, as a failed simulate does
         out = tmp_path / "r"
         good = tmp_path / "good.csv"
         write_log(good, [(i / 30, 1900 if i % 20 < 10 else 960, 360) for i in range(60)])
         assert run_cli("replay", good, "--out-dir", out) == EXIT_OK
-        assert (out / "replay_telemetry.csv").exists() and (out / "replay_frames.csv").exists()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["replay_frames.csv", "replay_telemetry.csv"]
         # alternating hard left / hard right, 1 ms apart: every row changes the
         # command, and one frame takes about 8 ms on the 9600 bps line
         log = tmp_path / "dense.csv"
-        write_log(log, [(i / 1000, 20 if i % 2 == 0 else 1900, 360) for i in range(20)])
+        write_log(log, DENSE_ROWS)
         assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
         assert "t=0.001000" in capsys.readouterr().err
-        assert not (out / "replay_telemetry.csv").exists()
-        assert not (out / "replay_frames.csv").exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_write_leaves_the_earlier_replay_as_it_was(self, tmp_path, monkeypatch):
+        # a disk that fills while the telemetry is written: no partial telemetry
+        # stands beside the earlier run's frames, and no temporary is left
+        out = tmp_path / "r"
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def fill_the_disk(lines, path):
+            write_trial_csv(itertools.islice(lines, 10), path)
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "write_trial_csv", fill_the_disk)
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_IO
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(("rows", "code", "message"), [
+        (DENSE_ROWS, EXIT_USAGE, "rows too dense for the serial link"),
+        ([(i / 30, 960, 360) for i in range(30)], EXIT_IO, "Is a directory"),
+    ], ids=["saturating", "valid"])
+    def test_directory_where_the_frames_go_leaves_the_earlier_telemetry(self, tmp_path, capsys, rows,
+                                                                          code, message):
+        # a refused log is still a usage error, and a valid one (unlike the first,
+        # so replaced telemetry would show) cannot be put in place: either way
+        # the earlier telemetry stays and no temporary is left
+        out = tmp_path / "r"
+        log = tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        telemetry = (out / "replay_telemetry.csv").read_bytes()
+        (out / "replay_frames.csv").unlink()
+        (out / "replay_frames.csv").mkdir()
+        write_log(log, rows)
+        capsys.readouterr()
+        assert run_cli("replay", log, "--out-dir", out) == code
+        assert message in capsys.readouterr().err
+        assert (out / "replay_telemetry.csv").read_bytes() == telemetry
+        assert sorted(p.name for p in out.iterdir()) == ["replay_frames.csv", "replay_telemetry.csv"]
 
     # The link carries whole hundredths of a rad/s: 0.004 would go out as
     # "Yaw 0.0" and never move the gimbal; 0.005 as "Yaw 0.01", 0.123 as "Yaw 0.12".
