@@ -104,13 +104,14 @@ def parse_arena_text(text: str) -> Path:
                 raise ValueError(f"arena: closed must be true/false, got {value!r}")
             closed = value == "true"
         elif key.startswith("waypoint_") and key.endswith("_m"):
-            index = int(key[len("waypoint_") : -len("_m")])
+            try:
+                index = int(key[len("waypoint_") : -len("_m")])
+                x, y = map(float, value.split())
+            except ValueError:  # a non-integer index, or not two numbers
+                raise ValueError(f"arena: {key} = {value} is not 'waypoint_<integer>_m = x y'") from None
             if index in waypoints:
                 raise ValueError(f"arena: waypoint index {index} repeated by {key!r}")
-            parts = value.split()
-            if len(parts) != 2:
-                raise ValueError(f"arena: {key} needs 'x y', got {value!r}")
-            waypoints[index] = (float(parts[0]), float(parts[1]))
+            waypoints[index] = (x, y)
         else:
             raise ValueError(f"arena: unknown key {key!r}")
     return Path(waypoints=tuple(waypoints[i] for i in sorted(waypoints)), closed=closed)

@@ -1,6 +1,8 @@
 """Command-line entry point: simulate trial batches, replay coordinate logs,
 and report metrics over telemetry CSVs; ``simulate`` summarizes the CSVs it
 has written with ``report``'s own function, ``telemetry.summarize_csvs``.
+Each setting of ``trials.SETTINGS`` is resolved here, from its default, a
+--config file and its flag; ``simulate`` builds its run with ``TrialConfig.from_settings``.
 
 Exit codes are scriptable: 0 success, 1 usage or malformed input, 2 ran but
 lost tracking, 3 I/O failure.  A refused input is a ``ValueError`` carrying its
@@ -25,22 +27,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .arenas import DEFAULT_LOOKAHEAD_M, arena_fixture_bytes, format_kv_text, parse_kv_text
+from .arenas import ARENA_FILES, arena_fixture_bytes, format_kv_text, parse_kv_text
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
-from .geometry import DEFAULT_ROI_FRAC, EllipseRoi, FrameSpec
+from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .telemetry import fmt_float, row_lines, serialize_report, summarize_csvs, write_trial_csv
-from .trials import (
-    BASELINE_DURATION_S,
-    BASELINE_JITTER_M,
-    BASELINE_USV_SPEED_MPS,
-    DEFAULT_DT_S,
-    DEFAULT_UAV,
-    MAX_TRIALS_PER_BATCH,
-    TrialConfig,
-    iter_trial,
-)
-from .world import CameraModel, UavPose
+from .trials import DEFAULT_DT_S, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, iter_trial, settings_controller
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,28 +41,6 @@ EXIT_IO = 3
 
 OUT_DIR_ENV = "ROITRACK_OUT_DIR"
 
-# Every setting, in manifest order: key -> (type, default).  Flags (whose
-# dest is the key), --config files and run manifests all go through this
-# table.  A None default means the arena's baseline (speed, duration).
-SETTINGS = {
-    "arena": (int, None),
-    "trials": (int, 1),
-    "seed": (int, 1),
-    "duration_s": (float, None),
-    "dt_s": (float, DEFAULT_DT_S),
-    "usv_speed_mps": (float, None),
-    "jitter_m": (float, BASELINE_JITTER_M),
-    "lookahead_m": (float, DEFAULT_LOOKAHEAD_M),
-    "roi_frac_x": (float, DEFAULT_ROI_FRAC),
-    "roi_frac_y": (float, DEFAULT_ROI_FRAC),
-    "rate_rad_s": (float, MAX_RATE_RAD_S),
-    "fov_deg": (float, math.degrees(CameraModel.horizontal_fov)),
-    "frame_width_px": (int, FrameSpec.width),
-    "frame_height_px": (int, FrameSpec.height),
-    "uav_x_m": (float, DEFAULT_UAV.x),
-    "uav_y_m": (float, DEFAULT_UAV.y),
-    "altitude_m": (float, DEFAULT_UAV.altitude),
-}
 # Manifest bookkeeping keys that a rerun may safely ignore.
 _INFO_KEYS = {"tool_version", "seeds", "arena_fixture_sha256"}
 
@@ -107,12 +77,6 @@ def _settings(args) -> dict:
         if isinstance(values[key], float) and not math.isfinite(values[key]):
             raise ValueError(f"{key} must be finite, got {values[key]}")
     return values
-
-
-def _controller(settings: dict) -> ControllerConfig:
-    frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
-    roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
-    return ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
 
 
 def _out_dir(args) -> Path:
@@ -159,21 +123,7 @@ def cmd_simulate(args) -> int:
         raise ValueError("an arena id is required (--arena or config)")
     if not 1 <= trials <= MAX_TRIALS_PER_BATCH:
         raise ValueError(f"--trials must be in [1, {MAX_TRIALS_PER_BATCH}], got {trials}")
-    for key, baseline in (("duration_s", BASELINE_DURATION_S), ("usv_speed_mps", BASELINE_USV_SPEED_MPS)):
-        if settings[key] is None:
-            settings[key] = baseline.get(arena)
-    cfg = TrialConfig(
-        arena_id=arena,
-        usv_speed=settings["usv_speed_mps"],
-        duration=settings["duration_s"],
-        seed=seed,
-        jitter_amplitude=settings["jitter_m"],
-        controller=_controller(settings),
-        horizontal_fov=math.radians(settings["fov_deg"]),
-        uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
-        dt=settings["dt_s"],
-        lookahead=settings["lookahead_m"],
-    )
+    cfg = TrialConfig.from_settings(settings)
 
     seeds = [seed + i for i in range(trials)]
     out = _out_dir(args)
@@ -203,10 +153,10 @@ def cmd_simulate(args) -> int:
 
         for path in (manifest_path, summary_path):  # an earlier run's, which a failed rename would leave beside other trials
             path.unlink(missing_ok=True)
-    for stale in out.glob("trial_*.csv"):  # an earlier, larger batch's; any other name is the user's
+    for stale in out.glob("trial_*.csv"):  # an earlier, larger batch's; any other name or a directory is the user's
         digits = stale.name[len("trial_"):-len(".csv")]
         i = int(digits) if digits.isdecimal() else 0
-        if trials < i <= MAX_TRIALS_PER_BATCH and stale.name == f"trial_{i:03d}.csv":
+        if trials < i <= MAX_TRIALS_PER_BATCH and stale.name == f"trial_{i:03d}.csv" and stale.is_file():
             stale.unlink()
 
     print(f"wrote {len(csv_paths)} trial CSVs, summary, and manifest to {out}")
@@ -282,7 +232,7 @@ def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
 
 
 def cmd_replay(args) -> int:
-    controller = _controller(_settings(args))
+    controller = settings_controller(_settings(args))
     rate = controller.rate_magnitude
     try:  # the gimbal acts on the frame's rate, so the frame must carry this one
         encode(GimbalCommand(yaw_rate=rate))
@@ -329,7 +279,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="key-value config file; flags override it")
 
     sim = sub.add_parser("simulate", help="run a batch of simulated trials")
-    add_setting(sim, "arena", choices=(1, 2))
+    add_setting(sim, "arena", choices=ARENA_FILES)
     for key in ("trials", "seed", "duration_s", "dt_s"):
         add_setting(sim, key)
     add_setting(sim, "fov_deg", help="horizontal field of view in degrees")

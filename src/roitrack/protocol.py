@@ -80,7 +80,7 @@ def encode(cmd: GimbalCommand) -> list[SerialFrame]:
     return [frame]
 
 
-_RATE_RE = re.compile(r"-?\d+(\.\d{1,2})?")
+_RATE_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]{1,2})?")  # ASCII digits, no leading zero
 
 
 def decode(frame: SerialFrame | str) -> GimbalCommand:

@@ -1,5 +1,9 @@
 """Trial harness: drive the boat along an arena path and record full telemetry.
 
+``SETTINGS`` describes a run once: the CLI's ``simulate`` and
+``TrialConfig.baseline``, the run of every default, both build their
+configuration through ``TrialConfig.from_settings``.
+
 A trial is a pure function of its configuration.  The only randomness is a
 seeded lateral jitter applied to the arena waypoints before the run, standing
 in for the variation of a human operator moving the target between trials;
@@ -14,13 +18,12 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
-from .arenas import DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena
-from .controller import ControllerConfig, decide
-from .geometry import TWO_PI, EllipseRoi, FrameSpec, Sector
+from .arenas import ARENA_FILES, DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena
+from .controller import MAX_RATE_RAD_S, ControllerConfig, decide
+from .geometry import DEFAULT_ROI_FRAC, TWO_PI, EllipseRoi, FrameSpec, Sector
 from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
 
 DEFAULT_DT_S = 1.0 / 30.0  # frame-driven control loop at 30 fps
-DEFAULT_UAV = UavPose(x=0.0, y=0.0, altitude=1.83)  # hover at 6 ft
 
 # Baseline values calibrated once against the arena fixtures so that trials
 # produce excursion counts near 18 (arena 1) and 13 (arena 2); frozen here.
@@ -39,6 +42,36 @@ MAX_TRIALS_PER_BATCH = 10**4
 # whole arena within 3 px, so a run from farther away measures nothing.
 MAX_CAMERA_OFFSET_M = 1000.0
 
+# Every setting of a run, in manifest order: key -> (type, default).  CLI flags
+# (whose dest is the key), --config files and run manifests all go through this
+# table.  A None default means the arena's baseline (speed, duration).
+SETTINGS = {
+    "arena": (int, None),
+    "trials": (int, 1),
+    "seed": (int, 1),
+    "duration_s": (float, None),
+    "dt_s": (float, DEFAULT_DT_S),
+    "usv_speed_mps": (float, None),
+    "jitter_m": (float, BASELINE_JITTER_M),
+    "lookahead_m": (float, DEFAULT_LOOKAHEAD_M),
+    "roi_frac_x": (float, DEFAULT_ROI_FRAC),
+    "roi_frac_y": (float, DEFAULT_ROI_FRAC),
+    "rate_rad_s": (float, MAX_RATE_RAD_S),
+    "fov_deg": (float, math.degrees(CameraModel.horizontal_fov)),
+    "frame_width_px": (int, FrameSpec.width),
+    "frame_height_px": (int, FrameSpec.height),
+    "uav_x_m": (float, 0.0),
+    "uav_y_m": (float, 0.0),
+    "altitude_m": (float, 1.83),  # hover at 6 ft
+}
+
+
+def settings_controller(settings: dict) -> ControllerConfig:
+    """The controller that a run's settings describe: its frame, ROI and rate."""
+    frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
+    roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
+    return ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -56,8 +89,8 @@ class TrialConfig:
     camera: CameraModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.arena_id not in (1, 2):
-            raise ValueError(f"arena_id must be 1 or 2, got {self.arena_id}")
+        if self.arena_id not in ARENA_FILES:
+            raise ValueError(f"arena_id must be {' or '.join(map(str, ARENA_FILES))}, got {self.arena_id}")
         # random.Random seeds from |seed|, so a negative seed would repeat a positive one's run.
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -93,24 +126,34 @@ class TrialConfig:
             )
 
     @classmethod
-    def baseline(cls, arena_id: int, seed: int = 1, **overrides) -> "TrialConfig":
-        """The frozen baseline configuration for an arena; ``__post_init__``
-        refuses an unknown ``arena_id`` before its missing speed is read."""
-        frame = FrameSpec()
-        controller = ControllerConfig(roi=EllipseRoi.from_fractions(frame), frame=frame)
-        values = dict(
-            arena_id=arena_id,
-            usv_speed=BASELINE_USV_SPEED_MPS.get(arena_id),
-            duration=BASELINE_DURATION_S.get(arena_id),
-            seed=seed,
-            jitter_amplitude=BASELINE_JITTER_M,
-            controller=controller,
-            horizontal_fov=CameraModel.horizontal_fov,
-            uav=DEFAULT_UAV,
-            dt=DEFAULT_DT_S,
+    def from_settings(cls, settings: dict, **overrides) -> "TrialConfig":
+        """The run that resolved settings describe, with any field overridden.
+        A None speed or duration is first set, in ``settings`` itself, to the
+        arena's baseline, so a manifest written from them records what the run
+        used; ``__post_init__`` refuses an unknown arena before that None is read."""
+        arena = settings["arena"]
+        for key, baseline in (("duration_s", BASELINE_DURATION_S), ("usv_speed_mps", BASELINE_USV_SPEED_MPS)):
+            if settings[key] is None:
+                settings[key] = baseline.get(arena)
+        fields = dict(
+            arena_id=arena,
+            usv_speed=settings["usv_speed_mps"],
+            duration=settings["duration_s"],
+            seed=settings["seed"],
+            jitter_amplitude=settings["jitter_m"],
+            controller=settings_controller(settings),
+            horizontal_fov=math.radians(settings["fov_deg"]),
+            uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
+            dt=settings["dt_s"],
+            lookahead=settings["lookahead_m"],
         )
-        values.update(overrides)
-        return cls(**values)
+        return cls(**{**fields, **overrides})
+
+    @classmethod
+    def baseline(cls, arena_id: int, seed: int = 1, **overrides) -> "TrialConfig":
+        """The run of every ``SETTINGS`` default on an arena, with any field overridden."""
+        defaults = {key: default for key, (_, default) in SETTINGS.items()}
+        return cls.from_settings({**defaults, "arena": arena_id, "seed": seed}, **overrides)
 
 
 class TrialSample(NamedTuple):

@@ -85,6 +85,16 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_arena_text(text)
 
+    @pytest.mark.parametrize("key,value", [
+        ("waypoint_x_m", "1 2"),
+        ("waypoint__m", "1 2"),
+        ("waypoint_1_m", "a b"),
+        ("waypoint_1_m", "1"),
+    ])
+    def test_bad_waypoint_refusal_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^arena: {key}"):
+            parse_arena_text(f"closed = false\n{key} = {value}\n")
+
 
 class TestPathInvariants:
     def test_too_few_waypoints(self):

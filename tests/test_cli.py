@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import read_record
 from roitrack import cli, protocol
 from roitrack.arenas import parse_kv_text
-from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, SETTINGS, _replay_samples, main
+from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, _replay_samples, main
 from roitrack.controller import ControllerConfig, decide, step
 from roitrack.geometry import (
     EllipseRoi,
@@ -41,8 +41,10 @@ from roitrack.trials import (
     MAX_CAMERA_OFFSET_M,
     MAX_STEPS_PER_TRIAL,
     MAX_TRIALS_PER_BATCH,
+    SETTINGS,
     TrialConfig,
     TrialSample,
+    iter_trial,
     run_batch,
     run_trial,
 )
@@ -86,6 +88,30 @@ class TestSimulate:
         written = sorted(p for p in sim_dir.glob("trial_*.csv") if p.name != kept)
         assert run_cli("report", *written) == EXIT_OK
         assert capsys.readouterr().out == (sim_dir / "summary.txt").read_text()
+
+    def test_directory_with_a_stale_trials_name_is_kept(self, tmp_path, capsys):
+        # A directory named like a larger batch's trial is the user's, as any
+        # name simulate never writes is: the run completes and leaves it.
+        argv = ["simulate", "--arena", 1, "--trials", 3, "--seed", 7, "--duration-s", 2.0, "--out-dir"]
+        assert run_cli(*argv, tmp_path / "clean") == EXIT_OK
+        usual = capsys.readouterr().out
+        out = tmp_path / "out"
+        (out / "trial_005.csv").mkdir(parents=True)
+        assert run_cli(*argv, out) == EXIT_OK
+        assert capsys.readouterr() == (usual.replace(str(tmp_path / "clean"), str(out)), "")
+        assert (out / "trial_005.csv").is_dir()
+        for name in ("trial_001.csv", "trial_002.csv", "trial_003.csv", "summary.txt"):
+            assert (out / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_default_run_is_the_baseline_run(self, tmp_path, arena):
+        # closed_loop_batch steps TrialConfig.baseline in process and
+        # cli_simulate_report steps simulate's defaults: one run, byte for byte.
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--arena", arena, "--trials", 1, "--seed", 7, "--out-dir", out) == EXIT_OK
+        expected = tmp_path / "baseline.csv"
+        write_trial_csv(row_lines(iter_trial(TrialConfig.baseline(arena, 7))), expected)
+        assert (out / "trial_001.csv").read_bytes() == expected.read_bytes()
 
     def test_rows_match_duration(self, sim_dir):
         record = read_record(sim_dir / "trial_001.csv", DEFAULT_DT_S)

@@ -161,9 +161,17 @@ class TestDecode:
         with pytest.raises(FrameError, match="out of range"):
             decode("Yaw 0.31")
 
-    def test_too_many_fraction_digits(self):
+    # Digits other than ASCII's, and leading zeros, are not the minimal form
+    # either: none of them is a text format_rate emits.
+    @pytest.mark.parametrize("text", ["Yaw 0.123", "Yaw \uff10.\uff11", "Pitch -\u0660.\u0662", "Yaw 00.1", "Pitch 000"])
+    def test_too_many_fraction_digits(self, text):
         with pytest.raises(FrameError, match="minimal decimal"):
-            decode("Yaw 0.123")
+            decode(text)
+
+    def test_non_ascii_frame_is_refused_on_construction(self):
+        # Refused by the grammar, so no text reaches wire_bytes that ASCII cannot encode.
+        with pytest.raises(FrameError, match="minimal decimal"):
+            SerialFrame("Yaw \uff10.\uff11")
 
     def test_trailing_zero_rejected(self):
         with pytest.raises(FrameError, match="trailing zero"):
