@@ -6,7 +6,8 @@ arena 2 an open zig-zag track.  Their waypoint coordinates were calibrated
 once against the baseline trial configuration and are never tuned per test.
 The fixtures' flat ``key = value`` format is also the CLI's config format and
 the format of its manifests and reports, so its one parser, ``parse_kv_text``,
-and its one writer, ``format_kv_text``, live here.
+its one writer, ``format_kv_text``, and ``parse_number``, which converts
+every number that a setting or a fixture holds, live here.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
     return values
 
 
+def parse_number(kind: type, text: str):
+    """``kind(text)``, ``kind`` being ``int`` or ``float``, for ASCII text
+    without ``_`` only: both also take other scripts' digits (``７``) and
+    digit groups (``0_5``), which no setting or fixture value may hold."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+    return kind(text)
+
+
 def format_kv_text(values: dict[str, str]) -> str:
     """The one writer of the ``key = value`` text that ``parse_kv_text`` reads."""
     return "".join(f"{key} = {value}\n" for key, value in values.items())
@@ -105,8 +115,8 @@ def parse_arena_text(text: str) -> Path:
             closed = value == "true"
         elif key.startswith("waypoint_") and key.endswith("_m"):
             try:
-                index = int(key[len("waypoint_") : -len("_m")])
-                x, y = map(float, value.split())
+                index = parse_number(int, key[len("waypoint_") : -len("_m")])
+                x, y = (parse_number(float, text) for text in value.split())
             except ValueError:  # a non-integer index, or not two numbers
                 raise ValueError(f"arena: {key} = {value} is not 'waypoint_<integer>_m = x y'") from None
             if index in waypoints:

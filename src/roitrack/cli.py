@@ -1,6 +1,7 @@
 """Command-line entry point: simulate trial batches, replay coordinate logs,
-and report metrics over telemetry CSVs; ``simulate`` summarizes the CSVs it
-has written with ``report``'s own function, ``telemetry.summarize_csvs``.
+and report metrics over telemetry CSVs; ``simulate`` tallies each CSV it has
+written with ``report``'s own ``telemetry.tally_csv``.  Both spread their
+trials or CSVs over the usable CPUs through ``_fan_out``, with the same result.
 Each setting of ``trials.SETTINGS`` is resolved here, from its default, a
 --config file and its flag; ``simulate`` builds its run with ``TrialConfig.from_settings``.
 
@@ -23,15 +24,17 @@ import hashlib
 import math
 import os
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .arenas import ARENA_FILES, arena_fixture_bytes, format_kv_text, parse_kv_text
+from .arenas import ARENA_FILES, arena_fixture_bytes, format_kv_text, parse_kv_text, parse_number
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
-from .telemetry import fmt_float, row_lines, serialize_report, summarize_csvs, write_trial_csv
+from .metrics import summarize_tallies
+from .telemetry import fmt_float, row_lines, serialize_report, tally_csv, write_trial_csv
 from .trials import DEFAULT_DT_S, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, iter_trial, settings_controller
 
 EXIT_OK = 0
@@ -41,7 +44,7 @@ EXIT_IO = 3
 
 OUT_DIR_ENV = "ROITRACK_OUT_DIR"
 
-# Manifest bookkeeping keys that a rerun may safely ignore.
+# Manifest bookkeeping keys, not settings; a config's fixture hash must be its arena's.
 _INFO_KEYS = {"tool_version", "seeds", "arena_fixture_sha256"}
 
 
@@ -61,15 +64,20 @@ def _settings(args) -> dict:
     """Resolve every setting: its table default < the --config file < its flag."""
     values = {key: default for key, (_, default) in SETTINGS.items()}
     if args.config:
-        for key, text in parse_kv_text(_read_text(args.config), source=args.config).items():
+        config = parse_kv_text(_read_text(args.config), source=args.config)
+        for key, text in config.items():
             if key in _INFO_KEYS or key.startswith("artifact_"):
                 continue
             if key not in SETTINGS:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
             try:
-                values[key] = SETTINGS[key][0](text)
+                values[key] = parse_number(SETTINGS[key][0], text)
             except ValueError:
                 raise ValueError(f"{args.config}: bad value for {key}: {text!r}") from None
+        recorded, arena = config.get("arena_fixture_sha256"), values["arena"]
+        if recorded is not None and arena in ARENA_FILES and recorded != (current := _fixture_sha256(arena)):
+            raise ValueError(f"{args.config}: arena_fixture_sha256 = {recorded}, but arena {arena}'s fixture"
+                             f" hashes to {current}")
     for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -107,6 +115,76 @@ def _staged(paths):
             temporary.unlink(missing_ok=True)
 
 
+def _fixture_sha256(arena: int) -> str:
+    return hashlib.sha256(arena_fixture_bytes(arena)).hexdigest()
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fan_out(fn, items) -> list:
+    """``[fn(item) for item in items]``, in up to one process per usable CPU.
+    The items split into contiguous chunks, the largest first, which this
+    process runs; each other chunk runs in a forked child that pipes back its
+    results or its exception, pickled.  The first failing chunk in item order
+    raises, and a child with no readable result is an ``OSError``.  Every
+    child is reaped before this returns or raises.  All items run here where
+    ``fork`` is missing, where a second thread is alive (the child could
+    deadlock), or where a public function or class of the package has been
+    replaced since import (a tracer's wrapper, a test's stub): the
+    replacement may keep state in this process, which a child's calls would
+    never reach.  Where a fork fails, the items no child took run here."""
+    items = list(items)
+    forkable = hasattr(os, "fork") and threading.active_count() == 1 and all(
+        getattr(module, name, None) is value for module, name, value in _AS_IMPORTED)
+    workers = max(1, min(len(items), _usable_cpus())) if forkable else 1
+    size, extra = divmod(len(items), workers)
+    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+    children = []  # (pid, pipe, first item's number) per child
+    rest = len(items)  # where the items that no child runs start
+    try:
+        for start, end in zip(bounds[1:], bounds[2:]):
+            import pickle  # imported only once a child is started: with signal, 5 ms of start-up
+            import signal
+
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had (EAGAIN, ENOMEM): this process runs the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                rest = start
+                break
+            if pid == 0:  # the child reports and leaves, never returning here
+                try:
+                    with open(write_fd, "wb") as fh:
+                        try:
+                            result = True, [fn(item) for item in items[start:end]]
+                        except BaseException as exc:
+                            result = False, exc
+                        pickle.dump(result, fh)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), start + 1))
+        results = [fn(item) for item in items[: bounds[1]]]
+        for pid, pipe, first in children:
+            try:
+                ok, value = pickle.load(pipe)
+            except Exception:  # a short or missing pickle ends in any of several exception types
+                raise OSError(f"worker process {pid} for items {first}.. ended with no result") from None
+            if not ok:
+                raise value
+            results += value
+        return results + [fn(item) for item in items[rest:]]
+    finally:  # a child whose result is read is only exiting; any other's is not needed
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _sha256(path: Path) -> str:
     """Hash a file in 1 MiB blocks, so no more than one block is held."""
     digest = hashlib.sha256()
@@ -132,10 +210,11 @@ def cmd_simulate(args) -> int:
     # The manifest is put in place last, so a directory with a manifest holds
     # the run it describes.
     with _staged((*csv_paths, summary_path, manifest_path)) as staged:
-        for path, trial_seed in zip(csv_paths, seeds):
-            write_trial_csv(row_lines(iter_trial(replace(cfg, seed=trial_seed))), staged[path])
+        def write_and_tally(i):
+            write_trial_csv(row_lines(iter_trial(replace(cfg, seed=seeds[i]))), staged[csv_paths[i]])
+            return tally_csv(staged[csv_paths[i]], cfg.dt)
 
-        report = summarize_csvs([staged[path] for path in csv_paths], cfg.dt)
+        report = summarize_tallies(_fan_out(write_and_tally, range(trials)))
         staged[summary_path].write_text(serialize_report(report), encoding="utf-8")
 
         manifest = {"tool_version": __version__}
@@ -143,7 +222,7 @@ def cmd_simulate(args) -> int:
             manifest[key] = repr(value)
             if key == "seed":
                 manifest["seeds"] = " ".join(map(str, seeds))
-        manifest["arena_fixture_sha256"] = hashlib.sha256(arena_fixture_bytes(arena)).hexdigest()
+        manifest["arena_fixture_sha256"] = _fixture_sha256(arena)
         for i, path in enumerate(csv_paths, start=1):
             manifest[f"artifact_{i:03d}"] = path.name
             manifest[f"artifact_{i:03d}_sha256"] = _sha256(staged[path])
@@ -259,7 +338,7 @@ def cmd_report(args) -> int:
     dt = args.dt_s
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"--dt-s must be finite and positive, got {dt}")
-    report = summarize_csvs(map(Path, args.csvs), dt)
+    report = summarize_tallies(_fan_out(lambda path: tally_csv(Path(path), dt), args.csvs))
     print(serialize_report(report), end="")
     return EXIT_OK
 
@@ -269,7 +348,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_setting(p, key, **kwargs):
-        p.add_argument("--" + key.replace("_", "-"), type=SETTINGS[key][0], **kwargs)
+        def convert(text, kind=SETTINGS[key][0]):
+            return parse_number(kind, text)
+        convert.__name__ = SETTINGS[key][0].__name__  # argparse names it: "invalid int value: 'abc'"
+        p.add_argument("--" + key.replace("_", "-"), type=convert, **kwargs)
 
     def add_common(p):
         add_setting(p, "roi_frac_x", help="ROI horizontal semi-axis as a frame-width fraction")
@@ -309,6 +391,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+# Every public function and class that the package's modules bind, as
+# imported: ``_fan_out`` forks only while each is still bound.
+_AS_IMPORTED = [(module, name, value) for module_name, module in list(sys.modules.items())
+                if module_name.startswith(f"{__package__}.")
+                for name, value in vars(module).items() if not name.startswith("_") and callable(value)]
 
 
 if __name__ == "__main__":

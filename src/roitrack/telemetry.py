@@ -13,10 +13,11 @@ whatever its sign.
 
 Telemetry rows have one reader, ``tally_rows``.  It parses the four numbers
 of every row but checks each distinct tail once, as the writer builds it,
-keeping a bounded number of verdicts.  ``summarize_csvs`` tallies each CSV's
-rows through it: ``report`` runs it over its arguments and ``simulate`` over
-the CSVs it has just written, so ``summary.txt`` is what ``report`` prints
-over the batch's CSVs by construction.  A report is the key-value text of
+keeping a bounded number of verdicts.  ``tally_csv`` tallies one CSV's rows
+through it: ``report`` runs it over its arguments and ``simulate`` over each
+CSV it has just written, each maybe in another process, which pickles the
+finished tally back.  So ``summary.txt`` is what ``report`` prints over the
+batch's CSVs by construction.  A report is the key-value text of
 ``arenas.format_kv_text``.
 """
 
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 
 from .arenas import format_kv_text
 from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
-from .metrics import RecordTally, SensitivityReport, summarize_tallies
+from .metrics import RecordTally, SensitivityReport
 
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
 _BLOCK_LINES = 4096  # rows per write: under 0.5 MB of text
@@ -187,23 +188,20 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
         raise ValueError(f"{source}: record has no samples")
 
 
-def summarize_csvs(paths: Iterable[Path], dt: float) -> SensitivityReport:
-    """The report over telemetry CSVs recorded at loop period ``dt``: check
-    each file's header, then tally its rows through ``tally_rows``, one line at
-    a time, which refuses a file with no row after the header."""
-    tallies = []
-    for path in paths:
-        acc = RecordTally(dt)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                header = fh.readline().rstrip("\n").split(",")
-                if header != CSV_COLUMNS:
-                    raise ValueError(f"{path}: unexpected header {header!r}")
-                tally_rows(fh, acc, path)
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-        tallies.append(acc.finish())
-    return summarize_tallies(tallies)
+def tally_csv(path: Path, dt: float) -> RecordTally:
+    """The finished tally of one telemetry CSV recorded at loop period ``dt``:
+    check the file's header, then tally its rows through ``tally_rows``, one
+    line at a time, which refuses a file with no row after the header."""
+    acc = RecordTally(dt)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if header != CSV_COLUMNS:
+                raise ValueError(f"{path}: unexpected header {header!r}")
+            tally_rows(fh, acc, path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    return acc.finish()
 
 
 def serialize_report(report: SensitivityReport) -> str:

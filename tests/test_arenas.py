@@ -95,6 +95,18 @@ class TestParse:
         with pytest.raises(ValueError, match=f"^arena: {key}"):
             parse_arena_text(f"closed = false\n{key} = {value}\n")
 
+    # int() and float() take these; a fixture number is ASCII with no digit groups
+    @pytest.mark.parametrize("key,value", [
+        ("waypoint_1_m", "1_0 1"),
+        ("waypoint_1_m", "1 \uff11"),
+        ("waypoint_\uff12_m", "1 2"),
+        ("waypoint_1_0_m", "1 2"),
+        ("waypoint_\u0662_m", "1 2"),
+    ])
+    def test_number_not_in_ascii_or_with_digit_groups_is_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^arena: {key} = {value} is not"):
+            parse_arena_text(f"closed = false\nwaypoint_0_m = 0 0\n{key} = {value}\n")
+
 
 class TestPathInvariants:
     def test_too_few_waypoints(self):

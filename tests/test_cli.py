@@ -7,10 +7,12 @@ import io
 import itertools
 import math
 import os
+import pickle
 import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_record
-from roitrack import cli, protocol
+from roitrack import cli, protocol, telemetry
 from roitrack.arenas import parse_kv_text
 from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, _replay_samples, main
 from roitrack.controller import ControllerConfig, decide, step
@@ -33,9 +35,17 @@ from roitrack.geometry import (
     to_centered,
     to_polar,
 )
-from roitrack.metrics import RecordTally, summarize, tally
+from roitrack.metrics import RecordTally, summarize, summarize_tallies, tally
 from roitrack.protocol import BITS_PER_BYTE_ON_WIRE, LINE_RATE_BPS, CommandLink, MockTransport, encode
-from roitrack.telemetry import CSV_COLUMNS, fmt_float, row_lines, serialize_report, tally_rows, write_trial_csv
+from roitrack.telemetry import (
+    CSV_COLUMNS,
+    fmt_float,
+    row_lines,
+    serialize_report,
+    tally_csv,
+    tally_rows,
+    write_trial_csv,
+)
 from roitrack.trials import (
     DEFAULT_DT_S,
     MAX_CAMERA_OFFSET_M,
@@ -447,6 +457,266 @@ class TestSettingsTable:
         assert names == sorted(p.name for p in rerun.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
+
+
+class TestStrictNumbers:
+    """``int()`` and ``float()`` also take other scripts' digits and ``_``
+    digit groups; no flag, config or manifest number may hold them."""
+
+    @pytest.mark.parametrize("key,text", [
+        ("seed", "\uff17"), ("trials", "\u0662"), ("lookahead_m", "0_5"), ("duration_s", "1_0.0"),
+        ("rate_rad_s", "0.\uff12"),
+    ])
+    def test_config_number_is_refused_naming_file_and_key(self, tmp_path, capsys, key, text):
+        config, out = tmp_path / "run.cfg", tmp_path / "out"
+        config.write_text(f"arena = 1\n{key} = {text}\n", encoding="utf-8")
+        assert run_cli("simulate", "--config", config, "--out-dir", out) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {config}: bad value for {key}: {text!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,text,kind", [("--seed", "\uff17", "int"), ("--fov-deg", "9_0", "float")])
+    def test_flag_number_is_refused_naming_the_flag(self, tmp_path, capsys, flag, text, kind):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--arena", 1, flag, text, "--out-dir", out) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: argument {flag}: invalid {kind} value: {text!r}\n"
+        assert not out.exists()
+
+
+class TestFixtureHash:
+    def test_rerun_of_a_manifest_with_another_fixture_hash_is_refused(self, sim_dir, tmp_path, capsys):
+        manifest = sim_dir / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        current = parse_kv_text(text)["arena_fixture_sha256"]
+        edited = tmp_path / "edited.txt"
+        edited.write_text(text.replace(current, "0000"), encoding="utf-8")
+        out = tmp_path / "rerun"
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", edited, "--out-dir", out) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {edited}: ") and "0000" in err and current in err
+        assert not out.exists()
+
+    def test_fixture_hash_is_checked_against_the_configs_own_arena(self, tmp_path):
+        # the flag changes the run; the recorded hash describes the config's arena
+        first = tmp_path / "first"
+        assert run_cli("simulate", "--arena", 1, "--duration-s", 1.0, "--out-dir", first) == EXIT_OK
+        config = first / "manifest.txt"
+        assert run_cli("simulate", "--config", config, "--arena", 2, "--out-dir", tmp_path / "two") == EXIT_OK
+
+
+class TestFanOut:
+    """``simulate`` and ``report`` spread their items over worker processes;
+    whatever the worker count, the bytes, the output and the errors are the
+    serial run's."""
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        assert count <= 4
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+    @staticmethod
+    def counted_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_outputs_are_the_same_bytes_with_one_two_and_three_workers(self, tmp_path, monkeypatch, capsys, arena):
+        seen = []
+        for count in (1, 2, 3):
+            self.workers(monkeypatch, count)
+            forks = self.counted_forks(monkeypatch)
+            out = tmp_path / f"w{count}"
+            assert run_cli("simulate", "--arena", arena, "--trials", 4, "--seed", 7, "--out-dir", out) == EXIT_OK
+            csvs = sorted(out.glob("trial_*.csv"))
+            assert run_cli("report", *csvs) == EXIT_OK
+            assert len(forks) == 2 * (count - 1)  # each command forks all but its first chunk
+            self.assert_no_child_left()
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            seen.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+        assert len(seen[0][1]) == 6
+
+    def test_failed_write_in_a_child_is_the_serial_failure(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "batch"
+        argv = ["simulate", "--arena", 1, "--trials", 3, "--duration-s", 2.0, "--out-dir", out]
+        assert run_cli(*argv, "--seed", 7) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        def open_filling_the_disk_on_trial_3(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            if Path(file).name == ".trial_003.csv.tmp" and "w" in mode:
+                with fh:
+                    fh.write(",".join(CSV_COLUMNS) + "\n0.0,")
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+            return fh
+
+        # patched where telemetry looks ``open`` up, not as a package function,
+        # which would keep every trial in this process
+        monkeypatch.setattr(telemetry, "open", open_filling_the_disk_on_trial_3, raising=False)
+        errors = []
+        for count in (1, 2, 3):  # trial 3 is in a child's chunk with 2 and 3 workers
+            self.workers(monkeypatch, count)
+            forks = self.counted_forks(monkeypatch)
+            assert run_cli(*argv, "--seed", 100) == EXIT_IO
+            assert len(forks) == count - 1
+            errors.append(capsys.readouterr())
+            self.assert_no_child_left()
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert errors[0].err.startswith("i/o error: [Errno 28] No space left on device")
+        assert errors[1] == errors[0] and errors[2] == errors[0]
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_no_child_outlives_a_report_that_fails(self, sim_dir, tmp_path, monkeypatch, capsys, count):
+        self.workers(monkeypatch, count)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x\n", encoding="utf-8")
+        csvs = sorted(sim_dir.glob("trial_*.csv"))
+        assert run_cli("report", *csvs[:2], bad) == EXIT_USAGE
+        assert run_cli("report", csvs[0], tmp_path / "missing.csv", bad) == EXIT_IO
+        self.assert_no_child_left()
+        first, second = capsys.readouterr().err.splitlines()
+        assert first == f"error: {bad}: unexpected header ['t', 'x']"
+        assert second.startswith("i/o error: [Errno 2]") and "missing.csv" in second
+
+    def test_no_fork_while_a_second_thread_is_alive(self, tmp_path, monkeypatch):
+        self.workers(monkeypatch, 3)
+
+        def fork():
+            raise AssertionError("forked with a second thread alive")
+
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert run_cli("simulate", "--arena", 2, "--trials", 3, "--duration-s", 1.0,
+                           "--out-dir", tmp_path / "out") == EXIT_OK
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_a_replaced_package_function_keeps_every_item_here(self, tmp_path, monkeypatch):
+        # a stub (or a tracer's wrapper) records its calls in this process
+        self.workers(monkeypatch, 3)
+        forks = self.counted_forks(monkeypatch)
+        tallied = []
+
+        def counted_tally_csv(path, dt):
+            tallied.append(path.name)
+            return tally_csv(path, dt)
+
+        monkeypatch.setattr(cli, "tally_csv", counted_tally_csv)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--arena", 2, "--trials", 3, "--duration-s", 1.0, "--out-dir", out) == EXIT_OK
+        assert run_cli("report", *sorted(out.glob("trial_*.csv"))) == EXIT_OK
+        assert len(tallied) == 6 and forks == []
+
+    def test_a_fork_that_fails_leaves_the_rest_to_this_process(self, tmp_path, monkeypatch, capsys):
+        self.workers(monkeypatch, 3)
+        argv = ["simulate", "--arena", 1, "--trials", 5, "--seed", 7, "--duration-s", 2.0, "--out-dir"]
+        serial = tmp_path / "serial"
+        assert run_cli(*argv, serial) == EXIT_OK
+        expected = capsys.readouterr().out.replace(str(serial), "OUT"), {p.name: p.read_bytes() for p in serial.iterdir()}
+        real_fork = os.fork
+        for forks_before_failing in (0, 1):  # no child at all, or only the first
+            forks = []
+
+            def fork():
+                if len(forks) == forks_before_failing:
+                    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+                forks.append(pid := real_fork())
+                return pid
+
+            monkeypatch.setattr(os, "fork", fork)
+            out = tmp_path / f"failing_fork_{forks_before_failing}"
+            assert run_cli(*argv, out) == EXIT_OK
+            assert len(forks) == forks_before_failing
+            self.assert_no_child_left()
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            assert (stdout, {p.name: p.read_bytes() for p in out.iterdir()}) == expected
+
+    def test_rest_after_a_failed_fork_comes_after_the_children_in_item_order(self, monkeypatch):
+        self.workers(monkeypatch, 3)
+        real_fork = os.fork
+        forks = []
+
+        def fork():
+            if forks:
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            forks.append(pid := real_fork())
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        results = cli._fan_out(lambda i: (i, os.getpid()), range(7))
+        self.assert_no_child_left()
+        assert [i for i, _ in results] == list(range(7))
+        here = os.getpid()
+        assert [pid == here for _, pid in results] == [True] * 3 + [False] * 2 + [True] * 2
+
+    def test_first_failing_chunk_in_item_order_wins(self, monkeypatch):
+        self.workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def fail_in(*bad):
+            def fn(i):
+                if i in bad:
+                    raise ValueError(f"item {i} in {'parent' if os.getpid() == parent else 'child'}")
+                return i * i
+            return fn
+
+        assert cli._fan_out(fail_in(), range(7)) == [i * i for i in range(7)]
+        for bad, message in [((5, 3), "item 3 in child"), ((6, 0), "item 0 in parent"), ((6,), "item 6 in child")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                cli._fan_out(fail_in(*bad), range(7))
+            self.assert_no_child_left()
+
+    def test_child_with_no_result_is_an_io_error(self, monkeypatch):
+        self.workers(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() != parent:
+                os._exit(0)
+            return i
+
+        with pytest.raises(OSError, match=r"^worker process \d+ for items 3\.\. ended with no result$"):
+            cli._fan_out(fn, range(4))
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_results_come_back_in_item_order(self, monkeypatch, n, count):
+        self.workers(monkeypatch, count)
+        results = cli._fan_out(lambda i: (i, os.getpid()), range(n))
+        assert [i for i, _ in results] == list(range(n))
+        # one contiguous chunk per process, this process's first, the larger chunks first
+        pids = [pid for _, pid in results]
+        sizes = [len(list(group)) for _, group in itertools.groupby(pids)]
+        workers = min(n, count)
+        assert pids[0] == os.getpid() and len(set(pids)) == len(sizes) == workers
+        assert sizes == [n // workers + (i < n % workers) for i in range(workers)]
+
+    def test_finished_tally_survives_a_pickle_round_trip(self, sim_dir):
+        tallies = [tally_csv(path, DEFAULT_DT_S) for path in sorted(sim_dir.glob("trial_*.csv"))]
+        copies = pickle.loads(pickle.dumps(tallies))
+        assert serialize_report(summarize_tallies(copies)) == serialize_report(summarize_tallies(tallies))
+        assert serialize_report(summarize_tallies(tallies)) == (sim_dir / "summary.txt").read_text(encoding="utf-8")
 
 
 class TestFileEncoding:
