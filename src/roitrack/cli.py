@@ -1,9 +1,12 @@
 """Command-line entry point: simulate trial batches, replay coordinate logs,
 and report metrics over telemetry CSVs; ``simulate`` tallies each CSV it has
 written with ``report``'s own ``telemetry.tally_csv``.  Both spread their
-trials or CSVs over the usable CPUs through ``_fan_out``, with the same result.
-Each setting of ``trials.SETTINGS`` is resolved here, from its default, a
---config file and its flag; ``simulate`` builds its run with ``TrialConfig.from_settings``.
+trials or CSVs over the usable CPUs through ``trials._fan_out``, the helper
+that ``trials.run_batch`` runs on, with the same result.  Each setting of
+``trials.SETTINGS`` is resolved here, from its default, a --config file and
+its flag; ``simulate`` builds its run with ``TrialConfig.from_settings``.  A
+config whose ``tool_version`` is not this one's gets a one-line notice on
+stderr, and runs as it would otherwise.
 
 Exit codes are scriptable: 0 success, 1 usage or malformed input, 2 ran but
 lost tracking, 3 I/O failure.  A refused input is a ``ValueError`` carrying its
@@ -24,7 +27,6 @@ import hashlib
 import math
 import os
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +37,8 @@ from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .metrics import summarize_tallies
 from .telemetry import fmt_float, row_lines, serialize_report, tally_csv, write_trial_csv
-from .trials import DEFAULT_DT_S, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, iter_trial, settings_controller
+from .trials import (DEFAULT_DT_S, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out, _note_as_imported, iter_trial,
+                     settings_controller)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +68,9 @@ def _settings(args) -> dict:
     values = {key: default for key, (_, default) in SETTINGS.items()}
     if args.config:
         config = parse_kv_text(_read_text(args.config), source=args.config)
+        if config.get("tool_version", __version__) != __version__:  # a notice: the rerun goes ahead
+            print(f"note: {args.config}: tool_version = {config['tool_version']}, but this is roitrack {__version__}",
+                  file=sys.stderr)
         for key, text in config.items():
             if key in _INFO_KEYS or key.startswith("artifact_"):
                 continue
@@ -117,72 +123,6 @@ def _staged(paths):
 
 def _fixture_sha256(arena: int) -> str:
     return hashlib.sha256(arena_fixture_bytes(arena)).hexdigest()
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _fan_out(fn, items) -> list:
-    """``[fn(item) for item in items]``, in up to one process per usable CPU.
-    The items split into contiguous chunks, the largest first, which this
-    process runs; each other chunk runs in a forked child that pipes back its
-    results or its exception, pickled.  The first failing chunk in item order
-    raises, and a child with no readable result is an ``OSError``.  Every
-    child is reaped before this returns or raises.  All items run here where
-    ``fork`` is missing, where a second thread is alive (the child could
-    deadlock), or where a public function or class of the package has been
-    replaced since import (a tracer's wrapper, a test's stub): the
-    replacement may keep state in this process, which a child's calls would
-    never reach.  Where a fork fails, the items no child took run here."""
-    items = list(items)
-    forkable = hasattr(os, "fork") and threading.active_count() == 1 and all(
-        getattr(module, name, None) is value for module, name, value in _AS_IMPORTED)
-    workers = max(1, min(len(items), _usable_cpus())) if forkable else 1
-    size, extra = divmod(len(items), workers)
-    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
-    children = []  # (pid, pipe, first item's number) per child
-    rest = len(items)  # where the items that no child runs start
-    try:
-        for start, end in zip(bounds[1:], bounds[2:]):
-            import pickle  # imported only once a child is started: with signal, 5 ms of start-up
-            import signal
-
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to be had (EAGAIN, ENOMEM): this process runs the rest
-                os.close(read_fd)
-                os.close(write_fd)
-                rest = start
-                break
-            if pid == 0:  # the child reports and leaves, never returning here
-                try:
-                    with open(write_fd, "wb") as fh:
-                        try:
-                            result = True, [fn(item) for item in items[start:end]]
-                        except BaseException as exc:
-                            result = False, exc
-                        pickle.dump(result, fh)
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), start + 1))
-        results = [fn(item) for item in items[: bounds[1]]]
-        for pid, pipe, first in children:
-            try:
-                ok, value = pickle.load(pipe)
-            except Exception:  # a short or missing pickle ends in any of several exception types
-                raise OSError(f"worker process {pid} for items {first}.. ended with no result") from None
-            if not ok:
-                raise value
-            results += value
-        return results + [fn(item) for item in items[rest:]]
-    finally:  # a child whose result is read is only exiting; any other's is not needed
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _sha256(path: Path) -> str:
@@ -248,8 +188,10 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
     """Parse a replay log: header 't,x,y', then at least one row of raw
     top-left pixel coordinates, each inside ``frame``, edges included
     (``simulate`` calls a target outside it lost), and increasing times whose
-    9-digit telemetry texts differ.  A log with no row has no telemetry that
-    ``report`` could read, so it is refused like any other malformed log."""
+    9-digit telemetry texts differ.  Numbers are ASCII, with no ``_``: the
+    whole text is checked once, and the first line with any other character
+    is named.  A log with no row has no telemetry that ``report`` could read,
+    so it is refused like any other malformed log."""
     text = _read_text(path)
     if not text.strip():
         raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
@@ -258,6 +200,10 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
     header = [cell.strip() for cell in lines[0].split(",")]
     if header != ["t", "x", "y"]:
         raise ValueError(f"{path}: expected header 't,x,y', got {lines[0]!r}")
+    if not text.isascii() or "_" in text:  # float() takes any script's digits and "_" groups
+        ends = text.splitlines(keepends=True)  # a line separator outside ASCII stays on its line
+        lineno = next(n for n, line in enumerate(ends, start=1) if not line.isascii() or "_" in line)
+        raise ValueError(f"{path}: line {lineno}: non-ASCII character or '_' in {lines[lineno - 1]!r}")
     last_t = -math.inf
     to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
     for lineno, line in enumerate(lines[1:], start=2):
@@ -393,11 +339,9 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-# Every public function and class that the package's modules bind, as
-# imported: ``_fan_out`` forks only while each is still bound.
-_AS_IMPORTED = [(module, name, value) for module_name, module in list(sys.modules.items())
-                if module_name.startswith(f"{__package__}.")
-                for name, value in vars(module).items() if not name.startswith("_") and callable(value)]
+# The package modules loaded since ``trials`` (this one among them) join its
+# record of the functions as imported: ``_fan_out`` forks only while each is still bound.
+_note_as_imported()
 
 
 if __name__ == "__main__":

@@ -9,12 +9,22 @@ seeded lateral jitter applied to the arena waypoints before the run, standing
 in for the variation of a human operator moving the target between trials;
 the dynamics themselves are noise-free, so identical configurations produce
 bit-identical records.
+
+The trials of a batch are independent, so ``run_batch`` runs them through
+``_fan_out``, in up to one forked process per usable CPU; ``cli`` runs
+``simulate``'s trials and ``report``'s CSVs through it too.  A child sends
+its records back pickled as plain rows (``TrialRecord.__reduce__``), and the
+records are the serial run's, bit for bit, whatever the number of processes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import random
+import sys
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
@@ -171,6 +181,16 @@ class TrialSample(NamedTuple):
 class TrialRecord:
     samples: tuple[TrialSample, ...]
     dt: float
+
+    def __reduce__(self):
+        # Pickled as plain rows: a TrialSample saves and loads through Python
+        # code (``__getnewargs__``, ``__new__``), a plain tuple in C.
+        return _record_from_rows, (tuple(map(tuple, self.samples)), self.dt)
+
+
+def _record_from_rows(rows, dt: float) -> TrialRecord:
+    """The record that ``TrialRecord.__reduce__`` saved, each sample built in C."""
+    return TrialRecord(samples=tuple(map(functools.partial(tuple.__new__, TrialSample), rows)), dt=dt)
 
 
 def jitter_path(path: Path, amplitude: float, rng: random.Random) -> Path:
@@ -334,9 +354,95 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
 
 
 def run_batch(cfg: TrialConfig, count: int, seeds: list[int]) -> list[TrialRecord]:
-    """Independent trials, one per seed, collected in seed order."""
+    """Independent trials, one per seed, collected in seed order, on up to one
+    process per usable CPU (``_fan_out``): the same records whatever the count."""
     if not 1 <= count <= MAX_TRIALS_PER_BATCH:
         raise ValueError(f"count must be in [1, {MAX_TRIALS_PER_BATCH}], got {count}")
     if len(seeds) != count:
         raise ValueError(f"need exactly {count} seeds, got {len(seeds)}")
-    return [run_trial(replace(cfg, seed=seed)) for seed in seeds]
+    return _fan_out(lambda seed: run_trial(replace(cfg, seed=seed)), seeds)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fan_out(fn, items) -> list:
+    """``[fn(item) for item in items]``, in up to one process per usable CPU.
+    The items split into contiguous chunks, the largest first, which this
+    process runs; each other chunk runs in a forked child that pipes back its
+    results or its exception, pickled.  The first failing chunk in item order
+    raises, and a child with no readable result is an ``OSError``.  Every
+    child is reaped before this returns or raises.  All items run here where
+    ``fork`` is missing, where a second thread is alive (the child could
+    deadlock), or where a public function or class of the package has been
+    replaced since import (a tracer's wrapper, a test's stub): the
+    replacement may keep state in this process, which a child's calls would
+    never reach.  Where a fork fails, the items no child took run here."""
+    items = list(items)
+    forkable = hasattr(os, "fork") and threading.active_count() == 1 and all(
+        getattr(module, name, None) is value for module, name, value in _AS_IMPORTED)
+    workers = max(1, min(len(items), _usable_cpus())) if forkable else 1
+    size, extra = divmod(len(items), workers)
+    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+    children = []  # (pid, pipe, first item's number) per child
+    rest = len(items)  # where the items that no child runs start
+    try:
+        for start, end in zip(bounds[1:], bounds[2:]):
+            import pickle  # imported only once a child is started: with signal, 5 ms of start-up
+            import signal
+
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had (EAGAIN, ENOMEM): this process runs the rest
+                os.close(read_fd)
+                os.close(write_fd)
+                rest = start
+                break
+            if pid == 0:  # the child reports and leaves, never returning here
+                try:
+                    with open(write_fd, "wb") as fh:
+                        try:
+                            result = True, [fn(item) for item in items[start:end]]
+                        except BaseException as exc:
+                            result = False, exc
+                        pickle.dump(result, fh)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), start + 1))
+        results = [fn(item) for item in items[: bounds[1]]]
+        for pid, pipe, first in children:
+            try:
+                ok, value = pickle.load(pipe)
+            except Exception:  # a short or missing pickle ends in any of several exception types
+                raise OSError(f"worker process {pid} for items {first}.. ended with no result") from None
+            if not ok:
+                raise value
+            results += value
+        return results + [fn(item) for item in items[rest:]]
+    finally:  # a child whose result is read is only exiting; any other's is not needed
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+# Every public function and class that the package's modules bind, as
+# imported: ``_fan_out`` forks only while each is still bound.  Those loaded
+# so far, which include every module a trial calls, are noted here; ``cli``
+# notes the rest once it has loaded.
+_AS_IMPORTED: list = []
+
+
+def _note_as_imported() -> None:
+    """Note each binding of a loaded package module not noted yet."""
+    noted = {(module.__name__, name) for module, name, _ in _AS_IMPORTED}
+    _AS_IMPORTED.extend((module, name, value) for module_name, module in list(sys.modules.items())
+                        if module_name.startswith(f"{__package__}.")
+                        for name, value in vars(module).items()
+                        if not name.startswith("_") and callable(value) and (module_name, name) not in noted)
+
+
+_note_as_imported()

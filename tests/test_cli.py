@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_record
-from roitrack import cli, protocol, telemetry
+from roitrack import __version__, cli, protocol, telemetry, trials
 from roitrack.arenas import parse_kv_text
 from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, _replay_samples, main
 from roitrack.controller import ControllerConfig, decide, step
@@ -504,6 +504,35 @@ class TestFixtureHash:
         assert run_cli("simulate", "--config", config, "--arena", 2, "--out-dir", tmp_path / "two") == EXIT_OK
 
 
+class TestToolVersion:
+    def test_rerun_of_a_manifest_from_another_version_notes_both_versions(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run_cli("simulate", "--arena", 2, "--duration-s", 1.0, "--out-dir", first) == EXIT_OK
+        manifest = first / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        assert f"tool_version = {__version__}\n" in text
+        edited = tmp_path / "edited.txt"
+        edited.write_text(text.replace(f"tool_version = {__version__}", "tool_version = 9.9.9"), encoding="utf-8")
+        runs = []
+        for name, config in (("same", manifest), ("other", edited)):
+            capsys.readouterr()
+            out = tmp_path / name
+            assert run_cli("simulate", "--config", config, "--out-dir", out) == EXIT_OK
+            stdout, stderr = capsys.readouterr()
+            runs.append((stdout.replace(str(out), "OUT"), {p.name: p.read_bytes() for p in out.iterdir()}, stderr))
+        (same_out, same_files, same_err), (other_out, other_files, other_err) = runs
+        assert (other_out, other_files) == (same_out, same_files)
+        assert same_err == ""
+        assert other_err == f"note: {edited}: tool_version = 9.9.9, but this is roitrack {__version__}\n"
+
+    def test_replay_notes_another_version_too(self, tmp_path, capsys):
+        config, log = tmp_path / "run.cfg", tmp_path / "log.csv"
+        config.write_text("tool_version = 0.0.1\n", encoding="utf-8")
+        write_log(log, SWEEP_ROWS)
+        assert run_cli("replay", log, "--config", config, "--out-dir", tmp_path / "r") == EXIT_OK
+        assert capsys.readouterr().err == f"note: {config}: tool_version = 0.0.1, but this is roitrack {__version__}\n"
+
+
 class TestFanOut:
     """``simulate`` and ``report`` spread their items over worker processes;
     whatever the worker count, the bytes, the output and the errors are the
@@ -512,7 +541,7 @@ class TestFanOut:
     @staticmethod
     def workers(monkeypatch, count):
         assert count <= 4
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(trials, "_usable_cpus", lambda: count)
 
     @staticmethod
     def counted_forks(monkeypatch):
@@ -852,6 +881,25 @@ class TestReplay:
         log.write_text(f"t,x,y\n{line}\n1,960,360\n")
         assert run_cli("replay", log, "--out-dir", tmp_path / "r") == code
         assert capsys.readouterr().err == (f"error: {log}: {message}\n" if message else "")
+
+    # int() and float() also take other scripts' digits and "_" digit groups;
+    # no log number may hold them.  The first line holding one is named.
+    @pytest.mark.parametrize("text,line", [
+        ("t,x,y\n0,4_80,36_0\n0.0333333333,\u0664\u0668\u0660,360\n", "0,4_80,36_0"),
+        ("t,x,y\n0,480,360\n0.0333333333,\u0664\u0668\u0660,360\n", "0.0333333333,\u0664\u0668\u0660,360"),
+        ("t,x,y\n0,480,360\n0.033_3,480,360\n", "0.033_3,480,360"),
+        ("t,x,y\n0,\uff14\uff18\uff10,360\n", "0,\uff14\uff18\uff10,360"),
+        ("t,x,y\n0,480,360\u20281,480,360\n", "0,480,360"),
+        ("t,x,y\n0,480,360\n\u3000\n1,480,360\n", "\u3000"),
+        ("t,x,y\u00a0\n0,480,360\n", "t,x,y\u00a0"),
+    ])
+    def test_number_not_in_ascii_or_with_digit_groups_is_refused(self, tmp_path, capsys, text, line):
+        log, out = tmp_path / "log.csv", tmp_path / "r"
+        log.write_text(text, encoding="utf-8")
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
+        lineno = text.splitlines().index(line) + 1
+        assert capsys.readouterr() == ("", f"error: {log}: line {lineno}: non-ASCII character or '_' in {line!r}\n")
+        assert not out.exists()
 
     def test_non_monotonic_time_rejected(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import pickle
 import random
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -13,13 +18,14 @@ from hypothesis import strategies as st
 from roitrack import trials
 from roitrack.arenas import Path, _nearest_leg, build_arena, pursue
 from roitrack.controller import ControllerConfig, decide, step
-from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, classify_sector, relative_position, to_polar
+from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector, relative_position, to_polar
 from roitrack.trials import (
     DEFAULT_DT_S,
     MAX_CAMERA_OFFSET_M,
     MAX_STEPS_PER_TRIAL,
     MAX_TRIALS_PER_BATCH,
     TrialConfig,
+    TrialRecord,
     TrialSample,
     iter_trial,
     jitter_path,
@@ -413,6 +419,131 @@ class TestRunBatch:
         count = MAX_TRIALS_PER_BATCH + 1
         with pytest.raises(ValueError, match="count must be in"):
             run_batch(cfg, count, list(range(count)))
+
+
+class TestBatchFanOut:
+    """``run_batch`` spreads its trials over worker processes through
+    ``trials._fan_out``; whatever the worker count, the records and the
+    errors are the serial run's."""
+
+    SEEDS = [7, 8, 9, 10, 11]
+
+    @staticmethod
+    def workers(monkeypatch, count):
+        assert count <= 4
+        monkeypatch.setattr(trials, "_usable_cpus", lambda: count)
+
+    @staticmethod
+    def counted_forks(monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_records_are_the_serial_records_with_one_two_and_three_workers(self, monkeypatch, arena):
+        cfg = TrialConfig.baseline(arena, duration=4.0)
+        serial = [run_trial(replace(cfg, seed=seed)) for seed in self.SEEDS]
+        for count in (1, 2, 3):
+            self.workers(monkeypatch, count)
+            forks = self.counted_forks(monkeypatch)
+            records = run_batch(cfg, len(self.SEEDS), self.SEEDS)
+            assert len(forks) == count - 1
+            self.assert_no_child_left()
+            assert records == serial
+            for record, expected in zip(records, serial):
+                assert record.dt == expected.dt and len(record.samples) == len(expected.samples)
+                for sample, want in zip(record.samples, expected.samples):
+                    assert type(sample) is TrialSample and bits(sample) == bits(want)
+                    assert sample.sector is want.sector and sample.visible is want.visible
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_record_survives_a_pickle_round_trip(self, protocol):
+        lost = run_trial(TrialConfig.baseline(1, seed=1, usv_speed=5.0, duration=8.0))
+        signed_zeros = TrialSample(t=lost.samples[-1].t + lost.dt, x=-0.0, y=-0.0, p=0.0, sector=Sector.RIGHT,
+                                   yaw_cmd=-0.0, pitch_cmd=-0.0, visible=False)
+        record = TrialRecord(samples=(*lost.samples, signed_zeros), dt=lost.dt)
+        assert any(not s.visible for s in lost.samples)
+        saved = pickle.dumps(record, protocol=protocol)
+        assert b"TrialSample" not in saved  # plain rows, each rebuilt as a TrialSample in C
+        copy = pickle.loads(saved)
+        assert type(copy) is TrialRecord and copy == record and copy.dt == record.dt
+        for sample, want in zip(copy.samples, record.samples, strict=True):
+            assert type(sample) is TrialSample and bits(sample) == bits(want)
+            assert sample.sector is want.sector and sample.visible is want.visible
+        assert math.copysign(1.0, copy.samples[-1].yaw_cmd) == -1.0
+
+    def test_no_child_outlives_a_batch_that_succeeds_or_fails(self, monkeypatch):
+        cfg = TrialConfig.baseline(2, duration=1.0)
+        for count in (2, 3):
+            self.workers(monkeypatch, count)
+            assert len(run_batch(cfg, 3, [1, 2, 3])) == 3
+            self.assert_no_child_left()
+            # negative seeds are refused per trial, in the children's chunks here
+            for seeds, bad in [([1, 2, -1], -1), ([1, -2, -3], -2)]:
+                with pytest.raises(ValueError, match=f"^seed must be >= 0, got {bad}$"):
+                    run_batch(cfg, 3, seeds)
+                self.assert_no_child_left()
+
+    def test_a_replaced_run_trial_sees_every_seed_and_no_fork_happens(self, monkeypatch):
+        # a stub (or a tracer's wrapper) records its calls in this process
+        self.workers(monkeypatch, 3)
+        forks = self.counted_forks(monkeypatch)
+        seen = []
+
+        def counted_run_trial(cfg):
+            seen.append(cfg.seed)
+            return run_trial(cfg)
+
+        monkeypatch.setattr(trials, "run_trial", counted_run_trial)
+        cfg = TrialConfig.baseline(1, duration=1.0)
+        records = run_batch(cfg, len(self.SEEDS), self.SEEDS)
+        assert seen == self.SEEDS and forks == []
+        assert records == [run_trial(replace(cfg, seed=seed)) for seed in self.SEEDS]
+
+    def test_count_and_seed_refusals_come_before_any_fork(self, monkeypatch):
+        self.workers(monkeypatch, 3)
+        forks = []
+
+        def fork():
+            forks.append(1)
+            raise AssertionError("forked before the refusal")
+
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = TrialConfig.baseline(1, duration=DEFAULT_DT_S)
+        with pytest.raises(ValueError, match="need exactly 3 seeds, got 2"):
+            run_batch(cfg, 3, [1, 2])
+        with pytest.raises(ValueError, match="count must be in"):
+            run_batch(cfg, 0, [])
+        count = MAX_TRIALS_PER_BATCH + 1
+        with pytest.raises(ValueError, match="count must be in"):
+            run_batch(cfg, count, list(range(count)))
+        assert forks == []
+
+    def test_the_modules_a_trial_calls_are_noted_without_the_cli(self):
+        """A tracer replaces the functions of every module a trial calls, so
+        ``_fan_out`` must see them replaced even where ``cli`` never loaded."""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(trials.__file__).parents[1]))
+        script = ("import sys, roitrack.trials as t; print(' '.join(sorted({m.__name__ for m, _, _ in t._AS_IMPORTED})));"
+                  " print('roitrack.cli' in sys.modules)")
+        done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        noted, cli_loaded = done.stdout.splitlines()
+        layers = {"arenas", "controller", "geometry", "trials", "world"}
+        assert set(noted.split()) >= {f"roitrack.{layer}" for layer in layers} and cli_loaded == "False"
 
 
 class TestConfigValidation:
