@@ -5,6 +5,7 @@ trials or CSVs over the usable CPUs through ``trials._fan_out``, the helper
 that ``trials.run_batch`` runs on, with the same result.  Each setting of
 ``trials.SETTINGS`` is resolved here, from its default, a --config file and
 its flag; ``simulate`` builds its run with ``TrialConfig.from_settings``.  A
+--config is read, and a manifest written, by ``trials``' manifest codec.  A
 config whose ``tool_version`` is not this one's gets a one-line notice on
 stderr, and runs as it would otherwise.
 
@@ -31,14 +32,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .arenas import ARENA_FILES, arena_fixture_bytes, format_kv_text, parse_kv_text, parse_number
+from .arenas import ARENA_FILES, arena_fixture_bytes, parse_number
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .metrics import summarize_tallies
 from .telemetry import fmt_float, row_lines, serialize_report, tally_csv, write_trial_csv
-from .trials import (DEFAULT_DT_S, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out, _note_as_imported, iter_trial,
-                     settings_controller)
+from .trials import (DEFAULT_DT_S, MANIFEST_NAME, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out,
+                     _note_as_imported, _sha256, format_manifest, iter_trial, parse_manifest, settings_controller)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,9 +47,6 @@ EXIT_TRACKING_LOST = 2
 EXIT_IO = 3
 
 OUT_DIR_ENV = "ROITRACK_OUT_DIR"
-
-# Manifest bookkeeping keys, not settings; a config's fixture hash must be its arena's.
-_INFO_KEYS = {"tool_version", "seeds", "arena_fixture_sha256"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,20 +65,12 @@ def _settings(args) -> dict:
     """Resolve every setting: its table default < the --config file < its flag."""
     values = {key: default for key, (_, default) in SETTINGS.items()}
     if args.config:
-        config = parse_kv_text(_read_text(args.config), source=args.config)
-        if config.get("tool_version", __version__) != __version__:  # a notice: the rerun goes ahead
-            print(f"note: {args.config}: tool_version = {config['tool_version']}, but this is roitrack {__version__}",
-                  file=sys.stderr)
-        for key, text in config.items():
-            if key in _INFO_KEYS or key.startswith("artifact_"):
-                continue
-            if key not in SETTINGS:
-                raise ValueError(f"{args.config}: unknown config key {key!r}")
-            try:
-                values[key] = parse_number(SETTINGS[key][0], text)
-            except ValueError:
-                raise ValueError(f"{args.config}: bad value for {key}: {text!r}") from None
-        recorded, arena = config.get("arena_fixture_sha256"), values["arena"]
+        settings, info, _ = parse_manifest(_read_text(args.config), source=args.config)
+        version = info.get("tool_version", __version__)
+        if version != __version__:  # a notice: the rerun goes ahead
+            print(f"note: {args.config}: tool_version = {version}, but this is roitrack {__version__}", file=sys.stderr)
+        values.update(settings)
+        recorded, arena = info.get("arena_fixture_sha256"), values["arena"]  # the config's arena, not the flag's
         if recorded is not None and arena in ARENA_FILES and recorded != (current := _fixture_sha256(arena)):
             raise ValueError(f"{args.config}: arena_fixture_sha256 = {recorded}, but arena {arena}'s fixture"
                              f" hashes to {current}")
@@ -125,15 +115,6 @@ def _fixture_sha256(arena: int) -> str:
     return hashlib.sha256(arena_fixture_bytes(arena)).hexdigest()
 
 
-def _sha256(path: Path) -> str:
-    """Hash a file in 1 MiB blocks, so no more than one block is held."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 20):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def cmd_simulate(args) -> int:
     settings = _settings(args)
     arena, trials, seed = settings["arena"], settings["trials"], settings["seed"]
@@ -146,7 +127,7 @@ def cmd_simulate(args) -> int:
     seeds = [seed + i for i in range(trials)]
     out = _out_dir(args)
     csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
-    summary_path, manifest_path = out / "summary.txt", out / "manifest.txt"
+    summary_path, manifest_path = out / "summary.txt", out / MANIFEST_NAME
     # The manifest is put in place last, so a directory with a manifest holds
     # the run it describes.
     with _staged((*csv_paths, summary_path, manifest_path)) as staged:
@@ -157,18 +138,9 @@ def cmd_simulate(args) -> int:
         report = summarize_tallies(_fan_out(write_and_tally, range(trials)))
         staged[summary_path].write_text(serialize_report(report), encoding="utf-8")
 
-        manifest = {"tool_version": __version__}
-        for key, value in settings.items():
-            manifest[key] = repr(value)
-            if key == "seed":
-                manifest["seeds"] = " ".join(map(str, seeds))
-        manifest["arena_fixture_sha256"] = _fixture_sha256(arena)
-        for i, path in enumerate(csv_paths, start=1):
-            manifest[f"artifact_{i:03d}"] = path.name
-            manifest[f"artifact_{i:03d}_sha256"] = _sha256(staged[path])
-        manifest["artifact_summary"] = summary_path.name
-        manifest["artifact_summary_sha256"] = _sha256(staged[summary_path])
-        staged[manifest_path].write_text(format_kv_text(manifest), encoding="utf-8")
+        artifacts = {path.name: _sha256(staged[path]) for path in (*csv_paths, summary_path)}
+        manifest = format_manifest(settings, seeds, _fixture_sha256(arena), artifacts)
+        staged[manifest_path].write_text(manifest, encoding="utf-8")
 
         for path in (manifest_path, summary_path):  # an earlier run's, which a failed rename would leave beside other trials
             path.unlink(missing_ok=True)
@@ -321,7 +293,7 @@ def build_parser() -> _Parser:
 
     rpt = sub.add_parser("report", help="summarize telemetry CSVs")
     rpt.add_argument("csvs", nargs="+", help="telemetry CSV files")
-    rpt.add_argument("--dt-s", type=float, default=DEFAULT_DT_S, help="loop period the CSVs were recorded at")
+    add_setting(rpt, "dt_s", default=DEFAULT_DT_S, help="loop period the CSVs were recorded at")
     rpt.set_defaults(func=cmd_report)
     return parser
 

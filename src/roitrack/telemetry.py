@@ -1,4 +1,4 @@
-"""Bit-stable file formats: telemetry CSV, key-value manifests, reports.
+"""Bit-stable file formats: telemetry CSV and reports.
 
 Floats are serialized with 9 significant digits, decimal point, no locale
 formatting, so fixtures diff cleanly and identical runs produce identical
@@ -129,6 +129,7 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
     ``dt`` apart, up to the rounding of their 9-digit text and within
     ``dt / 2``; any other gap means a wrong ``dt``, missing rows, or a ``t``
     text too coarse to resolve ``dt``.  A row no run can write is rejected: a
+    character outside ASCII or a ``_``, which ``float()`` reads as digits; a
     non-finite ``t``, ``x``, ``y`` or ``P``, a negative ``P``, a command beyond
     the actuator cap or on both axes at once, or a command that contradicts
     ``P``.  A run commands nothing while ``P < 1`` or the target is lost, and
@@ -142,7 +143,8 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
     per call by ``_tail_verdict``, whose verdict is kept for the rows after it:
     a run writes at most 16 tails, and no more than ``_TAIL_VERDICTS`` are
     kept, so rows of ever new tails are checked each on its own.  Per row,
-    only the four numbers, the gap and the command against ``P`` are checked.
+    only its characters, the four numbers, the gap and the command against
+    ``P`` are checked.
     """
     add, dt, to_float, isfinite = acc.add, acc.dt, float, math.isfinite
     verdicts: dict[str, tuple] = {}
@@ -160,6 +162,8 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
         t_text, x_text, y_text, p_text, _ = fields
         refusal, yaw_cmd, pitch_cmd, visible, command, wrong_sign = verdict
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError("non-ASCII character or '_' in %r" % line.rstrip("\r\n"))
             t, x, y, p = to_float(t_text), to_float(x_text), to_float(y_text), to_float(p_text)
             if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(p)):
                 raise ValueError(f"non-finite value in t, x, y or P: {t_text},{x_text},{y_text},{p_text}")

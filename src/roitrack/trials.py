@@ -2,7 +2,8 @@
 
 ``SETTINGS`` describes a run once: the CLI's ``simulate`` and
 ``TrialConfig.baseline``, the run of every default, both build their
-configuration through ``TrialConfig.from_settings``.
+configuration through ``TrialConfig.from_settings``.  Beside it sits the run
+manifest's one codec, ``format_manifest`` and ``parse_manifest``.
 
 A trial is a pure function of its configuration.  The only randomness is a
 seeded lateral jitter applied to the arena waypoints before the run, standing
@@ -20,15 +21,19 @@ records are the serial run's, bit for bit, whatever the number of processes.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 import random
+import re
 import sys
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
-from .arenas import ARENA_FILES, DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena
+from . import __version__
+from .arenas import (ARENA_FILES, DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena,
+                     format_kv_text, parse_kv_text, parse_number)
 from .controller import MAX_RATE_RAD_S, ControllerConfig, decide
 from .geometry import DEFAULT_ROI_FRAC, TWO_PI, EllipseRoi, FrameSpec, Sector
 from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
@@ -74,6 +79,75 @@ SETTINGS = {
     "uav_y_m": (float, 0.0),
     "altitude_m": (float, 1.83),  # hover at 6 ft
 }
+
+MANIFEST_NAME = "manifest.txt"
+_ARTIFACT_KEY = re.compile(r"artifact_([0-9]{3,}|summary)(_sha256)?")
+
+
+def format_manifest(settings: dict, seeds: list[int], fixture_sha256: str, artifacts: dict[str, str]) -> str:
+    """The one writer of a run's manifest: ``tool_version``, each setting's
+    ``repr`` in ``SETTINGS`` order (``seeds`` after ``seed``), the arena
+    fixture's sha256, and an ``artifact_<label>``, ``artifact_<label>_sha256``
+    pair per artifact, name -> sha256: the trial CSVs, labelled from 001 in
+    the order given, then the summary."""
+    values = {"tool_version": __version__}
+    for key in SETTINGS:
+        values[key] = repr(settings[key])
+        if key == "seed":
+            values["seeds"] = " ".join(map(str, seeds))
+    values["arena_fixture_sha256"] = fixture_sha256
+    labels = [f"{i:03d}" for i in range(1, len(artifacts))] + ["summary"]
+    for label, (name, digest) in zip(labels, artifacts.items()):
+        values[f"artifact_{label}"], values[f"artifact_{label}_sha256"] = name, digest
+    return format_kv_text(values)
+
+
+def parse_manifest(text: str, source) -> tuple[dict, dict, dict]:
+    """The one reader of a manifest and of every ``--config``, which may hold
+    any of ``format_manifest``'s keys and no other: its settings, each parsed
+    by ``parse_number``; its other keys but the artifacts', as text; and its
+    artifacts, name -> sha256, each name a file in the run's directory.  A
+    refusal names ``source`` and the key."""
+    settings, info, names, digests = {}, {}, {}, {}
+    for key, value in parse_kv_text(text, source=source).items():
+        if key in SETTINGS:
+            try:
+                settings[key] = parse_number(SETTINGS[key][0], value)
+            except ValueError:
+                raise ValueError(f"{source}: bad value for {key}: {value!r}") from None
+        elif key in ("tool_version", "seeds", "arena_fixture_sha256"):
+            info[key] = value
+        elif match := _ARTIFACT_KEY.fullmatch(key):
+            if not match[2] and (os.path.basename(value) != value or value in ("", ".", "..")):
+                raise ValueError(f"{source}: {key} must name a file in the run's directory, got {value!r}")
+            (digests if match[2] else names)[match[1]] = value
+        else:
+            raise ValueError(f"{source}: unknown config key {key!r}")
+    if unpaired := sorted(names.keys() ^ digests.keys()):
+        raise ValueError(f"{source}: artifact_{unpaired[0]} needs both its name and its sha256")
+    return settings, info, {names[label]: digests[label] for label in names}
+
+
+def _sha256(path) -> str:
+    """Hash a file in 1 MiB blocks, so no more than one block is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def manifest_mismatches(directory) -> list[str]:
+    """Each artifact that the manifest in ``directory`` lists and that is
+    missing or does not hash to its recorded sha256, or the manifest itself
+    if it lists none: empty when every artifact is as the manifest records."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    with open(path, encoding="utf-8") as fh:
+        artifacts = parse_manifest(fh.read(), path)[2]
+    paths = {os.path.join(directory, name): digest for name, digest in artifacts.items()}
+    mismatches = [f"{artifact}: missing, or its sha256 is not the recorded {digest}" for artifact, digest in
+                  paths.items() if not os.path.isfile(artifact) or _sha256(artifact) != digest]
+    return mismatches if artifacts else [f"{path}: lists no artifact"]
 
 
 def settings_controller(settings: dict) -> ControllerConfig:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import read_record
 from roitrack import __version__, cli, protocol, telemetry, trials
-from roitrack.arenas import parse_kv_text
+from roitrack.arenas import arena_fixture_bytes
 from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, _replay_samples, main
 from roitrack.controller import ControllerConfig, decide, step
 from roitrack.geometry import (
@@ -48,13 +48,17 @@ from roitrack.telemetry import (
 )
 from roitrack.trials import (
     DEFAULT_DT_S,
+    MANIFEST_NAME,
     MAX_CAMERA_OFFSET_M,
     MAX_STEPS_PER_TRIAL,
     MAX_TRIALS_PER_BATCH,
     SETTINGS,
     TrialConfig,
     TrialSample,
+    format_manifest,
     iter_trial,
+    manifest_mismatches,
+    parse_manifest,
     run_batch,
     run_trial,
 )
@@ -163,11 +167,14 @@ class TestSimulate:
         summary = (tmp_path / "lost" / "summary.txt").read_text()
         assert "success = false" in summary
 
-    def test_unknown_config_key_is_usage_error(self, tmp_path):
+    # Only the artifact keys that simulate's manifest holds may start with "artifact_".
+    @pytest.mark.parametrize("key", ["warp_speed", "artifact_typo"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, key):
         config = tmp_path / "bad.cfg"
-        config.write_text("warp_speed = 9\n")
+        config.write_text(f"{key} = 9\n")
         assert run_cli("simulate", "--arena", 1, "--config", config,
                        "--out-dir", tmp_path / "x") == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {config}: unknown config key {key!r}\n"
 
     def test_duplicate_config_key_is_usage_error(self, tmp_path):
         config = tmp_path / "twice.cfg"
@@ -251,7 +258,7 @@ class TestSimulate:
                 fh.write(bytes([i]) * (1 << 20))
         tracemalloc.start()
         try:
-            digest = cli._sha256(path)
+            digest = trials._sha256(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,10 +272,29 @@ class TestSimulate:
         assert (target / "trial_001.csv").exists()
 
     def test_manifest_records_fixture_hash_and_seeds(self, sim_dir):
-        manifest = (sim_dir / "manifest.txt").read_text()
-        assert "arena_fixture_sha256 = " in manifest
-        assert "seeds = 7 8 9" in manifest
-        assert "tool_version = " in manifest
+        _, info, _ = parse_manifest((sim_dir / MANIFEST_NAME).read_text(encoding="utf-8"), MANIFEST_NAME)
+        assert info == {"tool_version": __version__, "seeds": "7 8 9",
+                        "arena_fixture_sha256": hashlib.sha256(arena_fixture_bytes(1)).hexdigest()}
+
+    # simulate writes its manifest last, from the files it then puts in place
+    @pytest.mark.parametrize("arena", [1, 2])
+    def test_every_artifact_hashes_to_its_manifest_sha256(self, tmp_path, arena):
+        out = tmp_path / f"r{arena}"
+        assert run_cli("simulate", "--arena", arena, "--trials", 3, "--seed", 7, "--out-dir", out) == EXIT_OK
+        assert manifest_mismatches(out) == []
+        _, _, artifacts = parse_manifest((out / MANIFEST_NAME).read_text(encoding="utf-8"), MANIFEST_NAME)
+        assert list(artifacts) == ["trial_001.csv", "trial_002.csv", "trial_003.csv", "summary.txt"]
+        with open(out / "trial_002.csv", "ab") as fh:
+            fh.write(b"0")
+        (out / "summary.txt").unlink()
+        assert manifest_mismatches(out) == [
+            f"{out / name}: missing, or its sha256 is not the recorded {artifacts[name]}"
+            for name in ("trial_002.csv", "summary.txt")
+        ]
+
+    def test_manifest_listing_no_artifact_is_a_mismatch(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text("arena = 1\nseed = 7\n", encoding="utf-8")
+        assert manifest_mismatches(tmp_path) == [f"{tmp_path / MANIFEST_NAME}: lists no artifact"]
 
     def test_manifest_records_fov_as_given(self, tmp_path):
         out = tmp_path / "fov"
@@ -445,10 +471,13 @@ class TestSettingsTable:
         first = tmp_path / "first"
         assert run_cli("simulate", "--config", config, "--seed", 11, "--out-dir", first) == EXIT_OK
 
-        manifest = parse_kv_text((first / "manifest.txt").read_text())
+        text = (first / MANIFEST_NAME).read_text(encoding="utf-8")
+        recorded, info, artifacts = parse_manifest(text, MANIFEST_NAME)
+        assert recorded == {**NON_DEFAULT_SETTINGS, "seed": 11}
         for key, value in NON_DEFAULT_SETTINGS.items():
-            assert manifest[key] == repr(11 if key == "seed" else value), key
-        assert manifest["seeds"] == "11 12"
+            assert repr(recorded[key]) == repr(11 if key == "seed" else value), key
+        assert info["seeds"] == "11 12"
+        assert format_manifest(recorded, [11, 12], info["arena_fixture_sha256"], artifacts) == text
 
         rerun = tmp_path / "rerun"
         assert run_cli("simulate", "--config", first / "manifest.txt", "--out-dir", rerun) == EXIT_OK
@@ -481,12 +510,28 @@ class TestStrictNumbers:
         assert capsys.readouterr().err == f"error: argument {flag}: invalid {kind} value: {text!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["0.0_3333333333333333", "\uff10.0333333333333333"])
+    def test_report_dt_is_refused_naming_the_flag(self, tmp_path, capsys, text):
+        assert run_cli("report", tmp_path / "any.csv", "--dt-s", text) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: argument --dt-s: invalid float value: {text!r}\n")
+
+    @pytest.mark.parametrize("row", [
+        "0.0666666667,1_0,0,0,right,0,0,true", "0.0666666667,\u0661,0,0,right,0,0,true",
+        "0.066666666_7,0,0,0,right,0,0,true", "0.0666666667,0,0,4,right,0.\uff13,0,true",
+    ])
+    def test_telemetry_number_is_refused_naming_file_and_line(self, tmp_path, capsys, row):
+        path = tmp_path / "run.csv"
+        path.write_text(f"{_HEADER}0.0333333333,0,0,0,right,0,0,true\n{row}\n", encoding="utf-8")
+        assert run_cli("report", path) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {path}: line 3: non-ASCII character or '_' in {row!r}\n")
+
 
 class TestFixtureHash:
     def test_rerun_of_a_manifest_with_another_fixture_hash_is_refused(self, sim_dir, tmp_path, capsys):
         manifest = sim_dir / "manifest.txt"
         text = manifest.read_text(encoding="utf-8")
-        current = parse_kv_text(text)["arena_fixture_sha256"]
+        _, info, _ = parse_manifest(text, manifest)
+        current = info["arena_fixture_sha256"]
         edited = tmp_path / "edited.txt"
         edited.write_text(text.replace(current, "0000"), encoding="utf-8")
         out = tmp_path / "rerun"
@@ -1584,9 +1629,12 @@ class TestPinnedBytes:
     written changes them; the CLI promises byte-stable artifacts."""
 
     def test_simulate_arena_2_seed_7(self, tmp_path):
+        # the manifest's bytes hold __version__ too, so a version bump changes its hash
         out = tmp_path / "sim"
         assert run_cli("simulate", "--arena", 2, "--trials", 2, "--seed", 7, "--out-dir", out) == EXIT_OK
-        assert {name: sha256_of(out / name) for name in ("summary.txt", "trial_001.csv", "trial_002.csv")} == {
+        names = ("manifest.txt", "summary.txt", "trial_001.csv", "trial_002.csv")
+        assert {name: sha256_of(out / name) for name in names} == {
+            "manifest.txt": "d1a2e35e0a2c431337bc679685159edae24796eb0759dcdf08eaaf096c030a91",
             "summary.txt": "87c48f983aa556d948b8a2fe0417b3b9cf01979bf17a736c62cf7b1a6370feb0",
             "trial_001.csv": "5d44d68891e1f4350fba6fc1368f7ba1b2f6f92ae2a86aefb6db01265ffaf0c4",
             "trial_002.csv": "f1cbfa4ca84b7d5797508d9f926fadec032b1ed7a8111c60bb8d33ef5adee7c2",

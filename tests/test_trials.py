@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from roitrack import trials
+from roitrack import __version__, trials
 from roitrack.arenas import Path, _nearest_leg, build_arena, pursue
 from roitrack.controller import ControllerConfig, decide, step
 from roitrack.geometry import EllipseRoi, FrameSpec, ImagePoint, Sector, classify_sector, relative_position, to_polar
@@ -24,11 +24,14 @@ from roitrack.trials import (
     MAX_CAMERA_OFFSET_M,
     MAX_STEPS_PER_TRIAL,
     MAX_TRIALS_PER_BATCH,
+    SETTINGS,
     TrialConfig,
     TrialRecord,
     TrialSample,
+    format_manifest,
     iter_trial,
     jitter_path,
+    parse_manifest,
     run_batch,
     run_trial,
     trial_path,
@@ -628,3 +631,86 @@ class TestConfigValidation:
     def test_steps_at_the_limit_accepted(self):
         cfg = TrialConfig.baseline(1, duration=MAX_STEPS_PER_TRIAL * 0.5, dt=0.5)
         assert round(cfg.duration / cfg.dt) == MAX_STEPS_PER_TRIAL
+
+
+# Each setting's own bounds, both ends accepted by a run (TrialConfig, and
+# simulate's --trials limit); duration_s and dt_s are bound further by each other.
+_MAX_FLOAT = sys.float_info.max
+ACCEPTED_RANGES = {
+    "arena": (1, 2),
+    "trials": (1, MAX_TRIALS_PER_BATCH),
+    "seed": (0, 2**64),
+    "duration_s": (5e-324, _MAX_FLOAT),
+    "dt_s": (5e-324, _MAX_FLOAT),
+    "usv_speed_mps": (0.0, _MAX_FLOAT),
+    "jitter_m": (0.0, MAX_CAMERA_OFFSET_M),
+    "lookahead_m": (5e-324, _MAX_FLOAT),
+    "roi_frac_x": (0.05, 0.49),
+    "roi_frac_y": (0.05, 0.49),
+    "rate_rad_s": (5e-324, 0.3),
+    "fov_deg": (1e-300, math.nextafter(180.0, 0.0)),
+    "frame_width_px": (1, 2**20),
+    "frame_height_px": (1, 2**20),
+    "uav_x_m": (-MAX_CAMERA_OFFSET_M, MAX_CAMERA_OFFSET_M),
+    "uav_y_m": (-MAX_CAMERA_OFFSET_M, MAX_CAMERA_OFFSET_M),
+    "altitude_m": (5e-324, MAX_CAMERA_OFFSET_M),
+}
+RESOLVED_DEFAULTS = {**{key: default for key, (_, default) in SETTINGS.items()},
+                     "arena": 1, "duration_s": trials.BASELINE_DURATION_S[1],
+                     "usv_speed_mps": trials.BASELINE_USV_SPEED_MPS[1]}
+ARTIFACTS = {"trial_001.csv": "a" * 64, "trial_002.csv": "b" * 64, "summary.txt": "c" * 64}
+
+
+def setting_values(key):
+    low, high = ACCEPTED_RANGES[key]
+    if SETTINGS[key][0] is int:
+        return st.integers(low, high)
+    ends = [value for value in (low, high, 1e-05, 0.1 + 0.2) if low <= value <= high]
+    return st.one_of(st.sampled_from(ends), st.floats(low, high))
+
+
+class TestManifestCodec:
+    def test_ranges_cover_every_setting_and_their_largest_values_build_a_config(self):
+        assert set(ACCEPTED_RANGES) == set(SETTINGS) == set(RESOLVED_DEFAULTS)
+        highs = {key: high for key, (_, high) in ACCEPTED_RANGES.items() if key not in ("trials", "seed")}
+        TrialConfig.from_settings({**RESOLVED_DEFAULTS, **highs})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SETTINGS)).flatmap(lambda key: st.tuples(st.just(key), setting_values(key))))
+    def test_every_setting_reads_back_as_written(self, key_value):
+        key, value = key_value
+        written = {**RESOLVED_DEFAULTS, key: value}
+        text = format_manifest(written, [7, 8], "f" * 64, ARTIFACTS)
+        settings_read, info, artifacts = parse_manifest(text, "manifest.txt")
+        assert settings_read == written
+        assert {k: repr(v) for k, v in settings_read.items()} == {k: repr(v) for k, v in written.items()}
+        assert info == {"tool_version": __version__, "seeds": "7 8", "arena_fixture_sha256": "f" * 64}
+        assert list(artifacts.items()) == list(ARTIFACTS.items())
+
+    def test_keys_are_written_in_settings_order_with_seeds_after_seed(self):
+        text = format_manifest(RESOLVED_DEFAULTS, [1], "f" * 64, ARTIFACTS)
+        keys = [line.split(" = ")[0] for line in text.splitlines()]
+        settings_keys = list(SETTINGS)
+        seed_at = settings_keys.index("seed") + 1
+        assert keys == ["tool_version", *settings_keys[:seed_at], "seeds", *settings_keys[seed_at:],
+                        "arena_fixture_sha256", "artifact_001", "artifact_001_sha256", "artifact_002",
+                        "artifact_002_sha256", "artifact_summary", "artifact_summary_sha256"]
+
+    @pytest.mark.parametrize("lines,label", [
+        (["artifact_001 = trial_001.csv"], "001"),
+        (["artifact_summary_sha256 = " + "c" * 64], "summary"),
+        (["artifact_002 = trial_002.csv", "artifact_001_sha256 = " + "a" * 64], "001"),
+    ])
+    def test_an_artifact_name_without_its_sha256_or_the_reverse_is_refused(self, lines, label):
+        with pytest.raises(ValueError, match=f"^run.cfg: artifact_{label} needs both its name and its sha256$"):
+            parse_manifest("".join(line + "\n" for line in lines), "run.cfg")
+
+    @pytest.mark.parametrize("key", ["artifact_01", "artifact_001_md5", "artifact_summary_", "artifact_\uff10\uff10\uff11"])
+    def test_a_key_the_writer_never_emits_is_refused(self, key):
+        with pytest.raises(ValueError, match=f"^run.cfg: unknown config key {key!r}$"):
+            parse_manifest(f"{key} = x\n", "run.cfg")
+
+    @pytest.mark.parametrize("name", ["../trial_001.csv", "/etc/hostname", "runs/trial_001.csv", "..", "."])
+    def test_an_artifact_outside_the_runs_directory_is_refused(self, name):
+        with pytest.raises(ValueError, match="^run.cfg: artifact_001 must name a file in the run's directory, got"):
+            parse_manifest(f"artifact_001 = {name}\nartifact_001_sha256 = {'a' * 64}\n", "run.cfg")
