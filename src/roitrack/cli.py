@@ -39,7 +39,8 @@ from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated
 from .metrics import summarize_tallies
 from .telemetry import fmt_float, row_lines, serialize_report, tally_csv, write_trial_csv
 from .trials import (DEFAULT_DT_S, MANIFEST_NAME, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out,
-                     _note_as_imported, _sha256, format_manifest, iter_trial, parse_manifest, settings_controller)
+                     _note_as_imported, _read_text, _sha256, format_manifest, iter_trial, parse_manifest,
+                     settings_controller)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,13 +53,6 @@ OUT_DIR_ENV = "ROITRACK_OUT_DIR"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep the exit-code contract
         raise ValueError(message)
-
-
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _settings(args) -> dict:
@@ -74,6 +68,11 @@ def _settings(args) -> dict:
         if recorded is not None and arena in ARENA_FILES and recorded != (current := _fixture_sha256(arena)):
             raise ValueError(f"{args.config}: arena_fixture_sha256 = {recorded}, but arena {arena}'s fixture"
                              f" hashes to {current}")
+        recorded, seed, trials = info.get("seeds"), values["seed"], values["trials"]  # the config's, as above
+        if recorded is not None and (len(words := recorded.split()) != trials  # counted before a list is built
+                                     or words != [str(seed + i) for i in range(trials)]):
+            raise ValueError(f"{args.config}: seeds = {recorded}, but seed = {seed} and trials = {trials}"
+                             f" run seeds {seed} to {seed + trials - 1}")
     for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:

@@ -128,6 +128,16 @@ def parse_manifest(text: str, source) -> tuple[dict, dict, dict]:
     return settings, info, {names[label]: digests[label] for label in names}
 
 
+def _read_text(path) -> str:
+    """The one reader of a run's text files: a config, a manifest, a replay
+    log.  A file that is not UTF-8 is refused naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _sha256(path) -> str:
     """Hash a file in 1 MiB blocks, so no more than one block is held."""
     digest = hashlib.sha256()
@@ -142,8 +152,7 @@ def manifest_mismatches(directory) -> list[str]:
     missing or does not hash to its recorded sha256, or the manifest itself
     if it lists none: empty when every artifact is as the manifest records."""
     path = os.path.join(directory, MANIFEST_NAME)
-    with open(path, encoding="utf-8") as fh:
-        artifacts = parse_manifest(fh.read(), path)[2]
+    artifacts = parse_manifest(_read_text(path), path)[2]
     paths = {os.path.join(directory, name): digest for name, digest in artifacts.items()}
     mismatches = [f"{artifact}: missing, or its sha256 is not the recorded {digest}" for artifact, digest in
                   paths.items() if not os.path.isfile(artifact) or _sha256(artifact) != digest]

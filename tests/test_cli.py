@@ -8,6 +8,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_record
@@ -296,6 +297,11 @@ class TestSimulate:
         (tmp_path / MANIFEST_NAME).write_text("arena = 1\nseed = 7\n", encoding="utf-8")
         assert manifest_mismatches(tmp_path) == [f"{tmp_path / MANIFEST_NAME}: lists no artifact"]
 
+    def test_manifest_not_in_utf8_is_refused_naming_it(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_bytes(b"arena = 1\nseed = \xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / MANIFEST_NAME))}: not UTF-8 text: "):
+            manifest_mismatches(tmp_path)
+
     def test_manifest_records_fov_as_given(self, tmp_path):
         out = tmp_path / "fov"
         assert run_cli("simulate", "--arena", 1, "--duration-s", 1.0, "--fov-deg", 96,
@@ -526,8 +532,19 @@ class TestStrictNumbers:
         assert capsys.readouterr() == ("", f"error: {path}: line 3: non-ASCII character or '_' in {row!r}\n")
 
 
+def rerun_argv(command, config, out, tmp_path):
+    """The argv of a ``simulate`` or ``replay`` run from ``config``; a replay
+    replays ``SWEEP_ROWS``."""
+    if command == "simulate":
+        return ["simulate", "--config", config, "--out-dir", out]
+    log = tmp_path / "log.csv"
+    write_log(log, SWEEP_ROWS)
+    return ["replay", log, "--config", config, "--out-dir", out]
+
+
 class TestFixtureHash:
-    def test_rerun_of_a_manifest_with_another_fixture_hash_is_refused(self, sim_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_rerun_of_a_manifest_with_another_fixture_hash_is_refused(self, sim_dir, tmp_path, capsys, command):
         manifest = sim_dir / "manifest.txt"
         text = manifest.read_text(encoding="utf-8")
         _, info, _ = parse_manifest(text, manifest)
@@ -536,7 +553,7 @@ class TestFixtureHash:
         edited.write_text(text.replace(current, "0000"), encoding="utf-8")
         out = tmp_path / "rerun"
         capsys.readouterr()
-        assert run_cli("simulate", "--config", edited, "--out-dir", out) == EXIT_USAGE
+        assert run_cli(*rerun_argv(command, edited, out, tmp_path)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {edited}: ") and "0000" in err and current in err
         assert not out.exists()
@@ -547,6 +564,45 @@ class TestFixtureHash:
         assert run_cli("simulate", "--arena", 1, "--duration-s", 1.0, "--out-dir", first) == EXIT_OK
         config = first / "manifest.txt"
         assert run_cli("simulate", "--config", config, "--arena", 2, "--out-dir", tmp_path / "two") == EXIT_OK
+
+
+class TestRecordedSeeds:
+    """A config's ``seeds`` must be the seeds its own ``seed`` and ``trials``
+    run, as its fixture hash must be its own arena's."""
+
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    @pytest.mark.parametrize("seeds", ["1 2", "banana", "7", "7 8 9"])
+    def test_rerun_of_a_manifest_with_other_seeds_is_refused(self, tmp_path, capsys, command, seeds):
+        first = tmp_path / "first"
+        argv = ["simulate", "--arena", 1, "--trials", 2, "--seed", 7, "--duration-s", 1.0, "--out-dir", first]
+        assert run_cli(*argv) == EXIT_OK
+        text = (first / MANIFEST_NAME).read_text(encoding="utf-8")
+        edited, out = tmp_path / "edited.txt", tmp_path / "rerun"
+        edited.write_text(text.replace("seeds = 7 8\n", f"seeds = {seeds}\n"), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(*rerun_argv(command, edited, out, tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {edited}: seeds = {seeds}, but seed = 7 and trials = 2"
+                                           f" run seeds 7 to 8\n")
+        assert not out.exists()
+
+    # The counts differ, so no list of 10**12 seeds is built to compare.
+    @pytest.mark.parametrize("command", ["simulate", "replay"])
+    def test_seeds_of_another_count_are_refused_before_any_list_is_built(self, tmp_path, capsys, command):
+        config, out = tmp_path / "run.cfg", tmp_path / "out"
+        config.write_text(f"arena = 1\ntrials = {10**12}\nseeds = 1\n", encoding="utf-8")
+        assert run_cli(*rerun_argv(command, config, out, tmp_path)) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: {config}: seeds = 1, but seed = 1 and trials = {10**12}"
+                                           f" run seeds 1 to {10**12}\n")
+        assert not out.exists()
+
+    def test_flags_change_the_run_and_not_the_recorded_seeds(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli("simulate", "--arena", 1, "--trials", 2, "--seed", 7, "--duration-s", 1.0,
+                       "--out-dir", first) == EXIT_OK
+        assert run_cli("simulate", "--config", first / MANIFEST_NAME, "--seed", 11, "--trials", 3,
+                       "--out-dir", second) == EXIT_OK
+        _, info, _ = parse_manifest((second / MANIFEST_NAME).read_text(encoding="utf-8"), MANIFEST_NAME)
+        assert info["seeds"] == "11 12 13"
 
 
 class TestToolVersion:
@@ -793,15 +849,45 @@ class TestFanOut:
         assert serialize_report(summarize_tallies(tallies)) == (sim_dir / "summary.txt").read_text(encoding="utf-8")
 
 
+def run_entry_point(*args, **env):
+    """``python -m roitrack.cli`` in a process of its own, with ``env`` added
+    to this one's environment: its exit code and stderr."""
+    env = dict(os.environ, **env, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "roitrack.cli", *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+class TestEntryPoint:
+    # A refused seed (random.Random seeds from |seed|, so -1 would rerun seed
+    # 1), a boat too fast to keep in view, and a rerun whose trial_002.csv
+    # cannot be put in place: each exit code reaches the shell as main returns it.
+    @pytest.mark.parametrize("code,seed,config", [
+        pytest.param(EXIT_USAGE, -1, "", id="exit-1"),
+        pytest.param(EXIT_TRACKING_LOST, 1, "usv_speed_mps = 5.0\n", id="exit-2"),
+        pytest.param(EXIT_IO, 100, "", id="exit-3"),
+    ])
+    def test_a_real_process_exits_with_the_documented_code(self, tmp_path, code, seed, config):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text("arena = 1\ntrials = 3\nduration_s = 8.0\n" + config, encoding="utf-8")
+        if code == EXIT_IO:
+            assert run_cli("simulate", "--config", cfg, "--seed", 7, "--out-dir", out) == EXIT_OK
+            (out / "trial_002.csv").unlink()
+            (out / "trial_002.csv").mkdir()
+        returncode, stderr = run_entry_point("simulate", "--config", cfg, "--seed", seed, "--out-dir", out)
+        assert returncode == code
+        if code == EXIT_USAGE:
+            assert (stderr, out.exists()) == ("error: seed must be >= 0, got -1\n", False)
+        elif code == EXIT_TRACKING_LOST:
+            assert stderr == "" and "success = false" in (out / "summary.txt").read_text(encoding="utf-8")
+        else:  # the earlier trials stay, and no manifest, summary or temporary is left beside them
+            assert stderr.startswith("i/o error: ") and "trial_002.csv" in stderr
+            assert sorted(p.name for p in out.iterdir()) == ["trial_001.csv", "trial_002.csv", "trial_003.csv"]
+
+
 class TestFileEncoding:
     # Python's locale encoding is ASCII here: no coercion to C.UTF-8, no UTF-8 mode.
     ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-
-    def run_in_ascii_locale(self, *args):
-        env = dict(os.environ, **self.ASCII_LOCALE, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-m", "roitrack.cli", *map(str, args)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        return done.returncode, done.stderr
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         """Every file is read and written as UTF-8: a config with a non-ASCII
@@ -817,7 +903,7 @@ class TestFileEncoding:
         for name, args in commands.items():
             utf8, ascii_ = tmp_path / f"{name}_utf8", tmp_path / f"{name}_ascii"
             assert run_cli(*args, "--out-dir", utf8) == EXIT_OK
-            assert self.run_in_ascii_locale(*args, "--out-dir", ascii_) == (EXIT_OK, "")
+            assert run_entry_point(*args, "--out-dir", ascii_, **self.ASCII_LOCALE) == (EXIT_OK, "")
             files = sorted(path.name for path in utf8.iterdir())
             assert files == sorted(path.name for path in ascii_.iterdir())
             for file in files:
@@ -1390,6 +1476,9 @@ def test_any_telemetry_file_exits_with_a_documented_code(data):
 
 
 @settings(max_examples=40, deadline=None)
+# the default 3-trial seed-7 run of each arena, run every time beside the drawn examples
+@example(arena=1, seed=7, trials=3, dt=DEFAULT_DT_S, duration=24.0, rate=0.3, roi_x=0.3, roi_y=0.3, fov=90.0)
+@example(arena=2, seed=7, trials=3, dt=DEFAULT_DT_S, duration=12.7, rate=0.3, roi_x=0.3, roi_y=0.3, fov=90.0)
 @given(
     arena=st.sampled_from([1, 2]),
     seed=st.integers(0, 1000),
@@ -1512,6 +1601,29 @@ def _agreement_settings(draw):
     }
 
 
+def write_raw_log(log, recorded, half_w, half_h):
+    """Write simulate's rows as a replay log: each centred ``x, y`` turned back
+    into raw top-left pixels of a frame of half-size ``half_w`` by ``half_h``,
+    which are returned."""
+    raw = [(float(x) + half_w, half_h - float(y)) for _, x, y, *_ in recorded]
+    log.write_text("t,x,y\n" + "".join(f"{row[0]},{x!r},{y!r}\n" for row, (x, y) in zip(recorded, raw)))
+    return raw
+
+
+def test_replay_of_the_seed_7_arena_1_trial_gives_exactly_its_sectors_and_commands(tmp_path):
+    """The property below, pinned to one run with no row excepted: every row of
+    the default seed-7 arena-1 trial is visible, and replay under its manifest
+    gives the same sector and commands on every row."""
+    sim, log, out = tmp_path / "sim", tmp_path / "log.csv", tmp_path / "out"
+    assert run_cli("simulate", "--arena", 1, "--trials", 1, "--seed", 7, "--out-dir", sim) == EXIT_OK
+    recorded = [line.split(",") for line in (sim / "trial_001.csv").read_text().splitlines()[1:]]
+    assert len(recorded) == 720 and all(row[7] == "true" for row in recorded)
+    write_raw_log(log, recorded, 960.0, 360.0)
+    assert run_cli("replay", log, "--config", sim / MANIFEST_NAME, "--out-dir", out) == EXIT_OK
+    replayed = [line.split(",") for line in (out / "replay_telemetry.csv").read_text().splitlines()[1:]]
+    assert [row[4:7] for row in replayed] == [row[4:7] for row in recorded]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_agreement_settings())
 def test_replay_of_a_simulated_trial_gives_its_sectors_and_commands(values):
@@ -1531,8 +1643,7 @@ def test_replay_of_a_simulated_trial_gives_its_sectors_and_commands(values):
         if any(row[7] != "true" for row in recorded):
             return
         half_w, half_h = values["frame_width_px"] / 2, values["frame_height_px"] / 2
-        raw = [(float(x) + half_w, half_h - float(y)) for _, x, y, *_ in recorded]
-        log.write_text("t,x,y\n" + "".join(f"{row[0]},{x!r},{y!r}\n" for row, (x, y) in zip(recorded, raw)))
+        raw = write_raw_log(log, recorded, half_w, half_h)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["replay", str(log), "--config", str(sim / "manifest.txt"), "--out-dir", str(out)])
