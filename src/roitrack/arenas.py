@@ -4,10 +4,6 @@ The two canonical arenas live in versioned fixture files under
 ``roitrack/data``: arena 1 is a rectangular circuit with corner cut-ins,
 arena 2 an open zig-zag track.  Their waypoint coordinates were calibrated
 once against the baseline trial configuration and are never tuned per test.
-The fixtures' flat ``key = value`` format is also the CLI's config format and
-the format of its manifests and reports, so its one parser, ``parse_kv_text``,
-its one writer, ``format_kv_text``, and ``parse_number``, which converts
-every number that a setting or a fixture holds, live here.
 """
 
 from __future__ import annotations
@@ -18,6 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .geometry import wrap_angle
+from .text import parse_kv_text, parse_number
 
 ARENA_FILES = {1: "arena1.cfg", 2: "arena2.cfg"}
 
@@ -66,42 +63,8 @@ class Path:
         return segs
 
 
-def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Parse flat 'key = value' lines; '#' starts a comment.
-
-    A key may appear only once, so no line can silently override another.
-    """
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}: line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ValueError(f"{source}: line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def parse_number(kind: type, text: str):
-    """``kind(text)``, ``kind`` being ``int`` or ``float``, for ASCII text
-    without ``_`` only: both also take other scripts' digits (``７``) and
-    digit groups (``0_5``), which no setting or fixture value may hold."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
-    return kind(text)
-
-
-def format_kv_text(values: dict[str, str]) -> str:
-    """The one writer of the ``key = value`` text that ``parse_kv_text`` reads."""
-    return "".join(f"{key} = {value}\n" for key, value in values.items())
-
-
 def parse_arena_text(text: str) -> Path:
-    """Parse the arena fixture format, the flat key-value text of ``parse_kv_text``.
+    """Parse the arena fixture format, the flat key-value text of ``text.parse_kv_text``.
 
     Recognized keys: ``closed`` (true/false) and ``waypoint_NN_m`` entries
     holding "x y" in meters, ordered by their index NN, which must be unique.

@@ -32,15 +32,15 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .arenas import ARENA_FILES, arena_fixture_bytes, parse_number
+from .arenas import ARENA_FILES, arena_fixture_bytes
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .metrics import summarize_tallies
-from .telemetry import fmt_float, row_lines, serialize_report, tally_csv, write_trial_csv
+from .telemetry import row_lines, serialize_report, tally_csv, write_trial_csv
+from .text import fmt_bool, fmt_float, is_plain, parse_number, read_text
 from .trials import (DEFAULT_DT_S, MANIFEST_NAME, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out,
-                     _note_as_imported, _read_text, _sha256, format_manifest, iter_trial, parse_manifest,
-                     settings_controller)
+                     _note_as_imported, _sha256, format_manifest, iter_trial, parse_manifest, settings_controller)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,7 +59,7 @@ def _settings(args) -> dict:
     """Resolve every setting: its table default < the --config file < its flag."""
     values = {key: default for key, (_, default) in SETTINGS.items()}
     if args.config:
-        settings, info, _ = parse_manifest(_read_text(args.config), source=args.config)
+        settings, info, _ = parse_manifest(read_text(args.config), source=args.config)
         version = info.get("tool_version", __version__)
         if version != __version__:  # a notice: the rerun goes ahead
             print(f"note: {args.config}: tool_version = {version}, but this is roitrack {__version__}", file=sys.stderr)
@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
 
     print(f"wrote {len(csv_paths)} trial CSVs, summary, and manifest to {out}")
     mean_text = fmt_float(report.mean_s) if report.mean_s is not None else "absent"
-    print(f"n = {report.n}, mean_s = {mean_text}, success = {'true' if report.success else 'false'}")
+    print(f"n = {report.n}, mean_s = {mean_text}, success = {fmt_bool(report.success)}")
     return EXIT_OK if report.success else EXIT_TRACKING_LOST
 
 
@@ -163,17 +163,16 @@ def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, floa
     whole text is checked once, and the first line with any other character
     is named.  A log with no row has no telemetry that ``report`` could read,
     so it is refused like any other malformed log."""
-    text = _read_text(path)
+    text = read_text(path)
     if not text.strip():
         raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
     rows: list[tuple[float, float, float]] = []
-    lines = text.splitlines()
+    lines = text.split("\n")
     header = [cell.strip() for cell in lines[0].split(",")]
     if header != ["t", "x", "y"]:
         raise ValueError(f"{path}: expected header 't,x,y', got {lines[0]!r}")
-    if not text.isascii() or "_" in text:  # float() takes any script's digits and "_" groups
-        ends = text.splitlines(keepends=True)  # a line separator outside ASCII stays on its line
-        lineno = next(n for n, line in enumerate(ends, start=1) if not line.isascii() or "_" in line)
+    if not is_plain(text):  # float() takes any script's digits and "_" groups
+        lineno = next(n for n, line in enumerate(lines, start=1) if not is_plain(line))
         raise ValueError(f"{path}: line {lineno}: non-ASCII character or '_' in {lines[lineno - 1]!r}")
     last_t = -math.inf
     to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)

@@ -18,7 +18,7 @@ through it: ``report`` runs it over its arguments and ``simulate`` over each
 CSV it has just written, each maybe in another process, which pickles the
 finished tally back.  So ``summary.txt`` is what ``report`` prints over the
 batch's CSVs by construction.  A report is the key-value text of
-``arenas.format_kv_text``.
+``text.format_kv_text``.
 """
 
 from __future__ import annotations
@@ -28,23 +28,15 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .arenas import format_kv_text
 from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
 from .metrics import RecordTally, SensitivityReport
+from .text import fmt_bool, fmt_float, format_kv_text, is_plain, open_text
 
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
 _BLOCK_LINES = 4096  # rows per write: under 0.5 MB of text
 _SIGNS = {sector.value: signs for sector, signs in _SECTOR_SIGNS.items()}  # a sector's word -> its command's signs
 _TAIL_VERDICTS = 64  # tail verdicts one tally_rows call keeps: a run writes at most 16 tails
 _WRONG_COLUMNS = (f"expected {len(CSV_COLUMNS)} columns", 0.0, 0.0, False, None, None)
-
-
-def fmt_float(value: float) -> str:
-    return "%.9g" % value
-
-
-def fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def row_lines(samples: Iterable[tuple]) -> Iterator[str]:
@@ -146,7 +138,7 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
     only its characters, the four numbers, the gap and the command against
     ``P`` are checked.
     """
-    add, dt, to_float, isfinite = acc.add, acc.dt, float, math.isfinite
+    add, dt, to_float, isfinite, plain = acc.add, acc.dt, float, math.isfinite, is_plain
     verdicts: dict[str, tuple] = {}
     last_t = last_abs_t = None
     for lineno, line in enumerate(lines, start=2):
@@ -162,7 +154,7 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
         t_text, x_text, y_text, p_text, _ = fields
         refusal, yaw_cmd, pitch_cmd, visible, command, wrong_sign = verdict
         try:
-            if not line.isascii() or "_" in line:
+            if not plain(line):
                 raise ValueError("non-ASCII character or '_' in %r" % line.rstrip("\r\n"))
             t, x, y, p = to_float(t_text), to_float(x_text), to_float(y_text), to_float(p_text)
             if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(p)):
@@ -197,14 +189,11 @@ def tally_csv(path: Path, dt: float) -> RecordTally:
     check the file's header, then tally its rows through ``tally_rows``, one
     line at a time, which refuses a file with no row after the header."""
     acc = RecordTally(dt)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split(",")
-            if header != CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            tally_rows(fh, acc, path)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    with open_text(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != CSV_COLUMNS:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        tally_rows(fh, acc, path)
     return acc.finish()
 
 

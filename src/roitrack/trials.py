@@ -32,10 +32,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple
 
 from . import __version__
-from .arenas import (ARENA_FILES, DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena,
-                     format_kv_text, parse_kv_text, parse_number)
+from .arenas import ARENA_FILES, DEFAULT_LOOKAHEAD_M, DEFAULT_MAX_RUDDER_RAD_S, Path, _nearest_leg, build_arena
 from .controller import MAX_RATE_RAD_S, ControllerConfig, decide
 from .geometry import DEFAULT_ROI_FRAC, TWO_PI, EllipseRoi, FrameSpec, Sector
+from .text import format_kv_text, parse_kv_text, parse_number, read_text
 from .world import TILT_MAX, TILT_MIN, CameraModel, UavPose, aim_at
 
 DEFAULT_DT_S = 1.0 / 30.0  # frame-driven control loop at 30 fps
@@ -128,16 +128,6 @@ def parse_manifest(text: str, source) -> tuple[dict, dict, dict]:
     return settings, info, {names[label]: digests[label] for label in names}
 
 
-def _read_text(path) -> str:
-    """The one reader of a run's text files: a config, a manifest, a replay
-    log.  A file that is not UTF-8 is refused naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _sha256(path) -> str:
     """Hash a file in 1 MiB blocks, so no more than one block is held."""
     digest = hashlib.sha256()
@@ -152,7 +142,7 @@ def manifest_mismatches(directory) -> list[str]:
     missing or does not hash to its recorded sha256, or the manifest itself
     if it lists none: empty when every artifact is as the manifest records."""
     path = os.path.join(directory, MANIFEST_NAME)
-    artifacts = parse_manifest(_read_text(path), path)[2]
+    artifacts = parse_manifest(read_text(path), path)[2]
     paths = {os.path.join(directory, name): digest for name, digest in artifacts.items()}
     mismatches = [f"{artifact}: missing, or its sha256 is not the recorded {digest}" for artifact, digest in
                   paths.items() if not os.path.isfile(artifact) or _sha256(artifact) != digest]

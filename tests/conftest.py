@@ -9,7 +9,8 @@ from hypothesis import settings
 
 from roitrack.controller import MAX_RATE_RAD_S
 from roitrack.geometry import Sector
-from roitrack.telemetry import CSV_COLUMNS, fmt_float
+from roitrack.telemetry import CSV_COLUMNS
+from roitrack.text import fmt_float
 
 # the whole artifact is determinism-first; property tests follow suit
 settings.register_profile("deterministic", derandomize=True)

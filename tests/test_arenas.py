@@ -107,6 +107,11 @@ class TestParse:
         with pytest.raises(ValueError, match=f"^arena: {key} = {value} is not"):
             parse_arena_text(f"closed = false\nwaypoint_0_m = 0 0\n{key} = {value}\n")
 
+    # A line ends at "\n" only: U+2028 inside a waypoint line starts no second waypoint.
+    def test_a_line_break_other_than_newline_starts_no_waypoint(self):
+        with pytest.raises(ValueError, match="^arena: waypoint_01_m = 0 0\u2028waypoint_02_m = 1 0 is not"):
+            parse_arena_text("closed = false\nwaypoint_01_m = 0 0\u2028waypoint_02_m = 1 0\n")
+
 
 class TestPathInvariants:
     def test_too_few_waypoints(self):

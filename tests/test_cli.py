@@ -38,15 +38,8 @@ from roitrack.geometry import (
 )
 from roitrack.metrics import RecordTally, summarize, summarize_tallies, tally
 from roitrack.protocol import BITS_PER_BYTE_ON_WIRE, LINE_RATE_BPS, CommandLink, MockTransport, encode
-from roitrack.telemetry import (
-    CSV_COLUMNS,
-    fmt_float,
-    row_lines,
-    serialize_report,
-    tally_csv,
-    tally_rows,
-    write_trial_csv,
-)
+from roitrack.telemetry import CSV_COLUMNS, row_lines, serialize_report, tally_csv, tally_rows, write_trial_csv
+from roitrack.text import fmt_float
 from roitrack.trials import (
     DEFAULT_DT_S,
     MANIFEST_NAME,
@@ -297,11 +290,6 @@ class TestSimulate:
         (tmp_path / MANIFEST_NAME).write_text("arena = 1\nseed = 7\n", encoding="utf-8")
         assert manifest_mismatches(tmp_path) == [f"{tmp_path / MANIFEST_NAME}: lists no artifact"]
 
-    def test_manifest_not_in_utf8_is_refused_naming_it(self, tmp_path):
-        (tmp_path / MANIFEST_NAME).write_bytes(b"arena = 1\nseed = \xff\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / MANIFEST_NAME))}: not UTF-8 text: "):
-            manifest_mismatches(tmp_path)
-
     def test_manifest_records_fov_as_given(self, tmp_path):
         out = tmp_path / "fov"
         assert run_cli("simulate", "--arena", 1, "--duration-s", 1.0, "--fov-deg", 96,
@@ -404,12 +392,6 @@ class TestSimulate:
         assert "steps per trial" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "binary.cfg"
-        config.write_bytes(b"seed = \xff\n")
-        assert run_cli("simulate", "--arena", 1, "--config", config,
-                       "--out-dir", tmp_path / "x") == EXIT_USAGE
-        assert "binary.cfg" in capsys.readouterr().err
 
 
 # A valid, non-default value for every setting; the flag below overrides one.
@@ -507,6 +489,17 @@ class TestStrictNumbers:
         config.write_text(f"arena = 1\n{key} = {text}\n", encoding="utf-8")
         assert run_cli("simulate", "--config", config, "--out-dir", out) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {config}: bad value for {key}: {text!r}\n")
+        assert not out.exists()
+
+    # A line ends at "\n" only: a form feed or U+0085 inside a config line
+    # starts no second setting; the rest of the line is the first one's value.
+    @pytest.mark.parametrize("separator", ["\x85", "\f"])
+    def test_a_line_break_other_than_newline_starts_no_setting(self, tmp_path, capsys, separator):
+        config, out = tmp_path / "run.cfg", tmp_path / "out"
+        config.write_text(f"arena = 1\nseed = 7{separator}trials = 2\n", encoding="utf-8")
+        assert run_cli("simulate", "--config", config, "--out-dir", out) == EXIT_USAGE
+        value = f"7{separator}trials = 2"
+        assert capsys.readouterr() == ("", f"error: {config}: bad value for seed: {value!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,text,kind", [("--seed", "\uff17", "int"), ("--fov-deg", "9_0", "float")])
@@ -909,6 +902,51 @@ class TestFileEncoding:
             for file in files:
                 assert (ascii_ / file).read_bytes() == (utf8 / file).read_bytes(), file
 
+    def test_every_command_names_the_encoding_of_the_files_it_opens(self, tmp_path):
+        """A file opened without an encoding would be read or written in the
+        locale's.  With these two variables each such open is an error in a
+        real process, and so is a DeprecationWarning, which Python 3.12+ gives
+        on a fork while another thread is alive."""
+        strict = {"PYTHONWARNDEFAULTENCODING": "1",
+                  "PYTHONWARNINGS": "error::EncodingWarning,error::DeprecationWarning"}
+        log, sim, replayed = tmp_path / "log.csv", tmp_path / "sim", tmp_path / "replay"
+        write_log(log, SWEEP_ROWS)
+        runs = [
+            ["simulate", "--arena", 1, "--trials", 2, "--seed", 7, "--out-dir", sim],
+            ["replay", log, "--config", sim / MANIFEST_NAME, "--out-dir", replayed],
+            ["report", sim / "trial_001.csv", sim / "trial_002.csv", replayed / "replay_telemetry.csv"],
+        ]
+        for argv in runs:
+            assert run_entry_point(*argv, **strict) == (EXIT_OK, ""), argv[0]
+
+    # Each reader's file holds a byte that is never UTF-8 (0xff) after text it
+    # can decode: for report, 400 rows, which it meets only after tallying
+    # some.  The refusal is one line naming the file, and nothing is written.
+    @pytest.mark.parametrize("reader", ["simulate --config", "replay --config", "replay log", "report",
+                                        "manifest_mismatches"])
+    def test_every_reader_refuses_a_file_not_in_utf8_naming_it(self, tmp_path, capsys, reader):
+        log, out, bad = tmp_path / "log.csv", tmp_path / "out", tmp_path / MANIFEST_NAME
+        write_log(log, SWEEP_ROWS)
+        rows = "".join(f"{fmt_float(i / 30)},0,0,0,right,0,0,true\n" for i in range(1, 401))
+        decodable = {"replay log": "t,x,y\n", "report": _HEADER + rows}.get(reader, "arena = 1\n")
+        bad.write_bytes(decodable.encode() + b"\xff\n")
+        refusal = (f"{re.escape(str(bad))}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+                   r" in position \d+: invalid start byte")
+        if reader == "manifest_mismatches":
+            with pytest.raises(ValueError, match=f"^{refusal}$"):
+                manifest_mismatches(tmp_path)
+            return
+        argv = {
+            "simulate --config": ["simulate", "--config", bad, "--out-dir", out],
+            "replay --config": ["replay", log, "--config", bad, "--out-dir", out],
+            "replay log": ["replay", bad, "--out-dir", out],
+            "report": ["report", bad],
+        }[reader]
+        assert run_cli(*argv) == EXIT_USAGE
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and re.fullmatch(f"error: {refusal}\n", stderr)
+        assert not out.exists()
+
 
 def write_log(path, rows):
     lines = ["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]
@@ -1020,7 +1058,7 @@ class TestReplay:
         ("t,x,y\n0,480,360\n0.0333333333,\u0664\u0668\u0660,360\n", "0.0333333333,\u0664\u0668\u0660,360"),
         ("t,x,y\n0,480,360\n0.033_3,480,360\n", "0.033_3,480,360"),
         ("t,x,y\n0,\uff14\uff18\uff10,360\n", "0,\uff14\uff18\uff10,360"),
-        ("t,x,y\n0,480,360\u20281,480,360\n", "0,480,360"),
+        ("t,x,y\n0,480,360\u20281,480,360\n", "0,480,360\u20281,480,360"),
         ("t,x,y\n0,480,360\n\u3000\n1,480,360\n", "\u3000"),
         ("t,x,y\u00a0\n0,480,360\n", "t,x,y\u00a0"),
     ])
@@ -1028,9 +1066,22 @@ class TestReplay:
         log, out = tmp_path / "log.csv", tmp_path / "r"
         log.write_text(text, encoding="utf-8")
         assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
-        lineno = text.splitlines().index(line) + 1
+        lineno = text.split("\n").index(line) + 1
         assert capsys.readouterr() == ("", f"error: {log}: line {lineno}: non-ASCII character or '_' in {line!r}\n")
         assert not out.exists()
+
+    # A line ends at "\n" only: a row ending in another ASCII line break is one
+    # line, not two.  float() strips "\v" and "\f" as whitespace, not "\x1c" to "\x1e".
+    @pytest.mark.parametrize("separator,message", [
+        ("\v", "line 3: expected 3 columns, got 4"),
+        ("\f", "line 3: expected 3 columns, got 4"),
+        *((separator, f"line 2: non-numeric value in {'0,960,360' + separator!r}") for separator in "\x1c\x1d\x1e"),
+    ])
+    def test_a_line_break_other_than_newline_starts_no_line(self, tmp_path, capsys, separator, message):
+        log = tmp_path / "log.csv"
+        log.write_text(f"t,x,y\n0,960,360{separator}\n1,960,360,0\n", encoding="utf-8")
+        assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {log}: {message}\n")
 
     def test_non_monotonic_time_rejected(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"
@@ -2010,12 +2061,6 @@ class TestReport:
         csv_path = tmp_path / "fine.csv"
         csv_path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,{row}\n")
         assert run_cli("report", csv_path) == EXIT_OK
-
-    def test_undecodable_csv_names_file(self, tmp_path, capsys):
-        bad = tmp_path / "binary.csv"
-        bad.write_bytes(b"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,0,right,0,0,true\n\xff\n")
-        assert run_cli("report", bad) == EXIT_USAGE
-        assert "binary.csv" in capsys.readouterr().err
 
     def test_long_number_field_is_read_as_its_value(self, tmp_path, capsys):
         # a row is split on commas, with no field-size limit: 200,000 zeros are 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,7 +15,16 @@ MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem != 
 
 
 def test_every_module_is_found():
-    assert len(MODULES) == 9
+    assert MODULES == ["arenas", "cli", "controller", "geometry", "metrics", "protocol", "telemetry", "text",
+                       "trials", "world"]
+
+
+def test_text_is_the_bottom_of_the_import_graph():
+    """``roitrack.text`` imports no ``roitrack`` module, so every other module may import it."""
+    tree = ast.parse((PACKAGE_DIR / "text.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported if name.startswith((".", "roitrack"))]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -20,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_record, reference_read_rows
-from roitrack.arenas import parse_kv_text
 from roitrack.cli import _replay_samples
 from roitrack.controller import ControllerConfig
 from roitrack.geometry import EllipseRoi, FrameSpec, Sector
 from roitrack.metrics import RecordTally, SensitivityReport, tally
 from roitrack.protocol import CommandLink, MockTransport
-from roitrack.telemetry import CSV_COLUMNS, fmt_float, row_lines, serialize_report, tally_rows, write_trial_csv
+from roitrack.telemetry import CSV_COLUMNS, row_lines, serialize_report, tally_rows, write_trial_csv
+from roitrack.text import fmt_float, parse_kv_text
 from roitrack.trials import DEFAULT_DT_S, TrialConfig, TrialSample, iter_trial
 
 
