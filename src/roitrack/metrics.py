@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .trials import TrialRecord
+if TYPE_CHECKING:  # annotations only: importing trials would load the simulator
+    from .trials import TrialRecord
 
 
 @dataclass(frozen=True)

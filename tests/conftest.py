@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import roitrack
+from roitrack import trials
 from roitrack.controller import MAX_RATE_RAD_S
 from roitrack.geometry import Sector
 from roitrack.telemetry import CSV_COLUMNS
@@ -127,3 +132,39 @@ def back_project(u: float, v: float, uav: UavPose, g: GimbalState, cam: CameraMo
 @pytest.fixture
 def make_record():
     return record_from_p
+
+
+def run_python(*args, **env) -> subprocess.CompletedProcess:
+    """``python *args`` in a process of its own that imports ``roitrack`` from
+    the source tree under test, with ``env`` added to this one's environment:
+    its exit code and its text output."""
+    env = dict(os.environ, **env, PYTHONPATH=str(Path(roitrack.__file__).parents[1]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120)
+
+
+# Scaffolding for the tests of ``trials._fan_out`` and of the commands and the
+# batches that run through it.
+def workers(monkeypatch, count):
+    """Run ``_fan_out`` in up to ``count`` processes, whatever the host's CPUs."""
+    assert count <= 4
+    monkeypatch.setattr(trials, "_usable_cpus", lambda: count)
+
+
+def counted_forks(monkeypatch):
+    """The list of the pids that each ``os.fork`` from here on gives this process."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

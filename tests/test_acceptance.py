@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import contextlib
 import math
+import pickle
 import random
 import time
 
 import pytest
 
-from conftest import back_project
+from conftest import back_project, counted_forks, workers
 from roitrack.controller import ControllerConfig, GimbalCommand, step
 from roitrack.geometry import (
     EllipseRoi,
@@ -177,6 +178,21 @@ def test_criterion_5_simulation_protocol_reproduction(acceptance_batches):
                 excursions = detect_excursions(record)
                 assert len(excursions) >= 1
                 assert all(exc.closed for exc in excursions)
+
+
+def test_criterion_5_with_one_worker(acceptance_batches, monkeypatch):
+    with criterion(5, "on one usable CPU, the 20 trials per arena are the same records, bit for bit, in <10s"):
+        batches, _ = acceptance_batches
+        workers(monkeypatch, 1)
+        forks = counted_forks(monkeypatch)
+        start = time.perf_counter()
+        one_worker = {arena: run_batch(TrialConfig.baseline(arena), len(ACCEPTANCE_SEEDS), ACCEPTANCE_SEEDS)
+                      for arena in (1, 2)}
+        assert time.perf_counter() - start < 10.0
+        assert forks == []
+        # a record pickles as plain rows of floats, each float as its 8 bytes, so
+        # equal pickles are equal bits; every criterion on the batches holds for these too
+        assert pickle.dumps(one_worker) == pickle.dumps(batches)
 
 
 def test_criterion_6_excursion_count_calibration(acceptance_batches):

@@ -10,8 +10,6 @@ import os
 import pickle
 import re
 import struct
-import subprocess
-import sys
 import tempfile
 import threading
 import tracemalloc
@@ -22,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_record
+from conftest import assert_no_child_left, counted_forks, read_record, run_python, workers
 from roitrack import __version__, cli, protocol, telemetry, trials
 from roitrack.arenas import arena_fixture_bytes
 from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_TRACKING_LOST, EXIT_USAGE, _replay_samples, main
@@ -231,6 +229,7 @@ class TestSimulate:
         argv = ["simulate", "--arena", 1, "--trials", 3, "--duration-s", 2.0, "--out-dir", out]
         assert run_cli(*argv, "--seed", 7) == EXIT_OK
         before = {p.name: p.read_bytes() for p in out.iterdir()}
+        workers(monkeypatch, 1)  # ``writes`` counts the calls made in this process
         writes = []
 
         def fill_the_disk_on_trial_2(lines, path):
@@ -632,42 +631,18 @@ class TestFanOut:
     whatever the worker count, the bytes, the output and the errors are the
     serial run's."""
 
-    @staticmethod
-    def workers(monkeypatch, count):
-        assert count <= 4
-        monkeypatch.setattr(trials, "_usable_cpus", lambda: count)
-
-    @staticmethod
-    def counted_forks(monkeypatch):
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return forks
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @pytest.mark.parametrize("arena", [1, 2])
     def test_outputs_are_the_same_bytes_with_one_two_and_three_workers(self, tmp_path, monkeypatch, capsys, arena):
         seen = []
         for count in (1, 2, 3):
-            self.workers(monkeypatch, count)
-            forks = self.counted_forks(monkeypatch)
+            workers(monkeypatch, count)
+            forks = counted_forks(monkeypatch)
             out = tmp_path / f"w{count}"
             assert run_cli("simulate", "--arena", arena, "--trials", 4, "--seed", 7, "--out-dir", out) == EXIT_OK
             csvs = sorted(out.glob("trial_*.csv"))
             assert run_cli("report", *csvs) == EXIT_OK
             assert len(forks) == 2 * (count - 1)  # each command forks all but its first chunk
-            self.assert_no_child_left()
+            assert_no_child_left()
             stdout = capsys.readouterr().out.replace(str(out), "OUT")
             seen.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
         assert seen[1] == seen[0] and seen[2] == seen[0]
@@ -693,31 +668,31 @@ class TestFanOut:
         monkeypatch.setattr(telemetry, "open", open_filling_the_disk_on_trial_3, raising=False)
         errors = []
         for count in (1, 2, 3):  # trial 3 is in a child's chunk with 2 and 3 workers
-            self.workers(monkeypatch, count)
-            forks = self.counted_forks(monkeypatch)
+            workers(monkeypatch, count)
+            forks = counted_forks(monkeypatch)
             assert run_cli(*argv, "--seed", 100) == EXIT_IO
             assert len(forks) == count - 1
             errors.append(capsys.readouterr())
-            self.assert_no_child_left()
+            assert_no_child_left()
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert errors[0].err.startswith("i/o error: [Errno 28] No space left on device")
         assert errors[1] == errors[0] and errors[2] == errors[0]
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_no_child_outlives_a_report_that_fails(self, sim_dir, tmp_path, monkeypatch, capsys, count):
-        self.workers(monkeypatch, count)
+        workers(monkeypatch, count)
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x\n", encoding="utf-8")
         csvs = sorted(sim_dir.glob("trial_*.csv"))
         assert run_cli("report", *csvs[:2], bad) == EXIT_USAGE
         assert run_cli("report", csvs[0], tmp_path / "missing.csv", bad) == EXIT_IO
-        self.assert_no_child_left()
+        assert_no_child_left()
         first, second = capsys.readouterr().err.splitlines()
         assert first == f"error: {bad}: unexpected header ['t', 'x']"
         assert second.startswith("i/o error: [Errno 2]") and "missing.csv" in second
 
     def test_no_fork_while_a_second_thread_is_alive(self, tmp_path, monkeypatch):
-        self.workers(monkeypatch, 3)
+        workers(monkeypatch, 3)
 
         def fork():
             raise AssertionError("forked with a second thread alive")
@@ -736,8 +711,8 @@ class TestFanOut:
 
     def test_a_replaced_package_function_keeps_every_item_here(self, tmp_path, monkeypatch):
         # a stub (or a tracer's wrapper) records its calls in this process
-        self.workers(monkeypatch, 3)
-        forks = self.counted_forks(monkeypatch)
+        workers(monkeypatch, 3)
+        forks = counted_forks(monkeypatch)
         tallied = []
 
         def counted_tally_csv(path, dt):
@@ -751,7 +726,7 @@ class TestFanOut:
         assert len(tallied) == 6 and forks == []
 
     def test_a_fork_that_fails_leaves_the_rest_to_this_process(self, tmp_path, monkeypatch, capsys):
-        self.workers(monkeypatch, 3)
+        workers(monkeypatch, 3)
         argv = ["simulate", "--arena", 1, "--trials", 5, "--seed", 7, "--duration-s", 2.0, "--out-dir"]
         serial = tmp_path / "serial"
         assert run_cli(*argv, serial) == EXIT_OK
@@ -770,70 +745,9 @@ class TestFanOut:
             out = tmp_path / f"failing_fork_{forks_before_failing}"
             assert run_cli(*argv, out) == EXIT_OK
             assert len(forks) == forks_before_failing
-            self.assert_no_child_left()
+            assert_no_child_left()
             stdout = capsys.readouterr().out.replace(str(out), "OUT")
             assert (stdout, {p.name: p.read_bytes() for p in out.iterdir()}) == expected
-
-    def test_rest_after_a_failed_fork_comes_after_the_children_in_item_order(self, monkeypatch):
-        self.workers(monkeypatch, 3)
-        real_fork = os.fork
-        forks = []
-
-        def fork():
-            if forks:
-                raise OSError(errno.ENOMEM, "Cannot allocate memory")
-            forks.append(pid := real_fork())
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        results = cli._fan_out(lambda i: (i, os.getpid()), range(7))
-        self.assert_no_child_left()
-        assert [i for i, _ in results] == list(range(7))
-        here = os.getpid()
-        assert [pid == here for _, pid in results] == [True] * 3 + [False] * 2 + [True] * 2
-
-    def test_first_failing_chunk_in_item_order_wins(self, monkeypatch):
-        self.workers(monkeypatch, 3)
-        parent = os.getpid()
-
-        def fail_in(*bad):
-            def fn(i):
-                if i in bad:
-                    raise ValueError(f"item {i} in {'parent' if os.getpid() == parent else 'child'}")
-                return i * i
-            return fn
-
-        assert cli._fan_out(fail_in(), range(7)) == [i * i for i in range(7)]
-        for bad, message in [((5, 3), "item 3 in child"), ((6, 0), "item 0 in parent"), ((6,), "item 6 in child")]:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                cli._fan_out(fail_in(*bad), range(7))
-            self.assert_no_child_left()
-
-    def test_child_with_no_result_is_an_io_error(self, monkeypatch):
-        self.workers(monkeypatch, 2)
-        parent = os.getpid()
-
-        def fn(i):
-            if os.getpid() != parent:
-                os._exit(0)
-            return i
-
-        with pytest.raises(OSError, match=r"^worker process \d+ for items 3\.\. ended with no result$"):
-            cli._fan_out(fn, range(4))
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    @pytest.mark.parametrize("count", [1, 2, 3, 4])
-    def test_results_come_back_in_item_order(self, monkeypatch, n, count):
-        self.workers(monkeypatch, count)
-        results = cli._fan_out(lambda i: (i, os.getpid()), range(n))
-        assert [i for i, _ in results] == list(range(n))
-        # one contiguous chunk per process, this process's first, the larger chunks first
-        pids = [pid for _, pid in results]
-        sizes = [len(list(group)) for _, group in itertools.groupby(pids)]
-        workers = min(n, count)
-        assert pids[0] == os.getpid() and len(set(pids)) == len(sizes) == workers
-        assert sizes == [n // workers + (i < n % workers) for i in range(workers)]
 
     def test_finished_tally_survives_a_pickle_round_trip(self, sim_dir):
         tallies = [tally_csv(path, DEFAULT_DT_S) for path in sorted(sim_dir.glob("trial_*.csv"))]
@@ -842,13 +756,16 @@ class TestFanOut:
         assert serialize_report(summarize_tallies(tallies)) == (sim_dir / "summary.txt").read_text(encoding="utf-8")
 
 
-def run_entry_point(*args, **env):
-    """``python -m roitrack.cli`` in a process of its own, with ``env`` added
-    to this one's environment: its exit code and stderr."""
-    env = dict(os.environ, **env, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "roitrack.cli", *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    return done.returncode, done.stderr
+# A child that pins itself to one CPU it may use, checks that ``_fan_out``
+# sees one, and runs the CLI as ``python -m roitrack.cli`` would.
+ON_ONE_CPU = """\
+import os, runpy, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from roitrack import trials
+if trials._usable_cpus() != 1:
+    sys.exit(f"pinned to one CPU, but trials._usable_cpus() reads {trials._usable_cpus()}")
+runpy.run_module("roitrack.cli", run_name="__main__")
+"""
 
 
 class TestEntryPoint:
@@ -867,7 +784,8 @@ class TestEntryPoint:
             assert run_cli("simulate", "--config", cfg, "--seed", 7, "--out-dir", out) == EXIT_OK
             (out / "trial_002.csv").unlink()
             (out / "trial_002.csv").mkdir()
-        returncode, stderr = run_entry_point("simulate", "--config", cfg, "--seed", seed, "--out-dir", out)
+        done = run_python("-m", "roitrack.cli", "simulate", "--config", cfg, "--seed", seed, "--out-dir", out)
+        returncode, stderr = done.returncode, done.stderr
         assert returncode == code
         if code == EXIT_USAGE:
             assert (stderr, out.exists()) == ("error: seed must be >= 0, got -1\n", False)
@@ -876,6 +794,30 @@ class TestEntryPoint:
         else:  # the earlier trials stay, and no manifest, summary or temporary is left beside them
             assert stderr.startswith("i/o error: ") and "trial_002.csv" in stderr
             assert sorted(p.name for p in out.iterdir()) == ["trial_001.csv", "trial_002.csv", "trial_003.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity to pin a process")
+    def test_stdlib_only_runs_give_the_same_bytes_on_every_cpu_and_on_one(self, tmp_path):
+        """``simulate``, ``report`` over its CSVs and ``replay`` of a 900-row log,
+        each a real process with site-packages off (-S), so an import from
+        outside the standard library fails even where it is installed.  Run
+        as they are, the trials and the CSVs are split across the usable CPUs;
+        pinned to one CPU, they run in one process.  Both give the same bytes."""
+        rows = [f"{i / 30!r},{960 + 900 * math.cos(i / 40)!r},{360 + 340 * math.sin(i / 25)!r}" for i in range(900)]
+        log = tmp_path / "log.csv"
+        log.write_text("t,x,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        seen = {}
+        for how, python in {"as_is": ["-m", "roitrack.cli"], "one_cpu": ["-c", ON_ONE_CPU]}.items():
+            out = tmp_path / how
+            runs = {"simulate": run_python("-S", *python, "simulate", "--arena", 2, "--trials", 3,
+                                           "--out-dir", out / "sim")}
+            runs["report"] = run_python("-S", *python, "report", *sorted((out / "sim").glob("trial_*.csv")))
+            runs["replay"] = run_python("-S", *python, "replay", log, "--out-dir", out / "replay")
+            for command, done in runs.items():
+                assert (done.returncode, done.stderr) == (EXIT_OK, ""), (how, command)
+            assert runs["report"].stdout == (out / "sim" / "summary.txt").read_text(encoding="utf-8")
+            files = {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+            seen[how] = [done.stdout.replace(str(out), "OUT") for done in runs.values()], files
+        assert len(seen["as_is"][1]) == 7 and seen["one_cpu"] == seen["as_is"]
 
 
 class TestFileEncoding:
@@ -896,7 +838,8 @@ class TestFileEncoding:
         for name, args in commands.items():
             utf8, ascii_ = tmp_path / f"{name}_utf8", tmp_path / f"{name}_ascii"
             assert run_cli(*args, "--out-dir", utf8) == EXIT_OK
-            assert run_entry_point(*args, "--out-dir", ascii_, **self.ASCII_LOCALE) == (EXIT_OK, "")
+            done = run_python("-m", "roitrack.cli", *args, "--out-dir", ascii_, **self.ASCII_LOCALE)
+            assert (done.returncode, done.stderr) == (EXIT_OK, "")
             files = sorted(path.name for path in utf8.iterdir())
             assert files == sorted(path.name for path in ascii_.iterdir())
             for file in files:
@@ -917,7 +860,8 @@ class TestFileEncoding:
             ["report", sim / "trial_001.csv", sim / "trial_002.csv", replayed / "replay_telemetry.csv"],
         ]
         for argv in runs:
-            assert run_entry_point(*argv, **strict) == (EXIT_OK, ""), argv[0]
+            done = run_python("-m", "roitrack.cli", *argv, **strict)
+            assert (done.returncode, done.stderr) == (EXIT_OK, ""), argv[0]
 
     # Each reader's file holds a byte that is never UTF-8 (0xff) after text it
     # can decode: for report, 400 rows, which it meets only after tallying

@@ -1,14 +1,12 @@
 from __future__ import annotations
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import roitrack
+from conftest import run_python
 
 PACKAGE_DIR = Path(roitrack.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__")
@@ -32,7 +30,15 @@ def test_each_module_imports_on_its_own(module):
     """The package root imports no module, so each must import alone in a fresh
     interpreter: no import cycle that only a fixed order resolves, and with
     site-packages off (-S) nothing outside the standard library."""
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    done = subprocess.run([sys.executable, "-S", "-c", f"import roitrack.{module}"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-S", "-c", f"import roitrack.{module}")
     assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("module", ["metrics", "telemetry"])
+def test_the_metrics_and_the_csv_codec_load_no_simulator(module):
+    """``report`` reads telemetry and summarizes it: ``metrics`` names
+    ``TrialRecord`` in annotations only, so neither loads the simulator."""
+    done = run_python("-S", "-c", f"import sys, roitrack.{module}; print(*sorted(sys.modules))")
+    assert (done.returncode, done.stderr) == (0, "")
+    loaded = set(done.stdout.split())
+    assert f"roitrack.{module}" in loaded and not loaded & {"roitrack.trials", "roitrack.arenas", "roitrack.world"}

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
+import errno
+import itertools
 import math
 import os
-import pathlib
 import pickle
 import random
 import struct
-import subprocess
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_child_left, counted_forks, run_python, workers
 from roitrack import __version__, trials
 from roitrack.arenas import Path, _nearest_leg, build_arena, pursue
 from roitrack.controller import ControllerConfig, decide, step
@@ -425,46 +426,22 @@ class TestRunBatch:
 
 
 class TestBatchFanOut:
-    """``run_batch`` spreads its trials over worker processes through
-    ``trials._fan_out``; whatever the worker count, the records and the
-    errors are the serial run's."""
+    """``trials._fan_out``, and ``run_batch``, which spreads its trials over
+    worker processes through it; whatever the worker count, the results and
+    the errors are the serial run's."""
 
     SEEDS = [7, 8, 9, 10, 11]
-
-    @staticmethod
-    def workers(monkeypatch, count):
-        assert count <= 4
-        monkeypatch.setattr(trials, "_usable_cpus", lambda: count)
-
-    @staticmethod
-    def counted_forks(monkeypatch):
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return forks
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("arena", [1, 2])
     def test_records_are_the_serial_records_with_one_two_and_three_workers(self, monkeypatch, arena):
         cfg = TrialConfig.baseline(arena, duration=4.0)
         serial = [run_trial(replace(cfg, seed=seed)) for seed in self.SEEDS]
         for count in (1, 2, 3):
-            self.workers(monkeypatch, count)
-            forks = self.counted_forks(monkeypatch)
+            workers(monkeypatch, count)
+            forks = counted_forks(monkeypatch)
             records = run_batch(cfg, len(self.SEEDS), self.SEEDS)
             assert len(forks) == count - 1
-            self.assert_no_child_left()
+            assert_no_child_left()
             assert records == serial
             for record, expected in zip(records, serial):
                 assert record.dt == expected.dt and len(record.samples) == len(expected.samples)
@@ -491,19 +468,19 @@ class TestBatchFanOut:
     def test_no_child_outlives_a_batch_that_succeeds_or_fails(self, monkeypatch):
         cfg = TrialConfig.baseline(2, duration=1.0)
         for count in (2, 3):
-            self.workers(monkeypatch, count)
+            workers(monkeypatch, count)
             assert len(run_batch(cfg, 3, [1, 2, 3])) == 3
-            self.assert_no_child_left()
+            assert_no_child_left()
             # negative seeds are refused per trial, in the children's chunks here
             for seeds, bad in [([1, 2, -1], -1), ([1, -2, -3], -2)]:
                 with pytest.raises(ValueError, match=f"^seed must be >= 0, got {bad}$"):
                     run_batch(cfg, 3, seeds)
-                self.assert_no_child_left()
+                assert_no_child_left()
 
     def test_a_replaced_run_trial_sees_every_seed_and_no_fork_happens(self, monkeypatch):
         # a stub (or a tracer's wrapper) records its calls in this process
-        self.workers(monkeypatch, 3)
-        forks = self.counted_forks(monkeypatch)
+        workers(monkeypatch, 3)
+        forks = counted_forks(monkeypatch)
         seen = []
 
         def counted_run_trial(cfg):
@@ -517,7 +494,7 @@ class TestBatchFanOut:
         assert records == [run_trial(replace(cfg, seed=seed)) for seed in self.SEEDS]
 
     def test_count_and_seed_refusals_come_before_any_fork(self, monkeypatch):
-        self.workers(monkeypatch, 3)
+        workers(monkeypatch, 3)
         forks = []
 
         def fork():
@@ -535,14 +512,73 @@ class TestBatchFanOut:
             run_batch(cfg, count, list(range(count)))
         assert forks == []
 
+    def test_rest_after_a_failed_fork_comes_after_the_children_in_item_order(self, monkeypatch):
+        workers(monkeypatch, 3)
+        real_fork = os.fork
+        forks = []
+
+        def fork():
+            if forks:
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            forks.append(pid := real_fork())
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        results = trials._fan_out(lambda i: (i, os.getpid()), range(7))
+        assert_no_child_left()
+        assert [i for i, _ in results] == list(range(7))
+        here = os.getpid()
+        assert [pid == here for _, pid in results] == [True] * 3 + [False] * 2 + [True] * 2
+
+    def test_first_failing_chunk_in_item_order_wins(self, monkeypatch):
+        workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def fail_in(*bad):
+            def fn(i):
+                if i in bad:
+                    raise ValueError(f"item {i} in {'parent' if os.getpid() == parent else 'child'}")
+                return i * i
+            return fn
+
+        assert trials._fan_out(fail_in(), range(7)) == [i * i for i in range(7)]
+        for bad, message in [((5, 3), "item 3 in child"), ((6, 0), "item 0 in parent"), ((6,), "item 6 in child")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                trials._fan_out(fail_in(*bad), range(7))
+            assert_no_child_left()
+
+    def test_child_with_no_result_is_an_io_error(self, monkeypatch):
+        workers(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() != parent:
+                os._exit(0)
+            return i
+
+        with pytest.raises(OSError, match=r"^worker process \d+ for items 3\.\. ended with no result$"):
+            trials._fan_out(fn, range(4))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_results_come_back_in_item_order(self, monkeypatch, n, count):
+        workers(monkeypatch, count)
+        results = trials._fan_out(lambda i: (i, os.getpid()), range(n))
+        assert [i for i, _ in results] == list(range(n))
+        # one contiguous chunk per process, this process's first, the larger chunks first
+        pids = [pid for _, pid in results]
+        sizes = [len(list(group)) for _, group in itertools.groupby(pids)]
+        used = min(n, count)
+        assert pids[0] == os.getpid() and len(set(pids)) == len(sizes) == used
+        assert sizes == [n // used + (i < n % used) for i in range(used)]
+
     def test_the_modules_a_trial_calls_are_noted_without_the_cli(self):
         """A tracer replaces the functions of every module a trial calls, so
         ``_fan_out`` must see them replaced even where ``cli`` never loaded."""
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(trials.__file__).parents[1]))
         script = ("import sys, roitrack.trials as t; print(' '.join(sorted({m.__name__ for m, _, _ in t._AS_IMPORTED})));"
                   " print('roitrack.cli' in sys.modules)")
-        done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True,
-                              timeout=60)
+        done = run_python("-S", "-c", script)
         assert (done.returncode, done.stderr) == (0, "")
         noted, cli_loaded = done.stdout.splitlines()
         layers = {"arenas", "controller", "geometry", "trials", "world"}
