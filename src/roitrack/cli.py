@@ -15,8 +15,9 @@ own message, raised here or in the library, and ``main`` alone turns it into
 one ``error:`` line and exit 1.  Both ``simulate`` and ``replay`` write their
 files under hidden temporary names and put them in place through ``_staged``
 only once all are written, so a failed run leaves its output directory as it
-was.  All artifacts are byte-stable: rerunning the same command (or a run
-manifest) reproduces them bit for bit.
+was; a directory that ``_out_dir`` made for the run is removed again.  All
+artifacts are byte-stable: rerunning the same command (or a run manifest)
+reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import contextlib
 import errno
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -82,11 +84,22 @@ def _settings(args) -> dict:
     return values
 
 
-def _out_dir(args) -> Path:
-    """Create the output directory: only once every check has passed."""
+@contextlib.contextmanager
+def _out_dir(args):
+    """Create the output directory, only once every check has passed, and
+    yield it.  If the block raises, each directory made here is removed again,
+    deepest first, while it is empty; one that was there before is never
+    removed."""
     out = Path(args.out_dir if args.out_dir is not None else os.environ.get(OUT_DIR_ENV, "runs"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    missing = list(itertools.takewhile(lambda path: not path.exists(), (out, *out.parents)))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except BaseException:
+        for path in missing:  # one not made, or not empty, stays
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
 
 @contextlib.contextmanager
@@ -124,25 +137,26 @@ def cmd_simulate(args) -> int:
     cfg = TrialConfig.from_settings(settings)
 
     seeds = [seed + i for i in range(trials)]
-    out = _out_dir(args)
-    csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
-    summary_path, manifest_path = out / "summary.txt", out / MANIFEST_NAME
-    # The manifest is put in place last, so a directory with a manifest holds
-    # the run it describes.
-    with _staged((*csv_paths, summary_path, manifest_path)) as staged:
-        def write_and_tally(i):
-            write_trial_csv(row_lines(iter_trial(replace(cfg, seed=seeds[i]))), staged[csv_paths[i]])
-            return tally_csv(staged[csv_paths[i]], cfg.dt)
+    with _out_dir(args) as out:
+        csv_paths = [out / f"trial_{i:03d}.csv" for i in range(1, trials + 1)]
+        summary_path, manifest_path = out / "summary.txt", out / MANIFEST_NAME
+        # The manifest is put in place last, so a directory with a manifest holds
+        # the run it describes.
+        with _staged((*csv_paths, summary_path, manifest_path)) as staged:
+            def write_and_tally(i):
+                write_trial_csv(row_lines(iter_trial(replace(cfg, seed=seeds[i]))), staged[csv_paths[i]])
+                return tally_csv(staged[csv_paths[i]], cfg.dt)
 
-        report = summarize_tallies(_fan_out(write_and_tally, range(trials)))
-        staged[summary_path].write_text(serialize_report(report), encoding="utf-8")
+            report = summarize_tallies(_fan_out(write_and_tally, range(trials)))
+            staged[summary_path].write_text(serialize_report(report), encoding="utf-8")
 
-        artifacts = {path.name: _sha256(staged[path]) for path in (*csv_paths, summary_path)}
-        manifest = format_manifest(settings, seeds, _fixture_sha256(arena), artifacts)
-        staged[manifest_path].write_text(manifest, encoding="utf-8")
+            artifacts = {path.name: _sha256(staged[path]) for path in (*csv_paths, summary_path)}
+            manifest = format_manifest(settings, seeds, _fixture_sha256(arena), artifacts)
+            staged[manifest_path].write_text(manifest, encoding="utf-8")
 
-        for path in (manifest_path, summary_path):  # an earlier run's, which a failed rename would leave beside other trials
-            path.unlink(missing_ok=True)
+            # an earlier run's, which a failed rename would leave beside other trials
+            for path in (manifest_path, summary_path):
+                path.unlink(missing_ok=True)
     for stale in out.glob("trial_*.csv"):  # an earlier, larger batch's; any other name or a directory is the user's
         digits = stale.name[len("trial_"):-len(".csv")]
         i = int(digits) if digits.isdecimal() else 0
@@ -235,17 +249,17 @@ def cmd_replay(args) -> int:
         raise ValueError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
     rows = _read_coordinate_log(Path(args.log), controller.frame)
 
-    out = _out_dir(args)
     transport = MockTransport()
     link = CommandLink(transport=transport)
-    telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
-    with _staged((telemetry_path, frames_path)) as staged:
-        try:
-            write_trial_csv(row_lines(_replay_samples(rows, controller, link)), staged[telemetry_path])
-        except TransportSaturated as exc:
-            raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
-        frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
-        staged[frames_path].write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
+    with _out_dir(args) as out:
+        telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
+        with _staged((telemetry_path, frames_path)) as staged:
+            try:
+                write_trial_csv(row_lines(_replay_samples(rows, controller, link)), staged[telemetry_path])
+            except TransportSaturated as exc:
+                raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
+            frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
+            staged[frames_path].write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
     print(f"replayed {len(rows)} rows: {len(transport.log)} frames -> {out}")
     return EXIT_OK
 

@@ -41,7 +41,6 @@ from roitrack.text import fmt_float
 from roitrack.trials import (
     DEFAULT_DT_S,
     MANIFEST_NAME,
-    MAX_CAMERA_OFFSET_M,
     MAX_STEPS_PER_TRIAL,
     MAX_TRIALS_PER_BATCH,
     SETTINGS,
@@ -123,25 +122,6 @@ class TestSimulate:
         record = read_record(sim_dir / "trial_001.csv", DEFAULT_DT_S)
         assert len(record.samples) == round(6.0 / DEFAULT_DT_S)
 
-    def test_zero_duration_is_usage_error(self, tmp_path):
-        code = run_cli("simulate", "--arena", 1, "--trials", 1,
-                       "--duration-s", 0, "--out-dir", tmp_path / "x")
-        assert code == EXIT_USAGE
-
-    def test_bad_arena_is_usage_error(self, tmp_path):
-        assert run_cli("simulate", "--arena", 9, "--out-dir", tmp_path / "x") == EXIT_USAGE
-
-    def test_negative_seed_is_usage_error_before_any_output(self, tmp_path, capsys):
-        # random.Random seeds from |seed|, so seed -1 would rerun seed 1's trial.
-        out = tmp_path / "x"
-        code = run_cli("simulate", "--arena", 1, "--trials", 3, "--seed", -1, "--duration-s", 2.0, "--out-dir", out)
-        assert code == EXIT_USAGE
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_missing_arena_is_usage_error(self, tmp_path):
-        assert run_cli("simulate", "--out-dir", tmp_path / "x") == EXIT_USAGE
-
     def test_seventeen_trials_on_arena_2_all_succeed(self, tmp_path):
         out = tmp_path / "a2"
         code = run_cli("simulate", "--arena", 2, "--trials", 17, "--seed", 7, "--out-dir", out)
@@ -158,30 +138,6 @@ class TestSimulate:
         assert code == EXIT_TRACKING_LOST
         summary = (tmp_path / "lost" / "summary.txt").read_text()
         assert "success = false" in summary
-
-    # Only the artifact keys that simulate's manifest holds may start with "artifact_".
-    @pytest.mark.parametrize("key", ["warp_speed", "artifact_typo"])
-    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, key):
-        config = tmp_path / "bad.cfg"
-        config.write_text(f"{key} = 9\n")
-        assert run_cli("simulate", "--arena", 1, "--config", config,
-                       "--out-dir", tmp_path / "x") == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {config}: unknown config key {key!r}\n"
-
-    def test_duplicate_config_key_is_usage_error(self, tmp_path):
-        config = tmp_path / "twice.cfg"
-        config.write_text("seed = 1\nseed = 1\n")
-        assert run_cli("simulate", "--arena", 1, "--config", config,
-                       "--out-dir", tmp_path / "x") == EXIT_USAGE
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--rate-rad-s", 0.5),
-        ("--roi-frac-x", 0.6),
-        ("--fov-deg", 190),
-    ])
-    def test_out_of_range_controller_flags_are_usage_errors(self, tmp_path, flag, value):
-        assert run_cli("simulate", "--arena", 1, flag, value,
-                       "--out-dir", tmp_path / "x") == EXIT_USAGE
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -244,6 +200,23 @@ class TestSimulate:
         assert len(writes) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, monkeypatch, capsys):
+        # a full disk: --out-dir a/b made both directories, and the failed run
+        # removes them again; tmp_path, there before the run, stays
+        workers(monkeypatch, 1)
+
+        def open_on_a_full_disk(file, mode="r", **kwargs):
+            if "w" in mode:
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(telemetry, "open", open_on_a_full_disk, raising=False)
+        out = tmp_path / "a" / "b"
+        assert run_cli("simulate", "--arena", 1, "--duration-s", 1, "--out-dir", out) == EXIT_IO
+        refusal = f"i/o error: [Errno 28] No space left on device: {str(out / '.trial_001.csv.tmp')!r}\n"
+        assert capsys.readouterr() == ("", refusal)
+        assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
+
     def test_manifest_hash_holds_one_block_not_the_file(self, tmp_path):
         path = tmp_path / "big.csv"
         with open(path, "wb") as fh:
@@ -295,102 +268,309 @@ class TestSimulate:
                        "--out-dir", out) == EXIT_OK
         assert "fov_deg = 96.0\n" in (out / "manifest.txt").read_text()
 
-    @pytest.mark.parametrize("flag,value", [("--duration-s", "nan"), ("--dt-s", "inf"), ("--dt-s", 100)])
-    def test_non_finite_or_stepless_timing_is_usage_error(self, tmp_path, flag, value):
-        assert run_cli("simulate", "--arena", 1, flag, value, "--out-dir", tmp_path / "x") == EXIT_USAGE
 
-    def test_non_finite_config_value_is_usage_error(self, tmp_path):
-        config = tmp_path / "nan.cfg"
-        config.write_text("lookahead_m = nan\n")
-        assert run_cli("simulate", "--arena", 1, "--config", config,
-                       "--out-dir", tmp_path / "x") == EXIT_USAGE
+def log_text(rows):
+    return "\n".join(["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]) + "\n"
 
-    @pytest.mark.parametrize("value", ["0", "-0.5"])
-    def test_non_positive_lookahead_is_usage_error(self, tmp_path, capsys, value):
-        config = tmp_path / "lookahead.cfg"
-        config.write_text(f"lookahead_m = {value}\n")
-        assert run_cli("simulate", "--arena", 1, "--config", config,
-                       "--out-dir", tmp_path / "x") == EXIT_USAGE
-        assert "lookahead must be positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("arena", [1, 2])
-    def test_jitter_overflowing_the_path_is_usage_error(self, tmp_path, capsys, arena):
-        config = tmp_path / "jitter.cfg"
-        config.write_text("jitter_m = 1e308\n")
-        out = tmp_path / "x"
-        assert run_cli("simulate", "--arena", arena, "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert "jitter_amplitude must be in [0, 1000.0] m" in capsys.readouterr().err
-        assert not out.exists()
+def write_log(path, rows):
+    path.write_text(log_text(rows))
 
-    def test_later_trial_with_a_non_finite_path_leaves_no_output(self, tmp_path, capsys):
-        # At this jitter arena 1's seed-4 path is finite and seed 5's is not: the
-        # run must fail before the first trial is written.
-        config = tmp_path / "jitter.cfg"
-        config.write_text("jitter_m = 1e154\n")
-        out = tmp_path / "x"
-        code = run_cli("simulate", "--arena", 1, "--trials", 2, "--seed", 4, "--duration-s", 1.0,
-                       "--config", config, "--out-dir", out)
-        assert code == EXIT_USAGE
-        assert "jitter_amplitude must be in [0, 1000.0] m" in capsys.readouterr().err
-        assert not out.exists()
 
-    def test_jitter_too_far_out_to_move_along_is_usage_error(self, tmp_path, capsys):
-        # At this jitter arena 1's seed-4 path is finite, but every step of the
-        # boat rounds away on it.
-        config = tmp_path / "jitter.cfg"
-        config.write_text("jitter_m = 1e153\n")
-        out = tmp_path / "x"
-        code = run_cli("simulate", "--arena", 1, "--seed", 4, "--duration-s", 2.0,
-                       "--config", config, "--out-dir", out)
-        assert code == EXIT_USAGE
-        assert "jitter_amplitude must be in [0, 1000.0] m" in capsys.readouterr().err
-        assert not out.exists()
+# 3 s of raw pixel rows sweeping the ellipse and all four sectors
+SWEEP_ROWS = [(i / 30, 960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
+# 20 rows 1 ms apart, alternating hard left and hard right: too dense for the serial link
+DENSE_ROWS = [(i / 1000, 20 if i % 2 == 0 else 1900, 360) for i in range(20)]
+# 1 s at Unix-epoch times, centred, with the target leaving the ROI on the last row
+EPOCH_ROWS = [(1.7e9 + i / 30, 960.0 if i < 29 else 1900.0, 360.0) for i in range(30)]
 
-    @pytest.mark.parametrize("key", ["frame_width_px", "frame_height_px"])
-    def test_frame_size_beyond_float_range_is_usage_error(self, tmp_path, capsys, key):
-        config = tmp_path / "frame.cfg"
-        config.write_text(f"{key} = {10**309}\n")
-        out = tmp_path / "x"
-        assert run_cli("simulate", "--arena", 1, "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert "frame dimensions must be within float range" in capsys.readouterr().err
-        assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["frame_width_px", "frame_height_px"])
-    def test_frame_size_too_large_for_p_is_usage_error(self, tmp_path, capsys, key):
-        # 10**308 px fits a float, but x * x and a * a overflow, so P would read nan
-        config = tmp_path / "frame.cfg"
-        config.write_text(f"{key} = {10**308}\n")
-        out = tmp_path / "x"
-        code = run_cli("simulate", "--arena", 1, "--duration-s", 2.0, "--config", config, "--out-dir", out)
-        assert code == EXIT_USAGE
-        assert "at most 2**20 px" in capsys.readouterr().err
-        assert not out.exists()
+def replay_controller(width=1920, height=720, roi=(0.3, 0.3), rate=0.3):
+    frame = FrameSpec(width, height)
+    return frame, ControllerConfig(roi=EllipseRoi.from_fractions(frame, *roi), frame=frame, rate_magnitude=rate)
 
-    @pytest.mark.parametrize("key", ["uav_x_m", "uav_y_m", "altitude_m"])
-    def test_camera_beyond_the_offset_bound_is_usage_error(self, tmp_path, capsys, key):
-        config = tmp_path / "far.cfg"
-        config.write_text(f"{key} = 1e308\n")
-        out = tmp_path / "x"
-        assert run_cli("simulate", "--arena", 1, "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert f"over {MAX_CAMERA_OFFSET_M} m" in capsys.readouterr().err
-        assert not out.exists()
 
-    def test_trials_over_the_limit_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        code = run_cli("simulate", "--arena", 1, "--trials", MAX_TRIALS_PER_BATCH + 1,
-                       "--duration-s", 1.0, "--dt-s", 1.0, "--out-dir", out)
-        assert code == EXIT_USAGE
-        assert f"--trials must be in [1, {MAX_TRIALS_PER_BATCH}]" in capsys.readouterr().err
-        assert not out.exists()
+_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
-    @pytest.mark.parametrize("duration,dt", [(MAX_STEPS_PER_TRIAL + 1, 1.0), (1e12, 1e-3)])
-    def test_steps_over_the_limit_is_usage_error(self, tmp_path, capsys, duration, dt):
-        out = tmp_path / "x"
-        code = run_cli("simulate", "--arena", 1, "--duration-s", duration, "--dt-s", dt, "--out-dir", out)
-        assert code == EXIT_USAGE
-        assert "steps per trial" in capsys.readouterr().err
-        assert not out.exists()
 
+def telemetry_text(*rows):
+    return _HEADER + "".join(row + "\n" for row in rows)
+
+
+def refused(id, argv, message, code=EXIT_USAGE, **files):
+    """One row of the refusal table.  ``files`` maps a name to its file's text,
+    or to None for a file that does not exist.  ``argv``, split at spaces, and
+    ``message`` name each file's path ``{name}``; a ``simulate`` or ``replay``
+    row writes to ``--out-dir {out}``."""
+    argv = argv.split()
+    if argv[0] in ("simulate", "replay"):
+        argv += ["--out-dir", "{out}"]
+    return pytest.param(files, argv, code, message, id=id)
+
+
+_SIM = "simulate --arena 1 --config {cfg}"
+_FRAME_SIDES = [("width", "frame_width_px", "{}x720"), ("height", "frame_height_px", "1920x{}")]
+_FLOAT_RANGE = "frame dimensions must be within float range for P, at most 2**20 px, got "
+_OFF_FRAME = "non-finite time or position outside the frame in "
+_OFF_WIRE = ("rate_rad_s = {0} cannot go on the serial link: command ({0}, 0.0) has no exact frame:"
+             " '{1}' reads back as ({2}, 0.0)")
+_NOT_PLAIN = "non-ASCII character or '_' in "
+_ROW = "0.0333333333,0,0,"  # a first row's time and position, before its P
+
+# Every input the CLI refuses, one row each.  A row pins the whole outcome: its
+# exit code (1, or 3 for a missing file), nothing on stdout, exactly its one
+# error line on stderr, and no output directory left behind.  A new refusal is
+# a new row.
+REFUSALS = [
+    # simulate: flags
+    refused("zero-duration", "simulate --arena 1 --trials 1 --duration-s 0", "duration must be positive, got 0.0"),
+    refused("arena-9", "simulate --arena 9", "argument --arena: invalid choice: 9 (choose from 1, 2)"),
+    refused("no-arena", "simulate", "an arena id is required (--arena or config)"),
+    # random.Random seeds from |seed|, so seed -1 would rerun seed 1's trial
+    refused("negative-seed", "simulate --arena 1 --trials 3 --seed -1 --duration-s 2.0", "seed must be >= 0, got -1"),
+    refused("non-integer-trials", "simulate --arena 1 --trials abc", "argument --trials: invalid int value: 'abc'"),
+    refused("rate-over-max", "simulate --arena 1 --rate-rad-s 0.5", "rate_magnitude must be in (0, 0.3], got 0.5"),
+    refused("roi-frac-over-half", "simulate --arena 1 --roi-frac-x 0.6", "frac_x must be in [0.05, 0.49], got 0.6"),
+    refused("fov-190", "simulate --arena 1 --fov-deg 190", "horizontal_fov must be in (0, pi), got 3.3161255787892263"),
+    refused("nan-duration", "simulate --arena 1 --duration-s nan", "duration_s must be finite, got nan"),
+    refused("inf-dt", "simulate --arena 1 --dt-s inf", "dt_s must be finite, got inf"),
+    refused("dt-over-duration", "simulate --arena 1 --dt-s 100", "duration 24.0 is shorter than one dt step of 100.0"),
+    refused("trials-over-limit", f"simulate --arena 1 --trials {MAX_TRIALS_PER_BATCH + 1} --duration-s 1.0 --dt-s 1.0",
+            f"--trials must be in [1, {MAX_TRIALS_PER_BATCH}], got {MAX_TRIALS_PER_BATCH + 1}"),
+    *(refused(f"steps-over-limit-{i}", f"simulate --arena 1 --duration-s {duration} --dt-s {dt}",
+              f"duration {float(duration)} / dt {float(dt)} is over the limit of {MAX_STEPS_PER_TRIAL} steps per trial")
+      for i, (duration, dt) in enumerate([(MAX_STEPS_PER_TRIAL + 1, 1.0), (1e12, 1e-3)], start=1)),
+    # int() and float() also take other scripts' digits and "_" digit groups;
+    # no flag, config, log or telemetry number may hold them
+    refused("seed-flag-fullwidth", "simulate --arena 1 --seed \uff17", "argument --seed: invalid int value: '\uff17'"),
+    refused("fov-flag-digit-group", "simulate --arena 1 --fov-deg 9_0",
+            "argument --fov-deg: invalid float value: '9_0'"),
+    # simulate: a --config file
+    refused("config-line-without-equals", _SIM, "{cfg}: line 1: expected 'key = value', got 'seed 1'", cfg="seed 1\n"),
+    # only the artifact keys that simulate's manifest holds may start with "artifact_"
+    *(refused(f"config-key-{key}", _SIM, f"{{cfg}}: unknown config key {key!r}", cfg=f"{key} = 9\n")
+      for key in ("warp_speed", "artifact_typo")),
+    refused("config-key-twice", _SIM, "{cfg}: line 2: duplicate key 'seed'", cfg="seed = 1\nseed = 1\n"),
+    *(refused(f"config-number-{i}", "simulate --config {cfg}", f"{{cfg}}: bad value for {key}: {text!r}",
+              cfg=f"arena = 1\n{key} = {text}\n")
+      for i, (key, text) in enumerate([("seed", "\uff17"), ("trials", "\u0662"), ("lookahead_m", "0_5"),
+                                       ("duration_s", "1_0.0"), ("rate_rad_s", "0.\uff12")], start=1)),
+    # a line ends at "\n" only: a form feed or U+0085 in a config line starts
+    # no second setting; the rest of the line is the first one's value
+    *(refused(f"config-line-break-{i}", "simulate --config {cfg}", f"{{cfg}}: bad value for seed: {value!r}",
+              cfg=f"arena = 1\nseed = {value}\n")
+      for i, value in enumerate(["7\x85trials = 2", "7\ftrials = 2"], start=1)),
+    refused("config-nan-lookahead", _SIM, "lookahead_m must be finite, got nan", cfg="lookahead_m = nan\n"),
+    *(refused(f"config-lookahead-{value}", _SIM, f"lookahead must be positive, got {float(value)}",
+              cfg=f"lookahead_m = {value}\n")
+      for value in ("0", "-0.5")),
+    refused("config-zero-frame-width", _SIM, "frame dimensions must be positive, got 0x720",
+            cfg="frame_width_px = 0\n"),
+    # 10**308 px fits a float, but x * x and a * a overflow, so P would read nan
+    *(refused(f"config-frame-{side}-10**{power}", "simulate --arena 1 --duration-s 2.0 --config {cfg}",
+              _FLOAT_RANGE + size.format(10**power), cfg=f"{key} = {10**power}\n")
+      for side, key, size in _FRAME_SIDES for power in (309, 308)),
+    *(refused(f"config-camera-{key}", _SIM, f"camera platform at {position} is over 1000.0 m from the arena origin"
+              " along an axis", cfg=f"{key} = 1e308\n")
+      for key, position in [("uav_x_m", "(1e+308, 0.0, 1.83)"), ("uav_y_m", "(0.0, 1e+308, 1.83)"),
+                            ("altitude_m", "(0.0, 0.0, 1e+308)")]),
+    *(refused(f"config-jitter-on-arena-{arena}", f"simulate --arena {arena} --config {{cfg}}",
+              "jitter_amplitude must be in [0, 1000.0] m, got 1e+308", cfg="jitter_m = 1e308\n")
+      for arena in (1, 2)),
+    # at this jitter arena 1's seed-4 path is finite and seed 5's is not: the
+    # run fails before the first trial is written
+    refused("config-jitter-non-finite-in-a-later-trial",
+            "simulate --arena 1 --trials 2 --seed 4 --duration-s 1.0 --config {cfg}",
+            "jitter_amplitude must be in [0, 1000.0] m, got 1e+154", cfg="jitter_m = 1e154\n"),
+    # at this jitter arena 1's seed-4 path is finite, but every step of the boat rounds away on it
+    refused("config-jitter-too-far-out-to-move-along", "simulate --arena 1 --seed 4 --duration-s 2.0 --config {cfg}",
+            "jitter_amplitude must be in [0, 1000.0] m, got 1e+153", cfg="jitter_m = 1e153\n"),
+    # replay: settings.  The link carries whole hundredths of a rad/s: 0.004
+    # would go out as "Yaw 0.0" and never move the gimbal.
+    *(refused(f"replay-rate-{rate}", f"replay {{log}} --rate-rad-s {rate}", _OFF_WIRE.format(rate, frame, back),
+              log=log_text(SWEEP_ROWS))
+      for rate, frame, back in [("0.004", "Yaw 0.0", "0.0"), ("0.005", "Yaw 0.01", "0.01"),
+                                ("0.123", "Yaw 0.12", "0.12")]),
+    refused("replay-config-rate-0.004", "replay {absent} --config {cfg}", _OFF_WIRE.format("0.004", "Yaw 0.0", "0.0"),
+            cfg="rate_rad_s = 0.004\n", absent=None),
+    *(refused(f"replay-config-frame-{side}-{value // 10**309}e309", "replay {log} --config {cfg}",
+              message + size.format(value), cfg=f"{key} = {value}\n", log=log_text(SWEEP_ROWS))
+      for side, key, size in _FRAME_SIDES
+      for value, message in [(10**309, _FLOAT_RANGE), (-(10**309), "frame dimensions must be positive, got ")]),
+    refused("replay-fov-flag", "replay {log} --fov-deg 30", "unrecognized arguments: --fov-deg 30",
+            log=log_text(SWEEP_ROWS)),
+    # replay: the log
+    refused("log-missing", "replay {absent}", "[Errno 2] No such file or directory: {absent!r}", code=EXIT_IO,
+            absent=None),
+    *(refused(f"log-without-rows-{i}", "replay {log}", "{log}: " + message, log=text)
+      for i, (text, message) in enumerate([("", "empty log, expected header 't,x,y' and at least one row"),
+                                           ("\n \n", "empty log, expected header 't,x,y' and at least one row"),
+                                           ("t,x,y\n", "no rows after the header 't,x,y'"),
+                                           ("t,x,y\n\n\n", "no rows after the header 't,x,y'")], start=1)),
+    refused("log-word-in-a-row", "replay {log}", "{log}: line 3: non-numeric value in '0.033,oops,360'",
+            log="t,x,y\n0.0,960,360\n0.033,oops,360\n"),
+    # one line between the header and a good row
+    *(refused(f"log-line-{i}", "replay {log}", "{log}: line 2: " + message, log=f"t,x,y\n{line}\n1,960,360\n")
+      for i, (line, message) in enumerate([("1,2", "expected 3 columns, got 2"),
+                                           ("1,2,3,4", "expected 3 columns, got 4"),
+                                           ("a,b,c", "non-numeric value in 'a,b,c'"),
+                                           (",,", "non-numeric value in ',,'")], start=1)),
+    # the first line holding a non-ASCII character or a "_" is named, as the log holds it
+    *(refused(f"log-not-plain-{i}", "replay {log}", f"{{log}}: line {lineno}: {_NOT_PLAIN}{line!r}", log=text)
+      for i, (text, lineno, line) in enumerate([
+          ("t,x,y\n0,4_80,36_0\n0.0333333333,\u0664\u0668\u0660,360\n", 2, "0,4_80,36_0"),
+          ("t,x,y\n0,480,360\n0.0333333333,\u0664\u0668\u0660,360\n", 3, "0.0333333333,\u0664\u0668\u0660,360"),
+          ("t,x,y\n0,480,360\n0.033_3,480,360\n", 3, "0.033_3,480,360"),
+          ("t,x,y\n0,\uff14\uff18\uff10,360\n", 2, "0,\uff14\uff18\uff10,360"),
+          ("t,x,y\n0,480,360\u20281,480,360\n", 2, "0,480,360\u20281,480,360"),
+          ("t,x,y\n0,480,360\n\u3000\n1,480,360\n", 3, "\u3000"),
+          ("t,x,y\xa0\n0,480,360\n", 1, "t,x,y\xa0"),
+      ], start=1)),
+    # a row ending in another ASCII line break is one line, not two; float()
+    # strips "\v" and "\f" as whitespace, not "\x1c" to "\x1e"
+    *(refused(f"log-line-break-{ord(separator):#04x}", "replay {log}", "{log}: " + message,
+              log=f"t,x,y\n0,960,360{separator}\n1,960,360,0\n")
+      for separator, message in [
+          ("\v", "line 3: expected 3 columns, got 4"), ("\f", "line 3: expected 3 columns, got 4"),
+          *((separator, f"line 2: non-numeric value in {'0,960,360' + separator!r}") for separator in "\x1c\x1d\x1e"),
+      ]),
+    refused("log-time-repeated", "replay {log}", "{log}: line 3: non-monotonic time 0.1 after 0.1",
+            log="t,x,y\n0.1,960,360\n0.1,961,360\n"),
+    # telemetry prints t with 9 significant digits: each pair below prints as
+    # one time (1.7e+09 for the whole epoch log), so report could not find dt
+    *(refused(f"log-times-print-alike-{i}", "replay {log}",
+              f"{{log}}: line {lineno}: time {t} is too close to {last} to print apart from it", log=log_text(rows))
+      for i, (rows, lineno, t, last) in enumerate([
+          (EPOCH_ROWS, 3, "1700000000.0333333", "1700000000.0"),
+          ([(1.0, 960, 360), (1.0 + 1e-9, 960, 360)], 3, "1.000000001", "1.0"),
+          ([(-1.0 - 2e-9, 960, 360), (-1.0, 960, 360)], 3, "-1.0", "-1.000000002"),
+          ([(0.0, 960, 360), (123456789.0, 960, 360), (123456789.4, 960, 360)], 4, "123456789.4", "123456789.0"),
+      ], start=1)),
+    *(refused(f"log-non-finite-{i}", "replay {log}", f"{{log}}: line 3: {_OFF_FRAME}{row!r}",
+              log=f"t,x,y\n0.0,960,360\n{row}\n")
+      for i, row in enumerate(["0.0333,nan,360", "0.0333,inf,360", "0.0333,960,-inf", "nan,960,360"], start=1)),
+    # simulate calls a target outside the frame lost; a logged row cannot say so
+    *(refused(f"log-off-the-frame-{i}", "replay {log}", f"{{log}}: line {lineno}: {_OFF_FRAME}{row!r}",
+              log=f"t,x,y\n{rows}\n")
+      for i, (rows, lineno, row) in enumerate([
+          ("0,1e200,3\n0.0333333333,960,360", 2, "0,1e200,3"),
+          ("0,-5,3", 2, "0,-5,3"),
+          ("0,960,360\n0.0333,1920.0001,360", 3, "0.0333,1920.0001,360"),
+          ("0,960,360\n0.0333,960,720.5", 3, "0.0333,960,720.5"),
+          ("0,960,360\n0.0333,-5e-324,360", 3, "0.0333,-5e-324,360"),
+          ("0,960,360\n0.0333,960,-inf", 3, "0.0333,960,-inf"),
+      ], start=1)),
+    refused("log-off-a-configured-frame", "replay {log} --config {cfg}",
+            f"{{log}}: line 3: {_OFF_FRAME}'0.03333333333333333,1300.0,320.0'",
+            cfg="frame_width_px = 1280\nframe_height_px = 640\n",
+            log=log_text([(0.0, 1280.0, 640.0), (1 / 30, 1300.0, 320.0)])),
+    # alternating hard left / hard right, 1 ms apart: every row changes the
+    # command, and one frame takes about 8 ms on the 9600 bps line
+    refused("log-too-dense-for-the-link", "replay {log}", "{log}: rows too dense for the serial link: line busy until"
+            " t=0.009375, cannot send at t=0.001000", log=log_text(DENSE_ROWS)),
+    # report
+    refused("report-missing", "report {absent}", "[Errno 2] No such file or directory: {absent!r}", code=EXIT_IO,
+            absent=None),
+    *(refused(f"report-dt-flag-{i}", f"report {{absent}} --dt-s {text}",
+              f"argument --dt-s: invalid float value: {text!r}", absent=None)
+      for i, text in enumerate(["0.0_3333333333333333", "\uff10.0333333333333333"], start=1)),
+    # one row, so no gap between sample times can catch the period
+    *(refused(f"report-dt-{dt}", f"report {{csv}} --dt-s {dt}", f"--dt-s must be finite and positive, got {float(dt)}",
+              csv=telemetry_text(_ROW + "4,right,0.3,0,true"))
+      for dt in ("nan", "inf", "-1", "0")),
+    refused("report-unexpected-header", "report {csv}", "{csv}: unexpected header ['not', 'a', 'telemetry']",
+            csv="not,a,telemetry\n1,2,3\n"),
+    refused("report-header-only", "report {csv}", "{csv}: record has no samples", csv=_HEADER),
+    *(refused(f"report-not-plain-{i}", "report {csv}", f"{{csv}}: line 3: {_NOT_PLAIN}{row!r}",
+              csv=telemetry_text(_ROW + "0,right,0,0,true", row))
+      for i, row in enumerate(["0.0666666667,1_0,0,0,right,0,0,true", "0.0666666667,\u0661,0,0,right,0,0,true",
+                               "0.066666666_7,0,0,0,right,0,0,true", "0.0666666667,0,0,4,right,0.\uff13,0,true"],
+                              start=1)),
+    # each sample time must follow the last by dt
+    *(refused(f"report-gap-{i}", f"report {{csv}} {flags}".strip(), "{csv}: " + message,
+              csv=telemetry_text(*(f"{t},0,0,0,right,0,0,true" for t in times.split())))
+      for i, (times, flags, message) in enumerate([
+          ("0.0333333333 0.0666666667 0.1", "--dt-s 0.5",
+           "line 3: sample time 0.0666666667 is not dt = 0.5 after 0.0333333333"),
+          ("0.0333333333 0.0666666667 0.1 0.166666667 0.2", "",
+           "line 5: sample time 0.166666667 is not dt = 0.03333333333333333 after 0.1"),
+          ("10 10", "--dt-s 1e-8", "line 3: sample time 10 is not dt = 1e-08 after 10"),
+          ("1 1.00000001 1.00000001", "--dt-s 1e-8",
+           "line 4: sample time 1.00000001 is not dt = 1e-08 after 1.00000001"),
+          ("1e-9 3e-9", "--dt-s 1e-9", "line 3: sample time 3e-9 is not dt = 1e-09 after 1e-09"),
+      ], start=1)),
+    # what replay wrote for the epoch log before it refused such logs: 30 rows
+    # at one printed time, the last outside the ROI
+    refused("report-epoch-times-print-alike", f"report {{csv}} --dt-s {1 / 30!r}",
+            "{csv}: line 3: sample time 1.7e+09 is not dt = 0.03333333333333333 after 1.7e+09",
+            csv=_HEADER + "".join(row_lines(_replay_samples(EPOCH_ROWS, replay_controller()[1],
+                                                            CommandLink(transport=MockTransport()))))),
+    *(refused(f"report-impossible-row-{i}", "report {csv}", "{csv}: line 2: " + message, csv=telemetry_text(row))
+      for i, (row, message) in enumerate([
+          ("nan,0,0,0,right,0,0,true", "non-finite value in t, x, y or P: nan,0,0,0"),
+          ("inf,0,0,0,right,0,0,true", "non-finite value in t, x, y or P: inf,0,0,0"),
+          ("0.0333333333,inf,0,0,right,0,0,true", "non-finite value in t, x, y or P: 0.0333333333,inf,0,0"),
+          ("0.0333333333,0,-inf,0,right,0,0,true", "non-finite value in t, x, y or P: 0.0333333333,0,-inf,0"),
+          (_ROW + "inf,right,0,0,true", "non-finite value in t, x, y or P: 0.0333333333,0,0,inf"),
+          (_ROW + "nan,right,0,0,true", "non-finite value in t, x, y or P: 0.0333333333,0,0,nan"),
+          (_ROW + "4,right,5,0,true", "command (5, 0) is outside [-0.3, 0.3] rad/s"),
+          (_ROW + "4,bottom,0,-0.31,true", "command (0, -0.31) is outside [-0.3, 0.3] rad/s"),
+          (_ROW + "4,right,nan,0,true", "command (nan, 0) is outside [-0.3, 0.3] rad/s"),
+          (_ROW + "-5,right,0,0,true", "P = -5 is negative"),
+          (_ROW + "4,right,0.3,-0.3,true", "command (0.3, -0.3) drives both axes"),
+      ], start=1)),
+    *(refused(f"report-command-contradicting-p-{i}", "report {csv}", "{csv}: line 2: " + message,
+              csv=telemetry_text(_ROW + row))
+      for i, (row, message) in enumerate([
+          # acting inside the ellipse, or while the target is lost
+          ("0.0006,right,0.3,0,true", "command (0.3, 0) with P = 0.0006 and visible = true"),
+          ("0.0006,right,0.3,0,false", "command (0.3, 0) with P = 0.0006 and visible = false"),
+          ("3,right,0.3,0,false", "command (0.3, 0) with P = 3 and visible = false"),
+          # idle outside the ellipse with the target in view
+          ("3,right,0,0,true", "P = 3 with the target visible, but the command is zero"),
+          # the wrong axis or sign for the sector
+          ("3,right,0,-0.3,true", "command (0, -0.3) is not sector right's axis and sign"),
+          ("3,right,-0.3,0,true", "command (-0.3, 0) is not sector right's axis and sign"),
+          ("3,left,0.3,0,true", "command (0.3, 0) is not sector left's axis and sign"),
+          ("3,top,0.3,0,true", "command (0.3, 0) is not sector top's axis and sign"),
+          ("3,top,0,-0.3,true", "command (0, -0.3) is not sector top's axis and sign"),
+          ("3,bottom,0,0.3,true", "command (0, 0.3) is not sector bottom's axis and sign"),
+          ("1,bottom,0,0.3,true", "command (0, 0.3) is not sector bottom's axis and sign"),
+      ], start=1)),
+    # of two rows, the first that contradicts its P is named
+    *(refused(f"report-first-contradiction-on-line-{lineno}", "report {csv}", f"{{csv}}: line {lineno}: {message}",
+              csv=telemetry_text(_ROW + first, "0.0666666667,0,0,3,right,0,-0.3,true"))
+      for first, lineno, message in [
+          ("0.0006,right,0.3,0,true", 2, "command (0.3, 0) with P = 0.0006 and visible = true"),
+          ("0.0006,right,0,0,true", 3, "command (0, -0.3) is not sector right's axis and sign"),
+      ]),
+    # no writer quotes a field or writes a NUL; the row reader splits on
+    # commas and takes each field as it stands
+    *(refused(f"report-quoted-or-nul-{i}", "report {csv}", "{csv}: line 2: " + message, csv=telemetry_text(row))
+      for i, (row, message) in enumerate([
+          ('0.0333333333,0,0,"0.5",right,0,0,true', "could not convert string to float: '\"0.5\"'"),
+          ('"0.0333333333",0,0,0.5,right,0,0,true', "could not convert string to float: '\"0.0333333333\"'"),
+          ('0.0333333333,0,0,0.5,"right",0,0,true', "'\"right\"' is not a valid Sector"),
+          ("0.0333333333,0,0,0.5,right,0,0,true\x00", "expected true/false, got 'true\\x00'"),
+          ("0.0333333333,0\x00,0,0.5,right,0,0,true", "could not convert string to float: '0\\x00'"),
+      ], start=1)),
+    refused("report-sensitivities-too-large-to-sum", "report {csv}",
+            "excursion sensitivities too large to sum: intermediate overflow in fsum",
+            csv=telemetry_text(*(f"{i / 30:.9g},0,0,{p},right,{yaw},0,true"
+                                 for i, (p, yaw) in enumerate([("5e306", "0.3"), ("0", "0")] * 2, start=1)))),
+]
+
+
+@pytest.mark.parametrize("files,argv,code,message", REFUSALS)
+def test_each_refusal_exits_with_its_code_and_one_error_line(tmp_path, capsys, files, argv, code, message):
+    paths = {name: str(tmp_path / name) for name in (*files, "out")}
+    for name, text in files.items():
+        if text is not None:
+            Path(paths[name]).write_text(text, encoding="utf-8")
+    assert main([arg.format(**paths) for arg in argv]) == code
+    prefix = "error" if code == EXIT_USAGE else "i/o error"
+    assert capsys.readouterr() == ("", f"{prefix}: {message.format(**paths)}\n")
+    assert not Path(paths["out"]).exists()
 
 
 # A valid, non-default value for every setting; the flag below overrides one.
@@ -413,40 +593,6 @@ NON_DEFAULT_SETTINGS = {
     "uav_y_m": -0.5,
     "altitude_m": 2.5,
 }
-
-
-_HEADER = ",".join(CSV_COLUMNS) + "\n"
-_FILE = object()  # stands for the case's input file in its argv
-
-
-# One refusal per kind of check, pinned to its whole output: one error line on
-# stderr, nothing on stdout, exit 1, and no output directory.
-@pytest.mark.parametrize("text,argv,message", [
-    pytest.param("seed 1\n", ["simulate", "--arena", "1", "--config", _FILE],
-                 "{file}: line 1: expected 'key = value', got 'seed 1'", id="config-line-without-equals"),
-    pytest.param("frame_width_px = 0\n", ["simulate", "--arena", "1", "--config", _FILE],
-                 "frame dimensions must be positive, got 0x720", id="zero-frame-width"),
-    pytest.param("lookahead_m = 0\n", ["simulate", "--arena", "1", "--config", _FILE],
-                 "lookahead must be positive, got 0.0", id="zero-lookahead"),
-    pytest.param(None, ["simulate", "--arena", "1", "--trials", "abc"],
-                 "argument --trials: invalid int value: 'abc'", id="non-integer-trials"),
-    pytest.param(_HEADER, ["report", _FILE], "{file}: record has no samples", id="header-only-csv"),
-    pytest.param(
-        _HEADER + "".join(f"{i / 30:.9g},0,0,{p},right,{yaw},0,true\n"
-                          for i, (p, yaw) in enumerate([("5e306", "0.3"), ("0", "0")] * 2, start=1)),
-        ["report", _FILE], "excursion sensitivities too large to sum: intermediate overflow in fsum",
-        id="sensitivities-too-large-to-sum"),
-])
-def test_each_refusal_prints_one_error_line_and_exits_1(tmp_path, capsys, text, argv, message):
-    path, out = tmp_path / "input.txt", tmp_path / "out"
-    if text is not None:
-        path.write_text(text, encoding="utf-8")
-    argv = [str(path) if arg is _FILE else arg for arg in argv]
-    if argv[0] == "simulate":
-        argv += ["--out-dir", str(out)]
-    assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr() == ("", f"error: {message.format(file=path)}\n")
-    assert not out.exists()
 
 
 class TestSettingsTable:
@@ -473,55 +619,6 @@ class TestSettingsTable:
         assert names == sorted(p.name for p in rerun.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
-
-
-class TestStrictNumbers:
-    """``int()`` and ``float()`` also take other scripts' digits and ``_``
-    digit groups; no flag, config or manifest number may hold them."""
-
-    @pytest.mark.parametrize("key,text", [
-        ("seed", "\uff17"), ("trials", "\u0662"), ("lookahead_m", "0_5"), ("duration_s", "1_0.0"),
-        ("rate_rad_s", "0.\uff12"),
-    ])
-    def test_config_number_is_refused_naming_file_and_key(self, tmp_path, capsys, key, text):
-        config, out = tmp_path / "run.cfg", tmp_path / "out"
-        config.write_text(f"arena = 1\n{key} = {text}\n", encoding="utf-8")
-        assert run_cli("simulate", "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {config}: bad value for {key}: {text!r}\n")
-        assert not out.exists()
-
-    # A line ends at "\n" only: a form feed or U+0085 inside a config line
-    # starts no second setting; the rest of the line is the first one's value.
-    @pytest.mark.parametrize("separator", ["\x85", "\f"])
-    def test_a_line_break_other_than_newline_starts_no_setting(self, tmp_path, capsys, separator):
-        config, out = tmp_path / "run.cfg", tmp_path / "out"
-        config.write_text(f"arena = 1\nseed = 7{separator}trials = 2\n", encoding="utf-8")
-        assert run_cli("simulate", "--config", config, "--out-dir", out) == EXIT_USAGE
-        value = f"7{separator}trials = 2"
-        assert capsys.readouterr() == ("", f"error: {config}: bad value for seed: {value!r}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag,text,kind", [("--seed", "\uff17", "int"), ("--fov-deg", "9_0", "float")])
-    def test_flag_number_is_refused_naming_the_flag(self, tmp_path, capsys, flag, text, kind):
-        out = tmp_path / "out"
-        assert run_cli("simulate", "--arena", 1, flag, text, "--out-dir", out) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: argument {flag}: invalid {kind} value: {text!r}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("text", ["0.0_3333333333333333", "\uff10.0333333333333333"])
-    def test_report_dt_is_refused_naming_the_flag(self, tmp_path, capsys, text):
-        assert run_cli("report", tmp_path / "any.csv", "--dt-s", text) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: argument --dt-s: invalid float value: {text!r}\n")
-
-    @pytest.mark.parametrize("row", [
-        "0.0666666667,1_0,0,0,right,0,0,true", "0.0666666667,\u0661,0,0,right,0,0,true",
-        "0.066666666_7,0,0,0,right,0,0,true", "0.0666666667,0,0,4,right,0.\uff13,0,true",
-    ])
-    def test_telemetry_number_is_refused_naming_file_and_line(self, tmp_path, capsys, row):
-        path = tmp_path / "run.csv"
-        path.write_text(f"{_HEADER}0.0333333333,0,0,0,right,0,0,true\n{row}\n", encoding="utf-8")
-        assert run_cli("report", path) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {path}: line 3: non-ASCII character or '_' in {row!r}\n")
 
 
 def rerun_argv(command, config, out, tmp_path):
@@ -892,19 +989,6 @@ class TestFileEncoding:
         assert not out.exists()
 
 
-def write_log(path, rows):
-    lines = ["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-# 3 s of raw pixel rows sweeping the ellipse and all four sectors
-SWEEP_ROWS = [(i / 30, 960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
-# 20 rows 1 ms apart, alternating hard left and hard right: too dense for the serial link
-DENSE_ROWS = [(i / 1000, 20 if i % 2 == 0 else 1900, 360) for i in range(20)]
-# 1 s at Unix-epoch times, centred, with the target leaving the ROI on the last row
-EPOCH_ROWS = [(1.7e9 + i / 30, 960.0 if i < 29 else 1900.0, 360.0) for i in range(30)]
-
-
 class TestReplay:
     FRAME = FrameSpec(1920, 720)
 
@@ -961,94 +1045,20 @@ class TestReplay:
             assert (sample.yaw_cmd, sample.pitch_cmd) == (cmd.yaw_rate, cmd.pitch_rate)
             assert sample.visible
 
-    # Telemetry with no sample is a record that report refuses, so a log with
-    # no row is refused before any output.
-    @pytest.mark.parametrize("text", ["", "\n \n", "t,x,y\n", "t,x,y\n\n\n"])
-    def test_log_with_no_rows_is_usage_error_before_any_output(self, tmp_path, capsys, text):
-        log = tmp_path / "empty.csv"
-        log.write_text(text)
-        out = tmp_path / "replay"
-        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
-        assert f"{log}: " in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_malformed_row_reports_line_number(self, tmp_path, capsys):
-        log = tmp_path / "bad.csv"
-        log.write_text("t,x,y\n0.0,960,360\n0.033,oops,360\n")
-        assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_USAGE
-        assert "line 3" in capsys.readouterr().err
-
-    # One line of a log between the header and a good row: what replay prints
-    # to stderr, with the line number and the line as the log holds it.
-    @pytest.mark.parametrize("line,code,message", [
-        ("", EXIT_OK, ""),
-        ("  ", EXIT_OK, ""),
-        ("1,2", EXIT_USAGE, "line 2: expected 3 columns, got 2"),
-        ("1,2,3,4", EXIT_USAGE, "line 2: expected 3 columns, got 4"),
-        ("a,b,c", EXIT_USAGE, "line 2: non-numeric value in 'a,b,c'"),
-        (",,", EXIT_USAGE, "line 2: non-numeric value in ',,'"),
-        (" 0 , 960 , 360 ", EXIT_OK, ""),
+    # Beside the refused lines of the refusal table: a blank or padded line is
+    # read, and a row past a configured 1280x640 frame is inside the default one.
+    @pytest.mark.parametrize("text,replayed", [
+        pytest.param("t,x,y\n\n1,960,360\n", "1 rows: 0 frames", id="blank"),
+        pytest.param("t,x,y\n  \n1,960,360\n", "1 rows: 0 frames", id="spaces"),
+        pytest.param("t,x,y\n 0 , 960 , 360 \n1,960,360\n", "2 rows: 0 frames", id="padded"),
+        pytest.param(log_text([(0.0, 1280.0, 640.0), (1 / 30, 1300.0, 320.0)]), "2 rows: 1 frames",
+                     id="past-a-configured-frame"),
     ])
-    def test_each_log_line_gets_its_exact_message(self, tmp_path, capsys, line, code, message):
-        log = tmp_path / "log.csv"
-        log.write_text(f"t,x,y\n{line}\n1,960,360\n")
-        assert run_cli("replay", log, "--out-dir", tmp_path / "r") == code
-        assert capsys.readouterr().err == (f"error: {log}: {message}\n" if message else "")
-
-    # int() and float() also take other scripts' digits and "_" digit groups;
-    # no log number may hold them.  The first line holding one is named.
-    @pytest.mark.parametrize("text,line", [
-        ("t,x,y\n0,4_80,36_0\n0.0333333333,\u0664\u0668\u0660,360\n", "0,4_80,36_0"),
-        ("t,x,y\n0,480,360\n0.0333333333,\u0664\u0668\u0660,360\n", "0.0333333333,\u0664\u0668\u0660,360"),
-        ("t,x,y\n0,480,360\n0.033_3,480,360\n", "0.033_3,480,360"),
-        ("t,x,y\n0,\uff14\uff18\uff10,360\n", "0,\uff14\uff18\uff10,360"),
-        ("t,x,y\n0,480,360\u20281,480,360\n", "0,480,360\u20281,480,360"),
-        ("t,x,y\n0,480,360\n\u3000\n1,480,360\n", "\u3000"),
-        ("t,x,y\u00a0\n0,480,360\n", "t,x,y\u00a0"),
-    ])
-    def test_number_not_in_ascii_or_with_digit_groups_is_refused(self, tmp_path, capsys, text, line):
+    def test_blank_padded_and_in_frame_lines_are_replayed(self, tmp_path, capsys, text, replayed):
         log, out = tmp_path / "log.csv", tmp_path / "r"
-        log.write_text(text, encoding="utf-8")
-        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
-        lineno = text.split("\n").index(line) + 1
-        assert capsys.readouterr() == ("", f"error: {log}: line {lineno}: non-ASCII character or '_' in {line!r}\n")
-        assert not out.exists()
-
-    # A line ends at "\n" only: a row ending in another ASCII line break is one
-    # line, not two.  float() strips "\v" and "\f" as whitespace, not "\x1c" to "\x1e".
-    @pytest.mark.parametrize("separator,message", [
-        ("\v", "line 3: expected 3 columns, got 4"),
-        ("\f", "line 3: expected 3 columns, got 4"),
-        *((separator, f"line 2: non-numeric value in {'0,960,360' + separator!r}") for separator in "\x1c\x1d\x1e"),
-    ])
-    def test_a_line_break_other_than_newline_starts_no_line(self, tmp_path, capsys, separator, message):
-        log = tmp_path / "log.csv"
-        log.write_text(f"t,x,y\n0,960,360{separator}\n1,960,360,0\n", encoding="utf-8")
-        assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {log}: {message}\n")
-
-    def test_non_monotonic_time_rejected(self, tmp_path, capsys):
-        log = tmp_path / "bad.csv"
-        log.write_text("t,x,y\n0.1,960,360\n0.1,961,360\n")
-        assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_USAGE
-        assert "non-monotonic" in capsys.readouterr().err
-
-    # Telemetry prints t with 9 significant digits: each pair below prints as
-    # one time (1.7e+09 for the whole epoch log), so report cannot find dt.
-    @pytest.mark.parametrize("rows,line", [
-        (EPOCH_ROWS, 3),
-        ([(1.0, 960, 360), (1.0 + 1e-9, 960, 360)], 3),
-        ([(-1.0 - 2e-9, 960, 360), (-1.0, 960, 360)], 3),
-        ([(0.0, 960, 360), (123456789.0, 960, 360), (123456789.4, 960, 360)], 4),
-    ])
-    def test_times_the_telemetry_cannot_tell_apart_rejected(self, tmp_path, capsys, rows, line):
-        log = tmp_path / "close.csv"
-        write_log(log, rows)
-        out = tmp_path / "r"
-        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert f"{log}: line {line}: time " in err and "non-monotonic" not in err
-        assert not out.exists()
+        log.write_text(text)
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        assert capsys.readouterr() == (f"replayed {replayed} -> {out}\n", "")
 
     @pytest.mark.parametrize("rows", [
         [(1.0, 960, 360), (1.0 + 2e-8, 960, 360)],
@@ -1072,46 +1082,6 @@ class TestReplay:
         with mock.patch.object(cli, "decide", lambda *args: calls.append(args) or decide(*args)):
             assert run_cli("replay", log, "--out-dir", tmp_path / "r") == EXIT_OK
         assert len(calls) == len(SWEEP_ROWS)
-
-    def test_missing_log_is_io_error(self, tmp_path):
-        assert run_cli("replay", tmp_path / "nope.csv", "--out-dir", tmp_path / "r") == EXIT_IO
-
-    @pytest.mark.parametrize("row", ["0.0333,nan,360", "0.0333,inf,360", "0.0333,960,-inf", "nan,960,360"])
-    def test_non_finite_value_rejected(self, tmp_path, capsys, row):
-        log = tmp_path / "bad.csv"
-        log.write_text(f"t,x,y\n0.0,960,360\n{row}\n")
-        out = tmp_path / "r"
-        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
-        assert "line 3" in capsys.readouterr().err
-        assert not out.exists()
-
-    # simulate calls a target outside the frame lost; a logged row cannot say so
-    @pytest.mark.parametrize("rows,line", [
-        ("0,1e200,3\n0.0333333333,960,360", 2),
-        ("0,-5,3", 2),
-        ("0,960,360\n0.0333,1920.0001,360", 3),
-        ("0,960,360\n0.0333,960,720.5", 3),
-        ("0,960,360\n0.0333,-5e-324,360", 3),
-        ("0,960,360\n0.0333,960,-inf", 3),
-    ])
-    def test_row_outside_the_frame_rejected(self, tmp_path, capsys, rows, line):
-        log = tmp_path / "bad.csv"
-        log.write_text(f"t,x,y\n{rows}\n")
-        out = tmp_path / "r"
-        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
-        assert f"{log}: line {line}: non-finite time or position outside the frame" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_row_outside_a_configured_frame_rejected(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("frame_width_px = 1280\nframe_height_px = 640\n")
-        log = tmp_path / "log.csv"
-        write_log(log, [(0.0, 1280.0, 640.0), (1 / 30, 1300.0, 320.0)])
-        assert run_cli("replay", log, "--out-dir", tmp_path / "d") == EXIT_OK
-        out = tmp_path / "r"
-        assert run_cli("replay", log, "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert "line 3" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_rows_on_the_frame_edges_replayed(self, tmp_path):
         corners = [(-0.0, -0.0), (1920.0, 0.0), (0.0, 720.0), (1920.0, 720.0), (960.0, -0.0)]
@@ -1180,37 +1150,6 @@ class TestReplay:
         assert (out / "replay_telemetry.csv").read_bytes() == telemetry
         assert sorted(p.name for p in out.iterdir()) == ["replay_frames.csv", "replay_telemetry.csv"]
 
-    # The link carries whole hundredths of a rad/s: 0.004 would go out as
-    # "Yaw 0.0" and never move the gimbal; 0.005 as "Yaw 0.01", 0.123 as "Yaw 0.12".
-    @pytest.mark.parametrize("rate", ["0.004", "0.005", "0.123"])
-    def test_rate_the_wire_cannot_carry_is_usage_error(self, tmp_path, capsys, rate):
-        log = tmp_path / "log.csv"
-        write_log(log, SWEEP_ROWS)
-        out = tmp_path / "r"
-        assert run_cli("replay", log, "--rate-rad-s", rate, "--out-dir", out) == EXIT_USAGE
-        assert "rate_rad_s" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_rate_the_wire_cannot_carry_from_config_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("rate_rad_s = 0.004\n")
-        out = tmp_path / "r"
-        assert run_cli("replay", tmp_path / "absent.csv", "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert "rate_rad_s" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key", ["frame_width_px", "frame_height_px"])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_frame_size_beyond_float_range_is_usage_error(self, tmp_path, capsys, key, sign):
-        config = tmp_path / "run.cfg"
-        config.write_text(f"{key} = {sign * 10**309}\n")
-        log = tmp_path / "log.csv"
-        write_log(log, SWEEP_ROWS)
-        out = tmp_path / "r"
-        assert run_cli("replay", log, "--config", config, "--out-dir", out) == EXIT_USAGE
-        assert "frame dimensions must be" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_encodes_once_per_distinct_non_zero_command(self, tmp_path, monkeypatch):
         calls = []
 
@@ -1243,11 +1182,6 @@ class TestReplay:
         assert (out / "replay_frames.csv").read_text().splitlines() == [
             "t,frame", "-1,Yaw 0.3", "-0.25,Yaw -0.3", "0.5,Yaw 0.3"
         ]
-
-    def test_fov_flag_is_not_accepted(self, tmp_path):
-        log = tmp_path / "log.csv"
-        write_log(log, SWEEP_ROWS)
-        assert run_cli("replay", log, "--fov-deg", 30, "--out-dir", tmp_path / "r") == EXIT_USAGE
 
     def test_manifest_is_a_valid_config(self, sim_dir, tmp_path):
         log = tmp_path / "log.csv"
@@ -1295,11 +1229,6 @@ def replay_bits(loop, rows, controller):
         for t, x, y, p, sector, yaw, pitch, visible in loop(rows, controller, CommandLink(transport=transport))
     ]
     return samples, [(struct.pack("<d", t), text) for t, text in transport.log]
-
-
-def replay_controller(width=1920, height=720, roi=(0.3, 0.3), rate=0.3):
-    frame = FrameSpec(width, height)
-    return frame, ControllerConfig(roi=EllipseRoi.from_fractions(frame, *roi), frame=frame, rate_magnitude=rate)
 
 
 def recording_link():
@@ -1384,7 +1313,7 @@ def test_any_replay_log_exits_with_a_documented_code(data):
         code = main(["replay", str(log), "--out-dir", str(out)])
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
         if code != EXIT_OK:
-            assert not (out / "replay_telemetry.csv").exists()
+            assert not out.exists()
 
 
 def _in_frame(side: int):
@@ -1470,46 +1399,6 @@ def test_any_telemetry_file_exits_with_a_documented_code(data):
         assert main(["report", str(csv_path)]) in (EXIT_OK, EXIT_USAGE, EXIT_IO)
 
 
-@settings(max_examples=40, deadline=None)
-# the default 3-trial seed-7 run of each arena, run every time beside the drawn examples
-@example(arena=1, seed=7, trials=3, dt=DEFAULT_DT_S, duration=24.0, rate=0.3, roi_x=0.3, roi_y=0.3, fov=90.0)
-@example(arena=2, seed=7, trials=3, dt=DEFAULT_DT_S, duration=12.7, rate=0.3, roi_x=0.3, roi_y=0.3, fov=90.0)
-@given(
-    arena=st.sampled_from([1, 2]),
-    seed=st.integers(0, 1000),
-    trials=st.integers(1, 3),
-    dt=st.one_of(st.just(DEFAULT_DT_S), st.floats(0.005, 1.0)),
-    duration=st.floats(0.01, 3.0),
-    rate=st.one_of(st.just(0.3), st.floats(1e-6, 0.3)),
-    roi_x=st.floats(0.05, 0.49),
-    roi_y=st.floats(0.05, 0.49),
-    fov=st.one_of(st.just(90.0), st.floats(1.0, 179.0)),  # a narrow view loses the target
-)
-def test_report_reproduces_the_summary_simulate_writes(arena, seed, trials, dt, duration, rate, roi_x, roi_y, fov):
-    """``simulate`` tallies each row as it writes it; ``report`` reads the rows
-    back.  Both must give the same bytes and agree on whether the run holds."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = run_cli("simulate", "--arena", arena, "--seed", seed, "--trials", trials,
-                           "--dt-s", repr(dt), "--duration-s", repr(duration), "--rate-rad-s", repr(rate),
-                           "--roi-frac-x", repr(roi_x), "--roi-frac-y", repr(roi_y), "--fov-deg", repr(fov),
-                           "--out-dir", out)
-        if code == EXIT_USAGE:  # a rejected run is rejected before any output
-            assert not out.exists()
-            return
-        assert code in (EXIT_OK, EXIT_TRACKING_LOST)
-        summary = (out / "summary.txt").read_text()
-        # simulate's verdict on the run is the summary's success line
-        assert ("success = true" in summary) == (code == EXIT_OK)
-        csvs = sorted(out.glob("trial_*.csv"))
-        assert len(csvs) == trials
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            assert run_cli("report", *csvs, "--dt-s", repr(dt)) == EXIT_OK
-        assert printed.getvalue() == summary
-
-
 def _log_uniform(lo: float, hi: float):
     """Floats in [lo, hi] (both positive), uniform in their logarithm, ends included."""
     exponents = st.floats(math.log10(lo), math.log10(hi))
@@ -1549,26 +1438,41 @@ def _simulate_settings(draw):
     }
 
 
+# The settings that simulate also takes as flags, and the default 3-trial
+# seed-7 run, every one of them given but the arena and its duration.
+_FLAGGED = ("arena", "trials", "seed", "duration_s", "dt_s", "roi_frac_x", "roi_frac_y", "rate_rad_s", "fov_deg")
+_DEFAULT_RUN = {"trials": 3, "seed": 7, "dt_s": DEFAULT_DT_S, "roi_frac_x": 0.3, "roi_frac_y": 0.3, "rate_rad_s": 0.3,
+                "fov_deg": 90.0}
+
+
 @settings(max_examples=100, deadline=None)
-@given(_simulate_settings())
-def test_report_reproduces_the_summary_over_every_settings_range(values):
-    """Over the whole accepted range of every setting, ``report --dt-s <dt>``
-    prints exactly the ``summary.txt`` that ``simulate`` wrote, or
-    ``simulate`` exits 1 and writes nothing."""
+# the default run of each arena, as flags, run every time beside the drawn examples
+@example(values={"arena": 1, "duration_s": 24.0, **_DEFAULT_RUN}, as_flags=True)
+@example(values={"arena": 2, "duration_s": 12.7, **_DEFAULT_RUN}, as_flags=True)
+@given(values=_simulate_settings(), as_flags=st.booleans())
+def test_report_reproduces_the_summary_over_every_settings_range(values, as_flags):
+    """Over the whole accepted range of every setting, given in a config or,
+    where it has a flag, maybe as its flag: ``simulate`` tallies each row as
+    it writes it, and ``report --dt-s <dt>`` reads its one CSV per trial back
+    and prints exactly the ``summary.txt`` that ``simulate`` wrote.  Both agree
+    on whether the run holds.  Or ``simulate`` exits 1 and writes nothing."""
+    flagged = {key: value for key, value in values.items() if as_flags and key in _FLAGGED}
+    flags = [text for key, value in flagged.items() for text in ("--" + key.replace("_", "-"), repr(value))]
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
-        config.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        config.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items() if key not in flagged))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["simulate", "--config", str(config), "--out-dir", str(out)])
+            code = main(["simulate", "--config", str(config), *flags, "--out-dir", str(out)])
         if code == EXIT_USAGE:
             assert not out.exists()
             return
         assert code in (EXIT_OK, EXIT_TRACKING_LOST)
         summary = (out / "summary.txt").read_text()
         assert ("success = true" in summary) == (code == EXIT_OK)
+        csvs = [str(path) for path in sorted(out.glob("trial_*.csv"))]
+        assert len(csvs) == values["trials"]
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            csvs = [str(path) for path in sorted(out.glob("trial_*.csv"))]
             assert main(["report", *csvs, "--dt-s", repr(values["dt_s"])]) == EXIT_OK
         assert printed.getvalue() == summary
 
@@ -1645,7 +1549,7 @@ def test_replay_of_a_simulated_trial_gives_its_sectors_and_commands(values):
         if code == EXIT_USAGE:
             assert values["dt_s"] < _LONGEST_FRAME_S
             assert "rows too dense for the serial link" in err.getvalue()
-            assert not (out / "replay_telemetry.csv").exists()
+            assert not out.exists()
             return
         assert code == EXIT_OK
         replayed = [line.split(",") for line in (out / "replay_telemetry.csv").read_text().splitlines()[1:]]
@@ -1852,61 +1756,12 @@ class TestReport:
 
     def test_no_excursion_record_reports_absent(self, tmp_path, capsys):
         csv_path = tmp_path / "quiet.csv"
-        lines = ["t,x,y,P,sector,yaw_cmd,pitch_cmd,visible"]
-        for i in range(10):
-            lines.append(f"{(i + 1) / 30:.9g},0,0,0,right,0,0,true")
-        csv_path.write_text("\n".join(lines) + "\n")
+        csv_path.write_text(telemetry_text(*(f"{(i + 1) / 30:.9g},0,0,0,right,0,0,true" for i in range(10))))
         assert run_cli("report", csv_path) == EXIT_OK
         out = capsys.readouterr().out
         assert "n = 0" in out
         assert "normalized_s" not in out
         assert "mean_s" not in out
-
-    def test_unparsable_csv_names_file(self, tmp_path, capsys):
-        bad = tmp_path / "garbage.csv"
-        bad.write_text("not,a,telemetry\n1,2,3\n")
-        assert run_cli("report", bad) == EXIT_USAGE
-        assert "garbage.csv" in capsys.readouterr().err
-
-    def test_missing_file_is_io_error(self, tmp_path):
-        assert run_cli("report", tmp_path / "absent.csv") == EXIT_IO
-
-    def test_dt_mismatch_names_file_and_line(self, sim_dir, capsys):
-        path = sim_dir / "trial_001.csv"
-        assert run_cli("report", path, "--dt-s", 0.5) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "trial_001.csv" in err and "line 3" in err
-
-    def test_gap_in_sample_times_is_usage_error(self, tmp_path, capsys):
-        csv_path = tmp_path / "gap.csv"
-        lines = ["t,x,y,P,sector,yaw_cmd,pitch_cmd,visible"]
-        for i in (1, 2, 3, 5, 6):
-            lines.append(f"{i / 30:.9g},0,0,0,right,0,0,true")
-        csv_path.write_text("\n".join(lines) + "\n")
-        assert run_cli("report", csv_path) == EXIT_USAGE
-        assert "line 5" in capsys.readouterr().err
-
-    def test_epoch_times_printed_as_one_time_are_usage_error(self, tmp_path, capsys):
-        # What replay wrote for the epoch log before it refused such logs: 30
-        # rows at one printed time, the last outside the ROI.
-        _, controller = replay_controller()
-        lines = list(row_lines(_replay_samples(EPOCH_ROWS, controller, CommandLink(transport=MockTransport()))))
-        assert {line.split(",")[0] for line in lines} == {"1.7e+09"}
-        csv_path = tmp_path / "epoch.csv"
-        csv_path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(lines))
-        assert run_cli("report", csv_path, "--dt-s", repr(1 / 30)) == EXIT_USAGE
-        assert f"{csv_path}: line 3: sample time 1.7e+09 is not dt" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("times,dt,line", [
-        (["10", "10"], "1e-8", 3),
-        (["1", "1.00000001", "1.00000001"], "1e-8", 4),
-        (["1e-9", "3e-9"], "1e-9", 3),
-    ])
-    def test_gap_far_from_a_tiny_dt_is_usage_error(self, tmp_path, capsys, times, dt, line):
-        csv_path = tmp_path / "tiny.csv"
-        csv_path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(f"{t},0,0,0,right,0,0,true\n" for t in times))
-        assert run_cli("report", csv_path, "--dt-s", dt) == EXIT_USAGE
-        assert f"{csv_path}: line {line}: sample time" in capsys.readouterr().err
 
     @pytest.mark.parametrize("times,dt", [
         (["10", "10.00000001", "10.00000002"], "1e-8"),
@@ -1915,79 +1770,8 @@ class TestReport:
     ])
     def test_gap_of_a_tiny_or_large_dt_is_accepted(self, tmp_path, times, dt):
         csv_path = tmp_path / "fine.csv"
-        csv_path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(f"{t},0,0,0,right,0,0,true\n" for t in times))
+        csv_path.write_text(telemetry_text(*(f"{t},0,0,0,right,0,0,true" for t in times)))
         assert run_cli("report", csv_path, "--dt-s", dt) == EXIT_OK
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            "nan,0,0,0,right,0,0,true",
-            "inf,0,0,0,right,0,0,true",
-            "0.0333333333,inf,0,0,right,0,0,true",
-            "0.0333333333,0,-inf,0,right,0,0,true",
-            "0.0333333333,0,0,inf,right,0,0,true",
-            "0.0333333333,0,0,nan,right,0,0,true",
-            "0.0333333333,0,0,4,right,5,0,true",
-            "0.0333333333,0,0,4,bottom,0,-0.31,true",
-            "0.0333333333,0,0,4,right,nan,0,true",
-            "0.0333333333,0,0,-5,right,0,0,true",
-            "0.0333333333,0,0,4,right,0.3,-0.3,true",
-        ],
-    )
-    def test_impossible_row_is_usage_error(self, tmp_path, capsys, row):
-        csv_path = tmp_path / "impossible.csv"
-        csv_path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n{row}\n")
-        assert run_cli("report", csv_path) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "impossible.csv" in err and "line 2" in err
-
-    @pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0"])
-    def test_non_finite_or_non_positive_dt_is_usage_error(self, tmp_path, capsys, dt):
-        # one row, so no gap between sample times can catch the period
-        csv_path = tmp_path / "one.csv"
-        csv_path.write_text("t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,4,right,0.3,0,true\n")
-        assert run_cli("report", csv_path, "--dt-s", dt) == EXIT_USAGE
-        assert "--dt-s must be finite and positive" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            "0.0006,right,0.3,0,true",  # acting inside the ellipse
-            "0.0006,right,0.3,0,false",  # acting while the target is lost
-            "3,right,0.3,0,false",
-            "3,right,0,0,true",  # idle outside the ellipse with the target in view
-            "3,right,0,-0.3,true",  # wrong axis for the sector
-            "3,right,-0.3,0,true",  # wrong sign for the sector
-            "3,left,0.3,0,true",
-            "3,top,0.3,0,true",
-            "3,top,0,-0.3,true",
-            "3,bottom,0,0.3,true",
-            "1,bottom,0,0.3,true",
-        ],
-    )
-    def test_command_contradicting_p_is_usage_error(self, tmp_path, capsys, row):
-        csv_path = tmp_path / "contradicts.csv"
-        csv_path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,{row}\n")
-        assert run_cli("report", csv_path) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "contradicts.csv" in err and "line 2" in err
-
-    def test_both_contradictions_in_one_file_are_usage_errors(self, tmp_path, capsys):
-        csv_path = tmp_path / "two.csv"
-        csv_path.write_text(
-            "t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n"
-            "0.0333333333,0,0,0.0006,right,0.3,0,true\n"
-            "0.0666666667,0,0,3,right,0,-0.3,true\n"
-        )
-        assert run_cli("report", csv_path) == EXIT_USAGE
-        assert "two.csv: line 2" in capsys.readouterr().err
-        csv_path.write_text(
-            "t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n"
-            "0.0333333333,0,0,0.0006,right,0,0,true\n"
-            "0.0666666667,0,0,3,right,0,-0.3,true\n"
-        )
-        assert run_cli("report", csv_path) == EXIT_USAGE
-        assert "two.csv: line 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row",
@@ -2003,7 +1787,7 @@ class TestReport:
     )
     def test_command_consistent_with_p_is_accepted(self, tmp_path, row):
         csv_path = tmp_path / "fine.csv"
-        csv_path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,0,0,{row}\n")
+        csv_path.write_text(telemetry_text(_ROW + row))
         assert run_cli("report", csv_path) == EXIT_OK
 
     def test_long_number_field_is_read_as_its_value(self, tmp_path, capsys):
@@ -2011,7 +1795,7 @@ class TestReport:
         texts = {}
         for name, x_text in (("long", "0" * 200_000), ("short", "0")):
             path = tmp_path / f"{name}.csv"
-            path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n0.0333333333,{x_text},0,0,right,0,0,true\n")
+            path.write_text(telemetry_text(f"0.0333333333,{x_text},0,0,right,0,0,true"))
             assert run_cli("report", path) == EXIT_OK
             texts[name] = capsys.readouterr().out
         assert texts["long"] == texts["short"]
@@ -2025,33 +1809,3 @@ class TestReport:
             path.write_bytes(copy)
             assert run_cli("report", path) == EXIT_OK
             assert capsys.readouterr().out == expected, name
-
-    # No writer quotes a field or writes a NUL; the row reader splits on commas
-    # and takes each field as it stands.
-    @pytest.mark.parametrize("row", [
-        '0.0333333333,0,0,"0.5",right,0,0,true',
-        '"0.0333333333",0,0,0.5,right,0,0,true',
-        '0.0333333333,0,0,0.5,"right",0,0,true',
-        "0.0333333333,0,0,0.5,right,0,0,true\x00",
-        "0.0333333333,0\x00,0,0.5,right,0,0,true",
-    ])
-    def test_quoted_or_nul_field_names_file_and_line(self, tmp_path, capsys, row):
-        path = tmp_path / "odd.csv"
-        path.write_text(f"t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n{row}\n")
-        assert run_cli("report", path) == EXIT_USAGE
-        assert f"error: {path}: line 2: " in capsys.readouterr().err
-
-    def test_sensitivities_too_large_to_sum_is_usage_error(self, tmp_path, capsys):
-        csv_path = tmp_path / "peaks.csv"
-        lines = ["t,x,y,P,sector,yaw_cmd,pitch_cmd,visible"]
-        for i, (p, yaw) in enumerate([("5e306", "0.3"), ("0", "0"), ("5e306", "0.3"), ("0", "0")], start=1):
-            lines.append(f"{i / 30:.9g},0,0,{p},right,{yaw},0,true")
-        csv_path.write_text("\n".join(lines) + "\n")
-        assert run_cli("report", csv_path) == EXIT_USAGE
-        assert "too large to sum" in capsys.readouterr().err
-
-    def test_header_only_csv_is_usage_error(self, tmp_path, capsys):
-        empty = tmp_path / "header_only.csv"
-        empty.write_text("t,x,y,P,sector,yaw_cmd,pitch_cmd,visible\n")
-        assert run_cli("report", empty) == EXIT_USAGE
-        assert capsys.readouterr().err == f"error: {empty}: record has no samples\n"
