@@ -15,9 +15,12 @@ own message, raised here or in the library, and ``main`` alone turns it into
 one ``error:`` line and exit 1.  Both ``simulate`` and ``replay`` write their
 files under hidden temporary names and put them in place through ``_staged``
 only once all are written, so a failed run leaves its output directory as it
-was; a directory that ``_out_dir`` made for the run is removed again.  All
-artifacts are byte-stable: rerunning the same command (or a run manifest)
-reproduces them bit for bit.
+was; a directory that ``_out_dir`` made for the run is removed again.
+``replay`` reads its log as it replays it, a block at a time, so its memory
+does not grow with the log: the header and the first row are checked before
+any output is made, and a row refused later fails the run like any other
+failure, leaving no output.  All artifacts are byte-stable: rerunning the
+same command (or a run manifest) reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .arenas import ARENA_FILES, arena_fixture_bytes
@@ -40,7 +44,7 @@ from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .metrics import summarize_tallies
 from .telemetry import row_lines, serialize_report, tally_csv, write_trial_csv
-from .text import fmt_bool, fmt_float, is_plain, parse_number, read_text
+from .text import fmt_bool, fmt_float, is_plain, open_text, parse_number, read_text
 from .trials import (DEFAULT_DT_S, MANIFEST_NAME, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out,
                      _note_as_imported, _sha256, format_manifest, iter_trial, parse_manifest, settings_controller)
 
@@ -169,53 +173,88 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if report.success else EXIT_TRACKING_LOST
 
 
-def _read_coordinate_log(path: Path, frame: FrameSpec) -> list[tuple[float, float, float]]:
-    """Parse a replay log: header 't,x,y', then at least one row of raw
-    top-left pixel coordinates, each inside ``frame``, edges included
-    (``simulate`` calls a target outside it lost), and increasing times whose
-    9-digit telemetry texts differ.  Numbers are ASCII, with no ``_``: the
-    whole text is checked once, and the first line with any other character
-    is named.  A log with no row has no telemetry that ``report`` could read,
-    so it is refused like any other malformed log."""
-    text = read_text(path)
-    if not text.strip():
-        raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
-    rows: list[tuple[float, float, float]] = []
-    lines = text.split("\n")
-    header = [cell.strip() for cell in lines[0].split(",")]
-    if header != ["t", "x", "y"]:
-        raise ValueError(f"{path}: expected header 't,x,y', got {lines[0]!r}")
-    if not is_plain(text):  # float() takes any script's digits and "_" groups
-        lineno = next(n for n, line in enumerate(lines, start=1) if not is_plain(line))
-        raise ValueError(f"{path}: line {lineno}: non-ASCII character or '_' in {lines[lineno - 1]!r}")
-    last_t = -math.inf
-    to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            t_text, x_text, y_text = line.split(",")
-            t, x, y = to_float(t_text), to_float(x_text), to_float(y_text)
-        except ValueError:  # split again only to name what is wrong
-            columns = len(line.split(","))
-            if columns != 3:
-                if not line.strip():  # a blank line has no comma, so it lands here
-                    continue
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {columns}") from None
-            raise ValueError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
-        if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
-            raise ValueError(f"{path}: line {lineno}: non-finite time or position outside the frame in {line!r}")
-        # Over 1e-8 of the larger |time| apart (t or -last_t, for t > last_t), two
-        # times print as different 9-digit texts; closer, their texts are compared.
-        # The first row has no last time.
-        if t - last_t <= 1e-8 * (t if t > -last_t else -last_t) and rows:
-            if t <= last_t:
-                raise ValueError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
-            if fmt_float(t) == fmt_float(last_t):
-                raise ValueError(f"{path}: line {lineno}: time {t} is too close to {last_t} to print apart from it")
-        last_t = t
-        rows.append((t, x, y))
-    if not rows:
-        raise ValueError(f"{path}: no rows after the header 't,x,y'")
-    return rows
+# Characters read from a replay log at a time: its lines are split, and
+# checked as ASCII without "_", a block at a time.
+_LOG_BLOCK_CHARS = 1 << 16
+_NOT_PLAIN = "{}: line {}: non-ASCII character or '_' in {!r}"
+
+
+def _log_lines(fh) -> Iterator[tuple[list[str], bool]]:
+    """The lines of an open log, without their ``"\\n"``, exactly as
+    ``text.split("\\n")`` would give them, read ``_LOG_BLOCK_CHARS``
+    characters at a time: for each block that ends a line, a list of the lines
+    it ends, with a flag that is True only if all of them are ``is_plain``;
+    then the last line, maybe empty, in a list of its own, flagged alike.  A
+    line split across blocks is kept in pieces and joined once, in the list of
+    the block that ends it."""
+    pieces: list[str] = []  # the line that no "\n" has ended yet
+    while block := fh.read(_LOG_BLOCK_CHARS):
+        lines = block.split("\n")
+        pieces.append(lines[0])
+        if len(lines) > 1:
+            lines[0] = "".join(pieces)
+            pieces = [lines.pop()]
+            yield lines, is_plain(block) and is_plain(lines[0])
+    last = "".join(pieces)
+    yield [last], is_plain(last)
+
+
+def _read_coordinate_log(path: Path, frame: FrameSpec) -> Iterator[tuple[float, float, float]]:
+    """Parse a replay log as it is read, yielding each row's ``(t, x, y)``:
+    header 't,x,y', then at least one row of raw top-left pixel coordinates,
+    each inside ``frame``, edges included (``simulate`` calls a target outside
+    it lost), and increasing times whose 9-digit telemetry texts differ.
+    Numbers are ASCII, with no ``_``: each block of ``_log_lines`` is checked
+    whole, and its lines one by one only when it fails.  The first line, in
+    file order, that breaks a rule is named, once the reading reaches it, so a
+    caller that must refuse a bad header or first row before it writes
+    anything takes the first row before it does.  A log with no row has no
+    telemetry that ``report`` could read, so it is refused like any other
+    malformed log.  No more than one block and one line is held at a time."""
+    with open_text(path) as fh:
+        blocks = _log_lines(fh)
+        lines, plain = next(blocks)
+        header = lines[0]
+        if [cell.strip() for cell in header.split(",")] != ["t", "x", "y"]:
+            if not any(line.strip() for more, _ in itertools.chain([(lines, plain)], blocks) for line in more):
+                raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
+            raise ValueError(f"{path}: expected header 't,x,y', got {header!r}")
+        if not plain and not is_plain(header):  # float() takes any script's digits and "_" groups
+            raise ValueError(_NOT_PLAIN.format(path, 1, header))
+        del lines[0]
+        last_t, rows, lineno = -math.inf, 0, 1
+        to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
+        for lines, plain in itertools.chain([(lines, plain)], blocks):
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                if not plain and not is_plain(line):
+                    raise ValueError(_NOT_PLAIN.format(path, lineno, line))
+                try:
+                    t_text, x_text, y_text = line.split(",")
+                    t, x, y = to_float(t_text), to_float(x_text), to_float(y_text)
+                except ValueError:  # split again only to name what is wrong
+                    columns = len(line.split(","))
+                    if columns != 3:
+                        if not line.strip():  # a blank line has no comma, so it lands here
+                            continue
+                        raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {columns}") from None
+                    raise ValueError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
+                if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
+                    raise ValueError(f"{path}: line {lineno}: non-finite time or position outside the frame"
+                                     f" in {line!r}")
+                # Over 1e-8 of the larger |time| apart (t or -last_t, for t > last_t), two
+                # times print as different 9-digit texts; closer, their texts are compared.
+                # The first row has no last time.
+                if t - last_t <= 1e-8 * (t if t > -last_t else -last_t) and rows:
+                    if t <= last_t:
+                        raise ValueError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
+                    if fmt_float(t) == fmt_float(last_t):
+                        raise ValueError(f"{path}: line {lineno}: time {t} is too close to {last_t}"
+                                         " to print apart from it")
+                last_t = t
+                rows += 1
+                yield t, x, y
+        if not rows:
+            raise ValueError(f"{path}: no rows after the header 't,x,y'")
 
 
 def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
@@ -247,20 +286,21 @@ def cmd_replay(args) -> int:
         encode(GimbalCommand(yaw_rate=rate))
     except FrameError as exc:
         raise ValueError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
-    rows = _read_coordinate_log(Path(args.log), controller.frame)
-
     transport = MockTransport()
     link = CommandLink(transport=transport)
-    with _out_dir(args) as out:
-        telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
-        with _staged((telemetry_path, frames_path)) as staged:
-            try:
-                write_trial_csv(row_lines(_replay_samples(rows, controller, link)), staged[telemetry_path])
-            except TransportSaturated as exc:
-                raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
-            frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
-            staged[frames_path].write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
-    print(f"replayed {len(rows)} rows: {len(transport.log)} frames -> {out}")
+    with contextlib.closing(_read_coordinate_log(Path(args.log), controller.frame)) as log:
+        rows = itertools.chain([next(log)], log)  # a bad header or first row makes no output directory
+        with _out_dir(args) as out:
+            telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
+            with _staged((telemetry_path, frames_path)) as staged:
+                try:
+                    count = write_trial_csv(row_lines(_replay_samples(rows, controller, link)),
+                                            staged[telemetry_path])
+                except TransportSaturated as exc:
+                    raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
+                frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
+                staged[frames_path].write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
+    print(f"replayed {count} rows: {len(transport.log)} frames -> {out}")
     return EXIT_OK
 
 

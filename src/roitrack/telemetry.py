@@ -55,15 +55,18 @@ def row_lines(samples: Iterable[tuple]) -> Iterator[str]:
         yield "%.9g,%.9g,%.9g,%.9g,%s\n" % (t, x, y, p, tail)
 
 
-def write_trial_csv(lines: Iterable[str], path: Path) -> None:
+def write_trial_csv(lines: Iterable[str], path: Path) -> int:
     """Write the header and then ``row_lines``' lines, consuming ``lines`` as
     it goes: each block of ``_BLOCK_LINES`` lines is joined and written in one
-    call, so no more than one block is held, never the whole file."""
-    lines = iter(lines)
+    call, so no more than one block is held, never the whole file.  Return the
+    number of rows written."""
+    lines, rows = iter(lines), 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        while block := "".join(islice(lines, _BLOCK_LINES)):
-            fh.write(block)
+        while block := list(islice(lines, _BLOCK_LINES)):
+            fh.write("".join(block))
+            rows += len(block)
+    return rows
 
 
 def _tail_verdict(tail: str) -> tuple:

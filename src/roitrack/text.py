@@ -22,7 +22,7 @@ def open_text(path):
 
 
 def read_text(path) -> str:
-    """The whole text of a config, a manifest or a replay log."""
+    """The whole text of a config or a manifest."""
     with open_text(path) as fh:
         return fh.read()
 

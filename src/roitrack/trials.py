@@ -20,6 +20,7 @@ records are the serial run's, bit for bit, whatever the number of processes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -149,11 +150,45 @@ def manifest_mismatches(directory) -> list[str]:
     return mismatches if artifacts else [f"{path}: lists no artifact"]
 
 
+# The fields that one setting each builds, as a library refusal "<field> must
+# be <rule>, got <value>" names them: field -> (its setting, the rule in the
+# setting's units, or None where the units are the field's).
+_SETTING_OF_FIELD = {
+    "usv_speed": ("usv_speed_mps", None),
+    "duration": ("duration_s", None),
+    "dt": ("dt_s", None),
+    "jitter_amplitude": ("jitter_m", None),
+    "lookahead": ("lookahead_m", None),
+    "horizontal_fov": ("fov_deg", "in (0, 180)"),
+    "altitude": ("altitude_m", None),
+    "frac_x": ("roi_frac_x", None),
+    "frac_y": ("roi_frac_y", None),
+    "rate_magnitude": ("rate_rad_s", None),
+}
+
+
+@contextlib.contextmanager
+def _named_as_settings(settings: dict, overrides=()):
+    """Restate a library refusal of a field that one setting builds, and that
+    is not in ``overrides``, as a refusal of that setting: its key, and its
+    value as ``settings`` holds it.  The library's rule still decides."""
+    try:
+        yield
+    except ValueError as exc:
+        field, must, rest = str(exc).partition(" must be ")
+        if not must or field not in _SETTING_OF_FIELD or field in overrides:
+            raise
+        key, rule = _SETTING_OF_FIELD[field]
+        rule = rule or rest.rpartition(", got ")[0]
+        raise ValueError(f"{key} must be {rule}, got {settings[key]}") from None
+
+
 def settings_controller(settings: dict) -> ControllerConfig:
     """The controller that a run's settings describe: its frame, ROI and rate."""
-    frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
-    roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
-    return ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
+    with _named_as_settings(settings):
+        frame = FrameSpec(width=settings["frame_width_px"], height=settings["frame_height_px"])
+        roi = EllipseRoi.from_fractions(frame, frac_x=settings["roi_frac_x"], frac_y=settings["roi_frac_y"])
+        return ControllerConfig(roi=roi, frame=frame, rate_magnitude=settings["rate_rad_s"])
 
 
 @dataclass(frozen=True)
@@ -213,24 +248,26 @@ class TrialConfig:
         """The run that resolved settings describe, with any field overridden.
         A None speed or duration is first set, in ``settings`` itself, to the
         arena's baseline, so a manifest written from them records what the run
-        used; ``__post_init__`` refuses an unknown arena before that None is read."""
+        used; ``__post_init__`` refuses an unknown arena before that None is read.
+        A refused field that a setting gave is named as that setting."""
         arena = settings["arena"]
         for key, baseline in (("duration_s", BASELINE_DURATION_S), ("usv_speed_mps", BASELINE_USV_SPEED_MPS)):
             if settings[key] is None:
                 settings[key] = baseline.get(arena)
-        fields = dict(
-            arena_id=arena,
-            usv_speed=settings["usv_speed_mps"],
-            duration=settings["duration_s"],
-            seed=settings["seed"],
-            jitter_amplitude=settings["jitter_m"],
-            controller=settings_controller(settings),
-            horizontal_fov=math.radians(settings["fov_deg"]),
-            uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
-            dt=settings["dt_s"],
-            lookahead=settings["lookahead_m"],
-        )
-        return cls(**{**fields, **overrides})
+        with _named_as_settings(settings, overrides):
+            fields = dict(
+                arena_id=arena,
+                usv_speed=settings["usv_speed_mps"],
+                duration=settings["duration_s"],
+                seed=settings["seed"],
+                jitter_amplitude=settings["jitter_m"],
+                controller=settings_controller(settings),
+                horizontal_fov=math.radians(settings["fov_deg"]),
+                uav=UavPose(x=settings["uav_x_m"], y=settings["uav_y_m"], altitude=settings["altitude_m"]),
+                dt=settings["dt_s"],
+                lookahead=settings["lookahead_m"],
+            )
+            return cls(**{**fields, **overrides})
 
     @classmethod
     def baseline(cls, arena_id: int, seed: int = 1, **overrides) -> "TrialConfig":

@@ -285,6 +285,23 @@ DENSE_ROWS = [(i / 1000, 20 if i % 2 == 0 else 1900, 360) for i in range(20)]
 EPOCH_ROWS = [(1.7e9 + i / 30, 960.0 if i < 29 else 1900.0, 360.0) for i in range(30)]
 
 
+def centre_log(count, lines=()):
+    """A log of ``count`` centre rows one second apart, each 16 characters with
+    its newline, so line n (the header is line 1) starts at character
+    ``6 + 16 * (n - 2)``; each ``(lineno, text)`` in ``lines`` replaces a line."""
+    text = ["t,x,y"] + [f"{i:07d},960,360" for i in range(count)]
+    for lineno, line in lines:
+        text[lineno - 1] = line
+    return "\n".join(text) + "\n"
+
+
+# replay reads its log a block at a time: the line that the first block ends
+# inside, 10 of its characters in that block, and a line of the second block
+_BLOCK = cli._LOG_BLOCK_CHARS
+_SPLIT_LINE = (_BLOCK - 6) // 16 + 2
+_LATER_LINE = _SPLIT_LINE + 20
+
+
 def replay_controller(width=1920, height=720, roi=(0.3, 0.3), rate=0.3):
     frame = FrameSpec(width, height)
     return frame, ControllerConfig(roi=EllipseRoi.from_fractions(frame, *roi), frame=frame, rate_magnitude=rate)
@@ -323,15 +340,17 @@ _ROW = "0.0333333333,0,0,"  # a first row's time and position, before its P
 # a new row.
 REFUSALS = [
     # simulate: flags
-    refused("zero-duration", "simulate --arena 1 --trials 1 --duration-s 0", "duration must be positive, got 0.0"),
+    refused("zero-duration", "simulate --arena 1 --trials 1 --duration-s 0", "duration_s must be positive, got 0.0"),
+    refused("negative-dt", "simulate --arena 1 --dt-s -1", "dt_s must be positive, got -1.0"),
     refused("arena-9", "simulate --arena 9", "argument --arena: invalid choice: 9 (choose from 1, 2)"),
     refused("no-arena", "simulate", "an arena id is required (--arena or config)"),
     # random.Random seeds from |seed|, so seed -1 would rerun seed 1's trial
     refused("negative-seed", "simulate --arena 1 --trials 3 --seed -1 --duration-s 2.0", "seed must be >= 0, got -1"),
     refused("non-integer-trials", "simulate --arena 1 --trials abc", "argument --trials: invalid int value: 'abc'"),
-    refused("rate-over-max", "simulate --arena 1 --rate-rad-s 0.5", "rate_magnitude must be in (0, 0.3], got 0.5"),
-    refused("roi-frac-over-half", "simulate --arena 1 --roi-frac-x 0.6", "frac_x must be in [0.05, 0.49], got 0.6"),
-    refused("fov-190", "simulate --arena 1 --fov-deg 190", "horizontal_fov must be in (0, pi), got 3.3161255787892263"),
+    # a refused setting is named as it was given: its key, and its value in its units
+    refused("rate-over-max", "simulate --arena 1 --rate-rad-s 0.5", "rate_rad_s must be in (0, 0.3], got 0.5"),
+    refused("roi-frac-over-half", "simulate --arena 1 --roi-frac-x 0.6", "roi_frac_x must be in [0.05, 0.49], got 0.6"),
+    refused("fov-190", "simulate --arena 1 --fov-deg 190", "fov_deg must be in (0, 180), got 190.0"),
     refused("nan-duration", "simulate --arena 1 --duration-s nan", "duration_s must be finite, got nan"),
     refused("inf-dt", "simulate --arena 1 --dt-s inf", "dt_s must be finite, got inf"),
     refused("dt-over-duration", "simulate --arena 1 --dt-s 100", "duration 24.0 is shorter than one dt step of 100.0"),
@@ -361,9 +380,11 @@ REFUSALS = [
               cfg=f"arena = 1\nseed = {value}\n")
       for i, value in enumerate(["7\x85trials = 2", "7\ftrials = 2"], start=1)),
     refused("config-nan-lookahead", _SIM, "lookahead_m must be finite, got nan", cfg="lookahead_m = nan\n"),
-    *(refused(f"config-lookahead-{value}", _SIM, f"lookahead must be positive, got {float(value)}",
+    *(refused(f"config-lookahead-{value}", _SIM, f"lookahead_m must be positive, got {float(value)}",
               cfg=f"lookahead_m = {value}\n")
       for value in ("0", "-0.5")),
+    *(refused(f"config-{key}-negative", _SIM, f"{key} must be {rule}, got -1.0", cfg=f"{key} = -1\n")
+      for key, rule in [("usv_speed_mps", ">= 0"), ("altitude_m", "positive")]),
     refused("config-zero-frame-width", _SIM, "frame dimensions must be positive, got 0x720",
             cfg="frame_width_px = 0\n"),
     # 10**308 px fits a float, but x * x and a * a overflow, so P would read nan
@@ -375,16 +396,16 @@ REFUSALS = [
       for key, position in [("uav_x_m", "(1e+308, 0.0, 1.83)"), ("uav_y_m", "(0.0, 1e+308, 1.83)"),
                             ("altitude_m", "(0.0, 0.0, 1e+308)")]),
     *(refused(f"config-jitter-on-arena-{arena}", f"simulate --arena {arena} --config {{cfg}}",
-              "jitter_amplitude must be in [0, 1000.0] m, got 1e+308", cfg="jitter_m = 1e308\n")
+              "jitter_m must be in [0, 1000.0] m, got 1e+308", cfg="jitter_m = 1e308\n")
       for arena in (1, 2)),
     # at this jitter arena 1's seed-4 path is finite and seed 5's is not: the
     # run fails before the first trial is written
     refused("config-jitter-non-finite-in-a-later-trial",
             "simulate --arena 1 --trials 2 --seed 4 --duration-s 1.0 --config {cfg}",
-            "jitter_amplitude must be in [0, 1000.0] m, got 1e+154", cfg="jitter_m = 1e154\n"),
+            "jitter_m must be in [0, 1000.0] m, got 1e+154", cfg="jitter_m = 1e154\n"),
     # at this jitter arena 1's seed-4 path is finite, but every step of the boat rounds away on it
     refused("config-jitter-too-far-out-to-move-along", "simulate --arena 1 --seed 4 --duration-s 2.0 --config {cfg}",
-            "jitter_amplitude must be in [0, 1000.0] m, got 1e+153", cfg="jitter_m = 1e153\n"),
+            "jitter_m must be in [0, 1000.0] m, got 1e+153", cfg="jitter_m = 1e153\n"),
     # replay: settings.  The link carries whole hundredths of a rad/s: 0.004
     # would go out as "Yaw 0.0" and never move the gimbal.
     *(refused(f"replay-rate-{rate}", f"replay {{log}} --rate-rad-s {rate}", _OFF_WIRE.format(rate, frame, back),
@@ -397,6 +418,10 @@ REFUSALS = [
               message + size.format(value), cfg=f"{key} = {value}\n", log=log_text(SWEEP_ROWS))
       for side, key, size in _FRAME_SIDES
       for value, message in [(10**309, _FLOAT_RANGE), (-(10**309), "frame dimensions must be positive, got ")]),
+    refused("replay-rate-over-max", "replay {absent} --rate-rad-s 0.5", "rate_rad_s must be in (0, 0.3], got 0.5",
+            absent=None),
+    refused("replay-roi-frac-over-half", "replay {absent} --roi-frac-y 0.6",
+            "roi_frac_y must be in [0.05, 0.49], got 0.6", absent=None),
     refused("replay-fov-flag", "replay {log} --fov-deg 30", "unrecognized arguments: --fov-deg 30",
             log=log_text(SWEEP_ROWS)),
     # replay: the log
@@ -434,6 +459,21 @@ REFUSALS = [
           ("\v", "line 3: expected 3 columns, got 4"), ("\f", "line 3: expected 3 columns, got 4"),
           *((separator, f"line 2: non-numeric value in {'0,960,360' + separator!r}") for separator in "\x1c\x1d\x1e"),
       ]),
+    # a line of a later block is named with its own number, and the first line
+    # in file order that breaks a rule is named, whichever rule it breaks
+    *(refused(f"log-{name}-in-a-later-block", "replay {log}", f"{{log}}: line {_LATER_LINE}: {message}{row!r}",
+              log=centre_log(_LATER_LINE + 20, [(_LATER_LINE, row)]))
+      for name, row, message in [("not-plain", f"{_LATER_LINE - 2:07d},\u0664\u0668\u0660,360", _NOT_PLAIN),
+                                 ("off-the-frame", f"{_LATER_LINE - 2:07d},960,721", _OFF_FRAME)]),
+    *(refused(f"log-not-plain-{name}", "replay {log}", f"{{log}}: line {lineno}: {_NOT_PLAIN}{row!r}",
+              log=centre_log(lineno - 1, [(lineno, row)]).rstrip("\n") + end)
+      for name, lineno, row, end in [
+          # the first block ends after "\u0664\u0668", and the second is ASCII: the line is checked whole
+          ("across-blocks", _SPLIT_LINE, f"{_SPLIT_LINE - 2:07d},\u0664\u0668,360", "\n"),
+          ("last-line-without-newline", 3, "1,\u0664\u0668\u0660,360", ""),
+      ]),
+    refused("log-bad-row-before-a-not-plain-one", "replay {log}", "{log}: line 2: expected 3 columns, got 2",
+            log="t,x,y\n1,2\n0,960,360\n1,960,360\n2,\u0664,360\n"),
     refused("log-time-repeated", "replay {log}", "{log}: line 3: non-monotonic time 0.1 after 0.1",
             log="t,x,y\n0.1,960,360\n0.1,961,360\n"),
     # telemetry prints t with 9 significant digits: each pair below prints as
@@ -1150,6 +1190,70 @@ class TestReplay:
         assert (out / "replay_telemetry.csv").read_bytes() == telemetry
         assert sorted(p.name for p in out.iterdir()) == ["replay_frames.csv", "replay_telemetry.csv"]
 
+    def test_a_row_split_across_blocks_is_read_whole(self, tmp_path, capsys):
+        # the first block ends inside the hard-right row's x: "0004095,19" | "00,360"
+        row = f"{_SPLIT_LINE - 2:07d},1900,360"
+        text = centre_log(_SPLIT_LINE + 10, [(_SPLIT_LINE, row)])
+        start = text.index(row)
+        assert start < _BLOCK < start + len(row) and text.count("\n", 0, start) == _SPLIT_LINE - 1
+        log, out = tmp_path / "log.csv", tmp_path / "r"
+        log.write_text(text)
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        assert capsys.readouterr() == (f"replayed {_SPLIT_LINE + 10} rows: 1 frames -> {out}\n", "")
+        rows = [(float(i), 1900.0 if i == _SPLIT_LINE - 2 else 960.0, 360.0) for i in range(_SPLIT_LINE + 10)]
+        transport = MockTransport()
+        samples = _replay_samples(rows, replay_controller()[1], CommandLink(transport=transport))
+        assert (out / "replay_telemetry.csv").read_text() == _HEADER + "".join(row_lines(samples))
+        assert (out / "replay_frames.csv").read_text() == f"t,frame\n{_SPLIT_LINE - 2},Yaw 0.3\n"
+        assert transport.log == [(float(_SPLIT_LINE - 2), "Yaw 0.3")]
+
+    def test_a_crlf_across_blocks_reads_as_its_newline_twin(self, tmp_path):
+        # header padding that puts a newline last in the first block; its CRLF
+        # twin has the "\r" there and the "\n" first in the second block
+        def padded(pad):
+            lines = [(1, "t,x,y" + " " * pad), (_SPLIT_LINE, f"{_SPLIT_LINE - 2:07d},1900,360")]
+            return centre_log(_SPLIT_LINE + 10, lines)
+
+        twin = next(text for text in map(padded, range(16)) if text[_BLOCK - 1] == "\n")
+        crlf = twin[:_BLOCK - 1] + "\r\n" + twin[_BLOCK:]
+        outputs = []
+        for name, text in [("lf", twin), ("crlf", crlf)]:
+            log, out = tmp_path / f"{name}.csv", tmp_path / name
+            log.write_bytes(text.encode())
+            assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] == outputs[1] and b"Yaw 0.3" in outputs[0]["replay_frames.csv"]
+
+    def test_a_bad_row_in_a_later_block_leaves_the_earlier_replay_as_it_was(self, tmp_path, capsys):
+        out, log = tmp_path / "r", tmp_path / "log.csv"
+        write_log(log, SWEEP_ROWS)
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        row = f"{_LATER_LINE - 2:07d},960"
+        log.write_text(centre_log(_LATER_LINE + 20, [(_LATER_LINE, row)]))
+        capsys.readouterr()
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {log}: line {_LATER_LINE}: expected 3 columns, got 2\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_memory_does_not_grow_with_the_log(self, tmp_path, capsys):
+        """Replay holds a block of its log at a time, never the whole log: the
+        traced peak of a 144,000-row log is within 1.25 times a 36,000-row
+        log's, and under 4 MB.  A hard-right excursion every 10 s sends a frame."""
+        peaks = []
+        for rows in (36_000, 144_000):
+            log, out = tmp_path / f"{rows}.csv", tmp_path / f"r{rows}"
+            log.write_text("t,x,y\n" + "".join(f"{i / 30:.4f},{1900 if i % 300 < 15 else 960},360\n"
+                                                for i in range(rows)))
+            tracemalloc.start()
+            try:
+                assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert capsys.readouterr().out == f"replayed {rows} rows: {rows // 300} frames -> {out}\n"
+        assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 4 << 20, f"peaks {peaks[0]} and {peaks[1]} bytes"
+
     def test_encodes_once_per_distinct_non_zero_command(self, tmp_path, monkeypatch):
         calls = []
 
@@ -1532,10 +1636,19 @@ def test_replay_of_a_simulated_trial_gives_its_sectors_and_commands(values):
     where the 9-digit ``x, y`` moved the point across ``P = 1`` or a diagonal:
     rows that ``decide`` on the re-entered point already tells from the
     recorded row.  Rows closer than one frame's time on the wire may make
-    replay exit 1 for link saturation instead."""
+    replay exit 1 for link saturation instead.  Beside each drawn trial, a
+    fixed log of one row per outer sector, each at the middle of a frame edge,
+    gives that sector and its command: a trial may never leave the ROI."""
     with tempfile.TemporaryDirectory() as tmp:
         config, sim, log, out = Path(tmp) / "run.cfg", Path(tmp) / "sim", Path(tmp) / "log.csv", Path(tmp) / "out"
         config.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+        edges, width, height = Path(tmp) / "edges", values["frame_width_px"], values["frame_height_px"]
+        rate = fmt_float(values["rate_rad_s"])
+        write_log(log, [(0, width, height / 2), (1, width / 2, 0), (2, 0, height / 2), (3, width / 2, height)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["replay", str(log), "--config", str(config), "--out-dir", str(edges)]) == EXIT_OK
+        assert [line.split(",")[4:7] for line in (edges / "replay_telemetry.csv").read_text().splitlines()[1:]] == [
+            ["right", rate, "0"], ["top", "0", rate], ["left", "-" + rate, "0"], ["bottom", "0", "-" + rate]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["simulate", "--config", str(config), "--out-dir", str(sim)]) in (EXIT_OK, EXIT_TRACKING_LOST)
         recorded = [line.split(",") for line in (sim / "trial_001.csv").read_text().splitlines()[1:]]
