@@ -1,8 +1,9 @@
 """Command-line entry point: simulate trial batches, replay coordinate logs,
 and report metrics over telemetry CSVs; ``simulate`` tallies each CSV it has
-written with ``report``'s own ``telemetry.tally_csv``.  Both spread their
-trials or CSVs over the usable CPUs through ``trials._fan_out``, the helper
-that ``trials.run_batch`` runs on, with the same result.  Each setting of
+written with ``report``'s own ``telemetry.tally_csv``.  All three spread
+their work over the usable CPUs through ``trials._fan_out``, the helper that
+``trials.run_batch`` runs on, with the same result: ``simulate`` its trials,
+``report`` its CSVs and ``replay`` the byte ranges of its log.  Each setting of
 ``trials.SETTINGS`` is resolved here, from its default, a --config file and
 its flag; ``simulate`` builds its run with ``TrialConfig.from_settings``.  A
 --config is read, and a manifest written, by ``trials``' manifest codec.  A
@@ -16,35 +17,45 @@ one ``error:`` line and exit 1.  Both ``simulate`` and ``replay`` write their
 files under hidden temporary names and put them in place through ``_staged``
 only once all are written, so a failed run leaves its output directory as it
 was; a directory that ``_out_dir`` made for the run is removed again.
-``replay`` reads its log as it replays it, a block at a time, so its memory
-does not grow with the log: the header and the first row are checked before
-any output is made, and a row refused later fails the run like any other
-failure, leaving no output.  All artifacts are byte-stable: rerunning the
+``replay`` splits its log into one byte range per usable CPU.  Each range is
+replayed as it is read, a block at a time, into its part of the telemetry and
+a record of its sends; then the one serial link sends the records in file
+order and writes each frame as it goes out.  So replay's memory grows neither
+with the log nor with its frames, and its bytes are the same on any number of
+CPUs.  The header and the first row are checked before any output is made,
+and a row refused later fails the run like any other failure, leaving no
+output.  All artifacts are byte-stable: rerunning the
 same command (or a run manifest) reproduces them bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import errno
 import hashlib
+import io
 import itertools
 import math
 import os
+import shutil
+import stat
+import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
 from . import __version__
+from . import trials as _trials
 from .arenas import ARENA_FILES, arena_fixture_bytes
 from .controller import _IDLE, MAX_RATE_RAD_S, ControllerConfig, GimbalCommand, decide
 from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .metrics import summarize_tallies
 from .telemetry import row_lines, serialize_report, tally_csv, write_trial_csv
-from .text import fmt_bool, fmt_float, is_plain, open_text, parse_number, read_text
+from .text import fmt_bool, fmt_float, is_plain, parse_number, read_text
 from .trials import (DEFAULT_DT_S, MANIFEST_NAME, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out,
                      _note_as_imported, _sha256, format_manifest, iter_trial, parse_manifest, settings_controller)
 
@@ -173,22 +184,77 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if report.success else EXIT_TRACKING_LOST
 
 
-# Characters read from a replay log at a time: its lines are split, and
-# checked as ASCII without "_", a block at a time.
-_LOG_BLOCK_CHARS = 1 << 16
+# Bytes read from a replay log at a time.  Blocks end at multiples of this
+# size in the file, whatever range of it is read: a block's lines are split,
+# and checked as ASCII without "_", together.
+_LOG_BLOCK_BYTES = 1 << 16
+# Bytes read where a range of the log may end, to find the row it ends with.
+_BOUNDARY_WINDOW = 1 << 12
+# A send that a range records for the link: the row's time and its command's number.
+_SEND = struct.Struct("<dB")
 _NOT_PLAIN = "{}: line {}: non-ASCII character or '_' in {!r}"
 
 
-def _log_lines(fh) -> Iterator[tuple[list[str], bool]]:
-    """The lines of an open log, without their ``"\\n"``, exactly as
-    ``text.split("\\n")`` would give them, read ``_LOG_BLOCK_CHARS``
-    characters at a time: for each block that ends a line, a list of the lines
-    it ends, with a flag that is True only if all of them are ``is_plain``;
-    then the last line, maybe empty, in a list of its own, flagged alike.  A
-    line split across blocks is kept in pieces and joined once, in the list of
-    the block that ends it."""
+def _lines_before(path: Path, end: int) -> int:
+    """The number of lines of the log that end before byte ``end``, which
+    follows a ``"\\n"``, as universal newlines count them: at each ``"\\n"``,
+    ``"\\r\\n"`` and lone ``"\\r"``."""
+    count, at, cr = 0, 0, False
+    with open(path, "rb") as fh:
+        while at < end and (data := fh.read(min(end - at, _LOG_BLOCK_BYTES << 4))):
+            # a "\r" that ends one read and the "\n" that starts the next are one "\r\n"
+            count += data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") - (cr and data[:1] == b"\n")
+            cr, at = data[-1:] == b"\r", at + len(data)
+    return count
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError, offset: int) -> ValueError:
+    """``text.open_text``'s refusal of bytes that are not UTF-8, naming their
+    position in the file, where ``exc.object`` starts at byte ``offset``."""
+    start, end = offset + exc.start, offset + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
+             else f"bytes in position {start}-{end - 1}")
+    return ValueError(f"{path}: not UTF-8 text: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
+def _log_text(path: Path, start: int, end: int | None) -> Iterator[str]:
+    """The text of bytes ``start`` to ``end`` (None: to the end) of the log,
+    read as ``text.open_text`` reads a file: UTF-8, with ``"\\r\\n"`` and a
+    lone ``"\\r"`` each turned into ``"\\n"``.  It comes in blocks that end
+    at multiples of ``_LOG_BLOCK_BYTES`` in the file.  The text before a byte
+    that is not UTF-8 comes before its refusal, so that a bad line before it is
+    named first, whichever range holds them.  The log must be a regular file,
+    since it is read more than once: a pipe would give its bytes only once."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    at, left = start, math.inf if end is None else end - start
+    with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise ValueError(f"{path}: not a regular file")
+        fh.seek(start)
+        while True:
+            data = fh.read(min(left, _LOG_BLOCK_BYTES - at % _LOG_BLOCK_BYTES))
+            try:
+                text = decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:  # exc.object: the bytes the decoder held, then data
+                held, flag = decoder.getstate()
+                decoder.setstate((b"", flag))
+                yield decoder.decode(exc.object[:exc.start], final=True)
+                raise _not_utf8(path, exc, at - len(held)) from None
+            yield text
+            if not data:
+                return
+            at, left = at + len(data), left - len(data)
+
+
+def _log_lines(blocks) -> Iterator[tuple[list[str], bool]]:
+    """The lines of a text given in blocks, without their ``"\\n"``, exactly
+    as ``text.split("\\n")`` would give them: for each block that ends a
+    line, a list of the lines it ends, with a flag that is True only if all of
+    them are ``is_plain``; then the last line, maybe empty, in a list of its
+    own, flagged alike.  A line split across blocks is kept in pieces and
+    joined once, in the list of the block that ends it."""
     pieces: list[str] = []  # the line that no "\n" has ended yet
-    while block := fh.read(_LOG_BLOCK_CHARS):
+    for block in blocks:
         lines = block.split("\n")
         pieces.append(lines[0])
         if len(lines) > 1:
@@ -199,62 +265,123 @@ def _log_lines(fh) -> Iterator[tuple[list[str], bool]]:
     yield [last], is_plain(last)
 
 
-def _read_coordinate_log(path: Path, frame: FrameSpec) -> Iterator[tuple[float, float, float]]:
-    """Parse a replay log as it is read, yielding each row's ``(t, x, y)``:
-    header 't,x,y', then at least one row of raw top-left pixel coordinates,
-    each inside ``frame``, edges included (``simulate`` calls a target outside
-    it lost), and increasing times whose 9-digit telemetry texts differ.
-    Numbers are ASCII, with no ``_``: each block of ``_log_lines`` is checked
-    whole, and its lines one by one only when it fails.  The first line, in
+def _log_rows(path: Path, blocks, frame: FrameSpec, lineno: int, last_t: float) -> Iterator[tuple[float, float, float]]:
+    """Each row's ``(t, x, y)``, read from ``_log_lines``' ``blocks``, whose
+    first line is line ``lineno + 1`` of the log at ``path``, after a row at time
+    ``last_t`` (``-math.inf``: no row).  A row is raw top-left pixel
+    coordinates, each inside ``frame``, edges included (``simulate`` calls a
+    target outside it lost), at a time after the last whose 9-digit telemetry
+    text differs; its numbers are ASCII, with no ``_``.  A blank line is
+    skipped.  The first line that breaks a rule is named, once the reading
+    reaches it; lines that hold no row, after no row before them, are refused
+    as a log with no rows."""
+    to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
+    for lines, plain in blocks:
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            if not plain and not is_plain(line):  # float() takes any script's digits and "_" groups
+                raise ValueError(_NOT_PLAIN.format(path, lineno, line))
+            try:
+                t_text, x_text, y_text = line.split(",")
+                t, x, y = to_float(t_text), to_float(x_text), to_float(y_text)
+            except ValueError:  # split again only to name what is wrong
+                columns = len(line.split(","))
+                if columns != 3:
+                    if not line.strip():  # a blank line has no comma, so it lands here
+                        continue
+                    raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {columns}") from None
+                raise ValueError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
+            if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
+                raise ValueError(f"{path}: line {lineno}: non-finite time or position outside the frame"
+                                 f" in {line!r}")
+            # Over 1e-8 of the larger |time| apart (t or -last_t, for t > last_t), two
+            # times print as different 9-digit texts; closer, their texts are compared.
+            # The first row has no last time.
+            if t - last_t <= 1e-8 * (t if t > -last_t else -last_t) and isfinite(last_t):
+                if t <= last_t:
+                    raise ValueError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
+                if fmt_float(t) == fmt_float(last_t):
+                    raise ValueError(f"{path}: line {lineno}: time {t} is too close to {last_t}"
+                                     " to print apart from it")
+            last_t = t
+            yield t, x, y
+    if not isfinite(last_t):
+        raise ValueError(f"{path}: no rows after the header 't,x,y'")
+
+
+def _after_header(path: Path, end: int | None) -> Iterator[tuple[list[str], bool]]:
+    """``_log_lines``' blocks of the log up to byte ``end`` (None: to the
+    end), once its first line is checked as the header 't,x,y' and taken out."""
+    blocks = _log_lines(_log_text(path, 0, end))
+    first, plain = next(blocks)
+    header = first[0]
+    if [cell.strip() for cell in header.split(",")] != ["t", "x", "y"]:
+        if not any(line.strip() for more, _ in itertools.chain([(first, plain)], blocks) for line in more):
+            raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
+        raise ValueError(f"{path}: expected header 't,x,y', got {header!r}")
+    if not plain and not is_plain(header):
+        raise ValueError(_NOT_PLAIN.format(path, 1, header))
+    del first[0]
+    yield first, plain
+    yield from blocks
+
+
+def _read_coordinate_log(path: Path, frame: FrameSpec, start: int = 0, end: int | None = None,
+                         last_t: float = -math.inf) -> Iterator[tuple[float, float, float]]:
+    """Each row's ``(t, x, y)`` of bytes ``start`` to ``end`` (None: to the
+    end) of a replay log, parsed as they are read (``_log_rows``).  From byte
+    0, the first line is the header 't,x,y', and at least one row follows it: a
+    log with no row has no telemetry that ``report`` could read, so it is
+    refused like any other malformed log.  A later ``start`` follows a
+    ``"\\n"`` and a row at time ``last_t``; the lines before it are counted,
+    so that every line is named by its number in the file.  The first line, in
     file order, that breaks a rule is named, once the reading reaches it, so a
     caller that must refuse a bad header or first row before it writes
-    anything takes the first row before it does.  A log with no row has no
-    telemetry that ``report`` could read, so it is refused like any other
-    malformed log.  No more than one block and one line is held at a time."""
-    with open_text(path) as fh:
-        blocks = _log_lines(fh)
-        lines, plain = next(blocks)
-        header = lines[0]
-        if [cell.strip() for cell in header.split(",")] != ["t", "x", "y"]:
-            if not any(line.strip() for more, _ in itertools.chain([(lines, plain)], blocks) for line in more):
-                raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
-            raise ValueError(f"{path}: expected header 't,x,y', got {header!r}")
-        if not plain and not is_plain(header):  # float() takes any script's digits and "_" groups
-            raise ValueError(_NOT_PLAIN.format(path, 1, header))
-        del lines[0]
-        last_t, rows, lineno = -math.inf, 0, 1
-        to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
-        for lines, plain in itertools.chain([(lines, plain)], blocks):
-            for lineno, line in enumerate(lines, start=lineno + 1):
-                if not plain and not is_plain(line):
-                    raise ValueError(_NOT_PLAIN.format(path, lineno, line))
-                try:
-                    t_text, x_text, y_text = line.split(",")
-                    t, x, y = to_float(t_text), to_float(x_text), to_float(y_text)
-                except ValueError:  # split again only to name what is wrong
-                    columns = len(line.split(","))
-                    if columns != 3:
-                        if not line.strip():  # a blank line has no comma, so it lands here
-                            continue
-                        raise ValueError(f"{path}: line {lineno}: expected 3 columns, got {columns}") from None
-                    raise ValueError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
-                if not (isfinite(t) and 0.0 <= x <= width and 0.0 <= y <= height):  # a NaN fails every comparison
-                    raise ValueError(f"{path}: line {lineno}: non-finite time or position outside the frame"
-                                     f" in {line!r}")
-                # Over 1e-8 of the larger |time| apart (t or -last_t, for t > last_t), two
-                # times print as different 9-digit texts; closer, their texts are compared.
-                # The first row has no last time.
-                if t - last_t <= 1e-8 * (t if t > -last_t else -last_t) and rows:
-                    if t <= last_t:
-                        raise ValueError(f"{path}: line {lineno}: non-monotonic time {t} after {last_t}")
-                    if fmt_float(t) == fmt_float(last_t):
-                        raise ValueError(f"{path}: line {lineno}: time {t} is too close to {last_t}"
-                                         " to print apart from it")
-                last_t = t
-                rows += 1
-                yield t, x, y
-        if not rows:
-            raise ValueError(f"{path}: no rows after the header 't,x,y'")
+    anything takes the first row before it does.  No more than one block of
+    ``_LOG_BLOCK_BYTES`` and one line is held at a time."""
+    if start:
+        return _log_rows(path, _log_lines(_log_text(path, start, end)), frame, _lines_before(path, start), last_t)
+    return _log_rows(path, _after_header(path, end), frame, 1, last_t)
+
+
+def _range_start(path: Path, window: bytes, frame: FrameSpec) -> tuple[int, float] | None:
+    """Where in ``window``, bytes read from a log, a range of it may start,
+    and the time of the row before: just after the first ``"\\n"`` that ends
+    a whole line of the window that ``_log_rows`` reads as a row on its own.
+    A line that a lone ``"\\r"`` splits is passed over.  None if the window
+    holds no such line."""
+    lines = window.split(b"\n")
+    at = len(lines[0]) + 1  # where the window's first whole line starts
+    for line in lines[1:-1]:
+        at += len(line) + 1
+        text = line[:-1] if line.endswith(b"\r") else line
+        if b"\r" in text:
+            continue
+        try:  # a blank line is refused as no row, and bytes not UTF-8 by the decode
+            ((t, _, _),) = _log_rows(path, [([text.decode()], False)], frame, 0, -math.inf)
+        except ValueError:
+            continue
+        return at, t
+    return None
+
+
+def _log_ranges(path: Path, frame: FrameSpec, count: int) -> list[tuple[int, int | None, float]]:
+    """Up to ``count`` ranges of the log that together cover it, in file
+    order, each ``(start, end, last_t)`` for ``_read_coordinate_log``: the
+    first from byte 0, each other from the ``_range_start`` of a window read
+    near an even share of the file, after its row at ``last_t``.  A range
+    whose window holds no row is dropped, the next range starting at the one
+    before it ends."""
+    starts = [(0, -math.inf)]
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        for k in range(1, count):
+            at = max(size * k // count, starts[-1][0])
+            fh.seek(at)
+            found = _range_start(path, fh.read(_BOUNDARY_WINDOW), frame)
+            if found is not None and at + found[0] < size:
+                starts.append((at + found[0], found[1]))
+    ends = [start for start, _ in starts[1:]] + [None]
+    return [(start, end, last_t) for (start, last_t), end in zip(starts, ends)]
 
 
 def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
@@ -279,6 +406,95 @@ def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
         yield t, x, y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True
 
 
+class _SendRecord:
+    """The link of a range of the log: it writes each send to ``fh`` as a
+    ``_SEND`` record of its time and its command's number in ``commands``, for
+    the one link to send in file order."""
+
+    def __init__(self, fh, commands: tuple[GimbalCommand, ...]):
+        # by identity, as decide gives the controller's own objects: a GimbalCommand hashes in Python
+        self.write, self.numbers = fh.write, {id(cmd): number for number, cmd in enumerate(commands)}
+
+    def send(self, cmd: GimbalCommand, now: float) -> None:
+        self.write(_SEND.pack(now, self.numbers[id(cmd)]))
+
+
+def _recorded_sends(path: Path) -> Iterator[Iterator[tuple[float, int]]]:
+    """The ``(time, number)`` of each whole ``_SEND`` record of the file, a block at a time."""
+    with open(path, "rb") as fh:
+        while data := fh.read(_SEND.size << 12):
+            yield _SEND.iter_unpack(data[:len(data) - len(data) % _SEND.size])
+
+
+class _FrameFile(MockTransport):
+    """``MockTransport``'s 9600 bps line, which writes each frame's line of
+    ``replay_frames.csv`` to ``fh`` as it goes out, and counts it, keeping none."""
+
+    def __init__(self, fh):
+        super().__init__()
+        self.write, self.frames = fh.write, 0
+
+    def _keep(self, now: float, text: str) -> None:
+        self.write(f"{fmt_float(now)},{text}\n")
+        self.frames += 1
+
+
+def _replay_ranges(log: Path, ranges: list, controller: ControllerConfig, telemetry: Path,
+                   frames: Path) -> tuple[int, int]:
+    """Replay the ``ranges`` of ``log`` (``_log_ranges``) into the files
+    ``telemetry`` and ``frames``, in up to one process per usable CPU
+    (``_fan_out``): the numbers of rows and of frames written.
+
+    Each range writes its telemetry rows to a part, the first range to
+    ``telemetry`` itself, and records its sends (``_SendRecord``).  Then, in
+    file order, each range's sends go through the one link, each frame written
+    as it goes out, and its part is appended to ``telemetry``.  The sends
+    follow the rule of ``_replay_samples``: a range's first row was recorded
+    whatever its command, and goes to the link only if its command, or that of
+    the row before it, the last of the range before, is not idle.  A range that
+    ended in a refusal or an I/O error raises it once its sends have gone, so
+    the first failure in file order is raised, the link's ``TransportSaturated``
+    included.  The parts and the records are hidden temporaries beside
+    ``telemetry``, removed whatever the outcome."""
+    commands = (_IDLE, *controller._commands.values())  # a recorded send's command, by its number
+    parts = [telemetry, *(telemetry.with_name(f".replay_telemetry.{k}.tmp") for k in range(1, len(ranges)))]
+    sends = [telemetry.with_name(f".replay_sends.{k}.tmp") for k in range(len(ranges))]
+
+    def replay_range(k):
+        """Range ``k``'s row count, and the refusal or I/O error that ended it, if any."""
+        try:
+            rows = _read_coordinate_log(log, controller.frame, *ranges[k])
+            with open(sends[k], "wb") as fh, contextlib.closing(rows):
+                samples = _replay_samples(rows, controller, _SendRecord(fh, commands))
+                return write_trial_csv(row_lines(samples), parts[k]), None
+        except (ValueError, OSError) as exc:
+            return 0, exc
+
+    try:
+        results = _fan_out(replay_range, range(len(ranges)))
+        with open(frames, "w", encoding="utf-8") as fh:
+            fh.write("t,frame\n")
+            transport = _FrameFile(fh)
+            send, last, count = CommandLink(transport=transport).send, None, 0
+            for k, (rows, error) in enumerate(results):
+                for block in _recorded_sends(sends[k]):
+                    for t, number in block:
+                        if number or last != 0:
+                            send(commands[number], t)
+                        last = number
+                if error is not None:
+                    raise error
+                if k:
+                    with open(parts[k], "rb") as part, open(telemetry, "ab") as whole:
+                        part.readline()  # its header: the telemetry has one
+                        shutil.copyfileobj(part, whole)
+                count += rows
+        return count, transport.frames
+    finally:
+        for path in (*parts[1:], *sends):
+            path.unlink(missing_ok=True)
+
+
 def cmd_replay(args) -> int:
     controller = settings_controller(_settings(args))
     rate = controller.rate_magnitude
@@ -286,21 +502,18 @@ def cmd_replay(args) -> int:
         encode(GimbalCommand(yaw_rate=rate))
     except FrameError as exc:
         raise ValueError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
-    transport = MockTransport()
-    link = CommandLink(transport=transport)
-    with contextlib.closing(_read_coordinate_log(Path(args.log), controller.frame)) as log:
-        rows = itertools.chain([next(log)], log)  # a bad header or first row makes no output directory
-        with _out_dir(args) as out:
-            telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
-            with _staged((telemetry_path, frames_path)) as staged:
-                try:
-                    count = write_trial_csv(row_lines(_replay_samples(rows, controller, link)),
-                                            staged[telemetry_path])
-                except TransportSaturated as exc:
-                    raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
-                frame_lines = ["t,frame"] + [f"{fmt_float(t)},{text}" for t, text in transport.log]
-                staged[frames_path].write_text("\n".join(frame_lines) + "\n", encoding="utf-8")
-    print(f"replayed {count} rows: {len(transport.log)} frames -> {out}")
+    log = Path(args.log)
+    with contextlib.closing(_read_coordinate_log(log, controller.frame)) as rows:
+        next(rows)  # a bad header or first row makes no output directory
+    ranges = _log_ranges(log, controller.frame, _trials._usable_cpus())  # looked up now, so a test may set it
+    with _out_dir(args) as out:
+        telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
+        with _staged((telemetry_path, frames_path)) as staged:
+            try:
+                count, frames = _replay_ranges(log, ranges, controller, staged[telemetry_path], staged[frames_path])
+            except TransportSaturated as exc:
+                raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
+    print(f"replayed {count} rows: {frames} frames -> {out}")
     return EXIT_OK
 
 

@@ -126,7 +126,11 @@ class MockTransport:
             )
         seconds = len(frame.wire_bytes()) * BITS_PER_BYTE_ON_WIRE / LINE_RATE_BPS
         self._busy_until = now + seconds
-        self.log.append((now, frame.text))
+        self._keep(now, frame.text)
+
+    def _keep(self, now: float, text: str) -> None:
+        """Keep a frame that went out: here, in ``log``."""
+        self.log.append((now, text))
 
     def bytes_sent(self) -> int:
         return sum(len(text.encode("ascii")) + len(TERMINATOR) for _, text in self.log)

@@ -297,7 +297,7 @@ def centre_log(count, lines=()):
 
 # replay reads its log a block at a time: the line that the first block ends
 # inside, 10 of its characters in that block, and a line of the second block
-_BLOCK = cli._LOG_BLOCK_CHARS
+_BLOCK = cli._LOG_BLOCK_BYTES
 _SPLIT_LINE = (_BLOCK - 6) // 16 + 2
 _LATER_LINE = _SPLIT_LINE + 20
 
@@ -427,6 +427,8 @@ REFUSALS = [
     # replay: the log
     refused("log-missing", "replay {absent}", "[Errno 2] No such file or directory: {absent!r}", code=EXIT_IO,
             absent=None),
+    # replay reads its log more than once, a range at a time, which a pipe or a device cannot give
+    refused("log-not-a-regular-file", "replay /dev/null", "/dev/null: not a regular file"),
     *(refused(f"log-without-rows-{i}", "replay {log}", "{log}: " + message, log=text)
       for i, (text, message) in enumerate([("", "empty log, expected header 't,x,y' and at least one row"),
                                            ("\n \n", "empty log, expected header 't,x,y' and at least one row"),
@@ -1236,23 +1238,31 @@ class TestReplay:
         assert capsys.readouterr() == ("", f"error: {log}: line {_LATER_LINE}: expected 3 columns, got 2\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_memory_does_not_grow_with_the_log(self, tmp_path, capsys):
-        """Replay holds a block of its log at a time, never the whole log: the
-        traced peak of a 144,000-row log is within 1.25 times a 36,000-row
-        log's, and under 4 MB.  A hard-right excursion every 10 s sends a frame."""
-        peaks = []
-        for rows in (36_000, 144_000):
-            log, out = tmp_path / f"{rows}.csv", tmp_path / f"r{rows}"
-            log.write_text("t,x,y\n" + "".join(f"{i / 30:.4f},{1900 if i % 300 < 15 else 960},360\n"
-                                                for i in range(rows)))
-            tracemalloc.start()
-            try:
-                assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert capsys.readouterr().out == f"replayed {rows} rows: {rows // 300} frames -> {out}\n"
-        assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 4 << 20, f"peaks {peaks[0]} and {peaks[1]} bytes"
+    def test_memory_does_not_grow_with_the_log(self, tmp_path, monkeypatch, capsys):
+        """Replay holds a block of its log at a time, never the whole log, and
+        writes each frame as it sends it, keeping none: the traced peak of a
+        144,000-row log is within 1.25 times a 36,000-row log's, and under 4 MB.
+        A log with a hard-right excursion every 10 s sends a frame every 10 s,
+        and one that alternates hard left and hard right sends one every row.
+        With one worker every range runs in this process, where tracemalloc
+        sees it; with two, the second range runs in a child."""
+        logs = {"excursions": (lambda i: 1900 if i % 300 < 15 else 960, 300),
+                "alternating": (lambda i: 20 if i % 2 else 1900, 1)}
+        for (name, (x_of, rows_per_frame)), count in itertools.product(logs.items(), (1, 2)):
+            workers(monkeypatch, count)
+            peaks = []
+            for rows in (36_000, 144_000):
+                log, out = tmp_path / f"{name}{rows}.csv", tmp_path / f"{name}{count}-{rows}"
+                if not log.exists():
+                    log.write_text("t,x,y\n" + "".join(f"{i / 30:.4f},{x_of(i)},360\n" for i in range(rows)))
+                tracemalloc.start()
+                try:
+                    assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert capsys.readouterr().out == f"replayed {rows} rows: {rows // rows_per_frame} frames -> {out}\n"
+            assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 4 << 20, f"{name} log, {count} workers: {peaks} bytes"
 
     def test_encodes_once_per_distinct_non_zero_command(self, tmp_path, monkeypatch):
         calls = []
@@ -1296,6 +1306,195 @@ class TestReplay:
         assert run_cli("replay", log, "--out-dir", default) == EXIT_OK
         for name in ("replay_telemetry.csv", "replay_frames.csv"):
             assert (out / name).read_bytes() == (default / name).read_bytes()
+
+
+def fixed_log(points, dt=1 / 32):
+    """A log of one row per ``(x, y)`` at times ``i * dt``, every line of one
+    width, so that a row's content can change and every range stays where it is."""
+    return "t,x,y\n" + "".join(f"{i * dt:010.5f},{x:04d},{y:03d}\n" for i, (x, y) in enumerate(points))
+
+
+def first_lines_of_ranges(log, count):
+    """The number of the first line of each range after the first, as
+    ``replay`` splits ``log`` for ``count`` workers."""
+    return [cli._lines_before(log, start) + 1 for start, _, _ in cli._log_ranges(log, FrameSpec(1920, 720), count)[1:]]
+
+
+def outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log, *argv):
+    """Replay ``log`` on 1, 2 and 3 workers, check that each gives the same
+    outcome, and return it: the exit code, stdout and stderr, and each file of
+    the output directory, which holds the two outputs and nothing else (None if
+    the run was refused and made no directory)."""
+    seen = []
+    for count in (1, 2, 3):
+        workers(monkeypatch, count)
+        out = log.parent / f"out{count}"
+        code = run_cli("replay", log, "--out-dir", out, *argv)
+        stdout, stderr = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+        seen.append((code, stdout.replace(str(out), "OUT"), stderr, files))
+        assert_no_child_left()
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+    code, _, _, files = seen[0]
+    if code == EXIT_OK:
+        assert sorted(files) == ["replay_frames.csv", "replay_telemetry.csv"]
+    else:
+        assert files is None
+    return seen[0]
+
+
+CENTRE, RIGHT, LEFT = (960, 360), (1900, 360), (20, 360)
+# 64 rows 1/32 s apart: on 2 workers the second range starts at line 35, row 33
+RANGE_2 = 35
+
+
+class TestReplayRanges:
+    """``replay`` splits its log into one byte range per usable CPU; whatever
+    the worker count, the outcome is the one-range run's, byte for byte."""
+
+    def write(self, tmp_path, text, line=None):
+        log = tmp_path / "log.csv"
+        log.write_bytes(text if isinstance(text, bytes) else text.encode())
+        if line is not None:  # the case sits where it should
+            assert first_lines_of_ranges(log, 2) == [line]
+        return log
+
+    @pytest.mark.parametrize("points,frames", [
+        # held hard right from row 2: its keep-alive is due at row 34, the second range's second row
+        pytest.param([CENTRE] * 2 + [RIGHT] * 62, [(2, "Yaw 0.3"), (34, "Yaw 0.3")], id="keep-alive"),
+        pytest.param([CENTRE] * 33 + [RIGHT] * 31, [(33, "Yaw 0.3")], id="idle-to-hard-right"),
+        # the idle row that starts the second range makes the link send the same frame again
+        pytest.param([CENTRE] * 31 + [RIGHT] * 2 + [CENTRE] + [RIGHT] * 30, [(31, "Yaw 0.3"), (34, "Yaw 0.3")],
+                     id="hard-right-to-idle-and-back"),
+        pytest.param([LEFT] * 33 + [RIGHT] * 31, [(0, "Yaw -0.3"), (32, "Yaw -0.3"), (33, "Yaw 0.3")],
+                     id="hard-left-to-hard-right"),
+    ])
+    def test_a_command_at_a_boundary_is_sent_as_in_one_range(self, tmp_path, monkeypatch, capsys, points, frames):
+        log = self.write(tmp_path, fixed_log(points), RANGE_2)
+        code, stdout, stderr, files = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        assert (code, stdout, stderr) == (EXIT_OK, f"replayed 64 rows: {len(frames)} frames -> OUT\n", "")
+        expected = "".join(f"{fmt_float(row / 32)},{frame}\n" for row, frame in frames)
+        assert files["replay_frames.csv"].decode() == "t,frame\n" + expected
+
+    def test_a_time_rule_refusal_at_a_ranges_first_row(self, tmp_path, monkeypatch, capsys):
+        lines = fixed_log([CENTRE] * 64).split("\n")
+        lines[RANGE_2 - 1] = lines[RANGE_2 - 2]  # row 33 at row 32's time, 1.0
+        log = self.write(tmp_path, "\n".join(lines), RANGE_2)
+        outcome = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        assert outcome[:3] == (EXIT_USAGE, "", f"error: {log}: line {RANGE_2}: non-monotonic time 1.0 after 1.0\n")
+
+    # Rows 10 and 11 alternate hard left and hard right 1 ms apart, which the
+    # link cannot carry; row 40 has two columns.  The first in file order is named.
+    @pytest.mark.parametrize("dense,bad,message", [
+        (10, 40, "rows too dense for the serial link: line busy until t=0.321875, cannot send at t=0.313500"),
+        (40, 10, "line 12: expected 3 columns, got 2"),
+    ], ids=["saturated-link-in-range-1", "bad-row-in-range-1"])
+    def test_the_first_failure_in_file_order_is_named(self, tmp_path, monkeypatch, capsys, dense, bad, message):
+        lines = fixed_log([CENTRE] * dense + [LEFT, RIGHT] + [CENTRE] * (62 - dense)).split("\n")
+        lines[dense + 2] = f"{dense / 32 + 0.001:010.5f},1900,360"
+        lines[bad + 1] = f"{bad / 32:010.5f},19000000"
+        log = self.write(tmp_path, "\n".join(lines), RANGE_2)
+        outcome = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        assert outcome[:3] == (EXIT_USAGE, "", f"error: {log}: {message}\n")
+
+    # One range reads the whole log as one block; two read the byte and the bad
+    # row in different ranges.  Either way, the first in file order is named.
+    @pytest.mark.parametrize("bad_row", [False, True], ids=["byte", "bad-row-before-the-byte"])
+    def test_bytes_not_utf8_in_the_second_range(self, tmp_path, monkeypatch, capsys, bad_row):
+        lines = fixed_log([CENTRE] * 64).split("\n")
+        if bad_row:
+            lines[11] = f"{10 / 32:010.5f},19000000"
+        text = "\n".join(lines).encode()
+        at = text.index(b"\n", text.index(f"{40 / 32:010.5f}".encode())) - 1  # row 40's last byte
+        log = self.write(tmp_path, text[:at] + b"\xff" + text[at + 1:], RANGE_2)
+        outcome = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        message = ("line 12: expected 3 columns, got 2" if bad_row else
+                   f"not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte")
+        assert outcome[:3] == (EXIT_USAGE, "", f"error: {log}: {message}\n")
+
+    def test_the_lines_before_a_range_are_counted_at_every_line_break(self, tmp_path, monkeypatch, capsys):
+        # rows 0-9 end in a lone "\r" and rows 10-19 in "\r\n"; row 40, in the second range, has two columns
+        lines = fixed_log([CENTRE] * 64).split("\n")
+        lines[41] = f"{40 / 32:010.5f},19000000"
+        text = "".join(line + ("\r" if 1 <= i <= 10 else "\r\n" if i <= 20 else "\n") for i, line in enumerate(lines))
+        log = self.write(tmp_path, text)
+        assert first_lines_of_ranges(log, 2)[0] < 42
+        outcome = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        assert outcome[:3] == (EXIT_USAGE, "", f"error: {log}: line 42: expected 3 columns, got 2\n")
+
+    def test_blank_lines_at_a_boundary_move_it(self, tmp_path, monkeypatch, capsys):
+        lines = fixed_log([LEFT] * 64).split("\n")
+        lines[RANGE_2 - 2] = lines[RANGE_2 - 1] = " " * len(lines[1])  # rows 32 and 33 blank
+        log = self.write(tmp_path, "\n".join(lines), RANGE_2 + 2)
+        code, stdout, _, files = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        assert (code, stdout) == (EXIT_OK, "replayed 62 rows: 2 frames -> OUT\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_other_line_ends_give_the_newline_bytes(self, tmp_path, monkeypatch, capsys, end):
+        text = fixed_log([LEFT] * 20 + [CENTRE] * 20 + [RIGHT] * 24)
+        expected = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, self.write(tmp_path, text))
+        log = tmp_path / "ends" / "log.csv"
+        log.parent.mkdir()
+        log.write_bytes(text.replace("\n", end).encode())
+        # a log with no "\n" has no boundary: it is one range, run here
+        assert len(first_lines_of_ranges(log, 2)) == (0 if end == "\r" else 1)
+        assert outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log) == expected
+
+    def test_a_line_longer_than_the_boundary_window_drops_its_range(self, tmp_path, monkeypatch, capsys):
+        lines = fixed_log([CENTRE] * 20 + [RIGHT] * 20).split("\n")
+        lines[11] = " " * (3 * cli._BOUNDARY_WINDOW) + lines[11]  # row 10, past where 2 workers would split
+        log = self.write(tmp_path, "\n".join(lines), None)
+        assert first_lines_of_ranges(log, 2) == [] and len(first_lines_of_ranges(log, 3)) == 1
+        forks = counted_forks(monkeypatch)
+        code, stdout, _, _ = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        assert (code, stdout, len(forks)) == (EXIT_OK, "replayed 40 rows: 1 frames -> OUT\n", 1)
+
+    @pytest.mark.parametrize("case", ["success", "refusal-in-range-1", "refusal-in-range-2", "write-stub-fills-the-disk",
+                                      "disk-fills-in-the-child"])
+    def test_nothing_is_left_behind(self, tmp_path, monkeypatch, capsys, case):
+        """On 2 workers, into a directory that holds an earlier replay: every
+        child is reaped, no temporary is left, and a failed run leaves the
+        earlier files as they were."""
+        out = tmp_path / "out"
+        log = self.write(tmp_path, fixed_log([LEFT] * 64), RANGE_2)
+        assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        lines = fixed_log([RIGHT] * 64).split("\n")
+        if case.startswith("refusal"):
+            row = 10 if case.endswith("1") else 40
+            lines[row + 1] = f"{row / 32:010.5f},19000000"
+        log.write_text("\n".join(lines))
+        if case == "write-stub-fills-the-disk":  # a replaced package function: every range runs here
+            def fill_the_disk(lines, path):
+                write_trial_csv(itertools.islice(lines, 10), path)
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+            monkeypatch.setattr(cli, "write_trial_csv", fill_the_disk)
+        elif case == "disk-fills-in-the-child":
+            def open_filling_the_disk(file, mode="r", **kwargs):
+                fh = open(file, mode, **kwargs)
+                if Path(file).name == ".replay_telemetry.1.tmp":
+                    fh.close()
+                    raise OSError(errno.ENOSPC, "No space left on device", str(file))
+                return fh
+
+            monkeypatch.setattr(telemetry, "open", open_filling_the_disk, raising=False)
+        capsys.readouterr()
+        workers(monkeypatch, 2)
+        forks = counted_forks(monkeypatch)
+        code = run_cli("replay", log, "--out-dir", out)
+        stderr = capsys.readouterr().err
+        assert len(forks) == (0 if case == "write-stub-fills-the-disk" else 1)
+        assert_no_child_left()
+        assert sorted(path.name for path in out.iterdir()) == ["replay_frames.csv", "replay_telemetry.csv"]
+        if case == "success":
+            assert code == EXIT_OK and (out / "replay_frames.csv").read_bytes() != before["replay_frames.csv"]
+            return
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        if case.startswith("refusal"):
+            assert (code, stderr) == (EXIT_USAGE, f"error: {log}: line {row + 2}: expected 3 columns, got 2\n")
+        else:
+            assert code == EXIT_IO and stderr.startswith("i/o error: [Errno 28] No space left on device")
 
 
 def reference_replay_samples(rows, controller, link):
@@ -1408,8 +1607,11 @@ def _log_text(rows):
     return ("\n".join(lines) + "\n").encode()
 
 
+_ANY_LOG = st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode), _log_rows().map(_log_text))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode), _log_rows().map(_log_text)))
+@given(_ANY_LOG)
 def test_any_replay_log_exits_with_a_documented_code(data):
     with tempfile.TemporaryDirectory() as tmp:
         log, out = Path(tmp) / "log.csv", Path(tmp) / "out"
@@ -1418,6 +1620,25 @@ def test_any_replay_log_exits_with_a_documented_code(data):
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO)
         if code != EXIT_OK:
             assert not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ANY_LOG)
+def test_any_replay_log_has_one_outcome_on_one_two_and_three_workers(data):
+    """The exit code, stdout, stderr and every output byte are the same
+    whatever the number of ranges the log is split into."""
+    seen = []
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "log.csv"
+        log.write_bytes(data)
+        for count in (1, 2, 3):
+            out, stdout, stderr = Path(tmp) / f"out{count}", io.StringIO(), io.StringIO()
+            with mock.patch.object(trials, "_usable_cpus", lambda: count), \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["replay", str(log), "--out-dir", str(out)])
+            files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+            seen.append((code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files))
+    assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def _in_frame(side: int):
