@@ -3,12 +3,12 @@ and report metrics over telemetry CSVs; ``simulate`` tallies each CSV it has
 written with ``report``'s own ``telemetry.tally_csv``.  All three spread
 their work over the usable CPUs through ``trials._fan_out``, the helper that
 ``trials.run_batch`` runs on, with the same result: ``simulate`` its trials,
-``report`` its CSVs and ``replay`` the byte ranges of its log.  Each setting of
-``trials.SETTINGS`` is resolved here, from its default, a --config file and
-its flag; ``simulate`` builds its run with ``TrialConfig.from_settings``.  A
---config is read, and a manifest written, by ``trials``' manifest codec.  A
-config whose ``tool_version`` is not this one's gets a one-line notice on
-stderr, and runs as it would otherwise.
+``report`` its CSVs and ``replay`` the ranges of its log's blocks.  Each
+setting of ``trials.SETTINGS`` is resolved here, from its default, a --config
+file and its flag; ``simulate`` builds its run with
+``TrialConfig.from_settings``.  A --config is read, and a manifest written, by
+``trials``' manifest codec.  A config whose ``tool_version`` is not this one's
+gets a one-line notice on stderr, and runs as it would otherwise.
 
 Exit codes are scriptable: 0 success, 1 usage or malformed input, 2 ran but
 lost tracking, 3 I/O failure.  A refused input is a ``ValueError`` carrying its
@@ -17,14 +17,15 @@ one ``error:`` line and exit 1.  Both ``simulate`` and ``replay`` write their
 files under hidden temporary names and put them in place through ``_staged``
 only once all are written, so a failed run leaves its output directory as it
 was; a directory that ``_out_dir`` made for the run is removed again.
-``replay`` splits its log into one byte range per usable CPU.  Each range is
-replayed as it is read, a block at a time, into its part of the telemetry and
-a record of its sends; then the one serial link sends the records in file
-order and writes each frame as it goes out.  So replay's memory grows neither
-with the log nor with its frames, and its bytes are the same on any number of
-CPUs.  The header and the first row are checked before any output is made,
-and a row refused later fails the run like any other failure, leaving no
-output.  All artifacts are byte-stable: rerunning the
+``replay`` splits the blocks of its log into one range per usable CPU.  Each
+range reads the log from its start, counting the lines before its own blocks,
+and replays the lines that its blocks end as they are read, into its part of
+the telemetry and a record of its sends; then the one serial link sends the
+records in file order and writes each frame as it goes out.  So replay's
+memory grows neither with the log nor with its frames, and its bytes are the
+same on any number of CPUs.  The header and the first row are checked before
+any output is made, and a row refused later fails the run like any other
+failure, leaving no output.  All artifacts are byte-stable: rerunning the
 same command (or a run manifest) reproduces them bit for bit.
 """
 
@@ -184,28 +185,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if report.success else EXIT_TRACKING_LOST
 
 
-# Bytes read from a replay log at a time.  Blocks end at multiples of this
-# size in the file, whatever range of it is read: a block's lines are split,
-# and checked as ASCII without "_", together.
-_LOG_BLOCK_BYTES = 1 << 16
-# Bytes read where a range of the log may end, to find the row it ends with.
-_BOUNDARY_WINDOW = 1 << 12
+# Bytes read from a replay log at a time.  A range of the log is a run of
+# these blocks, and every range reads the log from its start: a block's lines
+# are split, and checked as ASCII without "_", together.
+_LOG_BLOCK_BYTES = 1 << 14
 # A send that a range records for the link: the row's time and its command's number.
 _SEND = struct.Struct("<dB")
 _NOT_PLAIN = "{}: line {}: non-ASCII character or '_' in {!r}"
-
-
-def _lines_before(path: Path, end: int) -> int:
-    """The number of lines of the log that end before byte ``end``, which
-    follows a ``"\\n"``, as universal newlines count them: at each ``"\\n"``,
-    ``"\\r\\n"`` and lone ``"\\r"``."""
-    count, at, cr = 0, 0, False
-    with open(path, "rb") as fh:
-        while at < end and (data := fh.read(min(end - at, _LOG_BLOCK_BYTES << 4))):
-            # a "\r" that ends one read and the "\n" that starts the next are one "\r\n"
-            count += data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") - (cr and data[:1] == b"\n")
-            cr, at = data[-1:] == b"\r", at + len(data)
-    return count
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError, offset: int) -> ValueError:
@@ -217,22 +203,21 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError, offset: int) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
 
 
-def _log_text(path: Path, start: int, end: int | None) -> Iterator[str]:
-    """The text of bytes ``start`` to ``end`` (None: to the end) of the log,
-    read as ``text.open_text`` reads a file: UTF-8, with ``"\\r\\n"`` and a
-    lone ``"\\r"`` each turned into ``"\\n"``.  It comes in blocks that end
-    at multiples of ``_LOG_BLOCK_BYTES`` in the file.  The text before a byte
-    that is not UTF-8 comes before its refusal, so that a bad line before it is
-    named first, whichever range holds them.  The log must be a regular file,
-    since it is read more than once: a pipe would give its bytes only once."""
+def _log_text(path: Path) -> Iterator[str]:
+    """The text of the log, read as ``text.open_text`` reads a file: UTF-8,
+    with ``"\\r\\n"`` and a lone ``"\\r"`` each turned into ``"\\n"``.  It
+    comes one block of ``_LOG_BLOCK_BYTES`` at a time, then what the decoder
+    held at the end.  The text before a byte that is not UTF-8 comes before its
+    refusal, so that a bad line before it is named first.  The log must be a
+    regular file, since it is read more than once: a pipe would give its bytes
+    only once."""
     decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    at, left = start, math.inf if end is None else end - start
+    at = 0
     with open(path, "rb") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise ValueError(f"{path}: not a regular file")
-        fh.seek(start)
         while True:
-            data = fh.read(min(left, _LOG_BLOCK_BYTES - at % _LOG_BLOCK_BYTES))
+            data = fh.read(_LOG_BLOCK_BYTES)
             try:
                 text = decoder.decode(data, final=not data)
             except UnicodeDecodeError as exc:  # exc.object: the bytes the decoder held, then data
@@ -243,24 +228,27 @@ def _log_text(path: Path, start: int, end: int | None) -> Iterator[str]:
             yield text
             if not data:
                 return
-            at, left = at + len(data), left - len(data)
+            at += len(data)
 
 
 def _log_lines(blocks) -> Iterator[tuple[list[str], bool]]:
     """The lines of a text given in blocks, without their ``"\\n"``, exactly
-    as ``text.split("\\n")`` would give them: for each block that ends a
-    line, a list of the lines it ends, with a flag that is True only if all of
-    them are ``is_plain``; then the last line, maybe empty, in a list of its
-    own, flagged alike.  A line split across blocks is kept in pieces and
-    joined once, in the list of the block that ends it."""
+    as ``text.split("\\n")`` would give them: for each block, a list of the
+    lines it ends (empty if it ends none), so that an item's index is its
+    block's, with a flag that is True only if all of them are ``is_plain``;
+    then the last line, maybe empty, in a list of its own, flagged alike.  A
+    line split across blocks is kept in pieces and joined once, in the list of
+    the block that ends it."""
     pieces: list[str] = []  # the line that no "\n" has ended yet
     for block in blocks:
         lines = block.split("\n")
         pieces.append(lines[0])
-        if len(lines) > 1:
-            lines[0] = "".join(pieces)
-            pieces = [lines.pop()]
-            yield lines, is_plain(block) and is_plain(lines[0])
+        if len(lines) == 1:
+            yield [], True
+            continue
+        lines[0] = "".join(pieces)
+        pieces = [lines.pop()]
+        yield lines, is_plain(block) and is_plain(lines[0])
     last = "".join(pieces)
     yield [last], is_plain(last)
 
@@ -273,8 +261,7 @@ def _log_rows(path: Path, blocks, frame: FrameSpec, lineno: int, last_t: float) 
     target outside it lost), at a time after the last whose 9-digit telemetry
     text differs; its numbers are ASCII, with no ``_``.  A blank line is
     skipped.  The first line that breaks a rule is named, once the reading
-    reaches it; lines that hold no row, after no row before them, are refused
-    as a log with no rows."""
+    reaches it."""
     to_float, isfinite, width, height = float, math.isfinite, float(frame.width), float(frame.height)
     for lines, plain in blocks:
         for lineno, line in enumerate(lines, start=lineno + 1):
@@ -304,15 +291,15 @@ def _log_rows(path: Path, blocks, frame: FrameSpec, lineno: int, last_t: float) 
                                      " to print apart from it")
             last_t = t
             yield t, x, y
-    if not isfinite(last_t):
-        raise ValueError(f"{path}: no rows after the header 't,x,y'")
 
 
-def _after_header(path: Path, end: int | None) -> Iterator[tuple[list[str], bool]]:
-    """``_log_lines``' blocks of the log up to byte ``end`` (None: to the
-    end), once its first line is checked as the header 't,x,y' and taken out."""
-    blocks = _log_lines(_log_text(path, 0, end))
-    first, plain = next(blocks)
+def _after_header(path: Path, blocks) -> Iterator[tuple[list[str], bool]]:
+    """``_log_lines``' ``blocks`` of the log, once its first line is checked
+    as the header 't,x,y' and taken out of the list of the block that ends it."""
+    for first, plain in blocks:
+        if first:
+            break
+        yield first, plain
     header = first[0]
     if [cell.strip() for cell in header.split(",")] != ["t", "x", "y"]:
         if not any(line.strip() for more, _ in itertools.chain([(first, plain)], blocks) for line in more):
@@ -325,63 +312,39 @@ def _after_header(path: Path, end: int | None) -> Iterator[tuple[list[str], bool
     yield from blocks
 
 
-def _read_coordinate_log(path: Path, frame: FrameSpec, start: int = 0, end: int | None = None,
-                         last_t: float = -math.inf) -> Iterator[tuple[float, float, float]]:
-    """Each row's ``(t, x, y)`` of bytes ``start`` to ``end`` (None: to the
-    end) of a replay log, parsed as they are read (``_log_rows``).  From byte
-    0, the first line is the header 't,x,y', and at least one row follows it: a
-    log with no row has no telemetry that ``report`` could read, so it is
-    refused like any other malformed log.  A later ``start`` follows a
-    ``"\\n"`` and a row at time ``last_t``; the lines before it are counted,
-    so that every line is named by its number in the file.  The first line, in
-    file order, that breaks a rule is named, once the reading reaches it, so a
-    caller that must refuse a bad header or first row before it writes
+def _read_coordinate_log(path: Path, frame: FrameSpec, first: int = 0,
+                         end: int | None = None) -> Iterator[tuple[float, float, float]]:
+    """Each row's ``(t, x, y)`` of the lines that end in blocks ``first`` to
+    ``end`` (None: to the end) of a replay log, parsed as they are read
+    (``_log_rows``); the first line of the log is the header 't,x,y'.  The log
+    is read from its start: the lines of the blocks before ``first`` are only
+    counted, so that every line is named by its number in the file, and the
+    last of them that is not blank, if it is a row, is the row before the first
+    one here.  If it is not, the range that holds it refuses it.  The first
+    line, in file order, that breaks a rule is named, once the reading reaches
+    it, so a caller that must refuse a bad header or first row before it writes
     anything takes the first row before it does.  No more than one block of
     ``_LOG_BLOCK_BYTES`` and one line is held at a time."""
-    if start:
-        return _log_rows(path, _log_lines(_log_text(path, start, end)), frame, _lines_before(path, start), last_t)
-    return _log_rows(path, _after_header(path, end), frame, 1, last_t)
+    blocks = _after_header(path, _log_lines(_log_text(path)))
+    lineno, before, last_t = 1, None, -math.inf  # the header is line 1
+    for lines, _ in itertools.islice(blocks, first):
+        lineno += len(lines)
+        before = next((line for line in reversed(lines) if line.strip()), before)
+    if before is not None:
+        with contextlib.suppress(ValueError):
+            ((last_t, _, _),) = _log_rows(path, [([before], False)], frame, 0, -math.inf)
+    return _log_rows(path, itertools.islice(blocks, None if end is None else end - first), frame, lineno, last_t)
 
 
-def _range_start(path: Path, window: bytes, frame: FrameSpec) -> tuple[int, float] | None:
-    """Where in ``window``, bytes read from a log, a range of it may start,
-    and the time of the row before: just after the first ``"\\n"`` that ends
-    a whole line of the window that ``_log_rows`` reads as a row on its own.
-    A line that a lone ``"\\r"`` splits is passed over.  None if the window
-    holds no such line."""
-    lines = window.split(b"\n")
-    at = len(lines[0]) + 1  # where the window's first whole line starts
-    for line in lines[1:-1]:
-        at += len(line) + 1
-        text = line[:-1] if line.endswith(b"\r") else line
-        if b"\r" in text:
-            continue
-        try:  # a blank line is refused as no row, and bytes not UTF-8 by the decode
-            ((t, _, _),) = _log_rows(path, [([text.decode()], False)], frame, 0, -math.inf)
-        except ValueError:
-            continue
-        return at, t
-    return None
-
-
-def _log_ranges(path: Path, frame: FrameSpec, count: int) -> list[tuple[int, int | None, float]]:
-    """Up to ``count`` ranges of the log that together cover it, in file
-    order, each ``(start, end, last_t)`` for ``_read_coordinate_log``: the
-    first from byte 0, each other from the ``_range_start`` of a window read
-    near an even share of the file, after its row at ``last_t``.  A range
-    whose window holds no row is dropped, the next range starting at the one
-    before it ends."""
-    starts = [(0, -math.inf)]
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        for k in range(1, count):
-            at = max(size * k // count, starts[-1][0])
-            fh.seek(at)
-            found = _range_start(path, fh.read(_BOUNDARY_WINDOW), frame)
-            if found is not None and at + found[0] < size:
-                starts.append((at + found[0], found[1]))
-    ends = [start for start, _ in starts[1:]] + [None]
-    return [(start, end, last_t) for (start, last_t), end in zip(starts, ends)]
+def _log_ranges(path: Path, count: int) -> list[tuple[int, int | None]]:
+    """Up to ``count`` runs of the ``_LOG_BLOCK_BYTES`` blocks of the log at
+    ``path``, in file order, each ``(first, end)`` for
+    ``_read_coordinate_log``, the last to the end (None); their lengths differ
+    by at most one block."""
+    blocks = -(-os.stat(path).st_size // _LOG_BLOCK_BYTES)
+    count = max(1, min(count, blocks))
+    edges = [blocks * k // count for k in range(count)]
+    return list(zip(edges, [*edges[1:], None]))
 
 
 def _replay_samples(rows, controller: ControllerConfig, link: CommandLink):
@@ -504,8 +467,9 @@ def cmd_replay(args) -> int:
         raise ValueError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
     log = Path(args.log)
     with contextlib.closing(_read_coordinate_log(log, controller.frame)) as rows:
-        next(rows)  # a bad header or first row makes no output directory
-    ranges = _log_ranges(log, controller.frame, _trials._usable_cpus())  # looked up now, so a test may set it
+        if next(rows, None) is None:  # a bad header or first row, or no row at all, makes no output directory
+            raise ValueError(f"{log}: no rows after the header 't,x,y'")
+    ranges = _log_ranges(log, _trials._usable_cpus())  # looked up now, so a test may set it
     with _out_dir(args) as out:
         telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
         with _staged((telemetry_path, frames_path)) as staged:

@@ -143,25 +143,27 @@ class CommandLink:
     Consecutive identical commands emit a single frame; a changed command
     always goes out in the same loop iteration.  A held command's frame is
     re-sent ``KEEPALIVE_S`` after it was last sent.  Each distinct command is
-    encoded once per link: its frame is kept, keyed by the command's value,
-    so equal commands share it.  Only a command that encodes is kept, so at
-    most one frame per whole-hundredth rate per axis (120) is held; one that
-    does not raises ``FrameError`` each time it is sent.
+    encoded once per link: its frame is kept, keyed by the command's two
+    rates, which the dataclass's own equality compares, so equal commands
+    share it.  Only a command that encodes is kept, so at most one frame per
+    whole-hundredth rate per axis (120) is held; one that does not raises
+    ``FrameError`` each time it is sent.
     """
 
     transport: MockTransport
     _last_text: str | None = field(default=None, init=False)
     _last_sent_at: float = field(default=0.0, init=False)
-    _frames: dict[GimbalCommand, SerialFrame] = field(default_factory=dict, init=False)
+    _frames: dict[tuple[float, float], SerialFrame] = field(default_factory=dict, init=False)
 
     def send(self, cmd: GimbalCommand, now: float) -> list[SerialFrame]:
         if cmd.is_zero():
             self._last_text = None
             return []
-        frame = self._frames.get(cmd)
+        key = cmd.yaw_rate, cmd.pitch_rate  # a GimbalCommand's generated __hash__ runs in Python
+        frame = self._frames.get(key)
         if frame is None:
             (frame,) = encode(cmd)
-            self._frames[cmd] = frame
+            self._frames[key] = frame
         if frame.text == self._last_text and not now - self._last_sent_at >= KEEPALIVE_S:
             return []
         self.transport.send(frame, now)

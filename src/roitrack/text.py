@@ -1,6 +1,6 @@
 """The rules of the text the tool reads and writes; no ``roitrack`` module is
 imported here.  Every input is opened as UTF-8 by ``open_text`` (``cli``
-decodes a replay log by the same rules, a byte range at a time), a line ends
+decodes a replay log by the same rules, a block at a time), a line ends
 at ``"\\n"`` only (universal newlines turn ``"\\r\\n"`` and ``"\\r"`` into it),
 and a number is read only from ``is_plain`` text.  Configs, manifests, arena
 fixtures and reports are the ``key = value`` text of ``parse_kv_text``.
@@ -14,8 +14,9 @@ import contextlib
 @contextlib.contextmanager
 def open_text(path):
     """The opener of every input file but a replay log, which
-    ``cli._log_text`` decodes alike: UTF-8 with universal newlines.  Bytes
-    that are not UTF-8, wherever they are read, are refused naming the file."""
+    ``cli._log_text`` decodes alike, a block at a time from the file's start:
+    UTF-8 with universal newlines.  Bytes that are not UTF-8, wherever they
+    are read, are refused naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh

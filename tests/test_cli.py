@@ -1316,8 +1316,12 @@ def fixed_log(points, dt=1 / 32):
 
 def first_lines_of_ranges(log, count):
     """The number of the first line of each range after the first, as
-    ``replay`` splits ``log`` for ``count`` workers."""
-    return [cli._lines_before(log, start) + 1 for start, _, _ in cli._log_ranges(log, FrameSpec(1920, 720), count)[1:]]
+    ``replay`` splits ``log`` for ``count`` workers: one more than the line
+    breaks that universal newlines read before its first block.  A "\\r" last
+    before it may start a "\\r\\n", so it is held, and counts in that block."""
+    data, block = log.read_bytes(), cli._LOG_BLOCK_BYTES
+    return [io.IncrementalNewlineDecoder(None, translate=True).decode(
+        data[:first * block].decode(errors="replace")).count("\n") + 1 for first, _ in cli._log_ranges(log, count)[1:]]
 
 
 def outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log, *argv):
@@ -1344,13 +1348,18 @@ def outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log, *argv):
 
 
 CENTRE, RIGHT, LEFT = (960, 360), (1900, 360), (20, 360)
-# 64 rows 1/32 s apart: on 2 workers the second range starts at line 35, row 33
+# 64 rows 1/32 s apart in blocks of 137 bytes: on 2 workers the second range
+# starts at line 35, row 33
 RANGE_2 = 35
 
 
 class TestReplayRanges:
-    """``replay`` splits its log into one byte range per usable CPU; whatever
-    the worker count, the outcome is the one-range run's, byte for byte."""
+    """``replay`` splits its log into one run of blocks per usable CPU;
+    whatever the worker count, the outcome is the one-range run's, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_LOG_BLOCK_BYTES", 137)
 
     def write(self, tmp_path, text, line=None):
         log = tmp_path / "log.csv"
@@ -1397,8 +1406,9 @@ class TestReplayRanges:
         outcome = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
         assert outcome[:3] == (EXIT_USAGE, "", f"error: {log}: {message}\n")
 
-    # One range reads the whole log as one block; two read the byte and the bad
-    # row in different ranges.  Either way, the first in file order is named.
+    # Two ranges read the byte and the bad row in different ranges, each from the
+    # log's start.  Either way, the first in file order is named, and the byte's
+    # position is counted from the start of the file.
     @pytest.mark.parametrize("bad_row", [False, True], ids=["byte", "bad-row-before-the-byte"])
     def test_bytes_not_utf8_in_the_second_range(self, tmp_path, monkeypatch, capsys, bad_row):
         lines = fixed_log([CENTRE] * 64).split("\n")
@@ -1422,12 +1432,21 @@ class TestReplayRanges:
         outcome = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
         assert outcome[:3] == (EXIT_USAGE, "", f"error: {log}: line 42: expected 3 columns, got 2\n")
 
-    def test_blank_lines_at_a_boundary_move_it(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("repeat", [False, True], ids=["rows", "row-31s-time-again"])
+    def test_blank_lines_before_a_range_are_passed_over(self, tmp_path, monkeypatch, capsys, repeat):
+        # rows 32 and 33, the second range's first line, are blank: the row
+        # before its first row, row 34, is row 31, whose time row 34 may repeat
         lines = fixed_log([LEFT] * 64).split("\n")
-        lines[RANGE_2 - 2] = lines[RANGE_2 - 1] = " " * len(lines[1])  # rows 32 and 33 blank
-        log = self.write(tmp_path, "\n".join(lines), RANGE_2 + 2)
-        code, stdout, _, files = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
-        assert (code, stdout) == (EXIT_OK, "replayed 62 rows: 2 frames -> OUT\n")
+        lines[RANGE_2 - 2] = lines[RANGE_2 - 1] = " " * len(lines[1])
+        if repeat:
+            lines[RANGE_2] = lines[RANGE_2 - 3]
+        log = self.write(tmp_path, "\n".join(lines), RANGE_2)
+        outcome = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
+        if repeat:
+            message = f"error: {log}: line {RANGE_2 + 1}: non-monotonic time 0.96875 after 0.96875\n"
+            assert outcome[:3] == (EXIT_USAGE, "", message)
+        else:
+            assert outcome[:2] == (EXIT_OK, "replayed 62 rows: 2 frames -> OUT\n")
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
     def test_other_line_ends_give_the_newline_bytes(self, tmp_path, monkeypatch, capsys, end):
@@ -1436,18 +1455,18 @@ class TestReplayRanges:
         log = tmp_path / "ends" / "log.csv"
         log.parent.mkdir()
         log.write_bytes(text.replace("\n", end).encode())
-        # a log with no "\n" has no boundary: it is one range, run here
-        assert len(first_lines_of_ranges(log, 2)) == (0 if end == "\r" else 1)
+        assert len(first_lines_of_ranges(log, 2)) == 1
         assert outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log) == expected
 
-    def test_a_line_longer_than_the_boundary_window_drops_its_range(self, tmp_path, monkeypatch, capsys):
+    def test_a_range_whose_blocks_end_no_line_replays_nothing(self, tmp_path, monkeypatch, capsys):
         lines = fixed_log([CENTRE] * 20 + [RIGHT] * 20).split("\n")
-        lines[11] = " " * (3 * cli._BOUNDARY_WINDOW) + lines[11]  # row 10, past where 2 workers would split
+        lines[11] = " " * 2000 + lines[11]  # row 10, line 12, spans the whole middle range of 3
         log = self.write(tmp_path, "\n".join(lines), None)
-        assert first_lines_of_ranges(log, 2) == [] and len(first_lines_of_ranges(log, 3)) == 1
+        assert first_lines_of_ranges(log, 3) == [12, 12]
         forks = counted_forks(monkeypatch)
         code, stdout, _, _ = outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log)
-        assert (code, stdout, len(forks)) == (EXIT_OK, "replayed 40 rows: 1 frames -> OUT\n", 1)
+        # 2 workers fork once and 3 twice: the empty range runs in a child too
+        assert (code, stdout, len(forks)) == (EXIT_OK, "replayed 40 rows: 1 frames -> OUT\n", 3)
 
     @pytest.mark.parametrize("case", ["success", "refusal-in-range-1", "refusal-in-range-2", "write-stub-fills-the-disk",
                                       "disk-fills-in-the-child"])
@@ -1495,6 +1514,16 @@ class TestReplayRanges:
             assert (code, stderr) == (EXIT_USAGE, f"error: {log}: line {row + 2}: expected 3 columns, got 2\n")
         else:
             assert code == EXIT_IO and stderr.startswith("i/o error: [Errno 28] No space left on device")
+
+
+def test_each_block_of_a_log_has_its_own_item_of_lines():
+    """``_log_lines`` gives one item per block, empty for a block that ends no
+    line, so that ``_read_coordinate_log`` takes the lines of blocks ``first``
+    to ``end`` by their items' index; the last item is the unended last line."""
+    blocks = ["t,x", ",y\n0,1", ",2", "\n\n1,2,3", "\n", ""]
+    assert list(cli._log_lines(blocks)) == [
+        ([], True), (["t,x,y"], True), ([], True), (["0,1,2", ""], True), (["1,2,3"], True), ([], True), ([""], True)
+    ]
 
 
 def reference_replay_samples(rows, controller, link):
@@ -1599,15 +1628,19 @@ def _log_rows():
     return st.lists(st.tuples(gaps, coordinate, coordinate), max_size=20)
 
 
-def _log_text(rows):
+@st.composite
+def _log_text(draw):
+    """A log of ``_log_rows``, its lines ended by "\\n", "\\r\\n" or "\\r",
+    with blank and space-only lines among them."""
     t, lines = 0.0, ["t,x,y"]
-    for gap, x, y in rows:
+    for gap, x, y in draw(_log_rows()):
         t += gap
-        lines.append(f"{t!r},{x!r},{y!r}")
-    return ("\n".join(lines) + "\n").encode()
+        lines += [f"{t!r},{x!r},{y!r}", *draw(st.lists(st.sampled_from(["", " ", "   "]), max_size=2))]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join(lines) + end).encode()
 
 
-_ANY_LOG = st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode), _log_rows().map(_log_text))
+_ANY_LOG = st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode), _log_text())
 
 
 @settings(max_examples=80, deadline=None)
@@ -1623,10 +1656,12 @@ def test_any_replay_log_exits_with_a_documented_code(data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_ANY_LOG)
-def test_any_replay_log_has_one_outcome_on_one_two_and_three_workers(data):
+@given(_ANY_LOG, st.integers(1, 64))
+def test_any_replay_log_has_one_outcome_on_one_two_and_three_workers(data, block):
     """The exit code, stdout, stderr and every output byte are the same
-    whatever the number of ranges the log is split into."""
+    whatever the number of ranges the log is split into: the one-range run
+    reads the log in the default blocks, and the others in ``block`` bytes,
+    so that even a short log splits."""
     seen = []
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "log.csv"
@@ -1634,6 +1669,7 @@ def test_any_replay_log_has_one_outcome_on_one_two_and_three_workers(data):
         for count in (1, 2, 3):
             out, stdout, stderr = Path(tmp) / f"out{count}", io.StringIO(), io.StringIO()
             with mock.patch.object(trials, "_usable_cpus", lambda: count), \
+                    mock.patch.object(cli, "_LOG_BLOCK_BYTES", block if count > 1 else cli._LOG_BLOCK_BYTES), \
                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(["replay", str(log), "--out-dir", str(out)])
             files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
