@@ -14,14 +14,20 @@ bit-identical records.
 The trials of a batch are independent, so ``run_batch`` runs them through
 ``_fan_out``, in up to one forked process per usable CPU; ``cli`` runs
 ``simulate``'s trials and ``report``'s CSVs through it too.  A child sends
-its records back pickled as plain rows (``TrialRecord.__reduce__``), and the
+its records back pickled as columns (``TrialRecord.__reduce__``), and the
 records are the serial run's, bit for bit, whatever the number of processes.
+Automatic garbage collection is paused while ``_fan_out`` runs, in the calling
+process and in every child: what the items build holds no reference cycles,
+so the collector would find nothing, and with a child alive each pass copies
+pages that the two processes share.  The caller's own setting comes back
+when ``_fan_out`` returns or raises.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import hashlib
 import math
 import os
@@ -293,13 +299,22 @@ class TrialRecord:
     dt: float
 
     def __reduce__(self):
-        # Pickled as plain rows: a TrialSample saves and loads through Python
-        # code (``__getnewargs__``, ``__new__``), a plain tuple in C.
-        return _record_from_rows, (tuple(map(tuple, self.samples)), self.dt)
+        # Pickled as columns, each saved and loaded in C: t, x, y and P as
+        # array('d'); the sectors, yaw, pitch and ``visible`` as the tuples that
+        # the transpose gives.  There a float pickles as its 8 bytes, signed
+        # zeros included, a Sector member in full once and then as a memo
+        # reference, and a bool as one byte.  A TrialSample saves and loads
+        # through Python code (``__getnewargs__``, ``__new__``), and a row would
+        # be one more tuple per sample to save, load and track.
+        from array import array  # imported only once a record is pickled: 0.4 ms of start-up
+
+        t, x, y, p, *rest = zip(*self.samples) if self.samples else ((),) * 8
+        return _record_from_columns, (array("d", t), array("d", x), array("d", y), array("d", p), *rest, self.dt)
 
 
-def _record_from_rows(rows, dt: float) -> TrialRecord:
+def _record_from_columns(t, x, y, p, sectors, yaw, pitch, visible, dt: float) -> TrialRecord:
     """The record that ``TrialRecord.__reduce__`` saved, each sample built in C."""
+    rows = zip(t, x, y, p, sectors, yaw, pitch, visible)
     return TrialRecord(samples=tuple(map(functools.partial(tuple.__new__, TrialSample), rows)), dt=dt)
 
 
@@ -488,16 +503,25 @@ def _fan_out(fn, items) -> list:
     deadlock), or where a public function or class of the package has been
     replaced since import (a tracer's wrapper, a test's stub): the
     replacement may keep state in this process, which a child's calls would
-    never reach.  Where a fork fails, the items no child took run here."""
-    items = list(items)
-    forkable = hasattr(os, "fork") and threading.active_count() == 1 and all(
-        getattr(module, name, None) is value for module, name, value in _AS_IMPORTED)
-    workers = max(1, min(len(items), _usable_cpus())) if forkable else 1
-    size, extra = divmod(len(items), workers)
-    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+    never reach.  Where a fork fails, the items no child took run here.
+
+    Automatic garbage collection is paused first, and the caller's own
+    setting comes back before this returns or raises.  Records, tallies and
+    replay ranges hold no reference cycles, so the collector's passes over
+    them find nothing, and while a child is alive each pass also copies the
+    pages that it touches.  A child inherits the pause and leaves through
+    ``os._exit``, so it never collects."""
+    collecting = gc.isenabled()
+    gc.disable()
     children = []  # (pid, pipe, first item's number) per child
-    rest = len(items)  # where the items that no child runs start
     try:
+        items = list(items)
+        forkable = hasattr(os, "fork") and threading.active_count() == 1 and all(
+            getattr(module, name, None) is value for module, name, value in _AS_IMPORTED)
+        workers = max(1, min(len(items), _usable_cpus())) if forkable else 1
+        size, extra = divmod(len(items), workers)
+        bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+        rest = len(items)  # where the items that no child runs start
         for start, end in zip(bounds[1:], bounds[2:]):
             import pickle  # imported only once a child is started: with signal, 5 ms of start-up
             import signal
@@ -533,10 +557,14 @@ def _fan_out(fn, items) -> list:
             results += value
         return results + [fn(item) for item in items[rest:]]
     finally:  # a child whose result is read is only exiting; any other's is not needed
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        try:
+            for pid, pipe, _ in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            if collecting:
+                gc.enable()
 
 
 # Every public function and class that the package's modules bind, as

@@ -190,8 +190,8 @@ def test_criterion_5_with_one_worker(acceptance_batches, monkeypatch):
                       for arena in (1, 2)}
         assert time.perf_counter() - start < 10.0
         assert forks == []
-        # a record pickles as plain rows of floats, each float as its 8 bytes, so
-        # equal pickles are equal bits; every criterion on the batches holds for these too
+        # a record pickles as columns, each float as its 8 bytes, so equal
+        # pickles are equal bits; every criterion on the batches holds for these too
         assert pickle.dumps(one_worker) == pickle.dumps(batches)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import errno
+import functools
+import gc
 import itertools
 import math
 import os
@@ -454,16 +456,30 @@ class TestBatchFanOut:
         lost = run_trial(TrialConfig.baseline(1, seed=1, usv_speed=5.0, duration=8.0))
         signed_zeros = TrialSample(t=lost.samples[-1].t + lost.dt, x=-0.0, y=-0.0, p=0.0, sector=Sector.RIGHT,
                                    yaw_cmd=-0.0, pitch_cmd=-0.0, visible=False)
-        record = TrialRecord(samples=(*lost.samples, signed_zeros), dt=lost.dt)
+        odd = [TrialSample(t=math.nan, x=math.inf, y=-math.inf, p=math.nan, sector=Sector.TOP, yaw_cmd=0.0,
+                           pitch_cmd=0.3, visible=True),
+               TrialSample(t=-math.inf, x=math.nan, y=-0.0, p=math.inf, sector=Sector.BOTTOM, yaw_cmd=-0.3,
+                           pitch_cmd=-0.0, visible=False)]
+        # commands mixing 0.0, -0.0 and +-0.3, one per axis and per sample
+        mixed = [TrialSample(t=0.1 * i, x=0.0, y=0.0, p=1.5, sector=sector, yaw_cmd=yaw, pitch_cmd=pitch,
+                             visible=i % 2 == 0)
+                 for i, (sector, (yaw, pitch)) in enumerate(zip(itertools.cycle(Sector), itertools.product(
+                     (0.0, -0.0, 0.3, -0.3), repeat=2)))]
+        with_nans = TrialRecord(samples=(*odd, *mixed), dt=0.1)
+        records = [TrialRecord(samples=(*lost.samples, signed_zeros), dt=lost.dt), TrialRecord(samples=(), dt=0.5),
+                   with_nans]
         assert any(not s.visible for s in lost.samples)
-        saved = pickle.dumps(record, protocol=protocol)
-        assert b"TrialSample" not in saved  # plain rows, each rebuilt as a TrialSample in C
-        copy = pickle.loads(saved)
-        assert type(copy) is TrialRecord and copy == record and copy.dt == record.dt
-        for sample, want in zip(copy.samples, record.samples, strict=True):
-            assert type(sample) is TrialSample and bits(sample) == bits(want)
-            assert sample.sector is want.sector and sample.visible is want.visible
-        assert math.copysign(1.0, copy.samples[-1].yaw_cmd) == -1.0
+        for record in records:
+            saved = pickle.dumps(record, protocol=protocol)
+            assert b"TrialSample" not in saved  # columns, each sample rebuilt as a TrialSample in C
+            copy = pickle.loads(saved)
+            assert type(copy) is TrialRecord and type(copy.samples) is tuple and copy.dt == record.dt
+            assert copy == record or record is with_nans  # a NaN equals nothing; there the bits compare
+            for sample, want in zip(copy.samples, record.samples, strict=True):
+                assert type(sample) is TrialSample and bits(sample) == bits(want)
+                assert sample.sector is want.sector and sample.visible is want.visible
+            if record.samples and record.samples[-1] is signed_zeros:
+                assert math.copysign(1.0, copy.samples[-1].yaw_cmd) == -1.0
 
     def test_no_child_outlives_a_batch_that_succeeds_or_fails(self, monkeypatch):
         cfg = TrialConfig.baseline(2, duration=1.0)
@@ -559,6 +575,55 @@ class TestBatchFanOut:
         with pytest.raises(OSError, match=r"^worker process \d+ for items 3\.\. ended with no result$"):
             trials._fan_out(fn, range(4))
         assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_no_collection_while_the_items_run_and_the_callers_setting_comes_back(self, monkeypatch, count):
+        workers(monkeypatch, count)
+        parent = os.getpid()
+        started = []  # the generation of each collection that starts, in this process or in a child's copy
+
+        def note(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        def item(i, bad=None):
+            # many times the tracked objects that start a young collection, here and where they are loaded
+            kept = [[j] for j in range(3000)]
+            if i == bad:
+                raise ValueError(f"item {i}: collecting {gc.isenabled()}, {len(started)} collections")
+            return os.getpid(), gc.isenabled(), len(started), kept
+
+        def fan_out(fn):
+            started.clear()
+            results = trials._fan_out(fn, range(7))
+            assert started == []  # neither while the items ran nor while their results were loaded
+            assert_no_child_left()
+            return results
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        gc.callbacks.append(note)
+        try:
+            for collecting in (True, False):
+                (gc.enable if collecting else gc.disable)()
+                results = fan_out(item)
+                assert len({pid for pid, *_ in results}) == count
+                assert [(enabled, seen) for _, enabled, seen, _ in results] == [(False, 0)] * 7
+                assert gc.isenabled() is collecting
+                for bad in (1, 5):  # in this process's chunk; in a child's with 2 and 3 workers
+                    started.clear()
+                    with pytest.raises(ValueError, match=f"^item {bad}: collecting False, 0 collections$"):
+                        trials._fan_out(functools.partial(item, bad=bad), range(7))
+                    assert_no_child_left()
+                    assert gc.isenabled() is collecting
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(os, "fork", fork)
+                    assert [pid for pid, *_ in fan_out(item)] == [parent] * 7
+                assert gc.isenabled() is collecting
+        finally:
+            gc.callbacks.remove(note)
+            gc.enable()
 
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
