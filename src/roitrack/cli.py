@@ -32,11 +32,9 @@ same command (or a run manifest) reproduces them bit for bit.
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import errno
 import hashlib
-import io
 import itertools
 import math
 import os
@@ -56,7 +54,7 @@ from .geometry import FrameSpec
 from .protocol import CommandLink, FrameError, MockTransport, TransportSaturated, encode
 from .metrics import summarize_tallies
 from .telemetry import row_lines, serialize_report, tally_csv, write_trial_csv
-from .text import fmt_bool, fmt_float, is_plain, parse_number, read_text
+from .text import decode_blocks, fmt_bool, fmt_float, is_plain, parse_number, read_text, split_lines
 from .trials import (DEFAULT_DT_S, MANIFEST_NAME, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out,
                      _note_as_imported, _sha256, format_manifest, iter_trial, parse_manifest, settings_controller)
 
@@ -194,67 +192,18 @@ _SEND = struct.Struct("<dB")
 _NOT_PLAIN = "{}: line {}: non-ASCII character or '_' in {!r}"
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError, offset: int) -> ValueError:
-    """``text.open_text``'s refusal of bytes that are not UTF-8, naming their
-    position in the file, where ``exc.object`` starts at byte ``offset``."""
-    start, end = offset + exc.start, offset + exc.end
-    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
-             else f"bytes in position {start}-{end - 1}")
-    return ValueError(f"{path}: not UTF-8 text: '{exc.encoding}' codec can't decode {where}: {exc.reason}")
-
-
 def _log_text(path: Path) -> Iterator[str]:
-    """The text of the log, read as ``text.open_text`` reads a file: UTF-8,
-    with ``"\\r\\n"`` and a lone ``"\\r"`` each turned into ``"\\n"``.  It
-    comes one block of ``_LOG_BLOCK_BYTES`` at a time, then what the decoder
-    held at the end.  The text before a byte that is not UTF-8 comes before its
-    refusal, so that a bad line before it is named first.  The log must be a
-    regular file, since it is read more than once: a pipe would give its bytes
-    only once."""
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    at = 0
+    """The text of the log, ``text.decode_blocks``' blocks of
+    ``_LOG_BLOCK_BYTES``.  The log must be a regular file, since it is read
+    more than once: a pipe would give its bytes only once."""
     with open(path, "rb") as fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise ValueError(f"{path}: not a regular file")
-        while True:
-            data = fh.read(_LOG_BLOCK_BYTES)
-            try:
-                text = decoder.decode(data, final=not data)
-            except UnicodeDecodeError as exc:  # exc.object: the bytes the decoder held, then data
-                held, flag = decoder.getstate()
-                decoder.setstate((b"", flag))
-                yield decoder.decode(exc.object[:exc.start], final=True)
-                raise _not_utf8(path, exc, at - len(held)) from None
-            yield text
-            if not data:
-                return
-            at += len(data)
-
-
-def _log_lines(blocks) -> Iterator[tuple[list[str], bool]]:
-    """The lines of a text given in blocks, without their ``"\\n"``, exactly
-    as ``text.split("\\n")`` would give them: for each block, a list of the
-    lines it ends (empty if it ends none), so that an item's index is its
-    block's, with a flag that is True only if all of them are ``is_plain``;
-    then the last line, maybe empty, in a list of its own, flagged alike.  A
-    line split across blocks is kept in pieces and joined once, in the list of
-    the block that ends it."""
-    pieces: list[str] = []  # the line that no "\n" has ended yet
-    for block in blocks:
-        lines = block.split("\n")
-        pieces.append(lines[0])
-        if len(lines) == 1:
-            yield [], True
-            continue
-        lines[0] = "".join(pieces)
-        pieces = [lines.pop()]
-        yield lines, is_plain(block) and is_plain(lines[0])
-    last = "".join(pieces)
-    yield [last], is_plain(last)
+        yield from decode_blocks(fh, path, _LOG_BLOCK_BYTES)
 
 
 def _log_rows(path: Path, blocks, frame: FrameSpec, lineno: int, last_t: float) -> Iterator[tuple[float, float, float]]:
-    """Each row's ``(t, x, y)``, read from ``_log_lines``' ``blocks``, whose
+    """Each row's ``(t, x, y)``, read from ``split_lines``' ``blocks``, whose
     first line is line ``lineno + 1`` of the log at ``path``, after a row at time
     ``last_t`` (``-math.inf``: no row).  A row is raw top-left pixel
     coordinates, each inside ``frame``, edges included (``simulate`` calls a
@@ -294,13 +243,13 @@ def _log_rows(path: Path, blocks, frame: FrameSpec, lineno: int, last_t: float) 
 
 
 def _after_header(path: Path, blocks) -> Iterator[tuple[list[str], bool]]:
-    """``_log_lines``' ``blocks`` of the log, once its first line is checked
+    """``split_lines``' ``blocks`` of the log, once its first line is checked
     as the header 't,x,y' and taken out of the list of the block that ends it."""
     for first, plain in blocks:
         if first:
             break
         yield first, plain
-    header = first[0]
+    header = first[0] if first else ""  # an empty log has no line at all
     if [cell.strip() for cell in header.split(",")] != ["t", "x", "y"]:
         if not any(line.strip() for more, _ in itertools.chain([(first, plain)], blocks) for line in more):
             raise ValueError(f"{path}: empty log, expected header 't,x,y' and at least one row")
@@ -325,7 +274,7 @@ def _read_coordinate_log(path: Path, frame: FrameSpec, first: int = 0,
     it, so a caller that must refuse a bad header or first row before it writes
     anything takes the first row before it does.  No more than one block of
     ``_LOG_BLOCK_BYTES`` and one line is held at a time."""
-    blocks = _after_header(path, _log_lines(_log_text(path)))
+    blocks = _after_header(path, split_lines(_log_text(path)))
     lineno, before, last_t = 1, None, -math.inf  # the header is line 1
     for lines, _ in itertools.islice(blocks, first):
         lineno += len(lines)
@@ -411,10 +360,7 @@ def _replay_ranges(log: Path, ranges: list, controller: ControllerConfig, teleme
     Each range writes its telemetry rows to a part, the first range to
     ``telemetry`` itself, and records its sends (``_SendRecord``).  Then, in
     file order, each range's sends go through the one link, each frame written
-    as it goes out, and its part is appended to ``telemetry``.  The sends
-    follow the rule of ``_replay_samples``: a range's first row was recorded
-    whatever its command, and goes to the link only if its command, or that of
-    the row before it, the last of the range before, is not idle.  A range that
+    as it goes out, and its part is appended to ``telemetry``.  A range that
     ended in a refusal or an I/O error raises it once its sends have gone, so
     the first failure in file order is raised, the link's ``TransportSaturated``
     included.  The parts and the records are hidden temporaries beside
@@ -438,13 +384,11 @@ def _replay_ranges(log: Path, ranges: list, controller: ControllerConfig, teleme
         with open(frames, "w", encoding="utf-8") as fh:
             fh.write("t,frame\n")
             transport = _FrameFile(fh)
-            send, last, count = CommandLink(transport=transport).send, None, 0
+            send, count = CommandLink(transport=transport).send, 0
             for k, (rows, error) in enumerate(results):
                 for block in _recorded_sends(sends[k]):
                     for t, number in block:
-                        if number or last != 0:
-                            send(commands[number], t)
-                        last = number
+                        send(commands[number], t)
                 if error is not None:
                     raise error
                 if k:

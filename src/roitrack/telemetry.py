@@ -24,13 +24,13 @@ batch's CSVs by construction.  A report is the key-value text of
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .controller import _SECTOR_SIGNS, MAX_RATE_RAD_S
 from .metrics import RecordTally, SensitivityReport
-from .text import fmt_bool, fmt_float, format_kv_text, is_plain, open_text
+from .text import decode_blocks, fmt_bool, fmt_float, format_kv_text, is_plain, split_lines
 
 CSV_COLUMNS = ["t", "x", "y", "P", "sector", "yaw_cmd", "pitch_cmd", "visible"]
 _BLOCK_LINES = 4096  # rows per write: under 0.5 MB of text
@@ -112,8 +112,8 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
     """The one reader of telemetry rows: check each line and feed its sample
     to ``acc``, consuming ``lines`` as it goes.
 
-    ``lines`` are the rows after the header, each with its newline or, the
-    last, without; ``source`` names them in errors, as ``{source}: line N``,
+    ``lines`` are the rows after the header, each with or without its
+    newline; ``source`` names them in errors, as ``{source}: line N``,
     counting the header as line 1.  A row is split once, at its first four
     commas, into t, x, y, P and its tail; no field is quoted, as no writer
     quotes one.  Once the rows are exhausted, none at all is refused as
@@ -190,13 +190,15 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
 def tally_csv(path: Path, dt: float) -> RecordTally:
     """The finished tally of one telemetry CSV recorded at loop period ``dt``:
     check the file's header, then tally its rows through ``tally_rows``, one
-    line at a time, which refuses a file with no row after the header."""
+    block of ``text.split_lines`` at a time, which refuses a file with no row
+    after the header."""
     acc = RecordTally(dt)
-    with open_text(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
+    with open(path, "rb") as fh:
+        lines = chain.from_iterable(block for block, _ in split_lines(decode_blocks(fh, path)))
+        header = next(lines, "").split(",")
         if header != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected header {header!r}")
-        tally_rows(fh, acc, path)
+        tally_rows(lines, acc, path)
     return acc.finish()
 
 

@@ -134,12 +134,13 @@ def make_record():
     return record_from_p
 
 
-def run_python(*args, **env) -> subprocess.CompletedProcess:
+def run_python(*args, stdin: str | None = None, **env) -> subprocess.CompletedProcess:
     """``python *args`` in a process of its own that imports ``roitrack`` from
-    the source tree under test, with ``env`` added to this one's environment:
-    its exit code and its text output."""
+    the source tree under test, with ``env`` added to this one's environment
+    and, if given, ``stdin`` piped to it: its exit code and its text output."""
     env = dict(os.environ, **env, PYTHONPATH=str(Path(roitrack.__file__).parents[1]))
-    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *map(str, args)], env=env, input=stdin, capture_output=True, text=True,
+                          timeout=120)
 
 
 # Scaffolding for the tests of ``trials._fan_out`` and of the commands and the

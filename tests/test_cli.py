@@ -1014,7 +1014,7 @@ class TestFileEncoding:
         decodable = {"replay log": "t,x,y\n", "report": _HEADER + rows}.get(reader, "arena = 1\n")
         bad.write_bytes(decodable.encode() + b"\xff\n")
         refusal = (f"{re.escape(str(bad))}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
-                   r" in position \d+: invalid start byte")
+                   f" in position {len(decodable.encode())}: invalid start byte")
         if reader == "manifest_mismatches":
             with pytest.raises(ValueError, match=f"^{refusal}$"):
                 manifest_mismatches(tmp_path)
@@ -1029,6 +1029,36 @@ class TestFileEncoding:
         stdout, stderr = capsys.readouterr()
         assert stdout == "" and re.fullmatch(f"error: {refusal}\n", stderr)
         assert not out.exists()
+
+    def test_a_bad_row_before_a_byte_not_in_utf8_is_named_first(self, tmp_path, capsys):
+        """The first defect in file order is named, even where the byte comes
+        in the same block of the file as the row."""
+        rows = [f"{fmt_float(i / 30)},0,0,0,right,0,0,true\n" for i in range(1, 101)]
+        rows[2] = f"{fmt_float(3 / 30)},0,0\n"  # line 4
+        bad = tmp_path / "trial.csv"
+        bad.write_bytes((_HEADER + "".join(rows)).encode() + b"\xff\n")
+        assert bad.stat().st_size < 8192
+        assert run_cli("report", bad) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {bad}: line 4: expected 8 columns\n")
+
+    def test_report_and_config_read_a_pipe(self, tmp_path):
+        """``report``'s CSVs and a --config are read once, as a stream, so a
+        pipe gives what the file gives; only replay, which reads its log more
+        than once, needs a regular file."""
+        sim, rerun = tmp_path / "sim", tmp_path / "rerun"
+        assert run_cli("simulate", "--arena", 1, "--trials", 2, "--out-dir", sim) == EXIT_OK
+        csv = sim / "trial_001.csv"
+        from_file = run_python("-m", "roitrack.cli", "report", csv)
+        piped = run_python("-m", "roitrack.cli", "report", "/dev/stdin", stdin=csv.read_text(encoding="utf-8"))
+        assert (from_file.returncode, from_file.stderr) == (EXIT_OK, "")
+        assert (piped.returncode, piped.stdout, piped.stderr) == (EXIT_OK, from_file.stdout, "")
+        done = run_python("-m", "roitrack.cli", "simulate", "--config", "/dev/stdin", "--out-dir", rerun,
+                          stdin=(sim / MANIFEST_NAME).read_text(encoding="utf-8"))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        files = sorted(path.name for path in sim.iterdir())
+        assert len(files) == 4 and files == sorted(path.name for path in rerun.iterdir())
+        for file in files:
+            assert (rerun / file).read_bytes() == (sim / file).read_bytes(), file
 
 
 class TestReplay:
@@ -1514,16 +1544,6 @@ class TestReplayRanges:
             assert (code, stderr) == (EXIT_USAGE, f"error: {log}: line {row + 2}: expected 3 columns, got 2\n")
         else:
             assert code == EXIT_IO and stderr.startswith("i/o error: [Errno 28] No space left on device")
-
-
-def test_each_block_of_a_log_has_its_own_item_of_lines():
-    """``_log_lines`` gives one item per block, empty for a block that ends no
-    line, so that ``_read_coordinate_log`` takes the lines of blocks ``first``
-    to ``end`` by their items' index; the last item is the unended last line."""
-    blocks = ["t,x", ",y\n0,1", ",2", "\n\n1,2,3", "\n", ""]
-    assert list(cli._log_lines(blocks)) == [
-        ([], True), (["t,x,y"], True), ([], True), (["0,1,2", ""], True), (["1,2,3"], True), ([], True), ([""], True)
-    ]
 
 
 def reference_replay_samples(rows, controller, link):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from roitrack.text import fmt_float, format_kv_text, parse_kv_text, parse_number
+from roitrack.text import fmt_float, format_kv_text, parse_kv_text, parse_number, split_lines
 
 # Every line break of str.splitlines() but "\n" and "\r", which universal
 # newlines turn into "\n" before any reader sees them.
@@ -39,3 +39,15 @@ def test_every_float_the_tool_writes_reads_back(value):
                        st.from_regex(r"[!-\"$-~]([ -\"$-~]*[!-\"$-~])?", fullmatch=True)))
 def test_key_value_text_reads_back_as_written(values):
     assert parse_kv_text(format_kv_text(values)) == values
+
+
+def test_each_block_of_a_text_has_its_own_item_of_lines():
+    """``split_lines`` gives one item per block, empty for a block that ends no
+    line, so that replay takes the lines of blocks ``first`` to ``end`` by
+    their items' index; the last item is the unended last line, if any, as
+    iterating a text file gives the lines."""
+    blocks = ["t,x", ",y\n0,1", ",2", "\n\n1,2,3", "\n", ""]
+    assert list(split_lines(blocks)) == [
+        ([], True), (["t,x,y"], True), ([], True), (["0,1,2", ""], True), (["1,2,3"], True), ([], True), ([], True)
+    ]
+    assert list(split_lines(["a\n", "b_"])) == [(["a"], True), ([], True), (["b_"], False)]
