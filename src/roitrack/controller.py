@@ -7,6 +7,9 @@ right/left select yaw, top/bottom select pitch.  Signs follow the
 image-recentering convention: a positive yaw rate swings the view so that a
 right-sector target moves back toward the frame center, and likewise a
 positive pitch rate for a top-sector target.
+
+``decide``, the one decision, stays memoryless; ``track`` runs it on the
+tracker's stream of pixel rows and remembers only whether its last command was idle.
 """
 
 from __future__ import annotations
@@ -121,6 +124,26 @@ def decide(x: float, y: float, cfg: ControllerConfig) -> tuple[float, Sector, Gi
     if rel <= 1.0 or not (math.isfinite(x) and math.isfinite(y)):
         return rel, sector, _IDLE
     return rel, sector, cfg._commands[sector]
+
+
+def track(rows, cfg: ControllerConfig, send):
+    """Decide each ``(t, x, y)`` row of raw top-left pixels, send its command,
+    and yield its telemetry row: a plain tuple in ``TrialSample``'s field
+    order, which ``row_lines``, its only reader, reads by position.  The
+    centring is ``to_centered``'s arithmetic, on plain floats, and ``decide``'s
+    command, one of ``cfg``'s five, goes to ``send(cmd, t)`` only when it
+    changes to or from idle or stays non-idle: a ``CommandLink`` does nothing
+    on a repeated idle send, so its frames and their times are unchanged."""
+    half_w, half_h = cfg.frame.width / 2, cfg.frame.height / 2
+    idle, last = _IDLE, None  # None: the first row always goes to send
+    for t, raw_x, raw_y in rows:
+        x = raw_x - half_w
+        y = half_h - raw_y
+        p, sector, cmd = decide(x, y, cfg)
+        if cmd is not idle or last is not idle:
+            send(cmd, t)
+            last = cmd
+        yield t, x, y, p, sector, cmd.yaw_rate, cmd.pitch_rate, True
 
 
 def step(p: ImagePoint, cfg: ControllerConfig) -> GimbalCommand:

@@ -187,7 +187,7 @@ def tally_rows(lines: Iterable[str], acc: RecordTally, source: str | Path) -> No
         raise ValueError(f"{source}: record has no samples")
 
 
-def tally_csv(path: Path, dt: float) -> RecordTally:
+def tally_csv(path: str | Path, dt: float) -> RecordTally:
     """The finished tally of one telemetry CSV recorded at loop period ``dt``:
     check the file's header, then tally its rows through ``tally_rows``, one
     block of ``text.split_lines`` at a time, which refuses a file with no row

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import settings
 
 import roitrack
-from roitrack import trials
-from roitrack.controller import MAX_RATE_RAD_S
-from roitrack.geometry import Sector
+from roitrack import replay, trials
+from roitrack.cli import main
+from roitrack.controller import MAX_RATE_RAD_S, ControllerConfig
+from roitrack.geometry import EllipseRoi, FrameSpec, Sector
 from roitrack.telemetry import CSV_COLUMNS
 from roitrack.text import fmt_float
 
@@ -134,6 +135,11 @@ def make_record():
     return record_from_p
 
 
+def run_cli(*args):
+    """``roitrack`` in this process, each argument as its text: its exit code."""
+    return main([str(a) for a in args])
+
+
 def run_python(*args, stdin: str | None = None, **env) -> subprocess.CompletedProcess:
     """``python *args`` in a process of its own that imports ``roitrack`` from
     the source tree under test, with ``env`` added to this one's environment
@@ -169,3 +175,41 @@ def counted_forks(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# Scaffolding for the tests of ``replay``, the command and its engine.
+def log_text(rows):
+    return "\n".join(["t,x,y"] + [f"{t},{x},{y}" for t, x, y in rows]) + "\n"
+
+
+def write_log(path, rows):
+    path.write_text(log_text(rows))
+
+
+# 3 s of raw pixel rows sweeping the ellipse and all four sectors
+SWEEP_ROWS = [(i / 30, 960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
+
+
+def centre_log(count, lines=()):
+    """A log of ``count`` centre rows one second apart, each 16 characters with
+    its newline, so line n (the header is line 1) starts at character
+    ``6 + 16 * (n - 2)``; each ``(lineno, text)`` in ``lines`` replaces a line."""
+    text = ["t,x,y"] + [f"{i:07d},960,360" for i in range(count)]
+    for lineno, line in lines:
+        text[lineno - 1] = line
+    return "\n".join(text) + "\n"
+
+
+# replay reads its log a block at a time: the line that the first block ends
+# inside, 10 of its characters in that block, and a line of the second block
+_BLOCK = replay._LOG_BLOCK_BYTES
+_SPLIT_LINE = (_BLOCK - 6) // 16 + 2
+_LATER_LINE = _SPLIT_LINE + 20
+
+
+def replay_controller(width=1920, height=720, roi=(0.3, 0.3), rate=0.3):
+    frame = FrameSpec(width, height)
+    return frame, ControllerConfig(roi=EllipseRoi.from_fractions(frame, *roi), frame=frame, rate_magnitude=rate)
+
+
+_HEADER = ",".join(CSV_COLUMNS) + "\n"

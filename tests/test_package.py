@@ -13,8 +13,8 @@ MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem != 
 
 
 def test_every_module_is_found():
-    assert MODULES == ["arenas", "cli", "controller", "geometry", "metrics", "protocol", "telemetry", "text",
-                       "trials", "world"]
+    assert MODULES == ["arenas", "cli", "controller", "geometry", "metrics", "protocol", "replay", "telemetry",
+                       "text", "trials", "world"]
 
 
 def test_text_is_the_bottom_of_the_import_graph():
@@ -29,9 +29,11 @@ def test_text_is_the_bottom_of_the_import_graph():
 def test_each_module_imports_on_its_own(module):
     """The package root imports no module, so each must import alone in a fresh
     interpreter: no import cycle that only a fixed order resolves, and with
-    site-packages off (-S) nothing outside the standard library."""
-    done = run_python("-S", "-c", f"import roitrack.{module}")
+    site-packages off (-S) nothing outside the standard library.  Only the
+    command parses arguments, so no other module loads ``argparse``."""
+    done = run_python("-S", "-c", f"import sys, roitrack.{module}; print('argparse' in sys.modules)")
     assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{module == 'cli'}\n"
 
 
 @pytest.mark.parametrize("module", ["metrics", "telemetry"])

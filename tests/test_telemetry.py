@@ -20,8 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import read_record, reference_read_rows
-from roitrack.cli import _replay_samples
-from roitrack.controller import ControllerConfig
+from roitrack.controller import ControllerConfig, track
 from roitrack.geometry import EllipseRoi, FrameSpec, Sector
 from roitrack.metrics import RecordTally, SensitivityReport, tally
 from roitrack.protocol import CommandLink, MockTransport
@@ -37,7 +36,7 @@ def _replay_lines() -> list[str]:
     points = [(960 + (i * 37) % 1400 - 700, 360 + (i * 53) % 640 - 320) for i in range(90)]
     points += [(1900.0, 360.0)] * 20 + [(960.0, 360.0)] * 5
     rows = [(i / 30, x, y) for i, (x, y) in enumerate(points)]
-    return list(row_lines(_replay_samples(rows, controller, CommandLink(MockTransport()))))
+    return list(row_lines(track(rows, controller, CommandLink(MockTransport()).send)))
 
 
 # Valid telemetry: simulate's rows (arena 1 with the target lost, arena 2) and replay's.
