@@ -41,7 +41,7 @@ from .arenas import ARENA_FILES, arena_fixture_bytes
 from .controller import MAX_RATE_RAD_S, GimbalCommand
 from .protocol import FrameError, TransportSaturated, encode
 from .metrics import summarize_tallies
-from .replay import check_first_row, replay_log
+from .replay import replay_log
 from .telemetry import row_lines, serialize_report, tally_csv, write_trial_csv
 from .text import fmt_bool, fmt_float, parse_number, read_text
 from .trials import (DEFAULT_DT_S, MANIFEST_NAME, MAX_TRIALS_PER_BATCH, SETTINGS, TrialConfig, _fan_out,
@@ -179,7 +179,6 @@ def cmd_replay(args) -> int:
         encode(GimbalCommand(yaw_rate=rate))
     except FrameError as exc:
         raise ValueError(f"rate_rad_s = {rate!r} cannot go on the serial link: {exc}") from None
-    check_first_row(args.log, controller.frame)  # a refused first row makes no output directory
     with _out_dir(args) as out:
         telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
         with _staged((telemetry_path, frames_path)) as staged:

@@ -4,8 +4,9 @@ one range per worker.  Each range reads the log from its start, counting the
 lines before its own blocks, and replays the lines that its blocks end as they
 are read, into its part of the telemetry and a record of its sends; then the
 one serial link sends the records in file order and writes each frame as it
-goes out.  So replay's memory grows neither with the log nor with its frames,
-and its bytes are the same on any number of CPUs.
+goes out.  A log that is not a regular file, such as a pipe, is one range, read
+once.  So replay's memory grows neither with the log nor with its frames, and
+its bytes are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ _NOT_PLAIN = "{}: line {}: non-ASCII character or '_' in {!r}"
 
 def _log_text(path) -> Iterator[str]:
     """The text of the log, ``text.decode_blocks``' blocks of
-    ``_LOG_BLOCK_BYTES``.  The log must be a regular file, since it is read
-    more than once: a pipe would give its bytes only once."""
+    ``_LOG_BLOCK_BYTES``, from one open of any readable file (a stream is
+    read once, as one range: ``_log_ranges``)."""
     with open(path, "rb") as fh:
-        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            raise ValueError(f"{path}: not a regular file")
         yield from decode_blocks(fh, path, _LOG_BLOCK_BYTES)
 
 
@@ -105,8 +104,7 @@ def _after_header(path, blocks) -> Iterator[tuple[list[str], bool]]:
     yield from blocks
 
 
-def _read_coordinate_log(path, frame: FrameSpec, first: int = 0,
-                         end: int | None = None) -> Iterator[tuple[float, float, float]]:
+def _read_coordinate_log(path, frame: FrameSpec, first: int, end: int | None) -> Iterator[tuple[float, float, float]]:
     """Each row's ``(t, x, y)`` of the lines that end in blocks ``first`` to
     ``end`` (None: to the end) of a replay log, parsed as they are read
     (``_log_rows``); the first line of the log is the header 't,x,y'.  The log
@@ -115,9 +113,8 @@ def _read_coordinate_log(path, frame: FrameSpec, first: int = 0,
     last of them that is not blank, if it is a row, is the row before the first
     one here.  If it is not, the range that holds it refuses it.  The first
     line, in file order, that breaks a rule is named, once the reading reaches
-    it, so a caller that must refuse a bad header or first row before it writes
-    anything takes the first row before it does.  No more than one block of
-    ``_LOG_BLOCK_BYTES`` and one line is held at a time."""
+    it.  No more than one block of ``_LOG_BLOCK_BYTES`` and one line is held
+    at a time."""
     blocks = _after_header(path, split_lines(_log_text(path)))
     lineno, before, last_t = 1, None, -math.inf  # the header is line 1
     for lines, _ in itertools.islice(blocks, first):
@@ -129,19 +126,14 @@ def _read_coordinate_log(path, frame: FrameSpec, first: int = 0,
     return _log_rows(path, itertools.islice(blocks, None if end is None else end - first), frame, lineno, last_t)
 
 
-def check_first_row(log, frame: FrameSpec) -> None:
-    """Refuse a log with a bad header or first row, or with no row, reading no further."""
-    with contextlib.closing(_read_coordinate_log(log, frame)) as rows:
-        if next(rows, None) is None:
-            raise ValueError(f"{log}: no rows after the header 't,x,y'")
-
-
 def _log_ranges(path, count: int) -> list[tuple[int, int | None]]:
     """Up to ``count`` runs of the ``_LOG_BLOCK_BYTES`` blocks of the log at
     ``path``, in file order, each ``(first, end)`` for
     ``_read_coordinate_log``, the last to the end (None); their lengths differ
-    by at most one block."""
-    blocks = -(-os.stat(path).st_size // _LOG_BLOCK_BYTES)
+    by at most one block.  Only a regular file has blocks to count: any other
+    file (a pipe, a FIFO, a device) is one range, read once."""
+    info = os.stat(path)
+    blocks = -(-info.st_size // _LOG_BLOCK_BYTES) if stat.S_ISREG(info.st_mode) else 0
     count = max(1, min(count, blocks))
     edges = [blocks * k // count for k in range(count)]
     return list(zip(edges, [*edges[1:], None]))
@@ -178,9 +170,9 @@ def replay_log(log, controller: ControllerConfig, telemetry: Path, frames: Path,
     through the one link, each frame written as it goes out, and its part is
     appended to ``telemetry``.  A range that ended in a refusal or an I/O
     error raises it once its sends have gone, so the first failure in file
-    order is raised, the link's ``TransportSaturated`` included.  The parts
-    and the records are hidden temporaries beside ``telemetry``, removed
-    whatever the outcome."""
+    order is raised, the link's ``TransportSaturated`` included; a log with no
+    row is refused once every range is done.  The parts and the records are
+    hidden temporaries beside ``telemetry``, removed whatever the outcome."""
     ranges = _log_ranges(log, workers)
     commands = (_IDLE, *controller._commands.values())  # a recorded send's command, by its number
     numbers = {id(cmd): number for number, cmd in enumerate(commands)}  # by identity: a command hashes in Python
@@ -215,6 +207,8 @@ def replay_log(log, controller: ControllerConfig, telemetry: Path, frames: Path,
                         part.readline()  # its header: the telemetry has one
                         shutil.copyfileobj(part, whole)
                 count += rows
+        if not count:
+            raise ValueError(f"{log}: no rows after the header 't,x,y'")
         return count, transport.frames
     finally:
         for path in (*parts[1:], *sends):

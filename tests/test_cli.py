@@ -389,8 +389,11 @@ REFUSALS = [
     # replay: the log
     refused("log-missing", "replay {absent}", "[Errno 2] No such file or directory: {absent!r}", code=EXIT_IO,
             absent=None),
-    # replay reads its log more than once, a range at a time, which a pipe or a device cannot give
-    refused("log-not-a-regular-file", "replay /dev/null", "/dev/null: not a regular file"),
+    # a device, like a pipe, is read once as one range: /dev/null gives no header
+    refused("log-empty-device", "replay /dev/null",
+            "/dev/null: empty log, expected header 't,x,y' and at least one row"),
+    # the directory is opened, and refused, once the output directory is made, which is removed again
+    refused("log-is-a-directory", "replay /", "[Errno 21] Is a directory: '/'", code=EXIT_IO),
     *(refused(f"log-without-rows-{i}", "replay {log}", "{log}: " + message, log=text)
       for i, (text, message) in enumerate([("", "empty log, expected header 't,x,y' and at least one row"),
                                            ("\n \n", "empty log, expected header 't,x,y' and at least one row"),
@@ -887,6 +890,14 @@ runpy.run_module("roitrack.cli", run_name="__main__")
 """
 
 
+def curve_log(path):
+    """Write a log of 900 rows at 30 Hz, sweeping the frame, to ``path``, and return it:
+    three blocks, so that replay splits it on 2 and on 3 CPUs."""
+    rows = [f"{i / 30!r},{960 + 900 * math.cos(i / 40)!r},{360 + 340 * math.sin(i / 25)!r}" for i in range(900)]
+    path.write_text("t,x,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
 class TestEntryPoint:
     # A refused seed (random.Random seeds from |seed|, so -1 would rerun seed
     # 1), a boat too fast to keep in view, and a rerun whose trial_002.csv
@@ -921,9 +932,7 @@ class TestEntryPoint:
         outside the standard library fails even where it is installed.  Run
         as they are, the trials and the CSVs are split across the usable CPUs;
         pinned to one CPU, they run in one process.  Both give the same bytes."""
-        rows = [f"{i / 30!r},{960 + 900 * math.cos(i / 40)!r},{360 + 340 * math.sin(i / 25)!r}" for i in range(900)]
-        log = tmp_path / "log.csv"
-        log.write_text("t,x,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        log = curve_log(tmp_path / "log.csv")
         seen = {}
         for how, python in {"as_is": ["-m", "roitrack.cli"], "one_cpu": ["-c", ON_ONE_CPU]}.items():
             out = tmp_path / how
@@ -1021,10 +1030,10 @@ class TestFileEncoding:
         assert run_cli("report", bad) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {bad}: line 4: expected 8 columns\n")
 
-    def test_report_and_config_read_a_pipe(self, tmp_path):
-        """``report``'s CSVs and a --config are read once, as a stream, so a
-        pipe gives what the file gives; only replay, which reads its log more
-        than once, needs a regular file."""
+    def test_every_input_reads_a_pipe(self, tmp_path, monkeypatch, capsys):
+        """``report``'s CSVs, a --config and a replay log are each read once, as
+        a stream, so a pipe gives what the file gives.  A piped log is one range,
+        replayed in the command's process, with the bytes of the file's ranges."""
         sim, rerun = tmp_path / "sim", tmp_path / "rerun"
         assert run_cli("simulate", "--arena", 1, "--trials", 2, "--out-dir", sim) == EXIT_OK
         csv = sim / "trial_001.csv"
@@ -1039,6 +1048,21 @@ class TestFileEncoding:
         assert len(files) == 4 and files == sorted(path.name for path in rerun.iterdir())
         for file in files:
             assert (rerun / file).read_bytes() == (sim / file).read_bytes(), file
+
+        log, piped_out = curve_log(tmp_path / "log.csv"), tmp_path / "piped"
+        piped = run_python("-m", "roitrack.cli", "replay", "/dev/stdin", "--out-dir", piped_out,
+                           stdin=log.read_text(encoding="utf-8"))
+        assert (piped.returncode, piped.stderr) == (EXIT_OK, "")
+        replayed = {path.name: path.read_bytes() for path in piped_out.iterdir()}
+        assert sorted(replayed) == ["replay_frames.csv", "replay_telemetry.csv"]
+        capsys.readouterr()
+        for count in (1, 2, 3):
+            workers(monkeypatch, count)
+            out = tmp_path / f"file{count}"
+            assert len(replay._log_ranges(log, count)) == count
+            assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
+            assert capsys.readouterr().out.replace(str(out), "OUT") == piped.stdout.replace(str(piped_out), "OUT")
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == replayed, count
 
 
 class TestReplay:

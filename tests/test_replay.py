@@ -7,7 +7,9 @@ import contextlib
 import errno
 import io
 import itertools
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -60,16 +62,23 @@ class TestReplayBlocks:
             outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert outputs[0] == outputs[1] and b"Yaw 0.3" in outputs[0]["replay_frames.csv"]
 
-    def test_a_bad_row_in_a_later_block_leaves_the_earlier_replay_as_it_was(self, tmp_path, capsys):
+    # The header and the first row are refused as a later row is: once the
+    # output directory is there, with the earlier replay's files in it.
+    @pytest.mark.parametrize("lineno,line,message", [
+        (_LATER_LINE, f"{_LATER_LINE - 2:07d},960", f"line {_LATER_LINE}: expected 3 columns, got 2"),
+        (1, "t,x,z", "expected header 't,x,y', got 't,x,z'"),
+        (2, "0000000,960", "line 2: expected 3 columns, got 2"),
+    ], ids=["later-block", "header", "first-row"])
+    def test_a_bad_row_in_a_later_block_leaves_the_earlier_replay_as_it_was(self, tmp_path, capsys, lineno, line,
+                                                                             message):
         out, log = tmp_path / "r", tmp_path / "log.csv"
         write_log(log, SWEEP_ROWS)
         assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        row = f"{_LATER_LINE - 2:07d},960"
-        log.write_text(centre_log(_LATER_LINE + 20, [(_LATER_LINE, row)]))
+        log.write_text(centre_log(_LATER_LINE + 20, [(lineno, line)]))
         capsys.readouterr()
         assert run_cli("replay", log, "--out-dir", out) == EXIT_USAGE
-        assert capsys.readouterr() == ("", f"error: {log}: line {_LATER_LINE}: expected 3 columns, got 2\n")
+        assert capsys.readouterr() == ("", f"error: {log}: {message}\n")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -320,17 +329,32 @@ def test_any_replay_log_has_one_outcome_on_one_two_and_three_workers(data, block
     """The exit code, stdout, stderr and every output byte are the same
     whatever the number of ranges the log is split into: the one-range run
     reads the log in the default blocks, and the others in ``block`` bytes,
-    so that even a short log splits."""
+    so that even a short log splits.  A FIFO that a thread writes the log's
+    bytes into is one range on 3 CPUs, with the same outcome: its own name
+    stands in a message where the log's does."""
     seen = []
     with tempfile.TemporaryDirectory() as tmp:
-        log = Path(tmp) / "log.csv"
+        log, fifo = Path(tmp) / "log.csv", Path(tmp) / "fifo.csv"
         log.write_bytes(data)
-        for count in (1, 2, 3):
-            out, stdout, stderr = Path(tmp) / f"out{count}", io.StringIO(), io.StringIO()
+        os.mkfifo(fifo)
+        for run, (source, count) in enumerate([(log, 1), (log, 2), (log, 3), (fifo, 3)]):
+            out, stdout, stderr = Path(tmp) / f"out{run}", io.StringIO(), io.StringIO()
+            if source == fifo:  # the writer's open waits for replay's
+                writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+                writer.start()
+            size = block if run in (1, 2) else replay._LOG_BLOCK_BYTES  # the split runs' blocks
             with mock.patch.object(trials, "_usable_cpus", lambda: count), \
-                    mock.patch.object(replay, "_LOG_BLOCK_BYTES", block if count > 1 else replay._LOG_BLOCK_BYTES), \
+                    mock.patch.object(replay, "_LOG_BLOCK_BYTES", size), \
                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(["replay", str(log), "--out-dir", str(out)])
+                code = main(["replay", str(source), "--out-dir", str(out)])
+            if source == fifo:
+                writer.join(timeout=10)
+                if writer.is_alive():  # replay never opened the FIFO: free the writer, then fail
+                    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+                    writer.join()
+                    os.close(reader)
+                    pytest.fail(f"replay of {fifo} never opened it")
             files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
-            seen.append((code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files))
-    assert seen[1] == seen[0] and seen[2] == seen[0]
+            named_as_the_log = stderr.getvalue().replace(str(source), str(log))
+            seen.append((code, stdout.getvalue().replace(str(out), "OUT"), named_as_the_log, files))
+    assert seen[1:] == [seen[0]] * 3
