@@ -1,9 +1,10 @@
 """Command-line entry point: simulate trial batches, replay coordinate logs,
 and report metrics over telemetry CSVs; ``simulate`` tallies each CSV it has
 written with ``report``'s own ``telemetry.tally_csv``.  All three spread
-their work over the usable CPUs through ``trials._fan_out``, the helper that
-``trials.run_batch`` runs on, with the same result: ``simulate`` its trials,
-``report`` its CSVs and ``replay`` the ranges of its log's blocks.  Each
+their work through ``trials._fan_out``, the helper that ``trials.run_batch``
+runs on, with the same result: ``simulate`` its trials, ``report`` its CSVs
+and ``replay`` the ranges of its log's blocks.  ``trials._split`` alone
+decides how many processes each gets and where its work splits.  Each
 setting of ``trials.SETTINGS`` is resolved here, from its default, a --config
 file and its flag; ``simulate`` builds its run with
 ``TrialConfig.from_settings``.  A --config is read, and a manifest written, by
@@ -36,7 +37,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from . import trials as _trials
 from .arenas import ARENA_FILES, arena_fixture_bytes
 from .controller import MAX_RATE_RAD_S, GimbalCommand
 from .protocol import FrameError, TransportSaturated, encode
@@ -182,8 +182,8 @@ def cmd_replay(args) -> int:
     with _out_dir(args) as out:
         telemetry_path, frames_path = out / "replay_telemetry.csv", out / "replay_frames.csv"
         with _staged((telemetry_path, frames_path)) as staged:
-            try:  # the two temporaries, in order; the CPUs are looked up now, so a test may set them
-                count, frames = replay_log(args.log, controller, *staged.values(), _trials._usable_cpus())
+            try:  # the two temporaries, in order; replay splits the log as ``trials._split`` says
+                count, frames = replay_log(args.log, controller, *staged.values())
             except TransportSaturated as exc:
                 raise ValueError(f"{args.log}: rows too dense for the serial link: {exc}") from None
     print(f"replayed {count} rows: {frames} frames -> {out}")
@@ -250,7 +250,8 @@ def main(argv=None) -> int:
 
 
 # The package modules loaded since ``trials`` (this one among them) join its
-# record of the functions as imported: ``_fan_out`` forks only while each is still bound.
+# record of the functions as imported: ``_split`` gives more than one process
+# only while each is still bound.
 _note_as_imported()
 
 

@@ -1,12 +1,13 @@
 """Replay a log of the tracker's pixel coordinates through ``controller.track``
 into telemetry and serial frames.  ``replay_log`` splits the log's blocks into
-one range per worker.  Each range reads the log from its start, counting the
-lines before its own blocks, and replays the lines that its blocks end as they
-are read, into its part of the telemetry and a record of its sends; then the
-one serial link sends the records in file order and writes each frame as it
-goes out.  A log that is not a regular file, such as a pipe, is one range, read
-once.  So replay's memory grows neither with the log nor with its frames, and
-its bytes are the same on any number of CPUs.
+one range per process that ``trials._split`` gives them.  Each range reads the
+log from its start, counting the lines before its own blocks, and replays the
+lines that its blocks end as they are read, into its part of the telemetry and
+a record of its sends; then the one serial link sends the records in file
+order and writes each frame as it goes out.  A log that is not a regular file,
+such as a pipe, is one range, read once, as is any log where only one process
+may run.  So replay's memory grows neither with the log nor with its frames,
+and its bytes are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .geometry import FrameSpec
 from .protocol import CommandLink, MockTransport
 from .telemetry import row_lines, write_trial_csv
 from .text import decode_blocks, fmt_float, is_plain, split_lines
-from .trials import _fan_out
+from .trials import _fan_out, _split
 
 # Bytes read from a replay log at a time.  A range of the log is a run of
 # these blocks, and every range reads the log from its start: a block's lines
@@ -126,17 +127,16 @@ def _read_coordinate_log(path, frame: FrameSpec, first: int, end: int | None) ->
     return _log_rows(path, itertools.islice(blocks, None if end is None else end - first), frame, lineno, last_t)
 
 
-def _log_ranges(path, count: int) -> list[tuple[int, int | None]]:
-    """Up to ``count`` runs of the ``_LOG_BLOCK_BYTES`` blocks of the log at
-    ``path``, in file order, each ``(first, end)`` for
-    ``_read_coordinate_log``, the last to the end (None); their lengths differ
-    by at most one block.  Only a regular file has blocks to count: any other
-    file (a pipe, a FIFO, a device) is one range, read once."""
+def _log_ranges(path) -> list[tuple[int, int | None]]:
+    """The runs of the ``_LOG_BLOCK_BYTES`` blocks of the log at ``path``
+    that ``_split`` gives its blocks, in file order, each ``(first, end)`` for
+    ``_read_coordinate_log``, the last to the end (None).  Only a regular file
+    has blocks to count: any other file (a pipe, a FIFO, a device) is one
+    range, read once."""
     info = os.stat(path)
     blocks = -(-info.st_size // _LOG_BLOCK_BYTES) if stat.S_ISREG(info.st_mode) else 0
-    count = max(1, min(count, blocks))
-    edges = [blocks * k // count for k in range(count)]
-    return list(zip(edges, [*edges[1:], None]))
+    edges = _split(blocks)
+    return list(zip(edges[:-1], [*edges[1:-1], None]))
 
 
 def _recorded_sends(path: Path) -> Iterator[Iterator[tuple[float, int]]]:
@@ -159,10 +159,10 @@ class _FrameFile(MockTransport):
         self.frames += 1
 
 
-def replay_log(log, controller: ControllerConfig, telemetry: Path, frames: Path, workers: int) -> tuple[int, int]:
-    """Replay ``log`` into the files ``telemetry`` and ``frames``, as up to
-    ``workers`` ranges (``_log_ranges``) in up to one process each
-    (``_fan_out``): the numbers of rows and of frames written.
+def replay_log(log, controller: ControllerConfig, telemetry: Path, frames: Path) -> tuple[int, int]:
+    """Replay ``log`` into the files ``telemetry`` and ``frames``, as the
+    ranges of ``_log_ranges``, run through ``_fan_out``: the numbers of rows
+    and of frames written.
 
     Each range writes its telemetry rows to a part, the first range to
     ``telemetry`` itself, and records each send as a ``_SEND`` record of its
@@ -173,7 +173,7 @@ def replay_log(log, controller: ControllerConfig, telemetry: Path, frames: Path,
     order is raised, the link's ``TransportSaturated`` included; a log with no
     row is refused once every range is done.  The parts and the records are
     hidden temporaries beside ``telemetry``, removed whatever the outcome."""
-    ranges = _log_ranges(log, workers)
+    ranges = _log_ranges(log)
     commands = (_IDLE, *controller._commands.values())  # a recorded send's command, by its number
     numbers = {id(cmd): number for number, cmd in enumerate(commands)}  # by identity: a command hashes in Python
     parts = [telemetry, *(telemetry.with_name(f".replay_telemetry.{k}.tmp") for k in range(1, len(ranges)))]

@@ -12,8 +12,10 @@ the dynamics themselves are noise-free, so identical configurations produce
 bit-identical records.
 
 The trials of a batch are independent, so ``run_batch`` runs them through
-``_fan_out``, in up to one forked process per usable CPU; ``cli`` runs
-``simulate``'s trials and ``report``'s CSVs through it too.  A child sends
+``_fan_out``; ``cli`` runs ``simulate``'s trials and ``report``'s CSVs
+through it too, and ``replay`` the ranges of its log.  ``_split`` alone
+decides how many processes run and where their work splits, for
+``_fan_out``'s items and for ``replay``'s blocks alike.  A child sends
 its records back pickled as columns (``TrialRecord.__reduce__``), and the
 records are the serial run's, bit for bit, whatever the number of processes.
 Automatic garbage collection is paused while ``_fan_out`` runs, in the calling
@@ -479,8 +481,8 @@ def iter_trial(cfg: TrialConfig) -> Iterator[TrialSample]:
 
 
 def run_batch(cfg: TrialConfig, count: int, seeds: list[int]) -> list[TrialRecord]:
-    """Independent trials, one per seed, collected in seed order, on up to one
-    process per usable CPU (``_fan_out``): the same records whatever the count."""
+    """Independent trials, one per seed, collected in seed order, in the
+    processes of ``_fan_out``: the same records whatever the count."""
     if not 1 <= count <= MAX_TRIALS_PER_BATCH:
         raise ValueError(f"count must be in [1, {MAX_TRIALS_PER_BATCH}], got {count}")
     if len(seeds) != count:
@@ -492,18 +494,30 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fan_out(fn, items) -> list:
-    """``[fn(item) for item in items]``, in up to one process per usable CPU.
-    The items split into contiguous chunks, the largest first, which this
-    process runs; each other chunk runs in a forked child that pipes back its
-    results or its exception, pickled.  The first failing chunk in item order
-    raises, and a child with no readable result is an ``OSError``.  Every
-    child is reaped before this returns or raises.  All items run here where
-    ``fork`` is missing, where a second thread is alive (the child could
+def _split(count: int) -> list[int]:
+    """The one decision of how many processes run ``count`` contiguous items
+    now, and where the items split between them: the bounds of one chunk per
+    process, in item order, the larger chunks first.  There is up to one
+    process per usable CPU, and just one, which runs every item, where
+    ``fork`` is missing, where a second thread is alive (a child could
     deadlock), or where a public function or class of the package has been
     replaced since import (a tracer's wrapper, a test's stub): the
     replacement may keep state in this process, which a child's calls would
-    never reach.  Where a fork fails, the items no child took run here.
+    never reach."""
+    forkable = hasattr(os, "fork") and threading.active_count() == 1 and all(
+        getattr(module, name, None) is value for module, name, value in _AS_IMPORTED)
+    processes = max(1, min(count, _usable_cpus())) if forkable else 1
+    size, extra = divmod(count, processes)
+    return [i * size + min(i, extra) for i in range(processes + 1)]
+
+
+def _fan_out(fn, items) -> list:
+    """``[fn(item) for item in items]``, in the processes that ``_split``
+    gives the items.  This process runs the first chunk; each other chunk
+    runs in a forked child that pipes back its results or its exception,
+    pickled.  The first failing chunk in item order raises, and a child with
+    no readable result is an ``OSError``.  Every child is reaped before this
+    returns or raises.  Where a fork fails, the items no child took run here.
 
     Automatic garbage collection is paused first, and the caller's own
     setting comes back before this returns or raises.  Records, tallies and
@@ -516,11 +530,7 @@ def _fan_out(fn, items) -> list:
     children = []  # (pid, pipe, first item's number) per child
     try:
         items = list(items)
-        forkable = hasattr(os, "fork") and threading.active_count() == 1 and all(
-            getattr(module, name, None) is value for module, name, value in _AS_IMPORTED)
-        workers = max(1, min(len(items), _usable_cpus())) if forkable else 1
-        size, extra = divmod(len(items), workers)
-        bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+        bounds = _split(len(items))
         rest = len(items)  # where the items that no child runs start
         for start, end in zip(bounds[1:], bounds[2:]):
             import pickle  # imported only once a child is started: with signal, 5 ms of start-up
@@ -568,9 +578,9 @@ def _fan_out(fn, items) -> list:
 
 
 # Every public function and class that the package's modules bind, as
-# imported: ``_fan_out`` forks only while each is still bound.  Those loaded
-# so far, which include every module a trial calls, are noted here; ``cli``
-# notes the rest once it has loaded.
+# imported: ``_split`` gives more than one process only while each is still
+# bound.  Those loaded so far, which include every module a trial calls, are
+# noted here; ``cli`` notes the rest once it has loaded.
 _AS_IMPORTED: list = []
 
 

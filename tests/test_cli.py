@@ -848,28 +848,36 @@ class TestFanOut:
         assert len(tallied) == 6 and forks == []
 
     def test_a_fork_that_fails_leaves_the_rest_to_this_process(self, tmp_path, monkeypatch, capsys):
-        workers(monkeypatch, 3)
-        argv = ["simulate", "--arena", 1, "--trials", 5, "--seed", 7, "--duration-s", 2.0, "--out-dir"]
-        serial = tmp_path / "serial"
-        assert run_cli(*argv, serial) == EXIT_OK
-        expected = capsys.readouterr().out.replace(str(serial), "OUT"), {p.name: p.read_bytes() for p in serial.iterdir()}
+        """On 3 workers, the 5 trials of ``simulate`` and the 3 ranges of a
+        replay's log: whichever fork fails, this process runs what no child
+        took, with the serial run's output, and leaves no child and no temporary."""
+        monkeypatch.setattr(replay, "_LOG_BLOCK_BYTES", 1 << 12)
+        log = curve_log(tmp_path / "log.csv")
         real_fork = os.fork
-        for forks_before_failing in (0, 1):  # no child at all, or only the first
-            forks = []
+        for argv in (["simulate", "--arena", 1, "--trials", 5, "--seed", 7, "--duration-s", 2.0], ["replay", log]):
+            workers(monkeypatch, 1)
+            serial = tmp_path / f"{argv[0]}_serial"
+            assert run_cli(*argv, "--out-dir", serial) == EXIT_OK
+            expected = (capsys.readouterr().out.replace(str(serial), "OUT"),
+                        {p.name: p.read_bytes() for p in serial.iterdir()})
+            workers(monkeypatch, 3)
+            assert len(replay._log_ranges(log)) == 3
+            for forks_before_failing in (0, 1):  # no child at all, or only the first
+                forks = []
 
-            def fork():
-                if len(forks) == forks_before_failing:
-                    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-                forks.append(pid := real_fork())
-                return pid
+                def fork():
+                    if len(forks) == forks_before_failing:
+                        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+                    forks.append(pid := real_fork())
+                    return pid
 
-            monkeypatch.setattr(os, "fork", fork)
-            out = tmp_path / f"failing_fork_{forks_before_failing}"
-            assert run_cli(*argv, out) == EXIT_OK
-            assert len(forks) == forks_before_failing
-            assert_no_child_left()
-            stdout = capsys.readouterr().out.replace(str(out), "OUT")
-            assert (stdout, {p.name: p.read_bytes() for p in out.iterdir()}) == expected
+                monkeypatch.setattr(os, "fork", fork)
+                out = tmp_path / f"{argv[0]}_failing_fork_{forks_before_failing}"
+                assert run_cli(*argv, "--out-dir", out) == EXIT_OK
+                assert len(forks) == forks_before_failing
+                assert_no_child_left()
+                stdout = capsys.readouterr().out.replace(str(out), "OUT")
+                assert (stdout, {p.name: p.read_bytes() for p in out.iterdir()}) == expected
 
     def test_finished_tally_survives_a_pickle_round_trip(self, sim_dir):
         tallies = [tally_csv(path, DEFAULT_DT_S) for path in sorted(sim_dir.glob("trial_*.csv"))]
@@ -1059,7 +1067,7 @@ class TestFileEncoding:
         for count in (1, 2, 3):
             workers(monkeypatch, count)
             out = tmp_path / f"file{count}"
-            assert len(replay._log_ranges(log, count)) == count
+            assert len(replay._log_ranges(log)) == count
             assert run_cli("replay", log, "--out-dir", out) == EXIT_OK
             assert capsys.readouterr().out.replace(str(out), "OUT") == piped.stdout.replace(str(piped_out), "OUT")
             assert {path.name: path.read_bytes() for path in out.iterdir()} == replayed, count

@@ -8,6 +8,7 @@ import errno
 import io
 import itertools
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -24,7 +25,7 @@ from roitrack.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from roitrack.controller import track
 from roitrack.protocol import CommandLink, MockTransport
 from roitrack.telemetry import row_lines, write_trial_csv
-from roitrack.text import fmt_float
+from roitrack.text import decode_blocks, fmt_float
 
 
 class TestReplayBlocks:
@@ -94,8 +95,10 @@ def first_lines_of_ranges(log, count):
     breaks that universal newlines read before its first block.  A "\\r" last
     before it may start a "\\r\\n", so it is held, and counts in that block."""
     data, block = log.read_bytes(), replay._LOG_BLOCK_BYTES
+    with mock.patch.object(trials, "_usable_cpus", lambda: count):
+        ranges = replay._log_ranges(log)
     return [io.IncrementalNewlineDecoder(None, translate=True).decode(
-        data[:first * block].decode(errors="replace")).count("\n") + 1 for first, _ in replay._log_ranges(log, count)[1:]]
+        data[:first * block].decode(errors="replace")).count("\n") + 1 for first, _ in ranges[1:]]
 
 
 def outcomes_on_one_two_and_three_workers(monkeypatch, capsys, log, *argv):
@@ -242,6 +245,50 @@ class TestReplayRanges:
         # 2 workers fork once and 3 twice: the empty range runs in a child too
         assert (code, stdout, len(forks)) == (EXIT_OK, "replayed 40 rows: 1 frames -> OUT\n", 3)
 
+    @pytest.mark.parametrize("cause", ["counting-stub", "second-thread"])
+    def test_a_replay_that_cannot_fork_reads_its_log_once(self, tmp_path, monkeypatch, capsys, cause):
+        """On 3 workers, where no child may be forked: the log is one range,
+        read once, with no part, and the outcome is the forked run's."""
+        log = self.write(tmp_path, fixed_log([LEFT] * 20 + [CENTRE] * 20 + [RIGHT] * 24), RANGE_2)
+        workers(monkeypatch, 3)
+        forks = counted_forks(monkeypatch)
+        assert run_cli("replay", log, "--out-dir", tmp_path / "forked") == EXIT_OK
+        assert len(forks) == 2
+        expected = capsys.readouterr(), {path.name: path.read_bytes() for path in (tmp_path / "forked").iterdir()}
+        opened, reads = [], []
+
+        def recording_open(file, *args, **kwargs):  # where replay looks ``open`` up: not a package function
+            opened.append(Path(file).name)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(replay, "open", recording_open, raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if cause == "counting-stub":
+            def counted_decode_blocks(fh, source, size):
+                reads.append(source)
+                return decode_blocks(fh, source, size)
+
+            monkeypatch.setattr(replay, "decode_blocks", counted_decode_blocks)
+        else:
+            thread.start()
+        try:
+            code = run_cli("replay", log, "--out-dir", tmp_path / "forked")
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert code == EXIT_OK and len(forks) == 2
+        assert_no_child_left()
+        assert opened.count(log.name) == 1
+        if cause == "counting-stub":
+            assert len(reads) == 1
+        # range 0's record of its sends, written then read back, and no other range's file
+        temporaries = [name for name in opened if re.fullmatch(r"\.replay_\w+\.\d+\.tmp", name)]
+        assert temporaries == [".replay_sends.0.tmp"] * 2
+        out = capsys.readouterr(), {path.name: path.read_bytes() for path in (tmp_path / "forked").iterdir()}
+        assert out == expected
+
     @pytest.mark.parametrize("case", ["success", "refusal-in-range-1", "refusal-in-range-2", "write-stub-fills-the-disk",
                                       "disk-fills-in-the-child"])
     def test_nothing_is_left_behind(self, tmp_path, monkeypatch, capsys, case):
@@ -257,7 +304,7 @@ class TestReplayRanges:
             row = 10 if case.endswith("1") else 40
             lines[row + 1] = f"{row / 32:010.5f},19000000"
         log.write_text("\n".join(lines))
-        if case == "write-stub-fills-the-disk":  # a replaced package function: every range runs here
+        if case == "write-stub-fills-the-disk":  # a replaced package function: the one range runs here
             def fill_the_disk(lines, path):
                 write_trial_csv(itertools.islice(lines, 10), path)
                 raise OSError(errno.ENOSPC, "No space left on device", str(path))
@@ -329,24 +376,32 @@ def test_any_replay_log_has_one_outcome_on_one_two_and_three_workers(data, block
     """The exit code, stdout, stderr and every output byte are the same
     whatever the number of ranges the log is split into: the one-range run
     reads the log in the default blocks, and the others in ``block`` bytes,
-    so that even a short log splits.  A FIFO that a thread writes the log's
-    bytes into is one range on 3 CPUs, with the same outcome: its own name
-    stands in a message where the log's does."""
+    so that even a short log splits.  With a second thread alive, the log in
+    ``block`` bytes is one range on 3 CPUs, with the same outcome.  So is a
+    FIFO that a thread writes the log's bytes into: its own name stands in a
+    message where the log's does."""
     seen = []
     with tempfile.TemporaryDirectory() as tmp:
         log, fifo = Path(tmp) / "log.csv", Path(tmp) / "fifo.csv"
         log.write_bytes(data)
         os.mkfifo(fifo)
-        for run, (source, count) in enumerate([(log, 1), (log, 2), (log, 3), (fifo, 3)]):
+        for run, (source, count) in enumerate([(log, 1), (log, 2), (log, 3), (log, 3), (fifo, 3)]):
             out, stdout, stderr = Path(tmp) / f"out{run}", io.StringIO(), io.StringIO()
+            release = threading.Event()
+            waiter = threading.Thread(target=release.wait, daemon=True)  # a second thread alive: no fork
             if source == fifo:  # the writer's open waits for replay's
                 writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
                 writer.start()
-            size = block if run in (1, 2) else replay._LOG_BLOCK_BYTES  # the split runs' blocks
+            elif run == 3:
+                waiter.start()
+            size = block if run in (1, 2, 3) else replay._LOG_BLOCK_BYTES  # the split runs' blocks
             with mock.patch.object(trials, "_usable_cpus", lambda: count), \
                     mock.patch.object(replay, "_LOG_BLOCK_BYTES", size), \
                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(["replay", str(source), "--out-dir", str(out)])
+            release.set()
+            if run == 3:
+                waiter.join()
             if source == fifo:
                 writer.join(timeout=10)
                 if writer.is_alive():  # replay never opened the FIFO: free the writer, then fail
@@ -357,4 +412,4 @@ def test_any_replay_log_has_one_outcome_on_one_two_and_three_workers(data, block
             files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
             named_as_the_log = stderr.getvalue().replace(str(source), str(log))
             seen.append((code, stdout.getvalue().replace(str(out), "OUT"), named_as_the_log, files))
-    assert seen[1:] == [seen[0]] * 3
+    assert seen[1:] == [seen[0]] * 4
